@@ -42,7 +42,7 @@ type t = {
   m_dropped : Metrics.Counter.t;
   m_queue_hw : Metrics.Gauge.t;
   (* train fast path *)
-  mutable hops : hop list;  (* oldest first; retired once fully folded *)
+  hops : hop Fifo.t;  (* oldest first; retired once fully folded *)
   mutable a_tail : Sim.time;  (* wire busy-until including planned cells *)
   mutable on_interfere : (unit -> unit) option;
     (* splits the chain that owns pending uplink acceptances before a
@@ -56,7 +56,9 @@ type t = {
 (* Apply every planned side effect with a timestamp <= [now] — the same
    boundary Sim.run uses for firing events at a limit — and retire hops whose
    entries are exhausted. Called from the Metrics flush hook (so dumps are
-   exact), from the counter accessors, and before analytic queries. *)
+   exact), from the counter accessors, before every plan (so a commit never
+   finds finished hops ahead of it) and before a per-cell send that finds
+   planned state pending. *)
 let hop_done t now h =
   h.f_busy >= h.h_live
   && (not h.h_fold_sent || h.f_sent >= h.h_live)
@@ -67,35 +69,66 @@ let hop_done t now h =
      overlap it (send only consults [a_tail] while hops are live) *)
   && (h.h_live = 0 || h.h_starts.(h.h_live - 1) + t.cell_time <= now)
 
+(* First index at or after [i] whose entry of [arr] (ascending) is past
+   [now]. *)
+let rec past (arr : Sim.time array) n i now =
+  if i < n && arr.(i) <= now then past arr n (i + 1) now else i
+
+(* Each kind of entry folds in bulk: one counter update per hop, not one
+   per cell, since a fold now runs on the data path (before every plan). *)
 let fold_hop t now h =
-  while h.f_drop < h.h_ndrops && h.h_drops.(h.f_drop) <= now do
-    t.dropped <- t.dropped + 1;
-    Metrics.Counter.inc t.m_dropped;
-    h.f_drop <- h.f_drop + 1
-  done;
-  while h.f_busy < h.h_live && h.h_starts.(h.f_busy) <= now do
-    t.busy_ns <- t.busy_ns + t.cell_time;
-    h.f_busy <- h.f_busy + 1
-  done;
-  if h.h_fold_sent then
-    while
-      h.f_sent < h.h_live && h.h_starts.(h.f_sent) + t.cell_time <= now
-    do
-      t.sent <- t.sent + 1;
-      Metrics.Counter.inc t.m_sent;
-      h.f_sent <- h.f_sent + 1
+  let d = past h.h_drops h.h_ndrops h.f_drop now in
+  if d > h.f_drop then begin
+    t.dropped <- t.dropped + (d - h.f_drop);
+    Metrics.Counter.add t.m_dropped (d - h.f_drop);
+    h.f_drop <- d
+  end;
+  let b = past h.h_starts h.h_live h.f_busy now in
+  t.busy_ns <- t.busy_ns + ((b - h.f_busy) * t.cell_time);
+  h.f_busy <- b;
+  if h.h_fold_sent then begin
+    (* a cell counts as sent once its serialization has finished *)
+    let s = past h.h_starts h.h_live h.f_sent (now - t.cell_time) in
+    if s > h.f_sent then begin
+      t.sent <- t.sent + (s - h.f_sent);
+      Metrics.Counter.add t.m_sent (s - h.f_sent);
+      h.f_sent <- s
+    end
+  end;
+  let w = past h.h_hw_t h.h_nhw h.f_hw now in
+  if w > h.f_hw then begin
+    let m = ref h.h_hw_v.(h.f_hw) in
+    for i = h.f_hw + 1 to w - 1 do
+      if h.h_hw_v.(i) > !m then m := h.h_hw_v.(i)
     done;
-  while h.f_hw < h.h_nhw && h.h_hw_t.(h.f_hw) <= now do
-    Metrics.Gauge.set_max t.m_queue_hw h.h_hw_v.(h.f_hw);
-    h.f_hw <- h.f_hw + 1
-  done
+    Metrics.Gauge.set_max t.m_queue_hw !m;
+    h.f_hw <- w
+  end
 
 let fold_to t now =
-  if t.hops <> [] then begin
-    List.iter (fold_hop t now) t.hops;
-    if List.exists (hop_done t now) t.hops then
-      t.hops <- List.filter (fun h -> not (hop_done t now h)) t.hops
-  end
+  if not (Fifo.is_empty t.hops) then
+    Fifo.filter_in_place
+      (fun h ->
+        fold_hop t now h;
+        not (hop_done t now h))
+      t.hops
+
+let dummy_hop =
+  {
+    h_live = 0;
+    h_accepts = [||];
+    h_starts = [||];
+    h_fold_sent = false;
+    h_drops = [||];
+    h_ndrops = 0;
+    h_hw_t = [||];
+    h_hw_v = [||];
+    h_nhw = 0;
+    f_busy = 0;
+    f_sent = 0;
+    f_drop = 0;
+    f_hw = 0;
+  }
 
 (* #cells of [h] in the transmit queue at [at] under completion-first
    semantics: accepted at or before [at], not yet started (a start at
@@ -118,7 +151,7 @@ let hop_queued h ~at =
   count_le h.h_accepts h.h_live at - count_le h.h_starts h.h_live at
 
 let analytic_queued t ~at =
-  List.fold_left (fun acc h -> acc + hop_queued h ~at) 0 t.hops
+  Fifo.fold_left (fun acc h -> acc + hop_queued h ~at) 0 t.hops
 
 (* State *at* a past instant [at] (a timeseries sample boundary between
    the previous event and the one about to fire). Real mutations all
@@ -129,7 +162,7 @@ let analytic_queued t ~at =
    which is <= [at] for every boundary the sampler visits. *)
 let queue_length_at t ~at =
   let n = Queue.length t.queue in
-  if t.hops = [] then n else n + analytic_queued t ~at
+  if Fifo.is_empty t.hops then n else n + analytic_queued t ~at
 
 (* Cumulative serialization ns as of [at]: the per-cell path adds a full
    cell_time at each serialization start, so this counts starts <= [at].
@@ -140,11 +173,12 @@ let busy_ns_at t ~at =
   (* the folded set is the prefix [0, f_busy) and the started set the
      prefix of starts <= [at]; the correction is the signed difference of
      the two prefix lengths *)
-  let corr = ref 0 in
-  List.iter
-    (fun h -> corr := !corr + (count_le h.h_starts h.h_live at - h.f_busy))
-    t.hops;
-  t.busy_ns + (!corr * t.cell_time)
+  let corr =
+    Fifo.fold_left
+      (fun acc h -> acc + (count_le h.h_starts h.h_live at - h.f_busy))
+      0 t.hops
+  in
+  t.busy_ns + (corr * t.cell_time)
 
 let create sim ?(queue_capacity = max_int) ?(metrics_labels = []) ~bandwidth_mbps
     ~propagation () =
@@ -176,7 +210,7 @@ let create sim ?(queue_capacity = max_int) ?(metrics_labels = []) ~bandwidth_mbp
       m_queue_hw =
         Metrics.gauge ~help:"deepest a link transmit queue has ever been"
           "atm_link_queue_high_water" metrics_labels;
-      hops = [];
+      hops = Fifo.create ~dummy:dummy_hop;
       a_tail = 0;
       on_interfere = None;
       on_accept = None;
@@ -209,11 +243,12 @@ let cells_offered t = cells_sent t + cells_dropped t
 
 let queue_length t =
   let n = Queue.length t.queue in
-  if t.hops = [] then n else n + analytic_queued t ~at:(Sim.now t.sim)
+  if Fifo.is_empty t.hops then n
+  else n + analytic_queued t ~at:(Sim.now t.sim)
 
 let busy t = t.transmitting || t.a_tail > Sim.now t.sim
 let quiet t = (not t.transmitting) && Queue.is_empty t.queue
-let pending_plan t = t.hops <> []
+let pending_hops t = Fifo.length t.hops
 let set_interfere t f = t.on_interfere <- Some f
 let clear_interfere t = t.on_interfere <- None
 let set_on_accept t f = t.on_accept <- Some f
@@ -275,7 +310,7 @@ let queued_tieaware t ~accepts ~starts ~count ~at ~sched =
 
 let occupancy_at t ~local_accepts ~local_starts ~local_count ~at ~sched =
   let occ =
-    List.fold_left
+    Fifo.fold_left
       (fun acc h ->
         acc
         + queued_tieaware t ~accepts:h.h_accepts ~starts:h.h_starts
@@ -429,13 +464,13 @@ let commit_plan t pl ~fold_sent =
       f_hw = 0;
     }
   in
-  t.hops <- t.hops @ [ h ];
+  Fifo.push t.hops h;
   if n > 0 then t.a_tail <- max t.a_tail (pl.pl_starts.(n - 1) + t.cell_time);
   h
 
 let recompute_tail t =
   t.a_tail <-
-    List.fold_left
+    Fifo.fold_left
       (fun acc h ->
         if h.h_live > 0 then
           max acc (h.h_starts.(h.h_live - 1) + t.cell_time)
@@ -634,8 +669,8 @@ let legacy_send t cell =
 
 let send t cell =
   if t.receiver = None then invalid_arg "Link.send: no receiver attached";
-  if t.hops = [] then legacy_send t cell
+  if Fifo.is_empty t.hops then legacy_send t cell
   else begin
     fold_to t (Sim.now t.sim);
-    if t.hops = [] then legacy_send t cell else bridge_send t cell
+    if Fifo.is_empty t.hops then legacy_send t cell else bridge_send t cell
   end

@@ -130,7 +130,9 @@ val truncate_hop : t -> hop -> keep:int -> now:Engine.Sim.time -> unit
 (** The owning train was cut back to [keep] cells: discard planned entries
     at or after [now] (the per-cell path re-performs them for real). *)
 
-val pending_plan : t -> bool
+val pending_hops : t -> int
+(** Committed plans (train hops and bridged cells) not yet retired.
+    Read-only: does not fold. *)
 
 val set_interfere : t -> (unit -> unit) -> unit
 (** Callback run before a per-cell send threads through pending planned

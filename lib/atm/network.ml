@@ -129,7 +129,7 @@ type ftrack = {
   ft_stages : int; (* switch stages the route crosses *)
   ft_flow : Flowstat.flow option; (* when flow accounting is active *)
   mutable ft_seq : int; (* next per-flow PDU sequence number *)
-  mutable ft_partials : partial list; (* oldest first *)
+  ft_partials : partial Fifo.t; (* oldest first *)
 }
 
 and partial = {
@@ -137,7 +137,12 @@ and partial = {
   pa_injected : Sim.time;
   mutable pa_last : Sim.time; (* previous forwarding (or injection) instant *)
   mutable pa_hops : Pathrec.hop list; (* most-recent-first *)
+  mutable pa_nhops : int; (* length of [pa_hops] *)
 }
+
+(* fills the unused slots of [ft_partials]; never expects a hop *)
+let no_partial =
+  { pa_seq = -1; pa_injected = 0; pa_last = 0; pa_hops = []; pa_nhops = -1 }
 
 type t = {
   sim : Sim.t;
@@ -214,18 +219,16 @@ let undeliverable_cell t ~host (cell : Cell.t) =
    link leaves a stale partial behind, which can shift attribution of the
    flow's later records — drops decided *at the switch* are matched and
    cleaned up precisely. *)
-let rec attach_hop ~now ~hop ~mk = function
-  | [] -> []
-  | pa :: rest when List.length pa.pa_hops = hop ->
+let attach_hop partials ~now ~hop ~mk =
+  match Fifo.find_first (fun pa -> pa.pa_nhops = hop) partials with
+  | None -> ()
+  | Some pa ->
       pa.pa_hops <- mk ~latency:(now - pa.pa_last) :: pa.pa_hops;
-      pa.pa_last <- now;
-      pa :: rest
-  | pa :: rest -> pa :: attach_hop ~now ~hop ~mk rest
+      pa.pa_nhops <- hop + 1;
+      pa.pa_last <- now
 
-let rec remove_expecting ~hop = function
-  | [] -> []
-  | pa :: rest when List.length pa.pa_hops = hop -> rest
-  | pa :: rest -> pa :: remove_expecting ~hop rest
+let remove_expecting partials ~hop =
+  ignore (Fifo.remove_first (fun pa -> pa.pa_nhops = hop) partials)
 
 (* Per-cell switch observer: count the cell into its flow's stage-[hop]
    accounting and, for an EOP cell with path records on, stamp the hop
@@ -243,21 +246,19 @@ let observe_cell t si (ob : Switch.observed) =
       | _ -> ());
       if ob.Switch.ob_eop && Pathrec.enabled () then
         if ob.Switch.ob_forwarded then
-          tr.ft_partials <-
-            attach_hop ~now:(Sim.now t.sim) ~hop
-              ~mk:(fun ~latency ->
-                {
-                  Pathrec.h_stage = si;
-                  h_in_port = ob.Switch.ob_in_port;
-                  h_out_port = ob.Switch.ob_out_port;
-                  h_queue = ob.Switch.ob_queue;
-                  h_latency_ns = latency;
-                })
-              tr.ft_partials
+          attach_hop tr.ft_partials ~now:(Sim.now t.sim) ~hop
+            ~mk:(fun ~latency ->
+              {
+                Pathrec.h_stage = si;
+                h_in_port = ob.Switch.ob_in_port;
+                h_out_port = ob.Switch.ob_out_port;
+                h_queue = ob.Switch.ob_queue;
+                h_latency_ns = latency;
+              })
         else
           (* the PDU's EOP cell died at this stage: it will never be
              delivered, so retire its partial record *)
-          tr.ft_partials <- remove_expecting ~hop tr.ft_partials
+          remove_expecting tr.ft_partials ~hop
 
 (* Downlink delivery: the oldest fully-stamped partial is this EOP cell's
    journey; seal it into a settled-at-delivery path record. *)
@@ -266,14 +267,11 @@ let observe_delivery t ~host (cell : Cell.t) =
     match Hashtbl.find_opt t.rx_map (host, cell.Cell.vci) with
     | None -> ()
     | Some tr ->
-        let rec pop acc = function
-          | [] -> None
-          | pa :: rest when List.length pa.pa_hops = tr.ft_stages ->
-              tr.ft_partials <- List.rev_append acc rest;
-              Some pa
-          | pa :: rest -> pop (pa :: acc) rest
-        in
-        (match pop [] tr.ft_partials with
+        (match
+           Fifo.remove_first
+             (fun pa -> pa.pa_nhops = tr.ft_stages)
+             tr.ft_partials
+         with
         | None -> ()
         | Some pa ->
             let now = Sim.now t.sim in
@@ -486,9 +484,14 @@ let send t ~host cell =
           let seq = tr.ft_seq in
           tr.ft_seq <- seq + 1;
           let now = Sim.now t.sim in
-          tr.ft_partials <-
-            tr.ft_partials
-            @ [ { pa_seq = seq; pa_injected = now; pa_last = now; pa_hops = [] } ]
+          Fifo.push tr.ft_partials
+            {
+              pa_seq = seq;
+              pa_injected = now;
+              pa_last = now;
+              pa_hops = [];
+              pa_nhops = 0;
+            }
         end
   end;
   ok
@@ -1074,7 +1077,7 @@ let install_route t ~src ~dst =
         ft_stages = Array.length vcis;
         ft_flow = fl;
         ft_seq = 0;
-        ft_partials = [];
+        ft_partials = Fifo.create ~dummy:no_partial;
       }
     in
     Hashtbl.replace t.tracks (src, tx_vci) tr;

@@ -7,6 +7,10 @@ type t = {
   output_queue_capacity : int;
   outputs : Link.t option array;
   routes : (int * int, int * int) Hashtbl.t; (* (in_port, in_vci) -> (out_port, out_vci) *)
+  sources : (int, int) Hashtbl.t array;
+      (* per output port: in_port -> number of routes from it, zero counts
+         removed, so an output port is single-source iff its table has
+         one key *)
   port_faults : Fault.t option array;
   mutable routed : int;
   mutable dropped : int;
@@ -24,8 +28,9 @@ type t = {
   port_labels : int -> (string * string) list;
       (* metric labels of an output port; includes a ("switch", id)
          dimension when this switch is one stage of a fabric *)
-  mutable records : srecord list;
-      (* planned train forwardings (DESIGN.md §14), folded lazily *)
+  records : srecord Fifo.t;
+      (* planned train forwardings (DESIGN.md §14), oldest first; folded
+         and retired at every commit and registry read *)
   mutable on_settled : (in_port:int -> unit) option;
       (* a real cell from [in_port] left the fabric — forwarded onto its
          output link, dropped at the output queue, or unroutable (the
@@ -61,21 +66,36 @@ and srecord = {
   mutable sr_f : int; (* fold cursor *)
 }
 
+(* In bulk: one counter and gauge update per record, since a fold runs
+   on every commit. *)
 let fold_record t now r =
-  while r.sr_f < r.sr_live && r.sr_times.(r.sr_f) <= now do
-    t.routed <- t.routed + 1;
-    Metrics.Counter.inc t.m_routed;
-    Metrics.Gauge.set_max t.port_queue_hw.(r.sr_port) r.sr_hw.(r.sr_f);
-    Metrics.Gauge.set_max t.port_queue_peak.(r.sr_port) r.sr_hw.(r.sr_f);
-    r.sr_f <- r.sr_f + 1
-  done
-
-let fold_to t now =
-  if t.records <> [] then begin
-    List.iter (fold_record t now) t.records;
-    if List.exists (fun r -> r.sr_f >= r.sr_live) t.records then
-      t.records <- List.filter (fun r -> r.sr_f < r.sr_live) t.records
+  let f = r.sr_f in
+  if f < r.sr_live && r.sr_times.(f) <= now then begin
+    let hw = ref r.sr_hw.(f) in
+    r.sr_f <- f + 1;
+    while r.sr_f < r.sr_live && r.sr_times.(r.sr_f) <= now do
+      if r.sr_hw.(r.sr_f) > !hw then hw := r.sr_hw.(r.sr_f);
+      r.sr_f <- r.sr_f + 1
+    done;
+    t.routed <- t.routed + (r.sr_f - f);
+    Metrics.Counter.add t.m_routed (r.sr_f - f);
+    Metrics.Gauge.set_max t.port_queue_hw.(r.sr_port) !hw;
+    Metrics.Gauge.set_max t.port_queue_peak.(r.sr_port) !hw
   end
+
+(* Apply every planned forwarding with a timestamp <= [now] and retire
+   records with nothing left to apply. Exact at any [now]: it applies only
+   what the next flush would apply anyway. *)
+let fold_to t now =
+  if not (Fifo.is_empty t.records) then
+    Fifo.filter_in_place
+      (fun r ->
+        fold_record t now r;
+        r.sr_f < r.sr_live)
+      t.records
+
+let dummy_record =
+  { sr_port = 0; sr_live = 0; sr_times = [||]; sr_hw = [||]; sr_f = 0 }
 
 let create sim ~ports ~transit ?(output_queue_capacity = 1024) ?id () =
   if ports <= 0 then invalid_arg "Switch.create: ports must be positive";
@@ -103,6 +123,7 @@ let create sim ~ports ~transit ?(output_queue_capacity = 1024) ?id () =
       outputs = Array.make ports None;
       port_faults = Array.make ports None;
       routes = Hashtbl.create 64;
+      sources = Array.init ports (fun _ -> Hashtbl.create 1);
       routed = 0;
       dropped = 0;
       unroutable = 0;
@@ -131,7 +152,7 @@ let create sim ~ports ~transit ?(output_queue_capacity = 1024) ?id () =
                  drops included"
               "atm_switch_queue_peak" (port_labels p));
       port_labels;
-      records = [];
+      records = Fifo.create ~dummy:dummy_record;
       on_settled = None;
       observer = None;
     }
@@ -178,9 +199,20 @@ let add_route t ~in_port ~in_vci ~out_port ~out_vci =
     invalid_arg
       (Printf.sprintf "Switch.add_route: VCI %d already routed on port %d"
          in_vci in_port);
-  Hashtbl.add t.routes (in_port, in_vci) (out_port, out_vci)
+  Hashtbl.add t.routes (in_port, in_vci) (out_port, out_vci);
+  let src = t.sources.(out_port) in
+  Hashtbl.replace src in_port
+    (1 + Option.value ~default:0 (Hashtbl.find_opt src in_port))
 
-let remove_route t ~in_port ~in_vci = Hashtbl.remove t.routes (in_port, in_vci)
+let remove_route t ~in_port ~in_vci =
+  match Hashtbl.find_opt t.routes (in_port, in_vci) with
+  | None -> ()
+  | Some (out_port, _) ->
+      Hashtbl.remove t.routes (in_port, in_vci);
+      let src = t.sources.(out_port) in
+      let n = Hashtbl.find src in_port in
+      if n = 1 then Hashtbl.remove src in_port
+      else Hashtbl.replace src in_port (n - 1)
 
 let set_on_settled t f = t.on_settled <- Some f
 let set_observer t f = t.observer <- Some f
@@ -221,14 +253,13 @@ let plan_route t ~in_port ~in_vci =
       | Some link ->
           if t.port_faults.(out_port) <> None then None
           else if
-            Hashtbl.fold
-              (fun (ip, _) (op, _) other ->
-                other || (op = out_port && ip <> in_port))
-              t.routes false
+            (* [in_port] is one source; any other key is a second *)
+            Hashtbl.length t.sources.(out_port) > 1
           then None
           else Some (out_port, out_vci, link))
 
 let commit_plan t ~out_port ~times ~hw =
+  fold_to t (Sim.now t.sim);
   let r =
     {
       sr_port = out_port;
@@ -238,8 +269,10 @@ let commit_plan t ~out_port ~times ~hw =
       sr_f = 0;
     }
   in
-  t.records <- t.records @ [ r ];
+  Fifo.push t.records r;
   r
+
+let pending_records t = Fifo.length t.records
 
 (* Cells past [keep] never reach the switch (they were cut upstream); their
    forwarding instants are all strictly in the future. *)

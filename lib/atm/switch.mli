@@ -98,12 +98,18 @@ val plan_route :
 (** [(out_port, out_vci, link)] if a whole train may be planned through:
     route present, output link attached, no port fault, and no other input
     port routes to the output (single source keeps downstream FIFO order
-    equal to arrival order). *)
+    equal to arrival order). O(1): the switch keeps, per output port, the
+    number of routes from each input port. *)
 
 val commit_plan :
   t -> out_port:int -> times:Engine.Sim.time array -> hw:float array -> srecord
 (** Install a planned forwarding: cell i leaves at [times.(i)] with the
-    output queue [hw.(i)] deep after the send. *)
+    output queue [hw.(i)] deep after the send. Earlier records are first
+    folded up to now and the finished ones retired, so the records held
+    stay bounded by the trains still crossing the switch. *)
+
+val pending_records : t -> int
+(** Committed records not yet retired. Read-only: does not fold. *)
 
 val truncate_plan : t -> srecord -> keep:int -> unit
 (** The owning train was cut to [keep] cells; the rest never arrive. *)

@@ -1,0 +1,62 @@
+(* A growable array kept in insertion order. Removal compacts in place, so
+   a steady state of pushes and retirements allocates nothing once the
+   array has grown to the live high-water mark. Vacated slots are
+   overwritten with [dummy] so retired elements can be collected. *)
+
+type 'a t = { dummy : 'a; mutable buf : 'a array; mutable len : int }
+
+let create ~dummy = { dummy; buf = [||]; len = 0 }
+let length t = t.len
+let is_empty t = t.len = 0
+
+let push t x =
+  if t.len = Array.length t.buf then begin
+    let buf = Array.make (max 4 (2 * t.len)) t.dummy in
+    Array.blit t.buf 0 buf 0 t.len;
+    t.buf <- buf
+  end;
+  t.buf.(t.len) <- x;
+  t.len <- t.len + 1
+
+let fold_left f acc t =
+  let acc = ref acc in
+  for i = 0 to t.len - 1 do
+    acc := f !acc t.buf.(i)
+  done;
+  !acc
+
+let truncate t n =
+  Array.fill t.buf n (t.len - n) t.dummy;
+  t.len <- n
+
+let clear t = truncate t 0
+
+let filter_in_place keep t =
+  let w = ref 0 in
+  for i = 0 to t.len - 1 do
+    let x = t.buf.(i) in
+    if keep x then begin
+      if !w < i then t.buf.(!w) <- x;
+      incr w
+    end
+  done;
+  if !w < t.len then truncate t !w
+
+let rec index_from p t i =
+  if i >= t.len then -1 else if p t.buf.(i) then i else index_from p t (i + 1)
+
+let find_first p t =
+  let i = index_from p t 0 in
+  if i < 0 then None else Some t.buf.(i)
+
+let remove_first p t =
+  let i = index_from p t 0 in
+  if i < 0 then None
+  else begin
+    let x = t.buf.(i) in
+    Array.blit t.buf (i + 1) t.buf i (t.len - i - 1);
+    truncate t (t.len - 1);
+    Some x
+  end
+
+let to_list t = List.init t.len (fun i -> t.buf.(i))

@@ -146,8 +146,12 @@ type family = {
   f_name : string;
   f_kind : kind;
   f_help : string;
-  mutable f_samples : (labels * instrument) list; (* insertion order *)
+  f_index : (labels, instrument) Hashtbl.t;
+  mutable f_rev : (labels * instrument) list; (* newest first *)
 }
+
+(* Samples in insertion order, the order every dump lists them in. *)
+let samples f = List.rev f.f_rev
 
 let registry : (string, family) Hashtbl.t = Hashtbl.create 64
 let order : string list ref = ref [] (* registration order, for stable dumps *)
@@ -160,18 +164,27 @@ let family ~kind ~help name =
           (kind_name f.f_kind);
       f
   | None ->
-      let f = { f_name = name; f_kind = kind; f_help = help; f_samples = [] } in
+      let f =
+        {
+          f_name = name;
+          f_kind = kind;
+          f_help = help;
+          f_index = Hashtbl.create 8;
+          f_rev = [];
+        }
+      in
       Hashtbl.replace registry name f;
       order := name :: !order;
       f
 
 let sample f labels mk =
   let labels = canon labels in
-  match List.assoc_opt labels f.f_samples with
+  match Hashtbl.find_opt f.f_index labels with
   | Some i -> i
   | None ->
       let i = mk () in
-      f.f_samples <- f.f_samples @ [ (labels, i) ];
+      Hashtbl.add f.f_index labels i;
+      f.f_rev <- (labels, i) :: f.f_rev;
       i
 
 let counter ?(help = "") name labels =
@@ -205,7 +218,7 @@ let on_gauge_fn obs =
             match i with
             | I_gauge { Gauge.fn = Some fn; _ } -> obs f.f_name labels fn
             | _ -> ())
-          f.f_samples)
+          (samples f))
     (List.rev_map (Hashtbl.find registry) !order)
 
 let gauge_fn ?help name labels f =
@@ -247,7 +260,7 @@ let reset () =
           | I_gauge g -> g.Gauge.g <- 0.
           | I_hist h -> h.Histogram.s <- Stats.Summary.create ()
           | I_sketch s -> Sketch.clear s)
-        f.f_samples)
+        f.f_rev)
     registry
 
 let counter_value name labels =
@@ -255,7 +268,7 @@ let counter_value name labels =
   match Hashtbl.find_opt registry name with
   | None -> None
   | Some f -> (
-      match List.assoc_opt (canon labels) f.f_samples with
+      match Hashtbl.find_opt f.f_index (canon labels) with
       | Some (I_counter c) -> Some (Counter.value c)
       | _ -> None)
 
@@ -343,7 +356,7 @@ let pp_prometheus fmt () =
                 (if n = 0 then 0. else Sketch.total s);
               Format.fprintf fmt "%s_count%a %d@\n" f.f_name pp_labelset
                 labels n)
-        f.f_samples)
+        (samples f))
     (families_sorted ())
 
 (* --- JSON dump ------------------------------------------------------- *)
@@ -420,7 +433,7 @@ let pp_json fmt () =
                   pp_float
                   (Sketch.quantile s 0.999)
                   pp_float (Sketch.max s)))
-        f.f_samples;
+        (samples f);
       Format.fprintf fmt "@\n    ]}")
     (families_sorted ());
   Format.fprintf fmt "@\n  ]@\n}@\n"

@@ -17,7 +17,8 @@
    registry), while probes left over from a previous simulator instance
    stop being read rather than reporting stale state.
 
-   Each series is a bounded ring (oldest points dropped, drops counted);
+   Each series is a bounded ring (oldest points dropped, drops counted),
+   allocated on the probe's first sample;
    each sample also folds into a [<name>_hw] metrics gauge via set_max, so
    high-water marks survive into the ordinary metrics dump. *)
 
@@ -46,7 +47,9 @@ type probe = {
   mutable p_prev : (int * float) option;
   mutable p_hw : Metrics.Gauge.t option;
   mutable p_drop_ctr : Metrics.Counter.t option;
-  p_points : (int * float) array; (* ring *)
+  mutable p_points : (int * float) array;
+      (* ring of [capacity] points, allocated on the first sample: most
+         probes of a large fabric are never sampled *)
   mutable p_len : int;
   mutable p_head : int; (* next write position *)
   mutable p_dropped : int;
@@ -93,7 +96,7 @@ let register_at ?(kind = Gauge) name labels fn =
           p_prev = None;
           p_hw = None;
           p_drop_ctr = None;
-          p_points = Array.make capacity (0, 0.);
+          p_points = [||];
           p_len = 0;
           p_head = 0;
           p_dropped = 0;
@@ -124,6 +127,8 @@ let note_point_drop p =
   Metrics.Counter.inc c
 
 let record p now v =
+  if Array.length p.p_points = 0 then
+    p.p_points <- Array.make capacity (0, 0.);
   p.p_points.(p.p_head) <- (now, v);
   p.p_head <- (p.p_head + 1) mod capacity;
   if p.p_len < capacity then p.p_len <- p.p_len + 1

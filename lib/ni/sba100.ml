@@ -46,6 +46,16 @@ type tx_train = {
   tt_arrivals : Sim.time array; (* send instant of each cell *)
 }
 
+(* fills the unused slots of [tx_trains] *)
+let no_train =
+  {
+    tt_train =
+      Atm.Cell.Train.of_cells
+        [| Atm.Cell.make ~vci:0 ~eop:true (Buf.alloc Atm.Cell.payload_size) |];
+    tt_cells = [||];
+    tt_arrivals = [||];
+  }
+
 type t = {
   sim : Sim.t;
   net : Atm.Network.t;
@@ -56,7 +66,7 @@ type t = {
   mux : Unet.Mux.t;
   reasm : (int, Atm.Aal5.Reassembler.t) Hashtbl.t;
   mutable fault : Fault.t option;
-  mutable tx_trains : tx_train list;
+  tx_trains : tx_train Fifo.t; (* oldest first *)
   mutable sent : int;
   mutable received : int;
   mutable errors : int;
@@ -187,8 +197,8 @@ let on_train t train ~rx_vci ~deliveries =
    boundary keeps it in the accepted prefix. *)
 let split_trains t =
   let now = Sim.now t.sim in
-  let trains = t.tx_trains in
-  t.tx_trains <- [];
+  let trains = Fifo.to_list t.tx_trains in
+  Fifo.clear t.tx_trains;
   List.iter
     (fun tt ->
       let n = Array.length tt.tt_arrivals in
@@ -230,19 +240,17 @@ let train_send t (cells : Atm.Cell.t array) =
     with
     | None -> false
     | Some _ ->
-        t.tx_trains <-
-          t.tx_trains
-          @ [ { tt_train = train; tt_cells = cells; tt_arrivals = arrivals } ];
+        Fifo.push t.tx_trains
+          { tt_train = train; tt_cells = cells; tt_arrivals = arrivals };
         (* the coalesced per-cell cost: n pre-scaled sleeps in one charge
            (scaling does not distribute over addition, so scale once) *)
         Host.Cpu.charge_raw ~layer:"ni_tx" t.cpu (n * s);
         (* the loop is over; anything still in tx_trains past its last
            send can no longer be interfered with *)
-        t.tx_trains <-
-          List.filter
-            (fun tt ->
-              tt.tt_arrivals.(Array.length tt.tt_arrivals - 1) > Sim.now t.sim)
-            t.tx_trains;
+        Fifo.filter_in_place
+          (fun tt ->
+            tt.tt_arrivals.(Array.length tt.tt_arrivals - 1) > Sim.now t.sim)
+          t.tx_trains;
         true
   end
 
@@ -332,7 +340,7 @@ let create net ~host ~cpu ?(config = default_config) () =
       reasm = Hashtbl.create 16;
       fault =
         Fault.configured_at Fault.Ni ~site:(Printf.sprintf "ni.%d" host);
-      tx_trains = [];
+      tx_trains = Fifo.create ~dummy:no_train;
       sent = 0;
       received = 0;
       errors = 0;

@@ -314,6 +314,51 @@ let test_switch_queue_overflow () =
   Sim.run sim;
   checkb "drops under burst" true (Atm.Switch.cells_dropped sw > 0)
 
+(* The train gate's single-source check is kept as per-output-port source
+   counts; it must answer exactly what a scan of the route table would.
+   Each step toggles one (in_port, in_vci) route — removed if installed,
+   else added — so sequences remove a port's last route and re-add it. *)
+let prop_single_source =
+  QCheck.Test.make ~name:"plan_route single-source = route-table scan"
+    ~count:300
+    QCheck.(
+      pair (int_range 4 6)
+        (list_of_size (Gen.int_range 1 40)
+           (triple (int_range 0 5) (int_range 0 3) (int_range 0 5))))
+    (fun (ports, steps) ->
+      let sim = Sim.create () in
+      let sw = Atm.Switch.create sim ~ports ~transit:(Sim.us 2) () in
+      for p = 0 to ports - 1 do
+        let l = mk_link sim in
+        Atm.Link.set_receiver l (fun _ -> ());
+        Atm.Switch.attach_output sw ~port:p l
+      done;
+      let routes = Hashtbl.create 16 in
+      let scan_says_single ~in_port ~out_port =
+        not
+          (Hashtbl.fold
+             (fun (ip, _) op other -> other || (op = out_port && ip <> in_port))
+             routes false)
+      in
+      List.for_all
+        (fun (ip, in_vci, op) ->
+          let in_port = ip mod ports and out_port = op mod ports in
+          if Hashtbl.mem routes (in_port, in_vci) then begin
+            Atm.Switch.remove_route sw ~in_port ~in_vci;
+            Hashtbl.remove routes (in_port, in_vci)
+          end
+          else begin
+            Atm.Switch.add_route sw ~in_port ~in_vci ~out_port ~out_vci:in_vci;
+            Hashtbl.replace routes (in_port, in_vci) out_port
+          end;
+          Hashtbl.fold
+            (fun (in_port, in_vci) out_port ok ->
+              ok
+              && scan_says_single ~in_port ~out_port
+                 = Option.is_some (Atm.Switch.plan_route sw ~in_port ~in_vci))
+            routes true)
+        steps)
+
 (* --- Network ------------------------------------------------------- *)
 
 let test_network_end_to_end () =
@@ -408,6 +453,7 @@ let () =
           Alcotest.test_case "route conflict" `Quick test_switch_route_conflict;
           Alcotest.test_case "remove route" `Quick test_switch_remove_route;
           Alcotest.test_case "queue overflow" `Quick test_switch_queue_overflow;
+          qt prop_single_source;
         ] );
       ( "network",
         [

@@ -227,6 +227,98 @@ let timeseries_drop_counter () =
   Timeseries.clear ();
   Timeseries.set_interval 10_000
 
+(* --- registry and sampler at fabric scale ------------------------------- *)
+
+(* A fabric registers thousands of label sets per family: lookup must not
+   depend on their number, re-registration must return the same
+   instrument whatever the label order, and dumps keep insertion order. *)
+let registry_many_label_sets () =
+  let n = 5000 in
+  (* insertion order deliberately differs from any sort of the labels *)
+  let key i = string_of_int ((i * 7919) mod n) in
+  let labels i = [ ("obs_k", key i); ("a", "x") ] in
+  let made =
+    Array.init n (fun i -> Metrics.counter "obs_test_many_total" (labels i))
+  in
+  let same = ref true in
+  for j = 0 to n - 1 do
+    let i = (j * 4999) mod n in
+    let again =
+      Metrics.counter "obs_test_many_total" (List.rev (labels i))
+    in
+    if again != made.(i) then same := false
+  done;
+  checkb "re-registration returns the same instrument" true !same;
+  let want = List.init n key in
+  let lines_with prefix dump =
+    String.split_on_char '\n' dump
+    |> List.filter (fun l ->
+           String.length l >= String.length prefix
+           && String.sub l 0 (String.length prefix) = prefix)
+  in
+  let prom_keys =
+    lines_with "obs_test_many_total{" (Metrics.to_prometheus_string ())
+    |> List.map (fun l ->
+           Scanf.sscanf l "obs_test_many_total{a=\"x\",obs_k=\"%[0-9]\"}"
+             Fun.id)
+  in
+  Alcotest.(check (list string)) "Prometheus dump in insertion order" want
+    prom_keys;
+  let json_keys =
+    match
+      Option.bind
+        (Json.member "families" (Json.of_string (Metrics.to_json_string ())))
+        Json.to_list
+    with
+    | None -> Alcotest.fail "JSON dump has no families"
+    | Some fams ->
+        List.concat_map
+          (fun f ->
+            if
+              Option.bind (Json.member "name" f) Json.to_str
+              = Some "obs_test_many_total"
+            then
+              Option.value ~default:[]
+                (Option.bind (Json.member "samples" f) Json.to_list)
+              |> List.filter_map (fun s ->
+                     Option.bind (Json.member "labels" s) (fun l ->
+                         Option.bind (Json.member "obs_k" l) Json.to_str))
+            else [])
+          fams
+  in
+  Alcotest.(check (list string)) "JSON dump in insertion order" want json_keys
+
+(* Rings are allocated on a probe's first sample; a probe that never got
+   one is still a series, with no points, in both dump formats. *)
+let idle_probe_dumps () =
+  Timeseries.clear ();
+  Timeseries.register "obs_idle_probe" [ ("host", "0") ] (fun () -> 1.);
+  (match Timeseries.series () with
+  | [ s ] ->
+      Alcotest.(check string) "listed" "obs_idle_probe" s.s_name;
+      checki "no points" 0 (List.length s.s_points)
+  | l -> Alcotest.failf "expected one series, got %d" (List.length l));
+  let json = Filename.temp_file "obs_idle" ".json" in
+  let csv = Filename.temp_file "obs_idle" ".csv" in
+  Timeseries.write_json json;
+  Timeseries.write_csv csv;
+  let series =
+    Option.bind (Json.member "series" (Json.of_file json)) Json.to_list
+  in
+  (match series with
+  | Some [ s ] ->
+      checkb "JSON series has an empty points list" true
+        (Option.bind (Json.member "points" s) Json.to_list = Some [])
+  | _ -> Alcotest.fail "JSON dump should hold exactly one series");
+  let ic = open_in csv in
+  let body = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check string) "CSV is the header alone" "series,labels,t_ns,value\n"
+    body;
+  Sys.remove json;
+  Sys.remove csv;
+  Timeseries.clear ()
+
 (* --- pinning observers are named -------------------------------------- *)
 
 let pinned_gauge () =
@@ -274,5 +366,12 @@ let () =
           Alcotest.test_case "ring drops counted" `Quick
             timeseries_drop_counter;
           Alcotest.test_case "pinning observer named" `Quick pinned_gauge;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "5000 label sets in one family" `Quick
+            registry_many_label_sets;
+          Alcotest.test_case "never-sampled probe dumps" `Quick
+            idle_probe_dumps;
         ] );
     ]

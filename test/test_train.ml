@@ -153,6 +153,76 @@ let fault_expansion () =
     true
     (train_fired * 3 <= percell_fired * 2)
 
+(* --- run-length independence --------------------------------------------- *)
+
+(* A raw stream of [count] 1 KB PDUs from host 0 to host 1 that never reads
+   the registry while it runs. A watcher records the most unretired plan
+   records the switch or any link held, sampled every 2 us of simulated
+   time (shorter than one cell time, so no commit goes unobserved for
+   long). *)
+let stream_run ~count ~peak () =
+  let c = Cluster.create ~hosts:2 () in
+  let net = c.Cluster.net in
+  let n_src = Cluster.node c 0 and n_dst = Cluster.node c 1 in
+  let ep_s, a_s = Cluster.simple_endpoint ~free_buffers:4 n_src in
+  let ep_d, _ = Cluster.simple_endpoint ~free_buffers:56 ~rx_slots:128 n_dst in
+  let ch, _ = Unet.connect_pair (n_src.unet, ep_s) (n_dst.unet, ep_d) in
+  let payload = Experiments.Common.payload_of_size a_s 1024 in
+  let received = ref 0 in
+  ignore
+    (Proc.spawn ~name:"sink" c.sim (fun () ->
+         while true do
+           let d = Unet.recv n_dst.unet ep_d in
+           Experiments.Common.return_buffers n_dst ep_d d;
+           incr received
+         done));
+  ignore
+    (Proc.spawn ~name:"source" c.sim (fun () ->
+         let sent = ref 0 in
+         while !sent < count do
+           match Unet.send n_src.unet ep_s (Unet.Desc.tx ~chan:ch payload) with
+           | Ok () -> incr sent
+           | Error Unet.Queue_full -> Proc.sleep c.sim ~time:(Sim.us 5)
+           | Error e -> Fmt.failwith "source: %a" Unet.pp_error e
+         done));
+  let links =
+    [ Atm.Network.uplink net ~host:0; Atm.Network.downlink net ~host:1 ]
+  in
+  ignore
+    (Proc.spawn ~name:"watcher" c.sim (fun () ->
+         while !received < count do
+           let held =
+             List.fold_left
+               (fun acc l -> max acc (Atm.Link.pending_hops l))
+               (Atm.Switch.pending_records (Atm.Network.switch net))
+               links
+           in
+           peak := max !peak held;
+           Proc.sleep c.sim ~time:(Sim.us 2)
+         done));
+  Sim.run ~until:(Sim.sec 2) c.sim;
+  Alcotest.(check int) "every PDU delivered" count !received
+
+let run_length_independent () =
+  let count = 2000 in
+  (* the per-cell run plans nothing, so the peak is the train run's *)
+  let peak = ref 0 in
+  let (train_dump, train_fired), (percell_dump, percell_fired) =
+    both_modes (stream_run ~count ~peak)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "the stream trained (train %d vs per-cell %d events)"
+       train_fired percell_fired)
+    true
+    (train_fired * 3 <= percell_fired);
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 8 unretired plan records held (peak %d over %d \
+                     PDUs)"
+       !peak count)
+    true (!peak <= 8);
+  Alcotest.(check string) "flushed counters: train = per-cell" percell_dump
+    train_dump
+
 let () =
   Alcotest.run "train"
     [
@@ -167,4 +237,7 @@ let () =
       ( "fault-expansion",
         [ Alcotest.test_case "lossy uplink expands locally" `Slow
             fault_expansion ] );
+      ( "run-length",
+        [ Alcotest.test_case "plan records retire at commit" `Slow
+            run_length_independent ] );
     ]
