@@ -35,8 +35,8 @@ let () =
 
   (* inject cell loss: the switch-bound fiber drops 1% of cells, so a
      meaningful share of multi-cell frames dies in reassembly *)
-  Atm.Link.set_loss (Atm.Network.uplink cluster.net ~host:0) (Rng.create 7)
-    ~p:0.01;
+  Atm.Link.set_fault (Atm.Network.uplink cluster.net ~host:0)
+    (Fault.create ~site:"up.0" { Fault.none with seed = 7; loss = 0.01 });
 
   let key_acked = Hashtbl.create 32 in
   let got_key = ref 0 and got_delta = ref 0 and retx = ref 0 in

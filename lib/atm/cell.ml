@@ -71,6 +71,18 @@ module Train = struct
       t.live <- keep;
       List.iter (fun f -> f ~keep ~now) t.listeners
     end
+
+  let expand sim ~label t ~rx_vci ~deliveries f =
+    let rec from i =
+      if i < t.live then begin
+        f (with_vci t.cells.(i) rx_vci);
+        if i + 1 < t.live then
+          Engine.Sim.schedule_drop ~label sim
+            ~delay:(deliveries.(i + 1) - Engine.Sim.now sim)
+            (fun () -> from (i + 1))
+      end
+    in
+    from 0
 end
 
 type train = Train.train

@@ -51,6 +51,20 @@ module Train : sig
   val truncate : train -> keep:int -> now:Engine.Sim.time -> unit
   (** Keep only the first [keep] cells and notify listeners (most recently
       registered first). No-op unless [keep] < current length. *)
+
+  val expand :
+    Engine.Sim.t ->
+    label:string ->
+    train ->
+    rx_vci:int ->
+    deliveries:Engine.Sim.time array ->
+    (t -> unit) ->
+    unit
+  (** Per-cell receive, called at [deliveries.(0)]: hand each cell,
+      relabelled [rx_vci], to the handler at its delivery instant, one
+      chained [label] event per cell. Each step re-checks the live length,
+      so an upstream truncation stops the chain (the per-cell path
+      re-delivers the cut cells for real). *)
 end
 
 type train = Train.train

@@ -152,6 +152,29 @@ let drop _t fl ~hop =
 
 let find t ~src ~vci = Hashtbl.find_opt t.by_key (src, vci)
 
+(* A committed train is loss-free past the uplink, so it folds into the
+   per-hop counters in O(stages); its planned TX-FIFO refusals are hop-0
+   drops, as each refused per-cell send is. The undo folds back to the
+   kept cells and the refusals the link keeps; the per-cell re-run counts
+   what really happens to the rest. *)
+let on_train t fl (p : Trainplan.t) =
+  let counted = ref 0 and charged = ref 0 in
+  let fold ~cells ~drops =
+    for hop = 0 to Array.length p.stages - 1 do
+      count t fl ~hop ~cells:(cells - !counted)
+    done;
+    (match fl.fl_exact with
+    | Some (hs : hopstat array) when Array.length hs > 0 ->
+        Metrics.Counter.add hs.(0).hs_drops (drops - !charged)
+    | _ -> ());
+    counted := cells;
+    charged := drops
+  in
+  fold ~cells:p.n ~drops:(Array.length p.up_drops);
+  fun ~keep ~now ->
+    fold ~cells:(min keep !counted)
+      ~drops:(min (Trainplan.drops_before p ~now) !charged)
+
 let note_retx t ~src ~vci =
   match find t ~src ~vci with
   | Some { fl_exact = Some hops; _ } when Array.length hops > 0 ->

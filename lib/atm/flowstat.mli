@@ -71,6 +71,11 @@ val drop : t -> flow -> hop:int -> unit
 (** One cell lost entering stage [hop] (switch queue/fault drop, or the
     host FIFO refusing the cell bound for stage 0). *)
 
+val on_train : t -> flow -> Engine.Trainplan.t -> Engine.Trainplan.undo
+(** Count a committed train into every stage of its flow and charge its
+    planned uplink refusals as hop-0 drops. The undo un-counts the cut
+    suffix and the refusals the truncation retracts. *)
+
 val note_retx : t -> src:int -> vci:int -> unit
 (** One PDU retransmitted on the flow sending from [src] on uplink
     [vci]; attributed to hop 0. No-op for unregistered flows. *)

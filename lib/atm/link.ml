@@ -33,7 +33,6 @@ type t = {
   queue : Cell.t Queue.t;
   mutable transmitting : bool;
   mutable receiver : (Cell.t -> unit) option;
-  mutable loss : (Rng.t * float) option;
   mutable fault : Fault.t option;
   mutable sent : int;
   mutable dropped : int;
@@ -194,7 +193,6 @@ let create sim ?(queue_capacity = max_int) ?(metrics_labels = []) ~bandwidth_mbp
       queue = Queue.create ();
       transmitting = false;
       receiver = None;
-      loss = None;
       fault = None;
       sent = 0;
       dropped = 0;
@@ -226,7 +224,6 @@ let create sim ?(queue_capacity = max_int) ?(metrics_labels = []) ~bandwidth_mbp
   t
 
 let set_receiver t f = t.receiver <- Some f
-let set_loss t rng ~p = t.loss <- Some (rng, p)
 let set_fault t f = t.fault <- Some f
 let cell_time t = t.cell_time
 let propagation t = t.propagation
@@ -324,7 +321,6 @@ let occupancy_at t ~local_accepts ~local_starts ~local_count ~at ~sched =
 let plannable t =
   (not t.transmitting)
   && Queue.is_empty t.queue
-  && t.loss = None
   && t.fault = None
   && t.receiver <> None
 
@@ -444,6 +440,7 @@ let plan_feed t ~arrivals ~sched_lead ~refuse_occ =
 let plan_starts pl = pl.pl_starts
 let plan_accepts pl = pl.pl_accepts
 let plan_queue_after pl = pl.pl_qafter
+let plan_drops pl = pl.pl_drops
 
 let commit_plan t pl ~fold_sent =
   let n = Array.length pl.pl_accepts in
@@ -560,41 +557,36 @@ let corrupted f (cell : Cell.t) =
   { cell with Cell.payload = Buf.of_bytes b }
 
 let deliver t cell =
-  let legacy_lost =
-    match t.loss with Some (rng, p) -> Rng.bernoulli rng ~p | None -> false
-  in
-  if legacy_lost then drop_cell t ~kind:"loss" cell
-  else
-    match t.fault with
-    | None -> forward t cell
-    | Some f -> (
-        match Fault.decide f with
-        | Fault.Pass -> forward t cell
-        | Fault.Drop -> drop_cell t ~kind:"drop" cell
-        | Fault.Corrupt ->
-            let cell = corrupted f cell in
-            capture_fault cell;
-            if Trace.enabled () then
-              Trace.instant Trace.Cell "link.corrupt"
-                ~args:[ ("vci", Trace.Int cell.Cell.vci) ];
-            forward t cell
-        | Fault.Duplicate ->
-            if Trace.enabled () then
-              Trace.instant Trace.Cell "link.duplicate"
-                ~args:[ ("vci", Trace.Int cell.Cell.vci) ];
-            forward t cell;
-            (* the copy trails by one slot, as a stuttering repeater would *)
-            forward t ~extra_delay:t.cell_time cell
-        | Fault.Reorder slots ->
-            if Trace.enabled () then
-              Trace.instant Trace.Cell "link.reorder"
-                ~args:
-                  [
-                    ("vci", Trace.Int cell.Cell.vci);
-                    ("slots", Trace.Int slots);
-                  ];
-            (* held back while later cells overtake it *)
-            forward t ~extra_delay:(slots * t.cell_time) cell)
+  match t.fault with
+  | None -> forward t cell
+  | Some f -> (
+      match Fault.decide f with
+      | Fault.Pass -> forward t cell
+      | Fault.Drop -> drop_cell t ~kind:"drop" cell
+      | Fault.Corrupt ->
+          let cell = corrupted f cell in
+          capture_fault cell;
+          if Trace.enabled () then
+            Trace.instant Trace.Cell "link.corrupt"
+              ~args:[ ("vci", Trace.Int cell.Cell.vci) ];
+          forward t cell
+      | Fault.Duplicate ->
+          if Trace.enabled () then
+            Trace.instant Trace.Cell "link.duplicate"
+              ~args:[ ("vci", Trace.Int cell.Cell.vci) ];
+          forward t cell;
+          (* the copy trails by one slot, as a stuttering repeater would *)
+          forward t ~extra_delay:t.cell_time cell
+      | Fault.Reorder slots ->
+          if Trace.enabled () then
+            Trace.instant Trace.Cell "link.reorder"
+              ~args:
+                [
+                  ("vci", Trace.Int cell.Cell.vci);
+                  ("slots", Trace.Int slots);
+                ];
+          (* held back while later cells overtake it *)
+          forward t ~extra_delay:(slots * t.cell_time) cell)
 
 let rec transmit t cell =
   (* serialization starts now: for the EOP cell this separates switch /

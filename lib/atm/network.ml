@@ -128,7 +128,7 @@ type ftrack = {
   ft_rx_vci : int; (* downlink VCI, for disconnect cleanup *)
   ft_stages : int; (* switch stages the route crosses *)
   ft_flow : Flowstat.flow option; (* when flow accounting is active *)
-  mutable ft_seq : int; (* next per-flow PDU sequence number *)
+  ft_seq : int ref; (* next per-flow PDU sequence number *)
   ft_partials : partial Fifo.t; (* oldest first *)
 }
 
@@ -275,17 +275,16 @@ let observe_delivery t ~host (cell : Cell.t) =
         | None -> ()
         | Some pa ->
             let now = Sim.now t.sim in
-            ignore
-              (Pathrec.add ~settle:now
-                 {
-                   Pathrec.r_src = tr.ft_src;
-                   r_dst = tr.ft_dst;
-                   r_vci = tr.ft_vci;
-                   r_seq = pa.pa_seq;
-                   r_injected = pa.pa_injected;
-                   r_delivered = now;
-                   r_hops = Array.of_list (List.rev pa.pa_hops);
-                 }))
+            Pathrec.add ~settle:now
+              {
+                Pathrec.r_src = tr.ft_src;
+                r_dst = tr.ft_dst;
+                r_vci = tr.ft_vci;
+                r_seq = pa.pa_seq;
+                r_injected = pa.pa_injected;
+                r_delivered = now;
+                r_hops = Array.of_list (List.rev pa.pa_hops);
+              })
 
 (* One injector per attachment point — per access-link direction per host,
    per switch output port per stage — so each has its own seed-derived
@@ -481,8 +480,8 @@ let send t ~host cell =
           | Some fs, Some fl -> Flowstat.drop fs fl ~hop:0
           | _ -> ())
         else if cell.Cell.eop && Pathrec.enabled () then begin
-          let seq = tr.ft_seq in
-          tr.ft_seq <- seq + 1;
+          let seq = !(tr.ft_seq) in
+          incr tr.ft_seq;
           let now = Sim.now t.sim in
           Fifo.push tr.ft_partials
             {
@@ -576,379 +575,165 @@ let port_dest t ~sw ~port =
 
 (* --- train fast path (DESIGN.md §14, multi-stage §16) ----------------- *)
 
-(* Default receive expansion for hosts whose NI is not train-aware: one
-   chained event per cell, each re-checking the train's live length so an
-   upstream truncation simply stops the chain (the per-cell path
-   re-delivers the cut cells for real). *)
-let rec expand_rx t ~dest ~rx_vci ~train ~deliveries i =
-  if i < Cell.Train.length train then begin
-    let cell = Cell.with_vci (Cell.Train.cell train i) rx_vci in
-    (match t.rx_handlers.(dest) with
-    | Some f -> f cell
-    | None -> undeliverable_cell t ~host:dest cell);
-    if i + 1 < Cell.Train.length train then
-      Sim.schedule_drop ~label:"net.rx_train" t.sim
-        ~delay:(deliveries.(i + 1) - Sim.now t.sim)
-        (fun () -> expand_rx t ~dest ~rx_vci ~train ~deliveries (i + 1))
-  end
-
-(* One stage of a planned multi-hop journey: the switch that forwards the
-   train at [st_arrivals] and the plan on its output link. *)
-type stage = {
-  st_sw : int;
-  st_in_port : int;
-  st_out_port : int;
-  st_out_vci : int;
-  st_link : Link.t;
-  st_transit : Sim.time;
-  st_arrivals : Sim.time array;
-  st_plan : Link.plan;
-}
+(* Publish a committed train once, as a plain record, to the observers that
+   synthesize their output from plans (DESIGN.md §15, §17), in dump order,
+   and collect their truncation undos. With none attached nothing is
+   built. *)
+let observe_train t ~host ~dst ~train ~uplink ~up_plan ~legs ~deliveries =
+  let vci = Cell.Train.vci train in
+  let track =
+    if t.obs_on then Hashtbl.find_opt t.tracks (host, vci) else None
+  in
+  if track = None && not (Trainmode.synthesizing ()) then []
+  else
+    let n = Cell.Train.length train in
+    let eops = ref [] in
+    for i = n - 1 downto 0 do
+      if (Cell.Train.cell train i).Cell.eop then eops := i :: !eops
+    done;
+    let plan =
+      {
+        Trainplan.src = host;
+        dst;
+        vci;
+        n;
+        eops = Array.of_list !eops;
+        up_accepts = Link.plan_accepts up_plan;
+        up_starts = Link.plan_starts up_plan;
+        up_cell_time = Link.cell_time uplink;
+        up_drops = Link.plan_drops up_plan;
+        stages = Array.map (fun (st, _, _) -> st) (Array.of_list legs);
+        deliveries;
+      }
+    in
+    [
+      (match (t.flowstat, track) with
+      | Some fs, Some { ft_flow = Some fl; _ } -> Flowstat.on_train fs fl plan
+      | _ -> Trainplan.no_undo);
+      (match track with
+      | Some tr -> Pathrec.on_train ~seq:tr.ft_seq plan
+      | None -> Trainplan.no_undo);
+      Span.on_train plan ~ctx:(fun i -> (Cell.Train.cell train i).Cell.ctx);
+      Trace.on_train plan;
+    ]
 
 (* Plan a whole train's journey across the fabric analytically: sender-paced
    chain on the uplink, then per stage a fabric transit and an arrival-fed
    plan on the stage's output link (trunk or downlink), walking the full
    hop chain. All-or-nothing — any refusal (legacy traffic in flight at any
-   stage, a loss or fault site, a queue at capacity, a same-instant tie)
+   stage, a fault site, a queue at capacity, a same-instant tie)
    returns [None] and the caller stays on the per-cell path. On success
    each element holds planned state that folds lazily into its counters, a
    single event hands the train to the receiving host at the first cell's
    delivery instant, and a truncation listener un-plans everything past an
-   interference point at every stage. The owner must arrange for
-   [on_interfere] to split its chain (it is installed as the uplink's
-   interfere hook; clear it when the chain ends). *)
+   interference point at every stage and runs the observers' undos. The
+   owner must arrange for [on_interfere] to split its chain (it is
+   installed as the uplink's interfere hook; clear it when the chain
+   ends). *)
 let commit_train_gen t ~host ~train ~plan_uplink ~on_interfere =
   check_host t host;
-  let n = Cell.Train.length train in
   let sw0, port0 = t.host_attach.(host) in
-  if n = 0 || t.in_flight.(sw0).(port0) > 0 then None
+  if Cell.Train.length train = 0 || t.in_flight.(sw0).(port0) > 0 then None
   else
-    (* Resolve the hop chain first: the route must exist at every stage
-       (single-source output ports only) and every ingress port along it
-       must have no un-settled real cells. *)
+    (* Resolve the hop chain before planning anything: the route must
+       exist at every stage (single-source output ports only) and every
+       ingress port along it must have no un-settled real cells. *)
     let rec resolve sw in_port in_vci acc =
       match Switch.plan_route t.switches.(sw) ~in_port ~in_vci with
       | None -> None
       | Some (out_port, out_vci, link) -> (
-          let hop = (sw, in_port, out_port, out_vci, link) in
+          let acc = (sw, in_port, out_port, link) :: acc in
           match t.dests.(sw).(out_port) with
           | None -> None
-          | Some (To_host dst) -> Some (List.rev (hop :: acc), dst)
+          | Some (To_host dst) -> Some (List.rev acc, dst, out_vci)
           | Some (To_switch { sw = nsw; port = nport; trunk = _ }) ->
               if t.in_flight.(nsw).(nport) > 0 then None
-              else resolve nsw nport out_vci (hop :: acc))
+              else resolve nsw nport out_vci acc)
     in
+    (* Then plan each stage: cell i reaches a stage's switch one hop
+       latency after leaving the previous link, is forwarded [transit]
+       later, and feeds the stage's output link. *)
+    let rec plan_stages prev_link prev_starts hops acc =
+      match hops with
+      | [] -> Some (List.rev acc)
+      | (sw, in_port, out_port, link) :: rest -> (
+          let transit = Switch.transit t.switches.(sw) in
+          let lat = Link.cell_time prev_link + Link.propagation prev_link in
+          let arrivals = Array.map (fun s -> s + lat + transit) prev_starts in
+          let refuse_occ = Switch.output_queue_capacity t.switches.(sw) in
+          match
+            Link.plan_feed link ~arrivals ~sched_lead:transit ~refuse_occ
+          with
+          | None -> None
+          | Some pl ->
+              let st =
+                {
+                  Trainplan.sw;
+                  in_port;
+                  out_port;
+                  transit;
+                  arrivals;
+                  starts = Link.plan_starts pl;
+                  cell_time = Link.cell_time link;
+                  queue_after = Link.plan_queue_after pl;
+                }
+              in
+              plan_stages link st.starts rest ((st, link, pl) :: acc))
+    in
+    let uplink = t.uplinks.(host) in
     match resolve sw0 port0 (Cell.Train.vci train) [] with
     | None -> None
-    | Some (hops, dst) -> (
-        let uplink = t.uplinks.(host) in
+    | Some (hops, dst, rx_vci) -> (
         match plan_uplink uplink with
         | None -> None
         | Some up_plan -> (
-            (* Chain the per-stage plans: cell i reaches stage j's switch
-               one hop latency after leaving the previous link, is
-               forwarded [transit] later, and feeds the stage's output
-               link. *)
-            let rec plan_stages prev_link prev_starts hops acc =
-              match hops with
-              | [] -> Some (List.rev acc)
-              | (sw, in_port, out_port, out_vci, link) :: rest -> (
-                  let transit = Switch.transit t.switches.(sw) in
-                  let lat =
-                    Link.cell_time prev_link + Link.propagation prev_link
-                  in
-                  let arrivals =
-                    Array.map (fun s -> s + lat + transit) prev_starts
-                  in
-                  match
-                    Link.plan_feed link ~arrivals ~sched_lead:transit
-                      ~refuse_occ:
-                        (Switch.output_queue_capacity t.switches.(sw))
-                  with
-                  | None -> None
-                  | Some pl ->
-                      plan_stages link (Link.plan_starts pl) rest
-                        ({
-                           st_sw = sw;
-                           st_in_port = in_port;
-                           st_out_port = out_port;
-                           st_out_vci = out_vci;
-                           st_link = link;
-                           st_transit = transit;
-                           st_arrivals = arrivals;
-                           st_plan = pl;
-                         }
-                        :: acc))
-            in
-            match
-              plan_stages uplink (Link.plan_starts up_plan) hops []
-            with
+            match plan_stages uplink (Link.plan_starts up_plan) hops [] with
             | None -> None
-            | Some stages ->
+            | Some legs ->
                 let up_hop = Link.commit_plan uplink up_plan ~fold_sent:true in
                 let commits =
                   List.map
-                    (fun st ->
-                      let lhop =
-                        Link.commit_plan st.st_link st.st_plan ~fold_sent:true
-                      in
-                      let srec =
-                        Switch.commit_plan t.switches.(st.st_sw)
-                          ~out_port:st.st_out_port ~times:st.st_arrivals
-                          ~hw:(Link.plan_queue_after st.st_plan)
-                      in
-                      (st, lhop, srec))
-                    stages
+                    (fun ((st : Trainplan.stage), link, pl) ->
+                      ( st.sw,
+                        link,
+                        Link.commit_plan link pl ~fold_sent:true,
+                        Switch.commit_plan t.switches.(st.sw)
+                          ~out_port:st.out_port ~times:st.arrivals
+                          ~hw:st.queue_after ))
+                    legs
                 in
-                let final = List.nth stages (List.length stages - 1) in
-                let up_accepts = Link.plan_accepts up_plan in
-                let up_starts = Link.plan_starts up_plan in
-                let down_starts = Link.plan_starts final.st_plan in
-                let down_lat =
-                  Link.cell_time final.st_link + Link.propagation final.st_link
+                let final, downlink, _ = List.nth legs (List.length legs - 1) in
+                let down_lat = final.cell_time + Link.propagation downlink in
+                let deliveries =
+                  Array.map (fun s -> s + down_lat) final.starts
                 in
-                (* Flow accounting and path records (DESIGN.md §17): a
-                   committed train is loss-free at every stage, so the
-                   whole train folds into per-hop flow counters in
-                   O(stages); per-PDU path records are synthesized from
-                   the plan arrays at the exact instants the per-cell
-                   path would stamp, provisional until the EOP cell's
-                   planned uplink acceptance passes. *)
-                let track =
-                  if t.obs_on then
-                    Hashtbl.find_opt t.tracks (host, Cell.Train.vci train)
-                  else None
-                in
-                let counted = ref 0 in
-                (match track with
-                | Some tr -> (
-                    match (t.flowstat, tr.ft_flow) with
-                    | Some fs, Some fl ->
-                        counted := n;
-                        for j = 0 to tr.ft_stages - 1 do
-                          Flowstat.count fs fl ~hop:j ~cells:n
-                        done
-                    | _ -> ())
-                | None -> ());
-                let path_recs = ref [] in
-                let synth_hi = ref 0 in
-                (match track with
-                | Some tr when Pathrec.enabled () ->
-                    let stage_arr = Array.of_list stages in
-                    let queue_after =
-                      Array.map
-                        (fun st -> Link.plan_queue_after st.st_plan)
-                        stage_arr
-                    in
-                    for i = 0 to n - 1 do
-                      if (Cell.Train.cell train i).Cell.eop then begin
-                        let seq = tr.ft_seq in
-                        tr.ft_seq <- seq + 1;
-                        let injected = up_accepts.(i) in
-                        let hops =
-                          Array.mapi
-                            (fun j st ->
-                              let prev =
-                                if j = 0 then injected
-                                else stage_arr.(j - 1).st_arrivals.(i)
-                              in
-                              {
-                                Pathrec.h_stage = st.st_sw;
-                                h_in_port = st.st_in_port;
-                                h_out_port = st.st_out_port;
-                                (* depth found at arrival = depth just
-                                   after acceptance minus the cell
-                                   itself, floored when it went straight
-                                   to the wire *)
-                                h_queue =
-                                  max 0
-                                    (int_of_float queue_after.(j).(i) - 1);
-                                h_latency_ns = st.st_arrivals.(i) - prev;
-                              })
-                            stage_arr
-                        in
-                        let r =
-                          Pathrec.add ~settle:up_accepts.(i)
-                            {
-                              Pathrec.r_src = tr.ft_src;
-                              r_dst = tr.ft_dst;
-                              r_vci = tr.ft_vci;
-                              r_seq = seq;
-                              r_injected = injected;
-                              r_delivered = down_starts.(i) + down_lat;
-                              r_hops = hops;
-                            }
-                        in
-                        path_recs := (i, seq, r) :: !path_recs
-                      end
-                    done;
-                    synth_hi := tr.ft_seq
-                | _ -> ());
-                (* Train-granular observers (DESIGN.md §15): the plan
-                   arrays give every milestone's exact instant, so EOP
-                   span marks are stamped at the same values the
-                   per-cell path would produce. Marks replace, so the
-                   per-cell values are those of the LAST stage the cell
-                   crosses — synthesized from [final]. *)
-                let synth_spans =
-                  Span.enabled ()
-                  && Span.granularity () = Granularity.Per_train
-                in
-                (* (index, ctx) of each EOP cell, captured now: the
-                   truncation listener runs after [live] has shrunk, so
-                   cut cells are no longer reachable via [Train.cell] *)
-                let eop_ctxs = ref [] in
-                if synth_spans then
-                  for i = 0 to n - 1 do
-                    let cell = Cell.Train.cell train i in
-                    if cell.Cell.eop then begin
-                      let ctx = cell.Cell.ctx in
-                      eop_ctxs := (i, ctx) :: !eop_ctxs;
-                      Span.mark_at ctx Span.Injected ~t:up_accepts.(i);
-                      Span.mark_at ctx Span.Switch_in
-                        ~t:(final.st_arrivals.(i) - final.st_transit);
-                      Span.mark_at ctx Span.Switch_out ~t:final.st_arrivals.(i);
-                      Span.mark_at ctx Span.Link_tx ~t:down_starts.(i);
-                      Span.mark_at ctx Span.Rx_cell
-                        ~t:(down_starts.(i) + down_lat)
-                    end
-                  done;
-                let slices =
-                  if not (Trace.train_slices_wanted ()) then None
-                  else
-                    let up_cell = Link.cell_time uplink in
-                    let args =
-                      [
-                        ("vci", Trace.Int (Cell.Train.vci train));
-                        ("cells", Trace.Int n);
-                      ]
-                    in
-                    let sl name ~tid ~ts ~fin =
-                      Trace.train_slice Trace.Cell ~tid ~args ~ts
-                        ~dur:(fin - ts) name
-                    in
-                    let s_up =
-                      sl "train.uplink" ~tid:host ~ts:up_starts.(0)
-                        ~fin:(up_starts.(n - 1) + up_cell)
-                    in
-                    (* one (switch, link) slice pair per stage: interior
-                       stages are "train.trunk", the egress stage keeps
-                       the historical "train.downlink" name *)
-                    let per_stage =
-                      List.map
-                        (fun st ->
-                          let starts = Link.plan_starts st.st_plan in
-                          let cell = Link.cell_time st.st_link in
-                          let terminal =
-                            match t.dests.(st.st_sw).(st.st_out_port) with
-                            | Some (To_host _) -> true
-                            | _ -> false
-                          in
-                          let s_sw =
-                            sl "train.switch" ~tid:st.st_out_port
-                              ~ts:(st.st_arrivals.(0) - st.st_transit)
-                              ~fin:st.st_arrivals.(n - 1)
-                          in
-                          let s_link =
-                            sl
-                              (if terminal then "train.downlink"
-                               else "train.trunk")
-                              ~tid:st.st_out_port ~ts:starts.(0)
-                              ~fin:(starts.(n - 1) + cell)
-                          in
-                          (st, cell, s_sw, s_link))
-                        stages
-                    in
-                    Some (up_cell, s_up, per_stage)
+                let undos =
+                  observe_train t ~host ~dst ~train ~uplink ~up_plan ~legs
+                    ~deliveries
                 in
                 Cell.Train.on_truncate train (fun ~keep ~now ->
                     Link.truncate_hop uplink up_hop ~keep ~now;
                     List.iter
-                      (fun (st, lhop, srec) ->
-                        Switch.truncate_plan t.switches.(st.st_sw) srec ~keep;
-                        Link.truncate_hop st.st_link lhop ~keep ~now)
+                      (fun (sw, link, lhop, srec) ->
+                        Switch.truncate_plan t.switches.(sw) srec ~keep;
+                        Link.truncate_hop link lhop ~keep ~now)
                       commits;
-                    (* un-count the cut suffix (the per-cell re-run
-                       re-counts it) and discard its provisional path
-                       records, handing their sequence numbers back as
-                       long as no later injection consumed one *)
-                    (match track with
-                    | Some tr ->
-                        (match (t.flowstat, tr.ft_flow) with
-                        | Some fs, Some fl when !counted > keep ->
-                            let cut = !counted - keep in
-                            for j = 0 to tr.ft_stages - 1 do
-                              Flowstat.count fs fl ~hop:j ~cells:(-cut)
-                            done;
-                            counted := keep
-                        | _ -> ());
-                        let min_seq = ref max_int in
-                        List.iter
-                          (fun (i, seq, r) ->
-                            if i >= keep then begin
-                              Pathrec.discard r;
-                              if seq < !min_seq then min_seq := seq
-                            end)
-                          !path_recs;
-                        if !min_seq < max_int && tr.ft_seq = !synth_hi then begin
-                          tr.ft_seq <- !min_seq;
-                          synth_hi := !min_seq
-                        end
-                    | None -> ());
-                    (* cut cells re-run the per-cell path, which
-                       re-stamps their marks for real *)
-                    List.iter
-                      (fun (i, ctx) ->
-                        if i >= keep then begin
-                          Span.unmark ctx Span.Injected;
-                          Span.unmark ctx Span.Switch_in;
-                          Span.unmark ctx Span.Switch_out;
-                          Span.unmark ctx Span.Link_tx;
-                          Span.unmark ctx Span.Rx_cell
-                        end)
-                      !eop_ctxs;
-                    match slices with
-                    | None -> ()
-                    | Some (up_cell, s_up, per_stage) ->
-                        if keep = 0 then begin
-                          Trace.drop_slice s_up;
-                          List.iter
-                            (fun (_, _, s_sw, s_link) ->
-                              Trace.drop_slice s_sw;
-                              Trace.drop_slice s_link)
-                            per_stage
-                        end
-                        else begin
-                          Trace.set_slice s_up ~ts:up_starts.(0)
-                            ~dur:
-                              (up_starts.(keep - 1) + up_cell
-                             - up_starts.(0));
-                          List.iter
-                            (fun (st, cell, s_sw, s_link) ->
-                              let sw_ts =
-                                st.st_arrivals.(0) - st.st_transit
-                              in
-                              Trace.set_slice s_sw ~ts:sw_ts
-                                ~dur:(st.st_arrivals.(keep - 1) - sw_ts);
-                              let starts = Link.plan_starts st.st_plan in
-                              Trace.set_slice s_link ~ts:starts.(0)
-                                ~dur:
-                                  (starts.(keep - 1) + cell - starts.(0)))
-                            per_stage
-                        end);
+                    List.iter (fun undo -> undo ~keep ~now) undos);
                 Link.set_interfere uplink on_interfere;
-                let deliveries =
-                  Array.map (fun s -> s + down_lat) down_starts
-                in
                 Sim.schedule_drop ~label:"net.rx_train" t.sim
                   ~delay:(deliveries.(0) - Sim.now t.sim)
                   (fun () ->
                     match t.rx_train_handlers.(dst) with
                     | Some f when Cell.Train.length train > 0 ->
-                        f train ~rx_vci:final.st_out_vci ~deliveries
+                        f train ~rx_vci ~deliveries
                     | _ ->
-                        expand_rx t ~dest:dst ~rx_vci:final.st_out_vci ~train
-                          ~deliveries 0);
+                        (* hosts whose NI is not train-aware get one chained
+                           event per cell *)
+                        Cell.Train.expand t.sim ~label:"net.rx_train" train
+                          ~rx_vci ~deliveries (fun cell ->
+                            match t.rx_handlers.(dst) with
+                            | Some f -> f cell
+                            | None -> undeliverable_cell t ~host:dst cell));
                 Some (Link.plan_accepts up_plan)))
 
 let commit_train t ~host ~train ~first_attempt ~gap ~on_interfere =
@@ -1076,7 +861,7 @@ let install_route t ~src ~dst =
         ft_rx_vci = rx_vci;
         ft_stages = Array.length vcis;
         ft_flow = fl;
-        ft_seq = 0;
+        ft_seq = ref 0;
         ft_partials = Fifo.create ~dummy:no_partial;
       }
     in

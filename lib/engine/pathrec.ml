@@ -63,11 +63,66 @@ let clear () =
   n_dropped := 0;
   Hashtbl.iter (fun _ s -> Metrics.Sketch.clear s) hop_sketches
 
-let add ~settle r =
-  pending := (settle, r) :: !pending;
-  r
+let add ~settle r = pending := (settle, r) :: !pending
 
 let discard r = pending := List.filter (fun (_, r') -> r' != r) !pending
+
+(* One provisional record per EOP cell, stamped at the instants the
+   per-cell path would: hop latency is forwarding instant minus the
+   previous stage's (or the injection), and the queue depth found at
+   arrival is the depth just after acceptance minus the cell itself,
+   floored when it went straight to the wire. *)
+let on_train ~seq (p : Trainplan.t) =
+  if not !enabled_flag then Trainplan.no_undo
+  else begin
+    let recs =
+      Array.map
+        (fun i ->
+          let r_seq = !seq in
+          incr seq;
+          let injected = p.up_accepts.(i) in
+          let hops =
+            Array.mapi
+              (fun j (st : Trainplan.stage) ->
+                let prev =
+                  if j = 0 then injected else p.stages.(j - 1).arrivals.(i)
+                in
+                {
+                  h_stage = st.sw;
+                  h_in_port = st.in_port;
+                  h_out_port = st.out_port;
+                  h_queue = max 0 (int_of_float st.queue_after.(i) - 1);
+                  h_latency_ns = st.arrivals.(i) - prev;
+                })
+              p.stages
+          in
+          let r =
+            {
+              r_src = p.src;
+              r_dst = p.dst;
+              r_vci = p.vci;
+              r_seq;
+              r_injected = injected;
+              r_delivered = p.deliveries.(i);
+              r_hops = hops;
+            }
+          in
+          add ~settle:injected r;
+          (i, r))
+        p.eops
+    in
+    let hi = ref !seq in
+    fun ~keep ~now:_ ->
+      let cut = List.filter (fun (i, _) -> i >= keep) (Array.to_list recs) in
+      List.iter (fun (_, r) -> discard r) cut;
+      (* hand the cut records' sequence numbers back, unless a later
+         injection on the flow consumed one *)
+      match cut with
+      | (_, r) :: _ when !seq = !hi ->
+          seq := r.r_seq;
+          hi := r.r_seq
+      | _ -> ()
+  end
 
 let settle_one r =
   Array.iteri

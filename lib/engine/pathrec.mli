@@ -46,16 +46,20 @@ val clear : unit -> unit
 (** Drop all records (settled and provisional) and reset the hop
     sketches; keeps the enabled flag. *)
 
-val add : settle:Sim.time -> record -> record
+val add : settle:Sim.time -> record -> unit
 (** Install a record. It becomes visible to {!records}/{!write_json} and
     feeds the hop sketches once {!fold} passes [settle] — the instant its
     EOP cell is irrevocably on the wire (per-cell stampers pass the
     delivery instant; train synthesis passes the EOP cell's planned
-    uplink acceptance). Returns the record for later {!discard}. *)
+    uplink acceptance). *)
 
-val discard : record -> unit
-(** A provisional record's train was truncated before its settle instant:
-    forget it (the cut cells re-run per-cell and re-stamp for real). *)
+val on_train : seq:int ref -> Trainplan.t -> Trainplan.undo
+(** Synthesize a provisional record for each EOP cell of a committed
+    train, numbered from [seq] (the flow's next PDU sequence number,
+    shared with the per-cell stamper) and settling at the cell's planned
+    uplink acceptance. The undo discards the cut cells' records
+    and hands their sequence numbers back unless a later injection on
+    the flow consumed one. A no-op unless records are being collected. *)
 
 val fold : now:Sim.time -> unit
 (** Settle every provisional record with [settle <= now]. The owning

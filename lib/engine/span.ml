@@ -106,7 +106,7 @@ let enabled () = !on
 
 (* Observer granularity (DESIGN.md §15): [Per_train] (the default) keeps
    the cell-train fast path engaged — EOP milestones of planned trains
-   are synthesized from plan records via [mark_at] at exactly the
+   are synthesized from plan records by [on_train] at exactly the
    instants the per-cell path would stamp them; [Per_cell] pins the
    per-cell path so every mark is a real event. *)
 let granularity_ref = ref Granularity.Per_train
@@ -173,42 +173,81 @@ let emit_flow s m =
   | Popped -> Trace.flow_end ~tid:s.host ~id:s.id Trace.Desc name
   | _ -> ()
 
+let span_of = function
+  | Some { span_id; _ } -> Hashtbl.find_opt store span_id
+  | None -> None
+
 let mark ctx m =
   if !on then
-    match ctx with
+    match span_of ctx with
     | None -> ()
-    | Some { span_id; _ } -> (
-        match Hashtbl.find_opt store span_id with
-        | None -> ()
-        | Some s ->
-            s.marks.(mark_index m) <- !clock ();
-            if Trace.enabled () then emit_flow s m)
+    | Some s ->
+        s.marks.(mark_index m) <- !clock ();
+        if Trace.enabled () then emit_flow s m
 
-(* Train-granular milestones (DESIGN.md §15): plan commits know the exact
-   instant each EOP milestone will occur, so the fast path stamps them
-   analytically. No flow emission — flow arrows carry the emission-time
-   clock, which would lie about a future milestone; the real Doorbell and
-   Popped marks still anchor the arrow. *)
-let mark_at ctx m ~t =
-  if !on then
-    match ctx with
-    | None -> ()
-    | Some { span_id; _ } -> (
-        match Hashtbl.find_opt store span_id with
-        | None -> ()
-        | Some s -> s.marks.(mark_index m) <- t)
+(* Set a milestone to a plan instant, or erase it with [no_mark]. No flow
+   emission: flow arrows carry the emission-time clock, which would lie
+   about a future milestone; the real Doorbell and Popped marks still
+   anchor the arrow. *)
+let set_mark ctx m t =
+  match span_of ctx with Some s -> s.marks.(mark_index m) <- t | None -> ()
 
-(* Erase a synthesized milestone: a truncated train's cut cells re-run the
-   per-cell path, which re-stamps whatever actually happens (possibly a
-   Dropped instead of the planned future). *)
-let unmark ctx m =
-  if !on then
-    match ctx with
-    | None -> ()
-    | Some { span_id; _ } -> (
-        match Hashtbl.find_opt store span_id with
-        | None -> ()
-        | Some s -> s.marks.(mark_index m) <- no_mark)
+(* Train-granular milestones (DESIGN.md §15): the plan instant at which
+   the per-cell path stamps each milestone of EOP cell [i]. Marks replace,
+   so these are the values of the last stage the cell crosses. *)
+let train_milestones (p : Trainplan.t) i =
+  let last = p.stages.(Array.length p.stages - 1) in
+  [
+    (Injected, p.up_accepts.(i));
+    (Switch_in, last.arrivals.(i) - last.transit);
+    (Switch_out, last.arrivals.(i));
+    (Link_tx, last.starts.(i));
+    (Rx_cell, p.deliveries.(i));
+  ]
+
+let on_train (p : Trainplan.t) ~ctx =
+  if not (!on && !granularity_ref = Granularity.Per_train) then
+    Trainplan.no_undo
+  else begin
+    let eops = Array.map (fun i -> (i, ctx i)) p.eops in
+    Array.iter
+      (fun (i, c) ->
+        List.iter (fun (m, t) -> set_mark c m t) (train_milestones p i))
+      eops;
+    (* each planned TX-FIFO refusal marks its message Dropped, as a
+       refused per-cell send does *)
+    let refused =
+      Array.init (Array.length p.up_drops) (fun j ->
+          ctx (Trainplan.refused_cell p j))
+    in
+    let mark_refused k =
+      for j = 0 to k - 1 do
+        set_mark refused.(j) Dropped p.up_drops.(j)
+      done
+    in
+    mark_refused (Array.length refused);
+    let live_drops = ref (Array.length refused) in
+    fun ~keep ~now ->
+      (* erase what the cut retracts; the per-cell re-run re-stamps what
+         really happens *)
+      Array.iter
+        (fun (i, c) ->
+          if i >= keep then
+            List.iter
+              (fun (m, _) -> set_mark c m no_mark)
+              (train_milestones p i))
+        eops;
+      let k = Trainplan.drops_before p ~now in
+      if k < !live_drops then begin
+        for j = k to !live_drops - 1 do
+          set_mark refused.(j) Dropped no_mark
+        done;
+        (* a train is one CS-PDU: its message keeps the last refusal
+           before the cut *)
+        mark_refused k;
+        live_drops := k
+      end
+  end
 
 (* --- per-message latency sketch -------------------------------------- *)
 

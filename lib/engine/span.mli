@@ -68,14 +68,15 @@ val mark : ctx option -> mark -> unit
     Emits Chrome flow events into {!Trace} at [Doorbell] / [Switch_in] /
     [Popped] when tracing is on, linking send and receive sides. *)
 
-val mark_at : ctx option -> mark -> t:int -> unit
-(** Stamp a milestone at an explicit virtual time — the train-granular
-    backend, fed from plan commits that know each milestone's exact
-    future instant. Never emits flow events. *)
-
-val unmark : ctx option -> mark -> unit
-(** Erase a milestone. Used by train truncation listeners: cut cells
-    re-run the per-cell path, which re-stamps what actually happens. *)
+val on_train :
+  Trainplan.t -> ctx:(int -> ctx option) -> Trainplan.undo
+(** Train-granular backend (DESIGN.md §15): stamp each EOP cell's
+    [Injected], [Switch_in], [Switch_out], [Link_tx] and [Rx_cell] at the
+    plan instant the per-cell path would, and mark [Dropped] at each
+    planned uplink refusal. [ctx i] is cell [i]'s context, read at
+    commit. The undo erases the marks of cut EOP cells and of refusals
+    the truncation retracts; the per-cell path re-stamps what really
+    happens to them. A no-op unless spans are on at [Per_train]. *)
 
 val observe_latency : ctx option -> unit
 (** Fold (now − mint time) into the [message_latency_ns] quantile sketch

@@ -199,11 +199,45 @@ let train_slice ?(tid = 0) ?(args = []) cat ~ts ~dur name =
   end;
   s
 
-let set_slice s ~ts ~dur =
-  s.sl_ts <- ts;
-  s.sl_dur <- dur
+(* (name, tid, start, end) of each slice of a committed train covering its
+   first [k] cells: the uplink, then per stage the switch transit and its
+   output link — "train.trunk" inside the fabric, the historical
+   "train.downlink" at the egress stage. *)
+let train_bounds (p : Trainplan.t) k =
+  let last = Array.length p.stages - 1 in
+  ("train.uplink", p.src, p.up_starts.(0), p.up_starts.(k - 1) + p.up_cell_time)
+  :: List.concat
+       (List.mapi
+          (fun j (st : Trainplan.stage) ->
+            [
+              ( "train.switch",
+                st.out_port,
+                st.arrivals.(0) - st.transit,
+                st.arrivals.(k - 1) );
+              ( (if j = last then "train.downlink" else "train.trunk"),
+                st.out_port,
+                st.starts.(0),
+                st.starts.(k - 1) + st.cell_time );
+            ])
+          (Array.to_list p.stages))
 
-let drop_slice s = s.sl_live <- false
+let on_train (p : Trainplan.t) =
+  if not (train_slices_wanted ()) then Trainplan.no_undo
+  else
+    let args = [ ("vci", Int p.vci); ("cells", Int p.n) ] in
+    let slices =
+      List.map
+        (fun (name, tid, ts, fin) ->
+          train_slice Cell ~tid ~args ~ts ~dur:(fin - ts) name)
+        (train_bounds p p.n)
+    in
+    fun ~keep ~now:_ ->
+      if keep = 0 then List.iter (fun s -> s.sl_live <- false) slices
+      else
+        List.iter2
+          (fun s (_, _, _, fin) -> s.sl_dur <- fin - s.sl_ts)
+          slices (train_bounds p keep)
+
 let total_events () = !total + !slice_total
 
 let dropped_events () =

@@ -47,7 +47,7 @@ val enabled : unit -> bool
 val granularity : unit -> Granularity.t
 val set_granularity : Granularity.t -> unit
 (** [Per_train] (the default) keeps the cell-train fast path engaged:
-    plan commits synthesize one {!type-slice} per coarse phase of a
+    plan commits synthesize one slice ({!on_train}) per coarse phase of a
     committed train (uplink serialization, switch transit, downlink
     serialization) instead of per-cell events. [Per_cell] pins the
     slow path and restores full per-cell event detail. *)
@@ -56,27 +56,12 @@ val train_slices_wanted : unit -> bool
 (** Tracing is on and granularity is [Per_train] — plan commits should
     synthesize slices. *)
 
-type slice
-(** A mutable train-granular span in its own bounded ring. Mutable
-    because truncation listeners patch committed slices in place when a
-    fault cuts a train short. Merged into {!events} by timestamp. *)
-
-val train_slice :
-  ?tid:int ->
-  ?args:(string * arg) list ->
-  category ->
-  ts:int ->
-  dur:int ->
-  string ->
-  slice
-(** Record a synthesized span covering [ts, ts+dur) (virtual ns, possibly
-    in the future) and return its handle for later patching. *)
-
-val set_slice : slice -> ts:int -> dur:int -> unit
-(** Re-time a slice after train truncation shrank its train. *)
-
-val drop_slice : slice -> unit
-(** Remove a slice from the output (its train was cut entirely). *)
+val on_train : Trainplan.t -> Trainplan.undo
+(** Synthesize a committed train's slices — ["train.uplink"], then per
+    stage ["train.switch"] and ["train.trunk"] (["train.downlink"] at the
+    egress stage) — as complete events merged into {!events} by
+    timestamp. The undo shrinks them to the kept prefix, or drops them
+    when nothing is kept. A no-op unless {!train_slices_wanted}. *)
 
 val start : ?capacity:int -> unit -> unit
 (** Enable tracing into a fresh ring of [capacity] events (default 65536). *)

@@ -8,9 +8,8 @@
    set to [Per_cell]; pcapng capture defaults to [Per_cell] (a full capture
    needs every cell) unless PDU sampling flips it; the profilers and the
    flight recorder measure event-grain behavior itself and always pin.
-   Fault injectors and legacy loss are per-site and are checked at each
-   link/NI, not here, so a --fault at one attachment point expands only the
-   affected hop. *)
+   Fault injectors are per-site and are checked at each link/NI, not here,
+   so a --fault at one attachment point expands only the affected hop. *)
 
 let forced = ref false
 let force_per_cell v = forced := v
@@ -30,6 +29,10 @@ let pinned () =
       ("selfprof", Selfprof.enabled);
       ("recorder", Recorder.armed);
     ]
+
+let synthesizing () =
+  Trace.train_slices_wanted ()
+  || (Span.enabled () && Span.granularity () = Granularity.Per_train)
 
 (* Satellite 1: pinning is easy to cause by accident (attach one eager
    observer, silently lose the 14x fast path), so name the culprits once —

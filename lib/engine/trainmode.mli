@@ -5,8 +5,8 @@
     (their train-granular backends synthesize output from committed plan
     records, so they do not pin); pcapng defaults to [Per_cell]; the
     profilers and the flight recorder measure event-grain behavior
-    itself and always pin. Per-site conditions — fault injectors, legacy
-    loss, bounded queues — are checked at the individual link/NI
+    itself and always pin. Per-site conditions — fault injectors and
+    bounded queues — are checked at the individual link/NI
     instead, so expansion stays local to the affected hop.
 
     When observers do pin, each culprit is named in a
@@ -19,6 +19,10 @@ val active : unit -> bool
 val pinned : unit -> string list
 (** The observers currently pinning the per-cell path (empty when the
     fast path is available). [force_per_cell] is not listed. *)
+
+val synthesizing : unit -> bool
+(** Spans or trace slices are being synthesized from committed train
+    plans, so a commit must publish its {!Trainplan.t}. *)
 
 val force_per_cell : bool -> unit
 (** [force_per_cell true] disables the fast path globally (the --per-cell

@@ -369,19 +369,6 @@ let on_cell t (cell : Atm.Cell.t) =
   Sync.Server.submit t.server ~cost:t.cfg.rx_cell_ns (fun () ->
       rx_cell_body t cell)
 
-(* Per-cell fallback for a received train: deliver cell i into the normal
-   receive path at its per-cell arrival instant, re-checking the live
-   length so an upstream truncation just stops the chain (the per-cell
-   path re-delivers the cut cells for real). *)
-let rec expand_rx_train t train ~rx_vci ~deliveries i =
-  if i < Atm.Cell.Train.length train then begin
-    on_cell t (Atm.Cell.with_vci (Atm.Cell.Train.cell train i) rx_vci);
-    if i + 1 < Atm.Cell.Train.length train then
-      Sim.schedule_drop ~label:"ni.rx_train" t.sim
-        ~delay:(deliveries.(i + 1) - Sim.now t.sim)
-        (fun () -> expand_rx_train t train ~rx_vci ~deliveries (i + 1))
-  end
-
 (* A whole train arriving at the NI: model the run of per-cell rx jobs as
    one paced batch — cell i's handling starts once it has arrived and the
    previous one is done — with the reassembly pushes deferred to the batch
@@ -407,7 +394,10 @@ let on_train t train ~rx_vci ~deliveries =
   | Some p ->
       Atm.Cell.Train.on_truncate train (fun ~keep ~now:_ ->
           Sync.Server.truncate_paced t.server p ~keep)
-  | None -> expand_rx_train t train ~rx_vci ~deliveries 0
+  | None ->
+      (* per-cell fallback through this NI's own receive path *)
+      Atm.Cell.Train.expand t.sim ~label:"ni.rx_train" train ~rx_vci
+        ~deliveries (on_cell t)
 
 let create net ~host cfg =
   let sim = Atm.Network.sim net in

@@ -144,18 +144,6 @@ let on_cell t (cell : Atm.Cell.t) =
   Sync.Server.submit t.kernel ~cost:t.cfg.rx_per_cell_ns (fun () ->
       rx_cell_body t cell)
 
-(* Per-cell fallback for a received train: chained events re-checking the
-   live length, exactly like [Network]'s default expansion, but through
-   this NI's own [on_cell]. *)
-let rec expand_rx_train t train ~rx_vci ~deliveries i =
-  if i < Atm.Cell.Train.length train then begin
-    on_cell t (Atm.Cell.with_vci (Atm.Cell.Train.cell train i) rx_vci);
-    if i + 1 < Atm.Cell.Train.length train then
-      Sim.schedule_drop ~label:"ni.rx_train" t.sim
-        ~delay:(deliveries.(i + 1) - Sim.now t.sim)
-        (fun () -> expand_rx_train t train ~rx_vci ~deliveries (i + 1))
-  end
-
 let on_train t train ~rx_vci ~deliveries =
   let n = Atm.Cell.Train.length train in
   let paced =
@@ -185,7 +173,10 @@ let on_train t train ~rx_vci ~deliveries =
   | Some p ->
       Atm.Cell.Train.on_truncate train (fun ~keep ~now:_ ->
           Sync.Server.truncate_paced t.kernel p ~keep)
-  | None -> expand_rx_train t train ~rx_vci ~deliveries 0
+  | None ->
+      (* per-cell fallback through this NI's own receive path *)
+      Atm.Cell.Train.expand t.sim ~label:"ni.rx_train" train ~rx_vci
+        ~deliveries (on_cell t)
 
 (* The uplink's interfere hook: an unplanned per-cell send is about to
    thread through planned state. The host's PIO loop cannot be interrupted

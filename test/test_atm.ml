@@ -247,7 +247,7 @@ let test_link_loss_injection () =
   let l = mk_link sim in
   let got = ref 0 in
   Atm.Link.set_receiver l (fun _ -> incr got);
-  Atm.Link.set_loss l (Rng.create 1) ~p:1.0;
+  Lossy.set l ~seed:1 ~p:1.0;
   for _ = 1 to 10 do
     ignore (Atm.Link.send l (one_cell 1))
   done;

@@ -125,10 +125,10 @@ let test_stalled_sender_recovers () =
   let c, a0, a1 = uam_pair ~config () in
   let up = Atm.Network.uplink c.Cluster.net ~host:0 in
   (* lose everything for the first millisecond, then heal the link *)
-  Atm.Link.set_loss up (Rng.create 5) ~p:1.0;
+  Lossy.set up ~seed:5 ~p:1.0;
   ignore
     (Sim.schedule c.Cluster.sim ~delay:(Sim.ms 1) (fun () ->
-         Atm.Link.set_loss up (Rng.create 5) ~p:0.0));
+         Lossy.set up ~seed:5 ~p:0.0));
   let got = ref 0 in
   Uam.register_handler a1 1 (fun _ ~src:_ _ ~args:_ ~payload:_ -> incr got);
   serve c a1;
@@ -151,8 +151,7 @@ let test_backoff_gives_up () =
   in
   let c, a0, a1 = uam_pair ~config () in
   ignore a1;
-  Atm.Link.set_loss (Atm.Network.uplink c.Cluster.net ~host:0) (Rng.create 5)
-    ~p:1.0;
+  Lossy.set (Atm.Network.uplink c.Cluster.net ~host:0) ~seed:5 ~p:1.0;
   ignore
     (Proc.spawn c.Cluster.sim (fun () -> Uam.request a0 ~dst:1 ~handler:1 ()));
   Sim.run ~until:(Sim.sec 30) c.Cluster.sim;
@@ -182,8 +181,7 @@ let test_watchdog_black_hole () =
   in
   let c, a0, a1 = uam_pair ~config () in
   ignore a1;
-  Atm.Link.set_loss (Atm.Network.uplink c.Cluster.net ~host:0) (Rng.create 5)
-    ~p:1.0;
+  Lossy.set (Atm.Network.uplink c.Cluster.net ~host:0) ~seed:5 ~p:1.0;
   ignore
     (Proc.spawn c.Cluster.sim (fun () -> Uam.request a0 ~dst:1 ~handler:1 ()));
   Sim.run ~until:(Sim.sec 5) c.Cluster.sim;
@@ -236,8 +234,7 @@ let test_retransmit_parentage () =
   @@ fun () ->
   let config = { Uam.default_config with rto = Sim.ms 2 } in
   let c, a0, a1 = uam_pair ~config () in
-  Atm.Link.set_loss (Atm.Network.uplink c.Cluster.net ~host:0) (Rng.create 9)
-    ~p:0.2;
+  Lossy.set (Atm.Network.uplink c.Cluster.net ~host:0) ~seed:9 ~p:0.2;
   let got = ref 0 in
   Uam.register_handler a1 1 (fun _ ~src:_ _ ~args:_ ~payload:_ -> incr got);
   serve c a1;

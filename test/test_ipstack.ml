@@ -192,8 +192,8 @@ let transfer ?path ?tcp_window ?loss_p ~total () =
   let c, sa, sb = tcp_pair ?path ?tcp_window () in
   (match loss_p with
   | Some p ->
-      Atm.Link.set_loss (Atm.Network.uplink c.net ~host:0) (Rng.create 3) ~p;
-      Atm.Link.set_loss (Atm.Network.uplink c.net ~host:1) (Rng.create 4) ~p
+      Lossy.set (Atm.Network.uplink c.net ~host:0) ~seed:3 ~p;
+      Lossy.set (Atm.Network.uplink c.net ~host:1) ~seed:4 ~p
   | None -> ());
   let l = Tcp.listen sb.Suite.tcp ~port:80 in
   let data = Bytes.init total (fun i -> Char.chr ((i * 31) mod 256)) in
@@ -352,7 +352,7 @@ let test_tcp_fast_retransmit_fires () =
   (* enough window to keep several segments in flight, plus loss: dup-ack
      fast retransmits should carry part of the recovery *)
   let c, sa, sb = tcp_pair ~tcp_window:(32 * 1024) () in
-  Atm.Link.set_loss (Atm.Network.uplink c.net ~host:0) (Rng.create 5) ~p:0.015;
+  Lossy.set (Atm.Network.uplink c.net ~host:0) ~seed:5 ~p:0.015;
   let l = Tcp.listen sb.Suite.tcp ~port:80 in
   ignore
     (Proc.spawn c.sim (fun () ->

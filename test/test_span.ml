@@ -101,10 +101,10 @@ let test_retransmit_is_child_not_root () =
       replied := true);
   serve c a1;
   let up0 = Atm.Network.uplink c.net ~host:0 in
-  Atm.Link.set_loss up0 (Rng.create 1) ~p:1.0;
+  Lossy.set up0 ~seed:1 ~p:1.0;
   ignore
     (Sim.schedule c.sim ~delay:(Sim.ms 5) (fun () ->
-         Atm.Link.set_loss up0 (Rng.create 1) ~p:0.0));
+         Lossy.set up0 ~seed:1 ~p:0.0));
   ignore
     (Proc.spawn c.sim (fun () ->
          Uam.request a0 ~dst:1 ~handler:1 ~payload:(Buf.of_string "ping") ();

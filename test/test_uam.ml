@@ -121,9 +121,8 @@ let test_flush_and_barrier_ready () =
 let test_reliable_in_order_under_loss () =
   let config = { Uam.default_config with rto = Sim.ms 2 } in
   let c, a0, a1 = pair ~config () in
-  let rng = Rng.create 11 in
-  Atm.Link.set_loss (Atm.Network.uplink c.net ~host:0) rng ~p:0.08;
-  Atm.Link.set_loss (Atm.Network.uplink c.net ~host:1) (Rng.split rng) ~p:0.08;
+  Lossy.set (Atm.Network.uplink c.net ~host:0) ~seed:11 ~p:0.08;
+  Lossy.set (Atm.Network.uplink c.net ~host:1) ~seed:12 ~p:0.08;
   let received = ref [] in
   Uam.register_handler a1 1 (fun _ ~src:_ _ ~args ~payload:_ ->
       received := args.(0) :: !received);
@@ -151,7 +150,7 @@ let test_duplicates_dropped_under_loss () =
   let config = { Uam.default_config with rto = Sim.ms 2 } in
   let c, a0, a1 = pair ~config () in
   (* lose acks: host1 -> host0 *)
-  Atm.Link.set_loss (Atm.Network.uplink c.net ~host:1) (Rng.create 4) ~p:0.3;
+  Lossy.set (Atm.Network.uplink c.net ~host:1) ~seed:4 ~p:0.3;
   let count = ref 0 in
   Uam.register_handler a1 1 (fun _ ~src:_ _ ~args:_ ~payload:_ -> incr count);
   serve c a1;
@@ -241,7 +240,7 @@ let test_store_under_loss () =
   let a1 = Uam.create ~config (Cluster.node c 1).unet ~rank:1 ~nodes:2 in
   Uam.connect a0 a1;
   let x0 = Uam.Xfer.attach a0 and x1 = Uam.Xfer.attach a1 in
-  Atm.Link.set_loss (Atm.Network.uplink c.net ~host:0) (Rng.create 9) ~p:0.05;
+  Lossy.set (Atm.Network.uplink c.net ~host:0) ~seed:9 ~p:0.05;
   let region = Bytes.create 20_000 in
   Uam.Xfer.register_region x1 ~id:3 region;
   let data = Bytes.init 20_000 (fun i -> Char.chr ((i * 7) mod 256)) in

@@ -699,7 +699,7 @@ let test_cell_loss_discards_whole_messages () =
   let ep0, a0 = Cluster.simple_endpoint n0 in
   let ep1, _ = Cluster.simple_endpoint ~free_buffers:60 ~rx_slots:256 n1 in
   let ch0, _ = Unet.connect_pair (n0.unet, ep0) (n1.unet, ep1) in
-  Atm.Link.set_loss (Atm.Network.uplink c.net ~host:0) (Rng.create 42) ~p:0.05;
+  Lossy.set (Atm.Network.uplink c.net ~host:0) ~seed:42 ~p:0.05;
   let off, _ = Option.get (Unet.Segment.Allocator.alloc a0) in
   ignore
     (Proc.spawn c.sim (fun () ->
