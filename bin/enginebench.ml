@@ -58,14 +58,14 @@ let run quick per_cell trace timeseries flowstat sample_pdus sample_seed out
   Format.printf "wrote %s@." out;
   (* instrumented pass, only when asked for *)
   if selfprof <> None || queue_csv <> None then begin
-    Engine.Selfprof.start ();
+    Engine.Profile.(start Wall);
     Engine.Timeseries.start ();
     List.iter
       (fun (_, _, f) -> ignore (f () : float))
       (Experiments.Enginebench.workloads ~quick);
-    Engine.Selfprof.stop ();
+    Engine.Profile.(stop Wall);
     Engine.Timeseries.stop ();
-    Format.printf "%a" Engine.Selfprof.pp_summary ();
+    Format.printf "%a" Engine.Profile.pp_summary ();
     if Engine.Sim.tombstone_ratio () > 0.25 then
       Logs.warn (fun m ->
           m
@@ -74,9 +74,9 @@ let run quick per_cell trace timeseries flowstat sample_pdus sample_seed out
             (Engine.Sim.tombstone_ratio () *. 100.));
     (match selfprof with
     | Some path ->
-        Engine.Selfprof.write_folded path;
+        Engine.Profile.(write_folded Wall) path;
         Format.printf "wrote wall-time flamegraph (%d ns elapsed) to %s@."
-          (Engine.Selfprof.elapsed_wall_ns ())
+          Engine.Profile.(elapsed Wall)
           path
     | None -> ());
     match queue_csv with

@@ -417,14 +417,14 @@ let cmd =
             Format.eprintf "--sample-pdus must be non-negative@.";
             Stdlib.exit 2
           end;
-          if sample_n > 0 then begin
+          (* sampling also unpins pcap: the sampled PDUs alone, which
+             take the per-cell path, feed the capture *)
+          if sample_n > 0 then
             Engine.Sample.configure ~n:sample_n ~seed:sample_seed;
-            (* with sampling on, pcap no longer needs every PDU on the
-               per-cell path — sampled PDUs alone feed the capture *)
-            Engine.Pcapng.set_granularity Engine.Granularity.Per_train
-          end;
-          if profile <> None || report <> None then Engine.Profile.start ();
-          if selfprof <> None || report <> None then Engine.Selfprof.start ();
+          if profile <> None || report <> None then
+            Engine.Profile.(start Virtual);
+          if selfprof <> None || report <> None then
+            Engine.Profile.(start Wall);
           if timeseries <> None || report <> None then
             Engine.Timeseries.start ();
           (match postmortem with
@@ -440,7 +440,7 @@ let cmd =
             in
             (* stop before any dump so the folded per-layer counters land
                in --metrics output and the report sections *)
-            if Engine.Selfprof.enabled () then Engine.Selfprof.stop ();
+            Engine.Profile.(stop Wall);
             if breakdown then Experiments.Breakdown.print_report ();
             if Engine.Sample.active () then begin
               let offered = Engine.Sample.offered ()
@@ -487,22 +487,22 @@ let cmd =
             (match profile with
             | Some path ->
                 or_fail "profile" (fun () ->
-                    Engine.Profile.write_folded path;
+                    Engine.Profile.(write_folded Virtual) path;
                     Format.printf
                       "wrote folded profile (%d hosts, %d ns elapsed) to %s@."
                       (List.length (Engine.Profile.hosts ()))
-                      (Engine.Profile.elapsed ())
+                      Engine.Profile.(elapsed Virtual)
                       path)
             | None -> ());
             (match selfprof with
             | Some path ->
                 or_fail "selfprof" (fun () ->
-                    Engine.Selfprof.write_folded path;
+                    Engine.Profile.(write_folded Wall) path;
                     Format.printf
                       "wrote wall-time self-profile (%d ns elapsed) to %s@."
-                      (Engine.Selfprof.elapsed_wall_ns ())
+                      Engine.Profile.(elapsed Wall)
                       path;
-                    Format.printf "%a" Engine.Selfprof.pp_summary ();
+                    Format.printf "%a" Engine.Profile.pp_summary ();
                     if Engine.Sim.tombstone_ratio () > 0.25 then
                       Logs.warn (fun m ->
                           m

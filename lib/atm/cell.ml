@@ -83,6 +83,25 @@ module Train = struct
       end
     in
     from 0
+
+  let receive sim server ~cost ~faulted t ~rx_vci ~deliveries ~action on_cell
+      =
+    let n = t.live in
+    let paced =
+      if Engine.Trainmode.active () && not faulted then
+        Engine.Sync.Server.submit_paced server ~cost
+          ~arrivals:(Array.sub deliveries 0 n)
+          ~actions:
+            (Array.init n (fun i ->
+                 let cell = with_vci t.cells.(i) rx_vci in
+                 fun () -> action cell))
+      else None
+    in
+    match paced with
+    | Some p ->
+        on_truncate t (fun ~keep ~now:_ ->
+            Engine.Sync.Server.truncate_paced server p ~keep)
+    | None -> expand sim ~label:"ni.rx_train" t ~rx_vci ~deliveries on_cell
 end
 
 type train = Train.train

@@ -23,14 +23,6 @@ let ifaces : iface list ref = ref [] (* registration order, reversed *)
 let packets : packet list ref = ref [] (* capture order, reversed *)
 let enabled () = !on
 
-(* Per_cell by default: a full capture needs every cell on the wire, so
-   enabling pcap pins the per-cell path. [unetsim] flips this to
-   Per_train when PDU sampling is on — then only the sampled PDUs (which
-   run per-cell anyway) are captured, and the train path stays engaged. *)
-let granularity_ref = ref Granularity.Per_cell
-let granularity () = !granularity_ref
-let set_granularity g = granularity_ref := g
-
 let start () =
   ifaces := [];
   packets := [];

@@ -18,12 +18,10 @@ val linktype_sunatm : int
 
 val enabled : unit -> bool
 
-val granularity : unit -> Granularity.t
-val set_granularity : Granularity.t -> unit
-(** [Per_cell] (the default): a full capture needs every cell on the
-    wire, so enabling pcap pins the per-cell path. Set [Per_train] when
-    PDU sampling is on — sampled PDUs run per-cell (and get captured)
-    while the rest ride the train path uncaptured. *)
+(** A full capture needs every cell on the wire, so enabling pcap pins
+    the per-cell path — unless PDU sampling is on ({!Sample}): then the
+    sampled PDUs run per-cell (and get captured) while the rest ride the
+    train path uncaptured. *)
 
 val start : unit -> unit
 (** Enable capture into a fresh packet store. *)

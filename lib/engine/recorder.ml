@@ -226,8 +226,8 @@ let write_bundle bundle =
       Json.write_file
         (Filename.concat !bundle_dir "timeseries.json")
         (Timeseries.to_json ());
-    if Profile.enabled () then
-      write "profile.folded" (Profile.to_folded_string ());
+    if Profile.(enabled Virtual) then
+      write "profile.folded" Profile.(to_folded_string Virtual);
     if Span.enabled () then
       Span.write_file (Filename.concat !bundle_dir "spans.json")
   with Sys_error msg ->

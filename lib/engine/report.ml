@@ -221,9 +221,9 @@ type fnode = {
   mutable f_children : (string * fnode) list; (* reversed insertion order *)
 }
 
-(* shared by the virtual-time (Profile) and wall-time (Selfprof)
-   flamegraphs: rebuild the tree from folded stacks and emit the divs;
-   [fmt] renders a value for the hover title *)
+(* shared by the virtual-time and wall-time flamegraphs: rebuild the
+   tree from folded stacks and emit the divs; [fmt] renders a value for
+   the hover title *)
 let flamegraph_html ~fmt stacks =
   let roots : (string * fnode) list ref = ref [] in
   let node lst name =
@@ -303,7 +303,7 @@ let flamegraph_html ~fmt stacks =
   Buffer.contents buf
 
 let profile_section () =
-  let stacks = Profile.stacks () in
+  let stacks = Profile.(stacks Virtual) in
   if stacks = [] then
     section ~title:"Profile" "<p class=\"muted\">profiler not enabled</p>"
   else
@@ -313,25 +313,25 @@ let profile_section () =
           "<p class=\"muted\">elapsed virtual time %s; root-exclusive time \
            is idle/unattributed. Wider is longer; hover for exact \
            times.</p>"
-          (fmt_ns (Profile.elapsed ())))
+          (fmt_ns Profile.(elapsed Virtual)))
 
 (* wall-clock self-observability: the wall-time twin of the virtual
    flamegraph, the event-queue depth over time, and the queue's
    lifecycle/pop-cost story *)
 let engine_section () =
-  if Selfprof.elapsed_wall_ns () = 0 then
+  if Profile.(elapsed Wall) = 0 then
     section ~title:"Engine"
       "<p class=\"muted\">self-profiler not enabled (run with \
        --selfprof)</p>"
   else begin
     let buf = Buffer.create 4096 in
-    Buffer.add_string buf (flamegraph_html ~fmt:fmt_ns (Selfprof.stacks ()));
+    Buffer.add_string buf (flamegraph_html ~fmt:fmt_ns Profile.(stacks Wall));
     Buffer.add_string buf
       (Printf.sprintf
          "<p class=\"muted\">elapsed wall time %s; depth-1 frames are \
           event kinds (schedule-site labels), root-exclusive time is \
           event-loop overhead.</p>"
-         (fmt_ns (Selfprof.elapsed_wall_ns ())));
+         (fmt_ns Profile.(elapsed Wall)));
     (* queue depth sparkline from the introspection probes *)
     List.iter
       (fun (s : Timeseries.series) ->
@@ -357,8 +357,8 @@ let engine_section () =
           <td class=\"num\">%.2f</td></tr></table>"
          fired cancelled
          (Sim.tombstone_ratio () *. 100.)
-         (Selfprof.pop_cost_mean ())
-         (Selfprof.batch_size_mean ()));
+         (Profile.pop_cost_mean ())
+         (Profile.batch_size_mean ()));
     section ~title:"Engine (wall-clock self-profile)" (Buffer.contents buf)
   end
 

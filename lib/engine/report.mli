@@ -44,10 +44,10 @@ val flamegraph_html : fmt:(int -> string) -> (string list * int) list -> string
     inclusive value for the hover title. *)
 
 val profile_section : unit -> string
-(** Per-host icicle flamegraph over [Profile.stacks]. *)
+(** Per-host icicle flamegraph over the virtual clock's [Profile.stacks]. *)
 
 val engine_section : unit -> string
-(** Wall-clock self-profile: [Selfprof] flamegraph, event-queue depth
+(** Wall-clock self-profile: [Profile]'s wall flamegraph, event-queue depth
     sparkline and queue lifecycle/pop-cost figures. *)
 
 val sampling_section : unit -> string

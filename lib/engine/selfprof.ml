@@ -1,381 +1,4 @@
-(* Wall-clock self-observability: profile the simulator with the same
-   rigor the simulator profiles the network.
-
-   [Profile] attributes *virtual* time; this module attributes *wall*
-   time and allocation, so every virtual-time flame has a wall-time twin
-   and "where do the microseconds go" can be asked of the engine itself
-   (the paper's Table 2 method, turned inward).
-
-   Attribution model. All charges are deltas of a monotonic clock and of
-   [Gc.counters], taken at every *transition* — frame enter/exit (fed by
-   [Profile.push]/[Profile.pop], so one instrumentation site feeds both
-   profilers) and event dispatch begin/end (fed by [Sim.step]). Each
-   delta is charged exactly once, to the node that was on top of the
-   stack when the interval ran, so wall time and allocation words are
-   never double-counted across nested frames and the root's inclusive
-   totals equal the measured elapsed totals by construction.
-
-   The tree has a single root, [engine]. Its depth-1 children are event
-   kinds — the static [~label] given to [Sim.schedule] at the scheduling
-   site ([ev:<label>], [ev:event] for unlabeled events) — and frames
-   entered outside any event (driver code between runs). Frames pushed
-   while an event executes nest under that event's kind node. Time
-   between events (heap pops, tombstone skips, the timeseries sampler)
-   is the root's exclusive time: the event loop's own overhead, visible
-   rather than smeared over whichever frame fired last.
-
-   Frames that stay open across a sleep are charged only while their
-   code actually executes: an event window starts with an empty stack
-   and force-rewinds whatever is still open when the thunk returns, so a
-   sleeping process's frame cannot absorb the wall time of the processes
-   that run while it sleeps. The matching pop, arriving in a later
-   event, lands on an empty stack and only bumps a counter.
-
-   The module also owns the bounded histograms behind the event-queue
-   introspection ([Sim] reports per-pop heap costs and same-timestamp
-   batch sizes here when enabled) — the data needed to choose between a
-   calendar queue and a pairing heap.
-
-   Like the other telemetry registries this is process-global, off by
-   default, and costs one boolean test per call when disabled, so runs
-   with it off are byte-identical to runs without it. *)
+(* The monotonic clock behind the wall-clock profiler ([Profile] with
+   [Wall]) and the wall-time benchmarks. *)
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
-
-type node = {
-  sp_name : string;
-  sp_children : (string, node) Hashtbl.t;
-  mutable sp_order : string list; (* creation order, reversed *)
-  mutable sp_wall : int; (* exclusive wall ns *)
-  mutable sp_minor : float; (* exclusive minor words *)
-  mutable sp_promoted : float;
-  mutable sp_major : float;
-}
-
-let mk_node name =
-  {
-    sp_name = name;
-    sp_children = Hashtbl.create 4;
-    sp_order = [];
-    sp_wall = 0;
-    sp_minor = 0.;
-    sp_promoted = 0.;
-    sp_major = 0.;
-  }
-
-(* per-event-kind summary, accumulated at event end *)
-type kind_summary = {
-  mutable k_events : int;
-  mutable k_wall_ns : int;
-  mutable k_minor_words : float;
-  mutable k_major_words : float;
-}
-
-let enabled_flag = ref false
-let root = ref (mk_node "engine")
-let stack : node list ref = ref []
-let saved : (node list * int) option ref = ref None (* stack, event depth *)
-let event_depth = ref 0
-let cur_kind : kind_summary option ref = ref None
-let ev_wall0 = ref 0
-let ev_minor0 = ref 0.
-let ev_major0 = ref 0.
-let t_start = ref 0
-let last_wall = ref 0
-let last_minor = ref 0.
-let last_promoted = ref 0.
-let last_major = ref 0.
-let stopped_elapsed : int option ref = ref None
-let underflows = ref 0
-let dangling_frames = ref 0
-let kinds : (string, kind_summary) Hashtbl.t = Hashtbl.create 16
-let kind_order : string list ref = ref []
-
-(* bounded histograms for the queue introspection: index = value clamped
-   to the last bucket, so memory is constant no matter how hot the run *)
-let hist_buckets = 64
-let pop_cost = Array.make hist_buckets 0
-let pop_cost_sum = ref 0
-let pop_cost_count = ref 0
-let batch_size = Array.make hist_buckets 0
-let batch_size_sum = ref 0
-let batch_size_count = ref 0
-
-let enabled () = !enabled_flag
-
-let child parent name =
-  match Hashtbl.find_opt parent.sp_children name with
-  | Some n -> n
-  | None ->
-      let n = mk_node name in
-      Hashtbl.replace parent.sp_children name n;
-      parent.sp_order <- name :: parent.sp_order;
-      n
-
-let top () = match !stack with n :: _ -> n | [] -> !root
-
-(* Charge the interval since the previous transition to the frame that
-   was executing through it, then restamp. Every wall ns and every
-   allocated word lands in exactly one node. *)
-let stamp () =
-  let now = now_ns () in
-  let minor, promoted, major = Gc.counters () in
-  let n = top () in
-  n.sp_wall <- n.sp_wall + (now - !last_wall);
-  n.sp_minor <- n.sp_minor +. (minor -. !last_minor);
-  n.sp_promoted <- n.sp_promoted +. (promoted -. !last_promoted);
-  n.sp_major <- n.sp_major +. (major -. !last_major);
-  last_wall := now;
-  last_minor := minor;
-  last_promoted := promoted;
-  last_major := major
-
-let clear () =
-  root := mk_node "engine";
-  stack := [];
-  saved := None;
-  event_depth := 0;
-  cur_kind := None;
-  underflows := 0;
-  dangling_frames := 0;
-  Hashtbl.reset kinds;
-  kind_order := [];
-  Array.fill pop_cost 0 hist_buckets 0;
-  pop_cost_sum := 0;
-  pop_cost_count := 0;
-  Array.fill batch_size 0 hist_buckets 0;
-  batch_size_sum := 0;
-  batch_size_count := 0;
-  stopped_elapsed := None;
-  let minor, promoted, major = Gc.counters () in
-  last_wall := now_ns ();
-  last_minor := minor;
-  last_promoted := promoted;
-  last_major := major;
-  t_start := !last_wall
-
-let start () =
-  clear ();
-  enabled_flag := true
-
-let elapsed_wall_ns () =
-  match !stopped_elapsed with
-  | Some e -> e
-  | None -> if !enabled_flag then now_ns () - !t_start else 0
-
-let rec inclusive_wall n =
-  Hashtbl.fold (fun _ c acc -> acc + inclusive_wall c) n.sp_children n.sp_wall
-
-let alloc_words n = n.sp_minor +. n.sp_major -. n.sp_promoted
-
-let rec inclusive_alloc n =
-  Hashtbl.fold
-    (fun _ c acc -> acc +. inclusive_alloc c)
-    n.sp_children (alloc_words n)
-
-(* At stop, fold per-layer totals into the metrics registry so an
-   ordinary --metrics dump carries the wall and allocation story. The
-   root's own exclusive share is the event loop, reported as
-   layer="engine". *)
-let fold_metrics () =
-  let emit layer wall alloc =
-    Metrics.Counter.add
-      (Metrics.counter ~help:"wall-clock ns attributed by the self-profiler"
-         "selfprof_wall_ns_total"
-         [ ("layer", layer) ])
-      wall;
-    Metrics.Counter.add
-      (Metrics.counter
-         ~help:"GC words allocated, attributed by the self-profiler"
-         "selfprof_alloc_words_total"
-         [ ("layer", layer) ])
-      (int_of_float alloc)
-  in
-  emit !root.sp_name !root.sp_wall (alloc_words !root);
-  List.iter
-    (fun name ->
-      let c = Hashtbl.find !root.sp_children name in
-      emit name (inclusive_wall c) (inclusive_alloc c))
-    (List.rev !root.sp_order)
-
-let stop () =
-  if !enabled_flag then begin
-    stamp ();
-    stopped_elapsed := Some (!last_wall - !t_start);
-    enabled_flag := false;
-    fold_metrics ()
-  end
-
-(* --- transitions ------------------------------------------------------ *)
-
-let enter name =
-  if !enabled_flag then begin
-    stamp ();
-    stack := child (top ()) name :: !stack
-  end
-
-let exit_frame () =
-  if !enabled_flag then begin
-    stamp ();
-    match !stack with _ :: rest -> stack := rest | [] -> incr underflows
-  end
-
-let kind_summary label =
-  match Hashtbl.find_opt kinds label with
-  | Some k -> k
-  | None ->
-      let k =
-        { k_events = 0; k_wall_ns = 0; k_minor_words = 0.; k_major_words = 0. }
-      in
-      Hashtbl.replace kinds label k;
-      kind_order := label :: !kind_order;
-      k
-
-let event_begin ~label =
-  if !enabled_flag then begin
-    incr event_depth;
-    if !event_depth = 1 then begin
-      stamp ();
-      let label = if label = "" then "event" else label in
-      saved := Some (!stack, !event_depth);
-      stack := [ child !root ("ev:" ^ label) ];
-      cur_kind := Some (kind_summary label);
-      ev_wall0 := !last_wall;
-      ev_minor0 := !last_minor;
-      ev_major0 := !last_major
-    end
-  end
-
-let event_end () =
-  if !enabled_flag && !event_depth > 0 then begin
-    if !event_depth = 1 then begin
-      stamp ();
-      (* frames left open by a process that went to sleep: rewind them;
-         their wall time stays where it was actually spent *)
-      (match !stack with
-      | [ _ ] | [] -> ()
-      | l -> dangling_frames := !dangling_frames + List.length l - 1);
-      (match !saved with
-      | Some (st, _) -> stack := st
-      | None -> stack := []);
-      saved := None;
-      (match !cur_kind with
-      | Some k ->
-          k.k_events <- k.k_events + 1;
-          k.k_wall_ns <- k.k_wall_ns + (!last_wall - !ev_wall0);
-          k.k_minor_words <- k.k_minor_words +. (!last_minor -. !ev_minor0);
-          k.k_major_words <- k.k_major_words +. (!last_major -. !ev_major0)
-      | None -> ());
-      cur_kind := None
-    end;
-    decr event_depth
-  end
-
-let unmatched_exits () = !underflows
-let dangling () = !dangling_frames
-
-(* --- queue histograms (reported by Sim when enabled) ------------------ *)
-
-let observe_pop_cost c =
-  let c = max 0 c in
-  pop_cost.(min c (hist_buckets - 1)) <- pop_cost.(min c (hist_buckets - 1)) + 1;
-  pop_cost_sum := !pop_cost_sum + c;
-  incr pop_cost_count
-
-let observe_batch n =
-  if n > 0 then begin
-    batch_size.(min n (hist_buckets - 1)) <-
-      batch_size.(min n (hist_buckets - 1)) + 1;
-    batch_size_sum := !batch_size_sum + n;
-    incr batch_size_count
-  end
-
-let buckets_of a =
-  let out = ref [] in
-  for i = hist_buckets - 1 downto 0 do
-    if a.(i) > 0 then out := (i, a.(i)) :: !out
-  done;
-  !out
-
-let pop_cost_hist () = buckets_of pop_cost
-
-let pop_cost_mean () =
-  if !pop_cost_count = 0 then 0.
-  else float_of_int !pop_cost_sum /. float_of_int !pop_cost_count
-
-let batch_size_hist () = buckets_of batch_size
-
-let batch_size_mean () =
-  if !batch_size_count = 0 then 0.
-  else float_of_int !batch_size_sum /. float_of_int !batch_size_count
-
-(* --- dumps ------------------------------------------------------------ *)
-
-(* Stacks in deterministic order (children in creation order). Any wall
-   time not yet charged (only possible while still enabled) is shown as
-   root-exclusive, so the root's inclusive time tracks elapsed wall time
-   whether or not [stop] has run. *)
-let stacks_by value_of root_extra =
-  let acc = ref [] in
-  let rec walk path n extra =
-    let path = path @ [ n.sp_name ] in
-    let self = value_of n + extra in
-    if self > 0 || path = [ n.sp_name ] then acc := (path, self) :: !acc;
-    List.iter
-      (fun name -> walk path (Hashtbl.find n.sp_children name) 0)
-      (List.rev n.sp_order)
-  in
-  walk [] !root root_extra;
-  List.rev !acc
-
-let stacks () =
-  let residual = max 0 (elapsed_wall_ns () - inclusive_wall !root) in
-  stacks_by (fun n -> n.sp_wall) residual
-
-let alloc_stacks () =
-  stacks_by (fun n -> int_of_float (alloc_words n)) 0
-
-let to_folded_string () =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun (path, self) ->
-      if self > 0 then begin
-        Buffer.add_string b (String.concat ";" path);
-        Buffer.add_char b ' ';
-        Buffer.add_string b (string_of_int self);
-        Buffer.add_char b '\n'
-      end)
-    (stacks ());
-  Buffer.contents b
-
-let write_folded path =
-  let oc = open_out path in
-  output_string oc (to_folded_string ());
-  close_out oc
-
-let kind_summaries () =
-  List.rev_map
-    (fun label ->
-      let k = Hashtbl.find kinds label in
-      (label, k.k_events, k.k_wall_ns, k.k_minor_words +. k.k_major_words))
-    !kind_order
-
-let pp_summary ppf () =
-  let total_ev = Hashtbl.fold (fun _ k acc -> acc + k.k_events) kinds 0 in
-  Format.fprintf ppf
-    "self-profile: %d events dispatched over %.3f ms wall@." total_ev
-    (float_of_int (elapsed_wall_ns ()) /. 1e6);
-  Format.fprintf ppf "  %-24s %10s %12s %12s %14s@." "event kind" "events"
-    "us/event" "words/event" "wall total ms";
-  List.iter
-    (fun (label, events, wall, words) ->
-      if events > 0 then
-        Format.fprintf ppf "  %-24s %10d %12.3f %12.1f %14.3f@." label events
-          (float_of_int wall /. 1e3 /. float_of_int events)
-          (words /. float_of_int events)
-          (float_of_int wall /. 1e6))
-    (kind_summaries ());
-  if !pop_cost_count > 0 then
-    Format.fprintf ppf
-      "  queue: mean pop cost %.2f heap ops, mean same-timestamp batch %.2f@."
-      (pop_cost_mean ()) (batch_size_mean ())

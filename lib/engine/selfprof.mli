@@ -1,100 +1,2 @@
-(** Wall-clock self-observability: a monotonic-clock and GC-allocation
-    attribution profiler over the same frame taxonomy as the virtual-time
-    {!Profile}, plus the bounded histograms behind the event-queue
-    introspection.
-
-    Charges are deltas of the monotonic clock and of [Gc.counters] taken
-    at every transition (frame enter/exit, event dispatch begin/end) and
-    charged to the node executing through the interval, so nothing is
-    double-counted and the root's inclusive wall time equals measured
-    elapsed wall time by construction.
-
-    The tree is rooted at a single [engine] node whose depth-1 children
-    are event kinds ([ev:<schedule label>]) and out-of-event frames;
-    frames entered while an event runs nest under its kind node, and
-    inter-event loop overhead is the root's exclusive time.
-
-    [Profile.push]/[Profile.pop] forward here, so one instrumentation
-    site feeds both profilers; [Sim.step] drives the event windows and
-    the queue histograms. Process-global, off by default, one boolean
-    test per call when disabled. *)
-
-val start : unit -> unit
-(** Enable and clear; the elapsed origin is the current wall time. *)
-
-val stop : unit -> unit
-(** Final charge, freeze elapsed time, disable, and fold per-layer
-    [selfprof_wall_ns_total{layer}] / [selfprof_alloc_words_total{layer}]
-    counters into the metrics registry. *)
-
-val clear : unit -> unit
-val enabled : unit -> bool
-
 val now_ns : unit -> int
 (** The monotonic clock, in nanoseconds (arbitrary origin). *)
-
-val elapsed_wall_ns : unit -> int
-(** Wall ns since {!start} (frozen by {!stop}). *)
-
-(** {2 Transitions (called by [Profile] and [Sim])} *)
-
-val enter : string -> unit
-(** Enter a named frame (forwarded from [Profile.push]). *)
-
-val exit_frame : unit -> unit
-(** Leave the innermost frame. An exit with no frame open in the current
-    event window only bumps {!unmatched_exits} — it is the matching pop
-    of a frame that slept across events. *)
-
-val event_begin : label:string -> unit
-(** An event thunk is about to run: open a fresh window under the
-    [ev:<label>] kind node ([ev:event] when the label is empty). *)
-
-val event_end : unit -> unit
-(** The thunk returned: rewind frames it left open (counted in
-    {!dangling}) and accumulate the per-kind event summary. *)
-
-val unmatched_exits : unit -> int
-val dangling : unit -> int
-
-(** {2 Event-queue histograms (reported by [Sim] when enabled)} *)
-
-val observe_pop_cost : int -> unit
-(** Heap operations needed to surface one live event (tombstones skipped
-    plus sift swaps). *)
-
-val observe_batch : int -> unit
-(** Number of events fired at one identical timestamp. *)
-
-val pop_cost_hist : unit -> (int * int) list
-(** (cost, occurrences); the last bucket absorbs all larger costs. *)
-
-val pop_cost_mean : unit -> float
-val batch_size_hist : unit -> (int * int) list
-val batch_size_mean : unit -> float
-
-(** {2 Dumps} *)
-
-val stacks : unit -> (string list * int) list
-(** Every stack with its exclusive wall ns, deterministic order. Paths
-    start at the [engine] root; uncharged tail time (only while still
-    enabled) shows as root-exclusive, so root inclusive tracks elapsed. *)
-
-val alloc_stacks : unit -> (string list * int) list
-(** The same tree with exclusive allocated words (minor + major direct)
-    as values. *)
-
-val to_folded_string : unit -> string
-(** Collapsed-stack text (flamegraph.pl / speedscope format) of wall ns. *)
-
-val write_folded : string -> unit
-
-val kind_summaries : unit -> (string * int * int * float) list
-(** Per event kind: (label, events, wall ns, allocated words). *)
-
-val pp_summary : Format.formatter -> unit -> unit
-(** Human-readable per-kind table plus queue histogram means. *)
-
-val fold_metrics : unit -> unit
-(** Fold per-layer wall/alloc counters into [Metrics] (done by {!stop};
-    exposed for tests). *)

@@ -304,7 +304,7 @@ let cancel { h_ev = e; h_sim = t } =
    when a fired event carries a later timestamp (or the run drains). *)
 let flush_batch t =
   if t.batch > 0 then begin
-    Selfprof.observe_batch t.batch;
+    Profile.observe_batch t.batch;
     t.batch <- 0
   end
 
@@ -313,7 +313,7 @@ let flush_batch t =
    and never touch the event queue or the clock, so runs with telemetry
    disabled are byte-identical to runs without these lines. *)
 let step t =
-  let selfprof = Selfprof.enabled () in
+  let selfprof = Profile.(enabled Wall) in
   let swaps0 = !Heap.swaps in
   let rec loop skipped =
     match Heap.pop t.heap with
@@ -332,16 +332,16 @@ let step t =
             if Timeseries.enabled () then Timeseries.on_event (global_now t);
             if Recorder.armed () then Recorder.tick (global_now t);
             if selfprof then begin
-              Selfprof.observe_pop_cost (skipped + !Heap.swaps - swaps0);
+              Profile.observe_pop_cost (skipped + !Heap.swaps - swaps0);
               if e.at = t.last_fired_at then t.batch <- t.batch + 1
               else begin
                 flush_batch t;
                 t.last_fired_at <- e.at;
                 t.batch <- 1
               end;
-              Selfprof.event_begin ~label:e.label;
+              Profile.event_begin ~label:e.label;
               f ();
-              Selfprof.event_end ()
+              Profile.event_end ()
             end
             else f ();
             recycle t e;
@@ -364,7 +364,7 @@ let run ?until t =
       if t.clock < limit then t.clock <- limit);
   (* a final sample/watchdog check at the end-of-run clock, so a run that
      drains (or coasts to its limit) still observes its last state *)
-  if Selfprof.enabled () then flush_batch t;
+  if Profile.(enabled Wall) then flush_batch t;
   if Timeseries.enabled () then Timeseries.on_event (global_now t);
   if Recorder.armed () then Recorder.tick (global_now t)
 

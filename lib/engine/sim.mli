@@ -24,9 +24,9 @@ val global_now : t -> time
 
 val schedule_at : ?label:string -> t -> time -> (unit -> unit) -> handle
 (** [schedule_at sim t f] runs [f] when the clock reaches [t]. [t] must not be
-    in the past. [label] names the event kind for the wall-clock
-    self-profiler ([Selfprof]); pass a static string — it is stored on the
-    event record and never copied. *)
+    in the past. [label] names the event kind for {!Profile}'s wall
+    clock; pass a static string — it is stored on the event record and
+    never copied. *)
 
 val schedule : ?label:string -> t -> delay:time -> (unit -> unit) -> handle
 (** [schedule sim ~delay f] runs [f] [delay] nanoseconds from now.
@@ -64,7 +64,8 @@ val pending : t -> int
     metrics registry) accumulated across every simulator instance of the
     process; per-instance queue-depth and tombstone probes are registered
     with [Timeseries] at {!create}, and per-pop cost / same-timestamp
-    batch histograms are reported to [Selfprof] while it is enabled. *)
+    batch histograms are reported to [Profile] while its wall clock is
+    enabled. *)
 
 val events_fired : unit -> int
 val events_cancelled : unit -> int

@@ -104,15 +104,6 @@ let store : (int, span) Hashtbl.t = Hashtbl.create 256
 let order : span list ref = ref [] (* newest first *)
 let enabled () = !on
 
-(* Observer granularity (DESIGN.md §15): [Per_train] (the default) keeps
-   the cell-train fast path engaged — EOP milestones of planned trains
-   are synthesized from plan records by [on_train] at exactly the
-   instants the per-cell path would stamp them; [Per_cell] pins the
-   per-cell path so every mark is a real event. *)
-let granularity_ref = ref Granularity.Per_train
-let granularity () = !granularity_ref
-let set_granularity g = granularity_ref := g
-
 let start () =
   Hashtbl.reset store;
   order := [];
@@ -206,8 +197,7 @@ let train_milestones (p : Trainplan.t) i =
   ]
 
 let on_train (p : Trainplan.t) ~ctx =
-  if not (!on && !granularity_ref = Granularity.Per_train) then
-    Trainplan.no_undo
+  if not !on then Trainplan.no_undo
   else begin
     let eops = Array.map (fun i -> (i, ctx i)) p.eops in
     Array.iter

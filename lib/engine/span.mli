@@ -41,13 +41,6 @@ val mark_name : mark -> string
 
 val enabled : unit -> bool
 
-val granularity : unit -> Granularity.t
-val set_granularity : Granularity.t -> unit
-(** [Per_train] (the default) keeps the cell-train fast path engaged:
-    EOP milestones of committed trains are synthesized from plan records
-    at exactly the instants the per-cell path would stamp them, so span
-    dumps stay byte-identical across modes. [Per_cell] pins the slow
-    path (every mark is a real event). *)
 
 val start : unit -> unit
 (** Enable span collection into a fresh store. *)
@@ -76,7 +69,7 @@ val on_train :
     planned uplink refusal. [ctx i] is cell [i]'s context, read at
     commit. The undo erases the marks of cut EOP cells and of refusals
     the truncation retracts; the per-cell path re-stamps what really
-    happens to them. A no-op unless spans are on at [Per_train]. *)
+    happens to them. A no-op unless spans are on. *)
 
 val observe_latency : ctx option -> unit
 (** Fold (now − mint time) into the [message_latency_ns] quantile sketch

@@ -62,12 +62,9 @@ let enabled_flag = ref false
 let generation = ref 0
 let interval_ns = ref 10_000 (* 10 µs of simulated time *)
 let next_sample = ref 0
-let granularity_ref = ref Granularity.Per_train
 
 let enabled () = !enabled_flag
 let interval () = !interval_ns
-let granularity () = !granularity_ref
-let set_granularity g = granularity_ref := g
 
 let set_interval ns =
   if ns <= 0 then invalid_arg "Timeseries.set_interval";

@@ -36,15 +36,6 @@ val register_at : ?kind:kind -> string -> labels -> (int -> float) -> unit
     must evaluate queue depth / busy time *at* the sample boundary rather
     than read a counter mutated cell by cell. *)
 
-val granularity : unit -> Granularity.t
-val set_granularity : Granularity.t -> unit
-(** [Per_train] (the default) keeps the cell-train fast path engaged:
-    at-aware probes evaluate planned analytic state at the sample
-    boundary, so the series stay meaningful with cell events elided —
-    at train-event (plan commit / delivery) cadence rather than per-cell
-    cadence. [Per_cell] pins the slow path so every cell event is a
-    sampling opportunity. *)
-
 val start : unit -> unit
 (** Enable sampling. Also installs (once) the [Metrics.gauge_fn] bridge:
     every callback gauge registration doubles as a [Gauge] probe. *)

@@ -94,11 +94,7 @@ let dummy_slice =
     sl_args = [];
   }
 
-let granularity_ref = ref Granularity.Per_train
-let granularity () = !granularity_ref
-let set_granularity g = granularity_ref := g
 let enabled () = !on
-let train_slices_wanted () = !on && !granularity_ref = Granularity.Per_train
 
 let start ?(capacity = default_capacity) () =
   if capacity <= 0 then invalid_arg "Trace.start: capacity must be positive";
@@ -222,7 +218,7 @@ let train_bounds (p : Trainplan.t) k =
           (Array.to_list p.stages))
 
 let on_train (p : Trainplan.t) =
-  if not (train_slices_wanted ()) then Trainplan.no_undo
+  if not !on then Trainplan.no_undo
   else
     let args = [ ("vci", Int p.vci); ("cells", Int p.n) ] in
     let slices =

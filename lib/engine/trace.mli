@@ -44,24 +44,14 @@ type sink = event -> unit
 
 val enabled : unit -> bool
 
-val granularity : unit -> Granularity.t
-val set_granularity : Granularity.t -> unit
-(** [Per_train] (the default) keeps the cell-train fast path engaged:
-    plan commits synthesize one slice ({!on_train}) per coarse phase of a
-    committed train (uplink serialization, switch transit, downlink
-    serialization) instead of per-cell events. [Per_cell] pins the
-    slow path and restores full per-cell event detail. *)
-
-val train_slices_wanted : unit -> bool
-(** Tracing is on and granularity is [Per_train] — plan commits should
-    synthesize slices. *)
-
 val on_train : Trainplan.t -> Trainplan.undo
 (** Synthesize a committed train's slices — ["train.uplink"], then per
     stage ["train.switch"] and ["train.trunk"] (["train.downlink"] at the
     egress stage) — as complete events merged into {!events} by
     timestamp. The undo shrinks them to the kept prefix, or drops them
-    when nothing is kept. A no-op unless {!train_slices_wanted}. *)
+    when nothing is kept. A no-op unless {!enabled}. One slice per coarse
+    phase instead of per-cell events is what lets tracing keep the
+    cell-train fast path engaged. *)
 
 val start : ?capacity:int -> unit -> unit
 (** Enable tracing into a fresh ring of [capacity] events (default 65536). *)

@@ -1,13 +1,12 @@
 (** Global gate for the cell-train fast path.
 
-    [active ()] is true when no enabled observer demands per-cell
-    granularity. Trace, Span and Timeseries default to [Per_train]
-    (their train-granular backends synthesize output from committed plan
-    records, so they do not pin); pcapng defaults to [Per_cell]; the
-    profilers and the flight recorder measure event-grain behavior
-    itself and always pin. Per-site conditions — fault injectors and
-    bounded queues — are checked at the individual link/NI
-    instead, so expansion stays local to the affected hop.
+    [active ()] is true when no attached observer needs to see the
+    simulation between cells. Pinning follows from what is attached:
+    trace, spans, timeseries and the wall clock of {!Profile} never pin;
+    a pcapng capture pins unless PDU sampling is on; the virtual clock of
+    {!Profile} and the flight recorder always pin. Per-site conditions —
+    fault injectors and bounded queues — are checked at the individual
+    link/NI instead, so expansion stays local to the affected hop.
 
     When observers do pin, each culprit is named in a
     [trainmode_pinned{observer}] gauge and a one-line stderr warning

@@ -38,7 +38,7 @@ let charge_raw ?(layer = "other") t ns =
     if Trace.enabled () then Trace.complete Trace.Cpu layer ~dur:ns;
     (* attribute at the charge site, before the sleep, so time spent by
        other processes while this one sleeps stays out of this frame *)
-    if Profile.enabled () then
+    if Profile.(enabled Virtual) then
       Profile.charge ~host:t.host ~frames:[ layer ] ns
   end;
   Proc.sleep t.sim ~time:ns

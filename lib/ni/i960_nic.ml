@@ -83,7 +83,7 @@ let gather (ep : Unet.Endpoint.t) (desc : Unet.Desc.tx) =
    root (never nested under whatever application frame happens to be open:
    the device runs asynchronously to the host CPU). *)
 let prof t stage cost =
-  if Profile.enabled () then
+  if Profile.(enabled Virtual) then
     Profile.charge_root ~host:t.host
       ~frames:[ "ni"; t.cfg.name; stage ]
       cost
@@ -375,29 +375,9 @@ let on_cell t (cell : Atm.Cell.t) =
    completion (nothing observes the reassembler in between). The EOP push
    submits the delivery job for real, exactly as the per-cell path. *)
 let on_train t train ~rx_vci ~deliveries =
-  let n = Atm.Cell.Train.length train in
-  let paced =
-    if Trainmode.active () && t.fault = None then
-      let actions =
-        Array.init n (fun i ->
-            let cell =
-              Atm.Cell.with_vci (Atm.Cell.Train.cell train i) rx_vci
-            in
-            fun () -> rx_cell_body t cell)
-      in
-      Sync.Server.submit_paced t.server ~cost:t.cfg.rx_cell_ns
-        ~arrivals:(Array.sub deliveries 0 n)
-        ~actions
-    else None
-  in
-  match paced with
-  | Some p ->
-      Atm.Cell.Train.on_truncate train (fun ~keep ~now:_ ->
-          Sync.Server.truncate_paced t.server p ~keep)
-  | None ->
-      (* per-cell fallback through this NI's own receive path *)
-      Atm.Cell.Train.expand t.sim ~label:"ni.rx_train" train ~rx_vci
-        ~deliveries (on_cell t)
+  Atm.Cell.Train.receive t.sim t.server ~cost:t.cfg.rx_cell_ns
+    ~faulted:(t.fault <> None) train ~rx_vci ~deliveries
+    ~action:(rx_cell_body t) (on_cell t)
 
 let create net ~host cfg =
   let sim = Atm.Network.sim net in

@@ -103,7 +103,7 @@ let deliver t ?ctx vci payload =
    whatever application frame happens to be open (the receive path runs
    asynchronously to the application) *)
 let prof t stage cost =
-  if Profile.enabled () then
+  if Profile.(enabled Virtual) then
     Profile.charge_root ~host:t.host
       ~frames:[ "ni"; t.cfg.name; stage ]
       cost
@@ -144,39 +144,21 @@ let on_cell t (cell : Atm.Cell.t) =
   Sync.Server.submit t.kernel ~cost:t.cfg.rx_per_cell_ns (fun () ->
       rx_cell_body t cell)
 
+(* The PIO copy happens inside each paced action — at the cell's
+   consumption, only for cells actually consumed — so the copy counters
+   match the per-cell path even when the batch splits and the cut cells
+   are re-delivered (and re-copied) for real. *)
 let on_train t train ~rx_vci ~deliveries =
-  let n = Atm.Cell.Train.length train in
-  let paced =
-    if Trainmode.active () && t.fault = None then
-      (* The PIO copy happens inside each action — at the cell's
-         consumption, only for cells actually consumed — so the copy
-         counters match the per-cell path even when the batch splits and
-         the cut cells are re-delivered (and re-copied) for real. *)
-      let actions =
-        Array.init n (fun i ->
-            let cell = Atm.Cell.with_vci (Atm.Cell.Train.cell train i) rx_vci in
-            fun () ->
-              let cell =
-                {
-                  cell with
-                  Atm.Cell.payload =
-                    Buf.copy ~layer:"sba100_rx_pio" cell.Atm.Cell.payload;
-                }
-              in
-              rx_cell_body t cell)
-      in
-      Sync.Server.submit_paced t.kernel ~cost:t.cfg.rx_per_cell_ns
-        ~arrivals:(Array.sub deliveries 0 n) ~actions
-    else None
-  in
-  match paced with
-  | Some p ->
-      Atm.Cell.Train.on_truncate train (fun ~keep ~now:_ ->
-          Sync.Server.truncate_paced t.kernel p ~keep)
-  | None ->
-      (* per-cell fallback through this NI's own receive path *)
-      Atm.Cell.Train.expand t.sim ~label:"ni.rx_train" train ~rx_vci
-        ~deliveries (on_cell t)
+  Atm.Cell.Train.receive t.sim t.kernel ~cost:t.cfg.rx_per_cell_ns
+    ~faulted:(t.fault <> None) train ~rx_vci ~deliveries
+    ~action:(fun cell ->
+      rx_cell_body t
+        {
+          cell with
+          Atm.Cell.payload =
+            Buf.copy ~layer:"sba100_rx_pio" cell.Atm.Cell.payload;
+        })
+    (on_cell t)
 
 (* The uplink's interfere hook: an unplanned per-cell send is about to
    thread through planned state. The host's PIO loop cannot be interrupted

@@ -323,11 +323,10 @@ let idle_probe_dumps () =
 
 let pinned_gauge () =
   Metrics.reset ();
-  Trace.start ();
-  Trace.set_granularity Granularity.Per_cell;
-  checkb "per-cell trace pins the slow path" false (Trainmode.active ());
-  checkb "trace named as the culprit" true
-    (List.mem "trace" (Trainmode.pinned ()));
+  Pcapng.start ();
+  checkb "full pcap capture pins the slow path" false (Trainmode.active ());
+  checkb "pcap named as the culprit" true
+    (List.mem "pcap" (Trainmode.pinned ()));
   let dump = Metrics.to_prometheus_string () in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
@@ -336,13 +335,13 @@ let pinned_gauge () =
     in
     go 0
   in
-  checkb "trainmode_pinned{observer=trace} gauge set" true
-    (contains dump "trainmode_pinned" && contains dump "observer=\"trace\"");
-  Trace.set_granularity Granularity.Per_train;
-  checkb "back to train granularity, fast path re-engages" true
-    (Trainmode.active ());
-  Trace.stop ();
-  Trace.clear ()
+  checkb "trainmode_pinned{observer=pcap} gauge set" true
+    (contains dump "trainmode_pinned" && contains dump "observer=\"pcap\"");
+  Sample.configure ~n:64 ~seed:0x5eed;
+  checkb "with PDU sampling, fast path re-engages" true (Trainmode.active ());
+  Sample.configure ~n:0 ~seed:0;
+  Pcapng.stop ();
+  Pcapng.clear ()
 
 let () =
   Alcotest.run "observe"

@@ -10,11 +10,11 @@ let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 
 let with_profile f =
-  Profile.start ();
+  Profile.(start Virtual);
   Fun.protect
     ~finally:(fun () ->
-      Profile.stop ();
-      Profile.clear ())
+      Profile.(stop Virtual);
+      Profile.(clear Virtual))
     f
 
 (* --- frame mechanics ------------------------------------------------- *)
@@ -28,8 +28,8 @@ let test_nesting () =
   Profile.pop ();
   Profile.pop ();
   checki "stack balanced" 0 (Profile.depth ~host:0);
-  checki "no unmatched pops" 0 (Profile.unmatched_pops ());
-  let s = Profile.stacks () in
+  checki "no unmatched pops" 0 Profile.(unmatched_pops Virtual);
+  let s = Profile.(stacks Virtual) in
   checkb "charge lands in the open frame" true
     (List.assoc_opt [ "host0"; "a" ] s = Some 10);
   checkb "extra frames descend from the top" true
@@ -41,27 +41,28 @@ let test_charge_root () =
   (* device time must not nest under the open application frame *)
   Profile.charge_root ~host:3 ~frames:[ "ni"; "dev" ] 7;
   Profile.pop ~host:3 ();
-  let s = Profile.stacks () in
+  let s = Profile.(stacks Virtual) in
   checkb "charge_root ignores the stack" true
     (List.assoc_opt [ "host3"; "ni"; "dev" ] s = Some 7);
   checkb "nothing under the app frame" true
     (List.assoc_opt [ "host3"; "app"; "ni"; "dev" ] s = None)
 
 let test_disabled_noop () =
-  Profile.stop ();
-  Profile.clear ();
+  Profile.(stop Virtual);
+  Profile.(clear Virtual);
   Profile.push "z";
   Profile.charge 100;
   Profile.pop ();
   Profile.pop ();
-  checkb "nothing recorded while disabled" true (Profile.stacks () = []);
-  checki "pops while disabled are not underflows" 0 (Profile.unmatched_pops ())
+  checkb "nothing recorded while disabled" true (Profile.(stacks Virtual) = []);
+  checki "pops while disabled are not underflows" 0
+    Profile.(unmatched_pops Virtual)
 
 let test_underflow_counted () =
   with_profile @@ fun () ->
   Profile.pop ();
   Profile.pop ();
-  checki "underflows counted, never raised" 2 (Profile.unmatched_pops ())
+  checki "underflows counted, never raised" 2 Profile.(unmatched_pops Virtual)
 
 (* --- the root-inclusive invariant over real runs ---------------------- *)
 
@@ -81,8 +82,8 @@ let balanced_run name () =
           checki (Printf.sprintf "host %d stack balanced" h) 0
             (Profile.depth ~host:h))
         hosts;
-      checki "no unmatched pops" 0 (Profile.unmatched_pops ());
-      let el = Profile.elapsed () in
+      checki "no unmatched pops" 0 Profile.(unmatched_pops Virtual);
+      let el = Profile.(elapsed Virtual) in
       checkb "virtual time elapsed" true (el > 0);
       let sums = Hashtbl.create 8 in
       List.iter
@@ -92,7 +93,7 @@ let balanced_run name () =
               Hashtbl.replace sums root
                 ((Option.value ~default:0 (Hashtbl.find_opt sums root)) + self)
           | [] -> ())
-        (Profile.stacks ());
+        Profile.(stacks Virtual);
       checkb "every host produced stacks" true (Hashtbl.length sums > 0);
       Hashtbl.iter
         (fun root sum ->

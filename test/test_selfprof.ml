@@ -2,7 +2,8 @@
    and the direction-aware bench gates: the root-inclusive-equals-elapsed
    wall invariant over a real experiment, allocation attribution without
    double counting across nested frames, --profile/--selfprof
-   composition through one push/pop site, event-kind windows, queue
+   composition through one push/pop site, event-kind windows and their
+   allocation summaries, the wall clock staying on the fast path, queue
    lifecycle counters and histograms, the queue-depth probe, the
    enginebench snapshot schema, and benchdiff's gating rules. *)
 
@@ -12,11 +13,11 @@ let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 
 let with_selfprof f =
-  Selfprof.start ();
+  Profile.(start Wall);
   Fun.protect
     ~finally:(fun () ->
-      Selfprof.stop ();
-      Selfprof.clear ())
+      Profile.(stop Wall);
+      Profile.(clear Wall))
     f
 
 (* --- wall attribution ------------------------------------------------- *)
@@ -29,13 +30,13 @@ let test_wall_folded_sum () =
   match Experiments.Registry.find "fig3" with
   | None -> Alcotest.fail "fig3 experiment missing"
   | Some e ->
-      Selfprof.start ();
+      Profile.(start Wall);
       ignore (e.run ~quick:true);
-      Selfprof.stop ();
-      let el = Selfprof.elapsed_wall_ns () in
+      Profile.(stop Wall);
+      let el = Profile.(elapsed Wall) in
       checkb "wall time elapsed" true (el > 0);
       let sum =
-        List.fold_left (fun acc (_, self) -> acc + self) 0 (Selfprof.stacks ())
+        List.fold_left (fun acc (_, self) -> acc + self) 0 Profile.(stacks Wall)
       in
       let drift = abs (sum - el) in
       if float_of_int drift > 0.01 *. float_of_int el then
@@ -43,8 +44,8 @@ let test_wall_folded_sum () =
           drift;
       checki "no unmatched exits counted as frames" 0
         (List.length
-           (List.filter (fun (path, _) -> path = []) (Selfprof.stacks ())));
-      Selfprof.clear ()
+           (List.filter (fun (path, _) -> path = []) Profile.(stacks Wall)));
+      Profile.(clear Wall)
 
 (* Allocation deltas are charged at transitions, so a nested frame's
    words never also land in its parent: allocate a known number of words
@@ -57,14 +58,14 @@ let test_alloc_no_double_count () =
   Gc.full_major ();
   with_selfprof @@ fun () ->
   let keep = ref [] in
-  Selfprof.enter "outer";
+  Profile.push "outer";
   keep := Array.make 100_000 0. :: !keep;
-  Selfprof.enter "inner";
+  Profile.push "inner";
   keep := Array.make 200_000 0. :: !keep;
-  Selfprof.exit_frame ();
-  Selfprof.exit_frame ();
+  Profile.pop ();
+  Profile.pop ();
   ignore (Sys.opaque_identity !keep);
-  let alloc = Selfprof.alloc_stacks () in
+  let alloc = Profile.alloc_stacks () in
   let words path =
     match List.assoc_opt path alloc with Some w -> w | None -> 0
   in
@@ -79,21 +80,21 @@ let test_alloc_no_double_count () =
    shows up in the virtual-time stacks (with its charge) and in the
    wall-time tree (as a node), from a single instrumentation site. *)
 let test_compose_with_profile () =
-  Profile.start ();
-  Selfprof.start ();
+  Profile.(start Virtual);
+  Profile.(start Wall);
   Fun.protect ~finally:(fun () ->
-      Selfprof.stop ();
-      Selfprof.clear ();
-      Profile.stop ();
-      Profile.clear ())
+      Profile.(stop Wall);
+      Profile.(clear Wall);
+      Profile.(stop Virtual);
+      Profile.(clear Virtual))
   @@ fun () ->
   Profile.push "shared";
   Profile.charge 11;
   Profile.pop ();
   checkb "virtual profiler saw the frame" true
-    (List.assoc_opt [ "host0"; "shared" ] (Profile.stacks ()) = Some 11);
+    (List.assoc_opt [ "host0"; "shared" ] Profile.(stacks Virtual) = Some 11);
   checkb "wall profiler saw the same frame" true
-    (List.mem_assoc [ "engine"; "shared" ] (Selfprof.stacks ()))
+    (List.mem_assoc [ "engine"; "shared" ] Profile.(stacks Wall))
 
 (* Event windows: a labeled event runs under its ev:<label> kind node,
    frames pushed inside nest under it, and a frame left open by the
@@ -107,15 +108,73 @@ let test_event_windows () =
          Profile.pop ()));
   ignore (Sim.schedule ~label:"leaky" sim ~delay:1 (fun () -> Profile.push "open"));
   Sim.run sim;
-  let paths = List.map fst (Selfprof.stacks ()) in
+  let paths = List.map fst Profile.(stacks Wall) in
   checkb "kind node created" true (List.mem [ "engine"; "ev:widget" ] paths);
   checkb "inner frame nests under the kind" true
     (List.exists (fun p -> p = [ "engine"; "ev:widget"; "work" ]) paths
     || not (List.mem [ "engine"; "work" ] paths));
-  checki "dangling frame rewound and counted" 1 (Selfprof.dangling ());
-  let kinds = List.map (fun (l, _, _, _) -> l) (Selfprof.kind_summaries ()) in
+  checki "dangling frame rewound and counted" 1 (Profile.dangling ());
+  let kinds = List.map (fun (l, _, _, _) -> l) (Profile.kind_summaries ()) in
   checkb "per-kind summaries accumulated" true
     (List.mem "widget" kinds && List.mem "leaky" kinds)
+
+(* A kind's allocation summary uses the tree's formula: promoted words
+   are counted once, not once per heap. Live blocks promoted by a forced
+   minor collection inside the event would be counted twice otherwise. *)
+let test_kind_words_match_tree () =
+  with_selfprof @@ fun () ->
+  let keep = ref [] in
+  let sim = Sim.create () in
+  ignore
+    (Sim.schedule ~label:"promote" sim ~delay:0 (fun () ->
+         for i = 1 to 10_000 do
+           keep := (i, i) :: !keep
+         done;
+         Gc.minor ()));
+  Sim.run sim;
+  ignore (Sys.opaque_identity !keep);
+  let tree =
+    List.fold_left
+      (fun acc (path, w) ->
+        match path with
+        | "engine" :: "ev:promote" :: _ -> acc + w
+        | _ -> acc)
+      0 (Profile.alloc_stacks ())
+  in
+  match
+    List.find_opt
+      (fun (l, _, _, _) -> l = "promote")
+      (Profile.kind_summaries ())
+  with
+  | None -> Alcotest.fail "no summary for the promote kind"
+  | Some (_, events, _, words) ->
+      checki "one event" 1 events;
+      checkb "live blocks allocated" true (tree >= 30_000);
+      checki "kind words = inclusive words of ev:promote" tree
+        (int_of_float words)
+
+(* The wall clock attributes per event window, so it needs no per-cell
+   events: a multi-cell run with it on fires exactly the events of a
+   flags-off run, and its folded sum still equals elapsed wall time. *)
+let test_wall_clock_unpinned () =
+  let events () =
+    let fired0 = Sim.events_fired () in
+    ignore (Experiments.Common.raw_bandwidth ~count:30 ~size:5056 () : float);
+    Sim.events_fired () - fired0
+  in
+  let base = events () in
+  Profile.(start Wall);
+  let profiled =
+    Fun.protect ~finally:(fun () -> Profile.(stop Wall)) events
+  in
+  checki "wall clock pins nothing" base profiled;
+  let el = Profile.(elapsed Wall) in
+  let sum =
+    List.fold_left (fun acc (_, self) -> acc + self) 0 Profile.(stacks Wall)
+  in
+  Profile.(clear Wall);
+  if float_of_int (abs (sum - el)) > 0.01 *. float_of_int el then
+    Alcotest.failf "folded sum %d vs elapsed %d" sum el
 
 (* --- queue introspection ---------------------------------------------- *)
 
@@ -145,11 +204,11 @@ let test_queue_histograms () =
     ignore (Sim.schedule sim ~delay:2 (fun () -> ()))
   done;
   Sim.run sim;
-  checkb "pop-cost histogram populated" true (Selfprof.pop_cost_hist () <> []);
-  checkb "some pop paid for the tombstone" true (Selfprof.pop_cost_mean () > 0.);
+  checkb "pop-cost histogram populated" true (Profile.pop_cost_hist () <> []);
+  checkb "some pop paid for the tombstone" true (Profile.pop_cost_mean () > 0.);
   checkb "batch of 3 observed" true
-    (List.exists (fun (n, _) -> n >= 3) (Selfprof.batch_size_hist ()));
-  checkb "mean batch >= 1" true (Selfprof.batch_size_mean () >= 1.)
+    (List.exists (fun (n, _) -> n >= 3) (Profile.batch_size_hist ()));
+  checkb "mean batch >= 1" true (Profile.batch_size_mean () >= 1.)
 
 let test_queue_depth_probe () =
   Timeseries.clear ();
@@ -283,6 +342,10 @@ let () =
           Alcotest.test_case "composes with --profile" `Quick
             test_compose_with_profile;
           Alcotest.test_case "event kind windows" `Quick test_event_windows;
+          Alcotest.test_case "kind words = tree words" `Quick
+            test_kind_words_match_tree;
+          Alcotest.test_case "wall clock keeps the fast path" `Quick
+            test_wall_clock_unpinned;
         ] );
       ( "queue",
         [
