@@ -84,12 +84,12 @@ module Train = struct
     in
     from 0
 
-  let receive sim server ~cost ~faulted t ~rx_vci ~deliveries ~action on_cell
-      =
+  let receive sim server ~stage ~cost ~faulted t ~rx_vci ~deliveries ~action
+      on_cell =
     let n = t.live in
     let paced =
       if Engine.Trainmode.active () && not faulted then
-        Engine.Sync.Server.submit_paced server ~cost
+        Engine.Sync.Server.submit_paced server ~stage ~cost
           ~arrivals:(Array.sub deliveries 0 n)
           ~actions:
             (Array.init n (fun i ->

@@ -69,6 +69,7 @@ module Train : sig
   val receive :
     Engine.Sim.t ->
     Engine.Sync.Server.t ->
+    stage:string ->
     cost:Engine.Sim.time ->
     faulted:bool ->
     train ->
@@ -79,9 +80,10 @@ module Train : sig
     unit
   (** A NI's receive of a whole train, called at [deliveries.(0)]. On the
       fast path ({!Engine.Trainmode.active} and not [faulted]) the run of
-      per-cell [cost] jobs on [server] is one paced batch whose [action]s
-      (one per cell, relabelled [rx_vci]) run at its completion, and an
-      upstream truncation trims the batch. Otherwise — or when [server]
+      per-cell [cost] jobs on [server] is one paced batch, charged to the
+      profile as [stage], whose [action]s (one per cell, relabelled
+      [rx_vci]) run at its completion, and an upstream truncation trims
+      the batch. Otherwise — or when [server]
       refuses the batch — the cells go one by one to the per-cell handler
       through {!expand} with label ["ni.rx_train"]. *)
 end

@@ -47,9 +47,7 @@ and observed = {
   ob_in_port : int;
   ob_in_vci : int;
   ob_out_port : int;
-  ob_out_vci : int;
   ob_eop : bool;
-  ob_ctx : Engine.Span.ctx option;
   ob_queue : int;
   ob_forwarded : bool;
 }
@@ -360,9 +358,7 @@ let input t ~port cell =
                       ob_in_port = port;
                       ob_in_vci = cell.Cell.vci;
                       ob_out_port = out_port;
-                      ob_out_vci = out_vci;
                       ob_eop = cell.Cell.eop;
-                      ob_ctx = cell.Cell.ctx;
                       ob_queue = q;
                       ob_forwarded = forwarded;
                     }

@@ -51,9 +51,7 @@ type observed = {
   ob_in_port : int;
   ob_in_vci : int;
   ob_out_port : int;
-  ob_out_vci : int;
   ob_eop : bool;
-  ob_ctx : Engine.Span.ctx option;
   ob_queue : int;  (** output-queue depth found at arrival *)
   ob_forwarded : bool;  (** false: dropped (full queue or port fault) *)
 }

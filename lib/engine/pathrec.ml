@@ -2,7 +2,7 @@
 
    The store is two pools: [pending] holds provisional records ordered by
    settle instant (train synthesis runs at commit time, before the cells
-   exist on the wire), [settled] is a bounded ring of irrevocable ones.
+   exist on the wire), [settled] is a bounded FIFO of irrevocable ones.
    Settling is what feeds the per-hop-position latency sketches, so a
    truncated train's discarded records never leave a trace — the same
    lazy-fold discipline the link and switch counters use. *)
@@ -31,7 +31,20 @@ let capacity = 65_536
 (* provisional, most-recent-first; commit order is already settle order
    per flow, and [fold] filters by instant, so no sort is needed *)
 let pending : (Sim.time * record) list ref = ref []
-let settled : record list ref = ref [] (* most-recent-first *)
+
+let settled =
+  Fifo.create
+    ~dummy:
+      {
+        r_src = 0;
+        r_dst = 0;
+        r_vci = 0;
+        r_seq = 0;
+        r_injected = 0;
+        r_delivered = 0;
+        r_hops = [||];
+      }
+
 let n_settled = ref 0
 let n_dropped = ref 0
 
@@ -58,7 +71,7 @@ let enabled () = !enabled_flag
 
 let clear () =
   pending := [];
-  settled := [];
+  Fifo.clear settled;
   n_settled := 0;
   n_dropped := 0;
   Hashtbl.iter (fun _ s -> Metrics.Sketch.clear s) hop_sketches
@@ -129,13 +142,11 @@ let settle_one r =
     (fun pos h ->
       Metrics.Sketch.observe (hop_sketch pos) (float_of_int h.h_latency_ns))
     r.r_hops;
-  settled := r :: !settled;
+  Fifo.push settled r;
   incr n_settled;
-  if !n_settled - !n_dropped > capacity then begin
+  if Fifo.length settled > capacity then begin
     (* drop the oldest settled record; the ring keeps the recent past *)
-    (match List.rev !settled with
-    | _ :: rest -> settled := List.rev rest
-    | [] -> ());
+    ignore (Fifo.remove_first (fun _ -> true) settled : record option);
     incr n_dropped
   end
 
@@ -162,7 +173,7 @@ let records () =
               | c -> c)
           | c -> c)
       | c -> c)
-    (List.rev !settled)
+    (Fifo.to_list settled)
 
 let hop_quantile ~hop q =
   match Hashtbl.find_opt hop_sketches hop with

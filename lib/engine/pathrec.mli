@@ -66,6 +66,9 @@ val fold : now:Sim.time -> unit
     fabric registers this as a metrics flush so every registry read and
     export sees settled state. *)
 
+val capacity : int
+(** Settled records kept; older ones are dropped, oldest first. *)
+
 val count : unit -> int
 (** Settled records so far (ring overflow included). *)
 

@@ -5,7 +5,7 @@
    measure and when they charge it.
 
    Virtual clock: simulated time. The places that actually account
-   virtual time — [Host.Cpu.charge_raw], the NI submit sites — report it
+   virtual time — [Host.Cpu.charge_raw], [Sync.Server] — report it
    with [charge] at the moment it is charged, *before* the implied
    [Proc.sleep]. Attributing at the charge site rather than measuring
    elapsed time between push and pop is what keeps the numbers honest in a
@@ -34,9 +34,11 @@
    root's exclusive time: the event loop's own overhead. The wall clock
    also owns the bounded histograms behind the event-queue introspection.
 
-   Only the virtual clock pins the per-cell path: its NI charges are per
-   cell. Wall attribution is per event window and per schedule label, so
-   it profiles whichever path actually runs.
+   Neither clock pins the per-cell path. [Sync.Server] charges NI
+   occupancy per batch on the train path and refunds what a split hands
+   back, so the virtual tree matches the per-cell run's; wall attribution
+   is per event window and per schedule label. Both profile whichever
+   path actually runs.
 
    Both clocks are process-global, off by default, and cost one boolean
    test per call when disabled, so runs with them off are byte-identical
@@ -129,7 +131,7 @@ let charge ?(host = 0) ?(frames = []) ns =
   end
 
 let charge_root ?(host = 0) ~frames ns =
-  if !v_on && ns > 0 then begin
+  if !v_on && ns <> 0 then begin
     let n = List.fold_left child (host_stack host).root frames in
     n.self <- n.self + ns
   end

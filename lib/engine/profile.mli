@@ -9,8 +9,9 @@
     processes while a frame's owner sleeps never lands in that frame.
     Stacks are per simulated host, each under a synthetic [host<N>] root
     whose exclusive time is the elapsed virtual time minus everything
-    attributed beneath it (idle shows up rather than being hidden). While
-    enabled it pins the per-cell path: its NI charges are per cell.
+    attributed beneath it (idle shows up rather than being hidden). NI
+    occupancy is charged by {!Sync.Server}, per batch on the train path
+    with refunds on split, so it does not pin the per-cell path.
 
     {b Wall} attributes the simulator's own monotonic time and GC
     allocation, charged at every transition (frame push/pop, event
@@ -68,7 +69,8 @@ val charge : ?host:int -> ?frames:string list -> int -> unit
 val charge_root : ?host:int -> frames:string list -> int -> unit
 (** Like {!charge} but always descends from the host root, ignoring the
     current stack — for asynchronous device time (NI servers) that should
-    not nest under whatever application frame happens to be open. *)
+    not nest under whatever application frame happens to be open. A
+    negative charge is a refund of an earlier one. *)
 
 val depth : host:int -> int
 (** Current stack depth for a host (0 when balanced). *)

@@ -136,6 +136,7 @@ module Server = struct
   type chain = {
     c_first_end : Sim.time;
     c_unit : Sim.time;
+    c_stage : string option;  (* profile stage of the unit jobs *)
     c_accepts : Sim.time array;  (* acceptance instant of cell i *)
     c_done : unit -> unit;
     c_split : accepted:int -> phase:chain_phase -> unit;
@@ -144,6 +145,7 @@ module Server = struct
 
   type paced = {
     p_cost : Sim.time;
+    p_stage : string option;
     p_arrivals : Sim.time array;
     p_starts : Sim.time array;  (* start.(i) = max(arrival.(i), end.(i-1)) *)
     p_actions : (unit -> unit) array;
@@ -159,6 +161,8 @@ module Server = struct
 
   type t = {
     sim : Sim.t;
+    owner : (int * string list) option;
+        (* profile host and frame prefix the occupancy is charged under *)
     jobs : job Queue.t;
     mutable busy : bool;
     mutable busy_until : Sim.time;  (* meaningful only while [busy] *)
@@ -166,9 +170,10 @@ module Server = struct
     mutable batch : batch option;
   }
 
-  let create sim =
+  let create ?owner sim =
     {
       sim;
+      owner;
       jobs = Queue.create ();
       busy = false;
       busy_until = 0;
@@ -180,6 +185,16 @@ module Server = struct
   let queue_length t = Queue.length t.jobs
   let busy_time t = t.busy_time
   let idle t = (not t.busy) && Queue.is_empty t.jobs && t.batch = None
+
+  (* The profile is charged where busy time is, from the owner's host root
+     (the device runs asynchronously to any open application frame); a
+     batch refunds with a negative charge. *)
+  let charge t stage ns =
+    if Profile.(enabled Virtual) then
+      match (t.owner, stage) with
+      | Some (host, prefix), Some stage ->
+          Profile.charge_root ~host ~frames:(prefix @ [ stage ]) ns
+      | _ -> ()
 
   let rec start t job =
     t.busy <- true;
@@ -260,6 +275,7 @@ module Server = struct
       end
     in
     t.busy_time <- t.busy_time - ((n - consumed) * c.c_unit);
+    charge t c.c_stage (-(n - consumed) * c.c_unit);
     c.c_split ~accepted:m ~phase
 
   (* Split a paced rx batch: the completed prefix's actions run now (they are
@@ -295,19 +311,24 @@ module Server = struct
         resume_inflight t ~until:e ~k
       end
     end;
+    (* arrived units queue as jobs and keep their charge; future ones are
+       refunded and charged again when they come back through [submit] *)
+    let future = ref 0 in
     while !i < n do
       let k = p.p_actions.(!i) and arr = p.p_arrivals.(!i) in
       if arr <= now then Queue.add { cost = p.p_cost; k } t.jobs
       else begin
         let h =
           Sim.schedule ~label:"sync.paced_arrival" t.sim ~delay:(arr - now)
-            (fun () -> submit t ~cost:p.p_cost k)
+            (fun () -> submit t ?stage:p.p_stage ~cost:p.p_cost k)
         in
-        p.p_split_evs <- (!i, h) :: p.p_split_evs
+        p.p_split_evs <- (!i, h) :: p.p_split_evs;
+        incr future
       end;
       incr i
     done;
-    t.busy_time <- t.busy_time - ((n - !consumed) * p.p_cost)
+    t.busy_time <- t.busy_time - ((n - !consumed) * p.p_cost);
+    charge t p.p_stage (- !future * p.p_cost)
 
   and interfere t =
     match t.batch with
@@ -315,14 +336,15 @@ module Server = struct
     | Some (Chain c) -> split_chain t c
     | Some (Paced p) -> split_paced t p
 
-  and submit t ~cost k =
+  and submit t ?stage ~cost k =
     if cost < 0 then invalid_arg "Server.submit: negative cost";
+    charge t stage cost;
     interfere t;
     let job = { cost; k } in
     if t.busy then Queue.add job t.jobs else start t job
 
-  let begin_chain t ?done_sched ~first_end ~unit_cost ~accepts ~on_done
-      ~on_split () =
+  let begin_chain t ?stages ?done_sched ~first_end ~unit_cost ~accepts
+      ~on_done ~on_split () =
     if not (idle t) then invalid_arg "Server.begin_chain: server not idle";
     let n = Array.length accepts in
     if n = 0 then invalid_arg "Server.begin_chain: empty train";
@@ -330,6 +352,7 @@ module Server = struct
       {
         c_first_end = first_end;
         c_unit = unit_cost;
+        c_stage = Option.map snd stages;
         c_accepts = accepts;
         c_done = on_done;
         c_split = on_split;
@@ -339,6 +362,8 @@ module Server = struct
     let now = Sim.now t.sim in
     t.batch <- Some (Chain c);
     t.busy_time <- t.busy_time + (first_end - now) + (n * unit_cost);
+    charge t (Option.map fst stages) (first_end - now);
+    charge t c.c_stage (n * unit_cost);
     let last = accepts.(n - 1) in
     (* Same-instant ties against the completion are resolved by event
        schedule order, so the completion event must be *created* when the
@@ -361,7 +386,7 @@ module Server = struct
             (Sim.schedule ~label:"sync.chain_done" t.sim ~delay:(last - now)
                (finish_chain t c))
 
-  let submit_paced t ~cost ~arrivals ~actions =
+  let submit_paced t ~stage ~cost ~arrivals ~actions =
     if cost <= 0 then invalid_arg "Server.submit_paced: non-positive cost";
     if t.batch <> None || not (Queue.is_empty t.jobs) then None
     else begin
@@ -376,9 +401,12 @@ module Server = struct
         prev := s + cost
       done;
       t.busy_time <- t.busy_time + (n * cost);
+      let p_stage = Some stage in
+      charge t p_stage (n * cost);
       let p =
         {
           p_cost = cost;
+          p_stage;
           p_arrivals = arrivals;
           p_starts = starts;
           p_actions = actions;
@@ -418,6 +446,7 @@ module Server = struct
         if keep < p.p_n then begin
           let now = Sim.now t.sim in
           t.busy_time <- t.busy_time - ((p.p_n - keep) * p.p_cost);
+          charge t p.p_stage (-(p.p_n - keep) * p.p_cost);
           p.p_n <- keep;
           (match p.p_ev with
           | Some h ->

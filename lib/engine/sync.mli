@@ -47,13 +47,16 @@ end
 (** An event-driven serial server: jobs are executed one at a time in FIFO
     order, each occupying the server for its service cost, then invoking its
     completion callback. This models hardware that processes one unit of work
-    at a time without needing a coroutine. *)
+    at a time without needing a coroutine. It is where NI occupancy is
+    accounted, once: busy time, and the virtual clock of {!Profile}. *)
 module Server : sig
   type t
 
-  val create : Sim.t -> t
+  val create : ?owner:int * string list -> Sim.t -> t
+  (** [owner] is a profile host and frame prefix: a job submitted with a
+      [stage] is charged to [host<N>;prefix;stage] from the host root. *)
 
-  val submit : t -> cost:Sim.time -> (unit -> unit) -> unit
+  val submit : t -> ?stage:string -> cost:Sim.time -> (unit -> unit) -> unit
   (** Enqueue a job taking [cost] ns of server time; [k] runs at completion.
       If a batch (below) is active it is dissolved first, so plain jobs
       always observe and produce exactly the per-cell schedule. *)
@@ -90,6 +93,7 @@ module Server : sig
 
   val begin_chain :
     t ->
+    ?stages:string * string ->
     ?done_sched:Sim.time ->
     first_end:Sim.time ->
     unit_cost:Sim.time ->
@@ -103,18 +107,19 @@ module Server : sig
       lands at [accepts.(i)]. [on_done] fires at [accepts.(n-1)] with the
       server released; [on_split] re-enters the per-cell path — it must
       truncate the train to [accepted] cells and resume from [phase],
-      calling {!resume_inflight} for the in-flight phases. Costs are
-      charged eagerly and refunded on split for exactly the units the
-      per-cell path will re-charge. [done_sched] is the instant the
-      per-cell path would have created the event performing the final
-      acceptance; the completion is trampolined through an event created
-      there so same-instant ties against it resolve as on the per-cell
-      path. *)
+      calling {!resume_inflight} for the in-flight phases. Costs (profiled
+      as the setup and unit [stages]) are charged eagerly and refunded on
+      split for exactly the units the per-cell path will re-charge.
+      [done_sched] is the instant the per-cell path would have created the
+      event performing the final acceptance; the completion is trampolined
+      through an event created there so same-instant ties against it
+      resolve as on the per-cell path. *)
 
   type paced
 
   val submit_paced :
     t ->
+    stage:string ->
     cost:Sim.time ->
     arrivals:Sim.time array ->
     actions:(unit -> unit) array ->
@@ -125,12 +130,13 @@ module Server : sig
       completion with the server held busy. Only the final action may
       submit further work. Returns [None] (caller falls back to per-cell)
       unless the queue is empty and no batch is active; the server may
-      still be finishing one plain job, which the schedule chains off. *)
+      still be finishing one plain job, which the schedule chains off. A
+      split refunds only the units still to arrive: they re-{!submit}. *)
 
   val truncate_paced : t -> paced -> keep:int -> unit
   (** The modeled train was truncated upstream: keep only the first [keep]
-      units (all strictly future) and re-arm completion. No-op if the batch
-      already dissolved. *)
+      units (all strictly future), refund the cut ones and re-arm
+      completion. No-op if the batch already dissolved. *)
 
   val resume_inflight : t -> until:Sim.time -> k:(unit -> unit) -> unit
   (** Re-arm a real in-flight job completing at [until] whose cost a split

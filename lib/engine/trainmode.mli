@@ -1,23 +1,20 @@
 (** Global gate for the cell-train fast path.
 
-    [active ()] is true when no attached observer needs to see the
-    simulation between cells. Pinning follows from what is attached:
-    trace, spans, timeseries and the wall clock of {!Profile} never pin;
-    a pcapng capture pins unless PDU sampling is on; the virtual clock of
-    {!Profile} and the flight recorder always pin. Per-site conditions —
-    fault injectors and bounded queues — are checked at the individual
-    link/NI instead, so expansion stays local to the affected hop.
+    [active ()] is false under {!force_per_cell} and while {!pinned}: only
+    a pcapng capture without PDU sampling needs to see the simulation
+    between cells. Trace, spans, timeseries, both clocks of {!Profile}
+    (the virtual one is charged per batch by {!Sync.Server}) and the
+    flight recorder ride the fast path. Per-site conditions — fault
+    injectors and bounded queues — are checked at the individual link/NI
+    instead, so expansion stays local to the affected hop.
 
-    When observers do pin, each culprit is named in a
-    [trainmode_pinned{observer}] gauge and a one-line stderr warning
-    (once per process) — never for {!force_per_cell}, which is an
-    explicit request. *)
+    A pinning capture is named in a [trainmode_pinned{observer="pcap"}]
+    gauge and a one-line stderr warning (once per process). *)
 
 val active : unit -> bool
 
-val pinned : unit -> string list
-(** The observers currently pinning the per-cell path (empty when the
-    fast path is available). [force_per_cell] is not listed. *)
+val pinned : unit -> bool
+(** A pcapng capture without PDU sampling is attached. *)
 
 val synthesizing : unit -> bool
 (** Spans or trace slices are being synthesized from committed train

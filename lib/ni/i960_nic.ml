@@ -79,15 +79,6 @@ let gather (ep : Unet.Endpoint.t) (desc : Unet.Desc.tx) =
   in
   if ep.direct_access then add_direct_prefix desc.dest_offset data else data
 
-(* i960 occupancy attributed under a per-NI subtree of the host's profile
-   root (never nested under whatever application frame happens to be open:
-   the device runs asynchronously to the host CPU). *)
-let prof t stage cost =
-  if Profile.(enabled Virtual) then
-    Profile.charge_root ~host:t.host
-      ~frames:[ "ni"; t.cfg.name; stage ]
-      cost
-
 let rec pump_next t =
   match Queue.take_opt t.txq with
   | None -> t.tx_active <- false
@@ -136,14 +127,14 @@ and process_desc t (ep : Unet.Endpoint.t) (desc : Unet.Desc.tx) =
       let deep = Sample.next_pdu () in
       match cells with
       | [ cell ] when t.cfg.single_cell_optimization ->
-          prof t "tx_single" (t.cfg.tx_single_ns + stall);
-          Sync.Server.submit t.server ~cost:(t.cfg.tx_single_ns + stall)
-            (fun () -> inject ~deep t desc cell [])
+          Sync.Server.submit t.server ~stage:"tx_single"
+            ~cost:(t.cfg.tx_single_ns + stall) (fun () ->
+              inject ~deep t desc cell [])
       | _ ->
           if deep || not (try_train t desc cells) then begin
-            prof t "tx_dma" (t.cfg.tx_fixed_ns + stall);
-            Sync.Server.submit t.server ~cost:(t.cfg.tx_fixed_ns + stall)
-              (fun () -> send_cells ~deep t desc cells)
+            Sync.Server.submit t.server ~stage:"tx_dma"
+              ~cost:(t.cfg.tx_fixed_ns + stall) (fun () ->
+                send_cells ~deep t desc cells)
           end)
 
 (* Send a multi-cell PDU as one analytically planned train (DESIGN.md §14):
@@ -185,8 +176,8 @@ and try_train t desc cells =
               accepts.(n - 1)
               - Atm.Link.cell_time (Atm.Network.uplink t.net ~host:t.host)
           in
-          Sync.Server.begin_chain t.server ~done_sched ~first_end
-            ~unit_cost:t.cfg.tx_per_cell_ns ~accepts
+          Sync.Server.begin_chain t.server ~stages:("tx_dma", "tx_cell")
+            ~done_sched ~first_end ~unit_cost:t.cfg.tx_per_cell_ns ~accepts
             ~on_done:(fun () -> chain_done t desc)
             ~on_split:(fun ~accepted ~phase ->
               chain_split t desc arr ~train ~accepted ~phase)
@@ -246,9 +237,8 @@ and chain_split t desc arr ~train ~accepted ~phase =
 and send_cells ?(deep = false) t desc = function
   | [] -> ()
   | cell :: rest ->
-      prof t "tx_cell" t.cfg.tx_per_cell_ns;
-      Sync.Server.submit t.server ~cost:t.cfg.tx_per_cell_ns (fun () ->
-          inject ~deep t desc cell rest)
+      Sync.Server.submit t.server ~stage:"tx_cell" ~cost:t.cfg.tx_per_cell_ns
+        (fun () -> inject ~deep t desc cell rest)
 
 and inject ?(deep = false) t desc cell rest =
   if Atm.Network.send t.net ~host:t.host cell then
@@ -359,15 +349,13 @@ let rx_cell_body t (cell : Atm.Cell.t) =
           t.cfg.rx_single_ns
         else t.cfg.rx_multi_fixed_ns
       in
-      prof t "rx_deliver" cost;
-      Sync.Server.submit t.server ~cost (fun () ->
+      Sync.Server.submit t.server ~stage:"rx_deliver" ~cost (fun () ->
           deliver t ?ctx cell.vci payload)
 
 let on_cell t (cell : Atm.Cell.t) =
   if cell.eop then Span.mark cell.ctx Span.Rx_cell;
-  prof t "rx_cell" t.cfg.rx_cell_ns;
-  Sync.Server.submit t.server ~cost:t.cfg.rx_cell_ns (fun () ->
-      rx_cell_body t cell)
+  Sync.Server.submit t.server ~stage:"rx_cell" ~cost:t.cfg.rx_cell_ns
+    (fun () -> rx_cell_body t cell)
 
 (* A whole train arriving at the NI: model the run of per-cell rx jobs as
    one paced batch — cell i's handling starts once it has arrived and the
@@ -375,7 +363,7 @@ let on_cell t (cell : Atm.Cell.t) =
    completion (nothing observes the reassembler in between). The EOP push
    submits the delivery job for real, exactly as the per-cell path. *)
 let on_train t train ~rx_vci ~deliveries =
-  Atm.Cell.Train.receive t.sim t.server ~cost:t.cfg.rx_cell_ns
+  Atm.Cell.Train.receive t.sim t.server ~stage:"rx_cell" ~cost:t.cfg.rx_cell_ns
     ~faulted:(t.fault <> None) train ~rx_vci ~deliveries
     ~action:(rx_cell_body t) (on_cell t)
 
@@ -388,7 +376,7 @@ let create net ~host cfg =
       net;
       host;
       cfg;
-      server = Sync.Server.create sim;
+      server = Sync.Server.create ~owner:(host, [ "ni"; cfg.name ]) sim;
       kernel = Sync.Server.create sim;
       mux = Unet.Mux.create ~host ~copy_layer:(cfg.copy_layer ^ "_rx") ();
       txq = Queue.create ();

@@ -99,15 +99,6 @@ let deliver t ?ctx vci payload =
           Metrics.Counter.inc t.m_received
       | None -> ())
 
-(* kernel-server occupancy attributed under the host root, not under
-   whatever application frame happens to be open (the receive path runs
-   asynchronously to the application) *)
-let prof t stage cost =
-  if Profile.(enabled Virtual) then
-    Profile.charge_root ~host:t.host
-      ~frames:[ "ni"; t.cfg.name; stage ]
-      cost
-
 (* The software AAL5 work for one cell, run as (or inside) a kernel job;
    [cell] already holds the host's counted PIO copy of the payload. *)
 let rx_cell_body t (cell : Atm.Cell.t) =
@@ -126,9 +117,8 @@ let rx_cell_body t (cell : Atm.Cell.t) =
       Metrics.Counter.inc t.m_errors
   | Some (Ok payload) ->
       let ctx = Atm.Aal5.Reassembler.last_ctx r in
-      prof t "rx_deliver" t.cfg.rx_fixed_ns;
-      Sync.Server.submit t.kernel ~cost:t.cfg.rx_fixed_ns (fun () ->
-          deliver t ?ctx cell.Atm.Cell.vci payload)
+      Sync.Server.submit t.kernel ~stage:"rx_deliver" ~cost:t.cfg.rx_fixed_ns
+        (fun () -> deliver t ?ctx cell.Atm.Cell.vci payload)
 
 let on_cell t (cell : Atm.Cell.t) =
   if cell.Atm.Cell.eop then Span.mark cell.Atm.Cell.ctx Span.Rx_cell;
@@ -140,17 +130,17 @@ let on_cell t (cell : Atm.Cell.t) =
   let cell =
     { cell with Atm.Cell.payload = Buf.copy ~layer:"sba100_rx_pio" cell.payload }
   in
-  prof t "rx_cell" t.cfg.rx_per_cell_ns;
-  Sync.Server.submit t.kernel ~cost:t.cfg.rx_per_cell_ns (fun () ->
-      rx_cell_body t cell)
+  Sync.Server.submit t.kernel ~stage:"rx_cell" ~cost:t.cfg.rx_per_cell_ns
+    (fun () -> rx_cell_body t cell)
 
 (* The PIO copy happens inside each paced action — at the cell's
    consumption, only for cells actually consumed — so the copy counters
    match the per-cell path even when the batch splits and the cut cells
    are re-delivered (and re-copied) for real. *)
 let on_train t train ~rx_vci ~deliveries =
-  Atm.Cell.Train.receive t.sim t.kernel ~cost:t.cfg.rx_per_cell_ns
-    ~faulted:(t.fault <> None) train ~rx_vci ~deliveries
+  Atm.Cell.Train.receive t.sim t.kernel ~stage:"rx_cell"
+    ~cost:t.cfg.rx_per_cell_ns ~faulted:(t.fault <> None) train ~rx_vci
+    ~deliveries
     ~action:(fun cell ->
       rx_cell_body t
         {
@@ -308,7 +298,7 @@ let create net ~host ~cpu ?(config = default_config) () =
       host;
       cpu;
       cfg = config;
-      kernel = Sync.Server.create sim;
+      kernel = Sync.Server.create ~owner:(host, [ "ni"; config.name ]) sim;
       mux = Unet.Mux.create ~host ~copy_layer:"sba100_rx" ();
       reasm = Hashtbl.create 16;
       fault =

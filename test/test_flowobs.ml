@@ -201,6 +201,41 @@ let path_identity () =
 (* Three senders share one egress: the backlog peaks well below capacity,
    so nothing drops — invisible to the drop counters, visible in
    atm_switch_queue_peak. *)
+(* Past capacity the ring drops its oldest records one at a time: the
+   count keeps every settled record, and the listing loses exactly the
+   oldest. *)
+let path_ring_overflow () =
+  Pathrec.start ();
+  Pathrec.clear ();
+  Fun.protect
+    ~finally:(fun () ->
+      Pathrec.stop ();
+      Pathrec.clear ())
+  @@ fun () ->
+  let n = Pathrec.capacity + 3 in
+  for i = 0 to n - 1 do
+    Pathrec.add ~settle:i
+      {
+        r_src = 0;
+        r_dst = 1;
+        r_vci = 32;
+        r_seq = i;
+        r_injected = i;
+        r_delivered = i;
+        r_hops = [||];
+      }
+  done;
+  Pathrec.fold ~now:n;
+  Alcotest.(check int) "every settled record counted" n (Pathrec.count ());
+  Alcotest.(check int) "three dropped" 3 (Pathrec.dropped ());
+  let recs = Pathrec.records () in
+  Alcotest.(check int)
+    "the ring holds capacity records" Pathrec.capacity (List.length recs);
+  Alcotest.(check bool) "the three oldest are gone" true
+    (List.for_all (fun (r : Pathrec.record) -> r.r_seq >= 3) recs);
+  Alcotest.(check bool) "oldest first" true
+    (match recs with r :: _ -> r.r_seq = 3 | [] -> false)
+
 let queue_peak_near_miss () =
   Metrics.reset ();
   let sim = Sim.create () in
@@ -311,6 +346,8 @@ let () =
         [
           Alcotest.test_case "train = per-cell under sampling" `Quick
             path_identity;
+          Alcotest.test_case "bounded ring drops the oldest" `Quick
+            path_ring_overflow;
         ] );
       ( "switch",
         [

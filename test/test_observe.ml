@@ -189,8 +189,7 @@ let observers_stay_fast () =
       Span.stop ();
       raise e
   in
-  Alcotest.(check (list string))
-    "train-granular observers pin nothing" [] (Trainmode.pinned ());
+  checkb "train-granular observers pin nothing" false (Trainmode.pinned ());
   Trace.stop ();
   Trace.clear ();
   Timeseries.stop ();
@@ -325,8 +324,7 @@ let pinned_gauge () =
   Metrics.reset ();
   Pcapng.start ();
   checkb "full pcap capture pins the slow path" false (Trainmode.active ());
-  checkb "pcap named as the culprit" true
-    (List.mem "pcap" (Trainmode.pinned ()));
+  checkb "pcap reported as pinning" true (Trainmode.pinned ());
   let dump = Metrics.to_prometheus_string () in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in

@@ -47,6 +47,27 @@ let test_charge_root () =
   checkb "nothing under the app frame" true
     (List.assoc_opt [ "host3"; "app"; "ni"; "dev" ] s = None)
 
+(* A server charges its owner's profile at submission, under the host
+   root; jobs without a stage are not profiled. *)
+let test_server_charges () =
+  with_profile @@ fun () ->
+  let sim = Sim.create () in
+  let server = Sync.Server.create ~owner:(3, [ "ni"; "dev" ]) sim in
+  Profile.push ~host:3 "app";
+  Sync.Server.submit server ~stage:"rx" ~cost:7 ignore;
+  Sync.Server.submit server ~cost:5 ignore;
+  Profile.pop ~host:3 ();
+  Sim.run sim;
+  let s = Profile.(stacks Virtual) in
+  checkb "staged job charged under the owner" true
+    (List.assoc_opt [ "host3"; "ni"; "dev"; "rx" ] s = Some 7);
+  checki "only the staged job is profiled" 7
+    (List.fold_left
+       (fun acc (path, ns) -> if List.length path > 1 then acc + ns else acc)
+       0 s);
+  checkb "nothing under the app frame" true
+    (List.for_all (fun (path, _) -> not (List.mem "app" path)) s)
+
 let test_disabled_noop () =
   Profile.(stop Virtual);
   Profile.(clear Virtual);
@@ -99,6 +120,46 @@ let balanced_run name () =
         (fun root sum ->
           checki (Printf.sprintf "%s root inclusive = elapsed" root) el sum)
         sums
+
+(* --- NI charges on the fast path -------------------------------------- *)
+
+(* [Sync.Server] charges NI occupancy per batch and refunds what a split
+   or a truncation hands back to the per-cell path, so neither the virtual
+   clock nor the flight recorder pins: the run fires the flags-off events,
+   and its folded profile equals the per-cell run's. Kernel TCP over ATM
+   with 64 KB windows at 12 MB/s splits tx chains, and both splits and
+   truncates paced rx batches, so each of the three refunds is exercised
+   (dropping any one of them changes the folded string). *)
+let test_batch_refunds () =
+  let run () =
+    let fired0 = Sim.events_fired () in
+    ignore
+      (Experiments.Common.tcp_stream ~path:Experiments.Common.Kernel_atm
+         ~window:(64 * 1024) ~total:(320 * 1024) ~app_rate_mb:12. ()
+        : float);
+    Sim.events_fired () - fired0
+  in
+  let flags_off = run () in
+  let observed per_cell =
+    Trainmode.force_per_cell per_cell;
+    Recorder.start
+      ~dir:(Filename.concat (Filename.get_temp_dir_name ()) "refunds-pm")
+      ();
+    Fun.protect
+      ~finally:(fun () ->
+        Recorder.stop ();
+        Trainmode.force_per_cell false)
+      (fun () ->
+        with_profile @@ fun () ->
+        let events = run () in
+        checki "no post-mortem" 0 (Recorder.trigger_count ());
+        (events, Profile.(to_folded_string Virtual)))
+  in
+  let events, train = observed false in
+  let per_cell_events, cell = observed true in
+  checki "profile + recorder fire the flags-off events" flags_off events;
+  checkb "the per-cell run fires more" true (per_cell_events > events);
+  Alcotest.(check string) "folded profile equals the per-cell run's" cell train
 
 (* --- timeseries sampling --------------------------------------------- *)
 
@@ -196,6 +257,8 @@ let () =
           Alcotest.test_case "push/charge/pop nesting" `Quick test_nesting;
           Alcotest.test_case "charge_root skips the stack" `Quick
             test_charge_root;
+          Alcotest.test_case "server charges its owner" `Quick
+            test_server_charges;
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
           Alcotest.test_case "underflow counted" `Quick test_underflow_counted;
         ] );
@@ -205,6 +268,8 @@ let () =
             (balanced_run "fig3");
           Alcotest.test_case "fig5: root inclusive = elapsed" `Quick
             (balanced_run "fig5");
+          Alcotest.test_case "batch refunds keep the fast path" `Quick
+            test_batch_refunds;
         ] );
       ( "timeseries",
         [
