@@ -27,28 +27,20 @@ let queue_csv_of_timeseries path =
     (Engine.Timeseries.series ());
   close_out oc
 
-let run quick per_cell trace timeseries flowstat sample_pdus sample_seed out
-    selfprof queue_csv =
+let run quick per_cell trace timeseries flowstat out selfprof queue_csv =
   if per_cell then Engine.Trainmode.force_per_cell true;
   (* Observer overhead measurement: the flags below attach train-granular
-     observers (and optionally the deterministic PDU sampler) during the
-     measured pass itself — the resulting snapshot quantifies what
-     telemetry costs on the fast path, and CI's observed smoke compares
-     its events_per_pdu against the committed flags-off baseline. The
-     default (all off) keeps the measured pass byte-compatible with the
-     baseline capture. *)
+     observers during the measured pass itself — the resulting snapshot
+     quantifies what telemetry costs on the fast path, and CI's observed
+     smoke checks its events_per_pdu equals the committed flags-off
+     baseline. The default (all off) keeps the measured pass
+     byte-compatible with the baseline capture. *)
   if trace then Engine.Trace.start ();
   if timeseries then Engine.Timeseries.start ();
   if flowstat then begin
     Atm.Flowstat.configure ();
     Engine.Pathrec.start ()
   end;
-  if sample_pdus < 0 then begin
-    Format.eprintf "--sample-pdus must be non-negative@.";
-    Stdlib.exit 2
-  end;
-  if sample_pdus > 0 then
-    Engine.Sample.configure ~n:sample_pdus ~seed:sample_seed;
   Format.printf "engine-throughput bench (%s mode)@."
     (if quick then "quick" else "full");
   let samples = Experiments.Enginebench.measure ~quick in
@@ -126,21 +118,7 @@ let flowstat =
           "Run the measured pass with per-flow accounting and per-PDU \
            path records enabled (same purpose as $(b,--trace)): both are \
            folded analytically at train commit, so CI asserts \
-           events_per_pdu stays within 2x of the flags-off baseline.")
-
-let sample_pdus =
-  Arg.(
-    value & opt int 0
-    & info [ "sample-pdus" ] ~docv:"N"
-        ~doc:
-          "Deterministically route 1 in $(docv) PDUs through the per-cell \
-           path during the measured pass (0 = off).")
-
-let sample_seed =
-  Arg.(
-    value & opt int 0x5eed
-    & info [ "sample-seed" ] ~docv:"SEED"
-        ~doc:"Seed for $(b,--sample-pdus).")
+           events_per_pdu equals the flags-off baseline.")
 
 let out =
   Arg.(
@@ -173,7 +151,7 @@ let cmd =
   Cmd.v
     (Cmd.info "enginebench" ~doc)
     Term.(
-      const run $ quick $ per_cell $ trace $ timeseries $ flowstat
-      $ sample_pdus $ sample_seed $ out $ selfprof $ queue_csv)
+      const run $ quick $ per_cell $ trace $ timeseries $ flowstat $ out
+      $ selfprof $ queue_csv)
 
 let () = Stdlib.exit (Cmd.eval' cmd)

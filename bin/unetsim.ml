@@ -264,25 +264,6 @@ let report_file =
            timeseries collection. The file has no scripts and no external \
            references.")
 
-let sample_pdus =
-  Arg.(
-    value & opt int 0
-    & info [ "sample-pdus" ] ~docv:"N"
-        ~doc:
-          "Deterministically sample 1 in $(docv) PDUs for deep inspection: \
-           sampled PDUs take the per-cell path with full span marks, trace \
-           events and pcap capture while everything else rides the cell \
-           train. The choice is a pure hash of (seed, PDU index), so the \
-           same seed picks the same PDUs on every run — including under \
-           $(b,--per-cell). 0 (the default) disables sampling; 1 samples \
-           every PDU.")
-
-let sample_seed =
-  Arg.(
-    value & opt int 0x5eed
-    & info [ "sample-seed" ] ~docv:"SEED"
-        ~doc:"Seed for $(b,--sample-pdus) (default $(b,0x5eed)).")
-
 let postmortem_dir =
   Arg.(
     value
@@ -379,7 +360,7 @@ let cmd =
     Term.(
       const (fun name exp_opt quick check out verbose trace metrics spans pcap
                  breakdown fault per_cell profile selfprof timeseries
-                 interval_us sample_n sample_seed report paths flowstat topo
+                 interval_us report paths flowstat topo
                  postmortem ->
           setup_logs verbose;
           let name = Option.value exp_opt ~default:name in
@@ -413,14 +394,6 @@ let cmd =
             Stdlib.exit 2
           end;
           Engine.Timeseries.set_interval (Engine.Sim.us interval_us);
-          if sample_n < 0 then begin
-            Format.eprintf "--sample-pdus must be non-negative@.";
-            Stdlib.exit 2
-          end;
-          (* sampling also unpins pcap: the sampled PDUs alone, which
-             take the per-cell path, feed the capture *)
-          if sample_n > 0 then
-            Engine.Sample.configure ~n:sample_n ~seed:sample_seed;
           if profile <> None || report <> None then
             Engine.Profile.(start Virtual);
           if selfprof <> None || report <> None then
@@ -442,14 +415,6 @@ let cmd =
                in --metrics output and the report sections *)
             Engine.Profile.(stop Wall);
             if breakdown then Experiments.Breakdown.print_report ();
-            if Engine.Sample.active () then begin
-              let offered = Engine.Sample.offered ()
-              and sampled = Engine.Sample.sampled () in
-              Format.printf
-                "sampled %d of %d PDUs for deep inspection (1 in %d, seed \
-                 0x%x)@."
-                sampled offered (Engine.Sample.n ()) (Engine.Sample.seed ())
-            end;
             (match trace with
             | Some path ->
                 or_fail "trace" (fun () ->
@@ -544,7 +509,6 @@ let cmd =
                       @ [
                           Engine.Report.breakdown_section ();
                           Engine.Report.sketch_section ();
-                          Engine.Report.sampling_section ();
                           Engine.Report.timeseries_section ();
                           Engine.Report.profile_section ();
                           Engine.Report.engine_section ();
@@ -567,7 +531,7 @@ let cmd =
       $ experiment $ experiment_opt $ quick $ check $ out $ verbose
       $ trace_file $ metrics_file $ spans_file $ pcap_file $ breakdown $ fault
       $ per_cell $ profile_file $ selfprof_file $ timeseries_file
-      $ sample_interval $ sample_pdus $ sample_seed
+      $ sample_interval
       $ report_file $ paths_file $ flowstat $ topology
       $ postmortem_dir)
   in

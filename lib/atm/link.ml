@@ -243,8 +243,6 @@ let queue_length t =
   if Fifo.is_empty t.hops then n
   else n + analytic_queued t ~at:(Sim.now t.sim)
 
-let busy t = t.transmitting || t.a_tail > Sim.now t.sim
-let quiet t = (not t.transmitting) && Queue.is_empty t.queue
 let pending_hops t = Fifo.length t.hops
 let set_interfere t f = t.on_interfere <- Some f
 let clear_interfere t = t.on_interfere <- None

@@ -63,14 +63,6 @@ val busy_ns_at : t -> at:Engine.Sim.time -> int
     serialization start at or before [at], real or planned, independent
     of how far the lazy fold cursors have advanced. *)
 
-val busy : t -> bool
-
-val quiet : t -> bool
-(** No real cell on the wire or in the transmit queue. Planned (train)
-    state is ignored: committed plans coexist with new plans, so a link
-    that is [quiet] can accept a train commit even while analytically
-    mid-train. The real-state half of the plan gate. *)
-
 (** {2 Train fast path (DESIGN.md §14)}
 
     Planned (analytic) transport: a whole train's acceptances, queue drops,

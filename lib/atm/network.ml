@@ -260,6 +260,12 @@ let observe_cell t si (ob : Switch.observed) =
              delivered, so retire its partial record *)
           remove_expecting tr.ft_partials ~hop
 
+(* Settle provisional path records as the run goes, as links and switches
+   fold, so the pool holds only records still ahead of the clock. Only
+   those strictly before [now]: a truncation at [now] still cuts records
+   that settle at [now]. *)
+let settle_paths ~now = Pathrec.fold ~now:(now - 1)
+
 (* Downlink delivery: the oldest fully-stamped partial is this EOP cell's
    journey; seal it into a settled-at-delivery path record. *)
 let observe_delivery t ~host (cell : Cell.t) =
@@ -275,6 +281,7 @@ let observe_delivery t ~host (cell : Cell.t) =
         | None -> ()
         | Some pa ->
             let now = Sim.now t.sim in
+            settle_paths ~now;
             Pathrec.add ~settle:now
               {
                 Pathrec.r_src = tr.ft_src;
@@ -495,34 +502,6 @@ let send t ~host cell =
   end;
   ok
 
-let in_flight t ~host =
-  check_host t host;
-  let sw, port = t.host_attach.(host) in
-  t.in_flight.(sw).(port)
-
-(* Has the per-cell backlog from [host] toward [vci]'s destination flushed
-   out of the fabric? True once every cell accepted at each stage of the
-   hop chain has settled through its switch AND every link along the route
-   has no real cell queued or on the wire — exactly the transient
-   conditions that make a train commit refuse. When the route itself
-   cannot train (no route, multi-source port, fault site) there is nothing
-   to wait for. *)
-let path_clear t ~host ~vci =
-  check_host t host;
-  let rec clear sw in_port in_vci =
-    t.in_flight.(sw).(in_port) = 0
-    &&
-    match Switch.plan_route t.switches.(sw) ~in_port ~in_vci with
-    | None -> true
-    | Some (out_port, out_vci, link) -> (
-        match t.dests.(sw).(out_port) with
-        | Some (To_switch { sw = nsw; port = nport; trunk = _ }) ->
-            Link.quiet link && clear nsw nport out_vci
-        | Some (To_host _) | None -> Link.quiet link)
-  in
-  let sw, port = t.host_attach.(host) in
-  clear sw port vci
-
 let uplink t ~host =
   check_host t host;
   t.uplinks.(host)
@@ -611,7 +590,9 @@ let observe_train t ~host ~dst ~train ~uplink ~up_plan ~legs ~deliveries =
       | Some fs, Some { ft_flow = Some fl; _ } -> Flowstat.on_train fs fl plan
       | _ -> Trainplan.no_undo);
       (match track with
-      | Some tr -> Pathrec.on_train ~seq:tr.ft_seq plan
+      | Some tr ->
+          settle_paths ~now:(Sim.now t.sim);
+          Pathrec.on_train ~seq:tr.ft_seq plan
       | None -> Trainplan.no_undo);
       Span.on_train plan ~ctx:(fun i -> (Cell.Train.cell train i).Cell.ctx);
       Trace.on_train plan;

@@ -87,22 +87,6 @@ val send : t -> host:int -> Cell.t -> bool
 (** Transmit a cell on the host's uplink. [false] if the NI output FIFO
     overflowed. *)
 
-val in_flight : t -> host:int -> int
-(** Cells sent per-cell from [host] still traversing its ingress stage
-    (accepted on the uplink, not yet settled through the first switch).
-    The train-commit gate refuses while this — or the same counter at any
-    later stage of the route — is non-zero. *)
-
-val path_clear : t -> host:int -> vci:int -> bool
-(** The transient train-commit blockers for [host] sending on [vci] are
-    gone: the in-flight count at every stage of the route is zero and no
-    link along it has a real cell queued or transmitting. A sampling NI
-    that just routed a PDU per-cell polls this before pumping its next
-    descriptor so the very next PDU can commit a train instead of being
-    squeezed per-cell behind the sampled one's backlog. Vacuously true
-    for routes that can never train (no route, multi-source port, fault
-    site). *)
-
 val uplink : t -> host:int -> Link.t
 val downlink : t -> host:int -> Link.t
 

@@ -15,6 +15,11 @@ type t =
 
 exception Parse_error of string
 
+val escape : Buffer.t -> string -> unit
+(** Append [s] escaped for use inside a JSON string literal (quotes not
+    included): quote, backslash, newline, tab and carriage return by their
+    short forms, every other control character as [\u00XX]. *)
+
 val to_string : t -> string
 val of_string : string -> t
 (** @raise Parse_error on malformed input. *)

@@ -362,26 +362,10 @@ let pp_prometheus fmt () =
 (* --- JSON dump ------------------------------------------------------- *)
 
 (* JSON escaping is stricter than the Prometheus label rules: every
-   control character must be encoded, not just newline. Label values now
+   control character must be encoded, not just newline. Label values
    carry flow identities ("src:dst:vci,vci,...") and other free-form
    strings, so the dump must stay parseable whatever bytes they hold. *)
-let json_string v =
-  let b = Buffer.create (String.length v + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '"' -> Buffer.add_string b "\\\""
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    v;
-  Buffer.add_char b '"';
-  Buffer.contents b
+let json_string v = Json.to_string (Json.Str v)
 
 let pp_json fmt () =
   flush ();

@@ -1,8 +1,9 @@
 (* Per-PDU path records (DESIGN.md §17).
 
-   The store is two pools: [pending] holds provisional records ordered by
-   settle instant (train synthesis runs at commit time, before the cells
-   exist on the wire), [settled] is a bounded FIFO of irrevocable ones.
+   The store is two pools: [pending] holds provisional records in commit
+   order with their settle instants (train synthesis runs at commit time,
+   before the cells exist on the wire), [settled] is a bounded FIFO of
+   irrevocable ones.
    Settling is what feeds the per-hop-position latency sketches, so a
    truncated train's discarded records never leave a trace — the same
    lazy-fold discipline the link and switch counters use. *)
@@ -28,22 +29,21 @@ type record = {
 let enabled_flag = ref false
 let capacity = 65_536
 
-(* provisional, most-recent-first; commit order is already settle order
-   per flow, and [fold] filters by instant, so no sort is needed *)
-let pending : (Sim.time * record) list ref = ref []
+let dummy =
+  {
+    r_src = 0;
+    r_dst = 0;
+    r_vci = 0;
+    r_seq = 0;
+    r_injected = 0;
+    r_delivered = 0;
+    r_hops = [||];
+  }
 
-let settled =
-  Fifo.create
-    ~dummy:
-      {
-        r_src = 0;
-        r_dst = 0;
-        r_vci = 0;
-        r_seq = 0;
-        r_injected = 0;
-        r_delivered = 0;
-        r_hops = [||];
-      }
+(* provisional, oldest first; commit order is already settle order per
+   flow, and [fold] filters by instant, so no sort is needed *)
+let pending = Fifo.create ~dummy:(0, dummy)
+let settled = Fifo.create ~dummy
 
 let n_settled = ref 0
 let n_dropped = ref 0
@@ -70,15 +70,14 @@ let stop () = enabled_flag := false
 let enabled () = !enabled_flag
 
 let clear () =
-  pending := [];
+  Fifo.clear pending;
   Fifo.clear settled;
   n_settled := 0;
   n_dropped := 0;
   Hashtbl.iter (fun _ s -> Metrics.Sketch.clear s) hop_sketches
 
-let add ~settle r = pending := (settle, r) :: !pending
-
-let discard r = pending := List.filter (fun (_, r') -> r' != r) !pending
+let add ~settle r = Fifo.push pending (settle, r)
+let discard r = Fifo.filter_in_place (fun (_, r') -> r' != r) pending
 
 (* One provisional record per EOP cell, stamped at the instants the
    per-cell path would: hop latency is forwarding instant minus the
@@ -151,12 +150,11 @@ let settle_one r =
   end
 
 let fold ~now =
-  if !pending <> [] then begin
-    let ready, rest = List.partition (fun (s, _) -> s <= now) !pending in
-    pending := rest;
-    (* settle in commit order (ready is most-recent-first) *)
-    List.iter (fun (_, r) -> settle_one r) (List.rev ready)
-  end
+  Fifo.filter_in_place
+    (fun (s, r) ->
+      if s <= now then settle_one r;
+      s > now)
+    pending
 
 let count () = !n_settled
 let dropped () = !n_dropped

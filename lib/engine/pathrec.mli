@@ -63,8 +63,10 @@ val on_train : seq:int ref -> Trainplan.t -> Trainplan.undo
 
 val fold : now:Sim.time -> unit
 (** Settle every provisional record with [settle <= now]. The owning
-    fabric registers this as a metrics flush so every registry read and
-    export sees settled state. *)
+    fabric folds up to just before the current instant whenever it adds
+    a record or publishes a train, so the provisional pool stays as small
+    as the traffic in flight, and registers a fold to now as a metrics
+    flush so every registry read and export sees settled state. *)
 
 val capacity : int
 (** Settled records kept; older ones are dropped, oldest first. *)

@@ -19,9 +19,7 @@ val linktype_sunatm : int
 val enabled : unit -> bool
 
 (** A full capture needs every cell on the wire, so enabling pcap pins
-    the per-cell path — unless PDU sampling is on ({!Sample}): then the
-    sampled PDUs run per-cell (and get captured) while the rest ride the
-    train path uncaptured. *)
+    the per-cell path ({!Trainmode.pinned}) for the whole run. *)
 
 val start : unit -> unit
 (** Enable capture into a fresh packet store. *)

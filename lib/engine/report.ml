@@ -362,29 +362,6 @@ let engine_section () =
     section ~title:"Engine (wall-clock self-profile)" (Buffer.contents buf)
   end
 
-let sampling_section () =
-  if not (Sample.active ()) then
-    section ~title:"Sampled deep inspection"
-      "<p class=\"muted\">PDU sampling not enabled (run with \
-       --sample-pdus)</p>"
-  else begin
-    let offered = Sample.offered () and sampled = Sample.sampled () in
-    section ~title:"Sampled deep inspection"
-      (Printf.sprintf
-         "<table><tr><th>PDUs offered</th><th>sampled</th><th>coverage</th>\
-          <th>rate</th><th>seed</th></tr>\
-          <tr><td class=\"num\">%d</td><td class=\"num\">%d</td>\
-          <td class=\"num\">%.2f%%</td><td>1 in %d</td><td>0x%x</td></tr>\
-          </table>\
-          <p class=\"muted\">sampled PDUs ride the per-cell path in full \
-          span/trace/pcap detail; the rest ride the cell train. Same seed \
-          &rarr; same sampled set, including under --per-cell.</p>"
-         offered sampled
-         (if offered = 0 then 0.
-          else 100. *. float_of_int sampled /. float_of_int offered)
-         (Sample.n ()) (Sample.seed ()))
-  end
-
 let sketch_section () =
   let s = Span.latency () in
   let n = Metrics.Sketch.count s in

@@ -50,10 +50,6 @@ val engine_section : unit -> string
 (** Wall-clock self-profile: [Profile]'s wall flamegraph, event-queue depth
     sparkline and queue lifecycle/pop-cost figures. *)
 
-val sampling_section : unit -> string
-(** Deterministic PDU-sampling coverage (offered/sampled/rate/seed), from
-    [Sample]. *)
-
 val sketch_section : unit -> string
 (** Message-latency quantiles (p50/p99/p99.9/max) from the
     [message_latency_ns] sketch fed by [Span.observe_latency]. *)

@@ -356,25 +356,13 @@ let pp_attribution fmt () =
 
 (* --- span tree JSON export ------------------------------------------ *)
 
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let add_span b s =
   Buffer.add_string b (Printf.sprintf "{\"id\":%d,\"trace_id\":%d" s.id s.trace_id);
   (match s.parent with
   | None -> ()
   | Some p -> Buffer.add_string b (Printf.sprintf ",\"parent\":%d" p));
   Buffer.add_string b ",\"name\":\"";
-  escape b s.name;
+  Json.escape b s.name;
   Buffer.add_string b (Printf.sprintf "\",\"host\":%d,\"minted\":%d" s.host s.minted);
   Buffer.add_string b ",\"marks\":{";
   let first = ref true in

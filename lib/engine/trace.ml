@@ -285,19 +285,6 @@ let events () =
 
 (* --- Chrome trace_event JSON export -------------------------------- *)
 
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 (* Chrome timestamps are microseconds; three decimals keep ns exactness. *)
 let us ns = Printf.sprintf "%.3f" (float_of_int ns /. 1_000.)
 
@@ -307,21 +294,21 @@ let add_args b args =
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_char b '"';
-      escape b k;
+      Json.escape b k;
       Buffer.add_string b "\":";
       match v with
       | Int n -> Buffer.add_string b (string_of_int n)
       | Float f -> Buffer.add_string b (Printf.sprintf "%.6g" f)
       | Str s ->
           Buffer.add_char b '"';
-          escape b s;
+          Json.escape b s;
           Buffer.add_char b '"')
     args;
   Buffer.add_char b '}'
 
 let add_event b e =
   Buffer.add_string b "{\"name\":\"";
-  escape b e.name;
+  Json.escape b e.name;
   Buffer.add_string b "\",\"cat\":\"";
   Buffer.add_string b (category_name e.cat);
   Buffer.add_string b "\",\"ph\":\"";

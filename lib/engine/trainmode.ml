@@ -7,14 +7,13 @@
    clock attributes per event window and its virtual clock is charged by
    [Sync.Server] per batch, and the flight recorder watches deliveries,
    which trains reach too; none of them pins. A pcapng capture needs every
-   cell on the wire and pins unless PDU sampling is on (then only the
-   sampled PDUs, which run per-cell anyway, are captured). Fault injectors
+   cell on the wire, in event-firing order, and pins. Fault injectors
    are per-site and are checked at each link/NI, not here, so a --fault at
    one attachment point expands only the affected hop. *)
 
 let forced = ref false
 let force_per_cell v = forced := v
-let pinned () = Pcapng.enabled () && not (Sample.active ())
+let pinned () = Pcapng.enabled ()
 let synthesizing () = Trace.enabled () || Span.enabled ()
 
 (* Pinning is easy to cause by accident (attach a full capture, silently

@@ -1,8 +1,7 @@
 (** Global gate for the cell-train fast path.
 
     [active ()] is false under {!force_per_cell} and while {!pinned}: only
-    a pcapng capture without PDU sampling needs to see the simulation
-    between cells. Trace, spans, timeseries, both clocks of {!Profile}
+    a pcapng capture needs to see the simulation between cells. Trace, spans, timeseries, both clocks of {!Profile}
     (the virtual one is charged per batch by {!Sync.Server}) and the
     flight recorder ride the fast path. Per-site conditions — fault
     injectors and bounded queues — are checked at the individual link/NI
@@ -14,7 +13,7 @@
 val active : unit -> bool
 
 val pinned : unit -> bool
-(** A pcapng capture without PDU sampling is attached. *)
+(** A pcapng capture is attached ([Pcapng.enabled ()]). *)
 
 val synthesizing : unit -> bool
 (** Spans or trace slices are being synthesized from committed train

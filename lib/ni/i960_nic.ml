@@ -120,21 +120,16 @@ and process_desc t (ep : Unet.Endpoint.t) (desc : Unet.Desc.tx) =
       if stall > 0 && Trace.enabled () then
         Trace.instant Trace.Desc "ni.dma_stall" ~tid:t.host
           ~args:[ ("ns", Trace.Int stall) ];
-      (* 1-in-N deep inspection: the index advances once per PDU, before
-         the path choice, so the sampled set is identical across
-         --per-cell; a hit vetoes the train and runs per-cell in full
-         observer detail *)
-      let deep = Sample.next_pdu () in
       match cells with
       | [ cell ] when t.cfg.single_cell_optimization ->
           Sync.Server.submit t.server ~stage:"tx_single"
             ~cost:(t.cfg.tx_single_ns + stall) (fun () ->
-              inject ~deep t desc cell [])
+              inject t desc cell [])
       | _ ->
-          if deep || not (try_train t desc cells) then begin
+          if not (try_train t desc cells) then begin
             Sync.Server.submit t.server ~stage:"tx_dma"
               ~cost:(t.cfg.tx_fixed_ns + stall) (fun () ->
-                send_cells ~deep t desc cells)
+                send_cells t desc cells)
           end)
 
 (* Send a multi-cell PDU as one analytically planned train (DESIGN.md §14):
@@ -187,12 +182,9 @@ and try_train t desc cells =
 (* The chain's last cell was accepted: identical to the last per-cell
    inject's success continuation, with the interfere hook retired before
    the pump possibly commits the next train. *)
-and chain_done t (desc : Unet.Desc.tx) =
+and chain_done t desc =
   Atm.Link.clear_interfere (Atm.Network.uplink t.net ~host:t.host);
-  desc.Unet.Desc.injected <- true;
-  t.sent <- t.sent + 1;
-  Metrics.Counter.inc t.m_sent;
-  pump_next t
+  pdu_injected t desc
 
 (* A plain job interfered with the chain: the train keeps its [accepted]
    prefix (planned state past now was just discarded by the truncation
@@ -234,16 +226,15 @@ and chain_split t desc arr ~train ~accepted ~phase =
           (Sim.schedule ~label:"ni.retry" t.sim ~delay:(!at - now) (fun () ->
                inject t desc (List.hd rest) (List.tl rest)))
 
-and send_cells ?(deep = false) t desc = function
+and send_cells t desc = function
   | [] -> ()
   | cell :: rest ->
       Sync.Server.submit t.server ~stage:"tx_cell" ~cost:t.cfg.tx_per_cell_ns
-        (fun () -> inject ~deep t desc cell rest)
+        (fun () -> inject t desc cell rest)
 
-and inject ?(deep = false) t desc cell rest =
+and inject t desc cell rest =
   if Atm.Network.send t.net ~host:t.host cell then
-    if rest = [] then pdu_injected ~deep ~vci:cell.Atm.Cell.vci t desc
-    else send_cells ~deep t desc rest
+    if rest = [] then pdu_injected t desc else send_cells t desc rest
   else
     (* NI output FIFO full: stall one cell time and retry (the i960 polls
        the FIFO level; cells are never dropped on the way out). *)
@@ -252,35 +243,13 @@ and inject ?(deep = false) t desc cell rest =
     in
     ignore
       (Sim.schedule ~label:"ni.retry" t.sim ~delay:retry_delay (fun () ->
-           inject ~deep t desc cell rest))
+           inject t desc cell rest))
 
-and pdu_injected ~deep:_ ~vci t (desc : Unet.Desc.tx) =
+and pdu_injected t (desc : Unet.Desc.tx) =
   desc.Unet.Desc.injected <- true;
   t.sent <- t.sent + 1;
   Metrics.Counter.inc t.m_sent;
-  if Sample.active () then
-    (* Under sampling, a per-cell PDU (the sampled one, or a neighbour
-       squeezed per-cell while sampled cells drain) must not de-train the
-       rest of the run. Two things block the next PDU's train commit right
-       here: this completion runs inside the last unit job's thunk with
-       the server still marked busy (the train path's idle check), and the
-       cells just injected are still in the fabric (the commit gate
-       refuses until they settle and the destination downlink goes
-       quiet). So leave the job context, then poll once per cell slot
-       until the path is clear, and only then pump. Without sampling the
-       pump stays in-thunk, byte-identical to the reference path. *)
-    ignore
-      (Sim.schedule ~label:"ni.pump" t.sim ~delay:0 (fun () ->
-           drain_pump t ~vci))
-  else pump_next t
-
-and drain_pump t ~vci =
-  if Atm.Network.path_clear t.net ~host:t.host ~vci then pump_next t
-  else
-    let ct = Atm.Link.cell_time (Atm.Network.uplink t.net ~host:t.host) in
-    ignore
-      (Sim.schedule ~label:"ni.pump" t.sim ~delay:ct (fun () ->
-           drain_pump t ~vci))
+  pump_next t
 
 let notify_tx t ep =
   Queue.add ep t.txq;

@@ -270,11 +270,7 @@ let do_send t (ep : Unet.Endpoint.t) =
                    })
                  cells)
           in
-          (* sampler index advances once per PDU, before the path choice
-             (same site as the i960 model), so the sampled set matches
-             across NI models' per-PDU sequence and across --per-cell *)
-          let deep = Sample.next_pdu () in
-          if deep || not (train_send t copied) then
+          if not (train_send t copied) then
             Array.iter
               (fun (cell : Atm.Cell.t) ->
                 Host.Cpu.charge ~layer:"ni_tx" t.cpu t.cfg.tx_per_cell_ns;

@@ -1,8 +1,8 @@
 (* Flow observability (DESIGN.md §17): Space-Saving sketch error bounds,
    exact per-hop flow tables, hostile-label escaping in the metric dumps,
    path-record byte-identity between the train fast path and the per-cell
-   reference under deterministic PDU sampling, near-miss queue-peak
-   gauges, and congestion-atlas HTML self-containment. *)
+   reference, near-miss queue-peak gauges, and congestion-atlas HTML
+   self-containment. *)
 
 open Engine
 
@@ -146,45 +146,34 @@ let metric_escaping () =
 
 (* --- path records: train fast path == per-cell reference --------------- *)
 
-(* Cross-pod round trips on a 2x2 Clos through the full NI stack, with
-   1-in-3 PDU sampling: the records synthesized from committed trains
-   plus the sampled PDUs' real per-cell stamps must equal, record for
-   record, the all-per-cell reference run. (Ping-pong traffic, like the
-   span differential in test_observe: pipelined-bandwidth pacing under
-   sampling intentionally differs across modes — the NI drains sampled
-   cells before pumping — so round trips are where byte-identity is
-   defined.) *)
+(* Cross-pod traffic on a 2x2 Clos through the full NI stack, mixing both
+   transmit paths by message size ({!Mixed}): the records synthesized from
+   committed trains plus the single-cell PDUs' real per-cell stamps must
+   equal, record for record, the all-per-cell reference run. *)
 let path_traffic forced =
   Metrics.reset ();
-  Trainmode.force_per_cell forced;
-  Sample.configure ~n:3 ~seed:0x5eed;
   Pathrec.start ();
   Pathrec.clear ();
   Fun.protect ~finally:(fun () ->
-      Trainmode.force_per_cell false;
-      Sample.configure ~n:0 ~seed:0;
       Pathrec.stop ();
       Pathrec.clear ())
   @@ fun () ->
-  ignore
-    (Experiments.Common.raw_rtt ~iters:20 ~size:1024 ~topology:clos2
-       ~pair:(0, 3) ()
-      : float);
+  let fired = Mixed.traffic ~topology:clos2 ~pair:(0, 3) ~forced () in
   Metrics.flush ();
-  (Pathrec.records (), Sample.sampled (), Sample.offered ())
+  (Pathrec.records (), fired)
 
 let path_identity () =
-  let train, train_sampled, train_offered = path_traffic false in
-  let percell, _, _ = path_traffic true in
+  let train, train_fired = path_traffic false in
+  let percell, percell_fired = path_traffic true in
   Alcotest.(check bool)
     (Printf.sprintf "records were captured (%d)" (List.length train))
     true
     (List.length train > 0);
   Alcotest.(check bool)
-    (Printf.sprintf "sampling exercised both stampers (%d of %d)" train_sampled
-       train_offered)
+    (Printf.sprintf "the train run fired fewer events (%d vs %d)" train_fired
+       percell_fired)
     true
-    (train_sampled > 0 && train_sampled < train_offered);
+    (train_fired < percell_fired);
   Alcotest.(check bool)
     "every hop chain crosses 3 stages with positive latencies" true
     (List.for_all
@@ -195,6 +184,25 @@ let path_identity () =
        train);
   Alcotest.(check bool) "train records = per-cell records" true
     (train = percell)
+
+(* Provisional records settle as the run goes, not only when the registry
+   is read, so the pool holds just the traffic in flight. *)
+let path_settle_eagerly () =
+  Metrics.reset ();
+  Pathrec.start ();
+  Pathrec.clear ();
+  Fun.protect ~finally:(fun () ->
+      Pathrec.stop ();
+      Pathrec.clear ())
+  @@ fun () ->
+  ignore (Experiments.Common.raw_rtt ~size:1024 () : float);
+  let live = Pathrec.count () in
+  Metrics.flush ();
+  let total = Pathrec.count () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d records settled before the flush" live total)
+    true
+    (total > 0 && live * 100 >= total * 95)
 
 (* --- near-miss queue peaks --------------------------------------------- *)
 
@@ -344,10 +352,12 @@ let () =
         ] );
       ( "pathrec",
         [
-          Alcotest.test_case "train = per-cell under sampling" `Quick
+          Alcotest.test_case "train = per-cell, mixed sizes" `Quick
             path_identity;
           Alcotest.test_case "bounded ring drops the oldest" `Quick
             path_ring_overflow;
+          Alcotest.test_case "records settle during the run" `Quick
+            path_settle_eagerly;
         ] );
       ( "switch",
         [

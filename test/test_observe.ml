@@ -1,74 +1,11 @@
-(* Fast-path-compatible telemetry (DESIGN.md §15): the deterministic PDU
-   sampler, the latency sketch, and the guarantee that train-granular
-   observers neither pin the per-cell slow path nor change what they
-   report. *)
+(* Fast-path-compatible telemetry (DESIGN.md §15): the latency sketch,
+   and the guarantee that train-granular observers neither pin the
+   per-cell slow path nor change what they report. *)
 
 open Engine
 
 let checkb name expected got = Alcotest.(check bool) name expected got
 let checki name expected got = Alcotest.(check int) name expected got
-
-(* --- deterministic 1-in-N sampling ------------------------------------ *)
-
-let sampled_set ~n ~seed count =
-  List.filter (Sample.decide ~seed ~n) (List.init count Fun.id)
-
-let sampler_pure () =
-  (* membership is a pure function of (seed, n, index) *)
-  Alcotest.(check (list int))
-    "same seed, same set"
-    (sampled_set ~n:64 ~seed:0x5eed 4096)
-    (sampled_set ~n:64 ~seed:0x5eed 4096);
-  checkb "different seeds give different sets" false
-    (sampled_set ~n:64 ~seed:1 4096 = sampled_set ~n:64 ~seed:2 4096);
-  (* density: 4096 indices at 1-in-64 should select about 64 *)
-  let k = List.length (sampled_set ~n:64 ~seed:0x5eed 4096) in
-  checkb (Printf.sprintf "1-in-64 density sane (%d of 4096)" k) true
-    (k >= 24 && k <= 160)
-
-let sampler_stream () =
-  Sample.configure ~n:16 ~seed:42;
-  let want = List.init 1000 (Sample.decide ~seed:42 ~n:16) in
-  let got = List.init 1000 (fun _ -> Sample.next_pdu ()) in
-  Alcotest.(check (list bool)) "next_pdu = decide over the index stream" want
-    got;
-  checki "offered counts every PDU" 1000 (Sample.offered ());
-  checki "sampled counts the hits"
-    (List.length (List.filter Fun.id want))
-    (Sample.sampled ());
-  (* reset restarts the index: the stream replays identically *)
-  Sample.reset ();
-  let again = List.init 1000 (fun _ -> Sample.next_pdu ()) in
-  Alcotest.(check (list bool)) "reset replays the same set" want again;
-  Sample.configure ~n:0 ~seed:0
-
-(* The sampled set must be the same whether the unsampled PDUs ride
-   trains or the forced per-cell path: the NI offers every descriptor to
-   the sampler before choosing a path, so the index stream is
-   mode-independent. *)
-let sampler_cross_mode () =
-  let run forced =
-    Metrics.reset ();
-    Trainmode.force_per_cell forced;
-    Sample.configure ~n:8 ~seed:7;
-    (try
-       ignore
-         (Experiments.Common.raw_bandwidth ~count:40 ~size:5056 () : float)
-     with e ->
-       Trainmode.force_per_cell false;
-       raise e);
-    Trainmode.force_per_cell false;
-    let r = (Sample.offered (), Sample.sampled ()) in
-    Sample.configure ~n:0 ~seed:0;
-    r
-  in
-  let t_off, t_hit = run false in
-  let p_off, p_hit = run true in
-  checki "same PDUs offered across modes" t_off p_off;
-  checki "same PDUs sampled across modes" t_hit p_hit;
-  checki "every descriptor offered exactly once" 40 t_off;
-  checkb (Printf.sprintf "sampling engaged (%d of %d)" t_hit t_off) true
-    (t_hit > 0)
 
 (* --- latency sketch --------------------------------------------------- *)
 
@@ -138,31 +75,29 @@ let span_fingerprint () =
                  all_marks)))
   |> String.concat "\n"
 
-(* With sampling on, sampled PDUs take the per-cell path (real marks) and
-   the rest ride trains (marks synthesized from plan records): the whole
-   span dump must still be byte-identical to the forced per-cell run,
-   where every mark is stamped by a real event. *)
+(* Single-cell PDUs take the per-cell path (real marks) and the larger
+   ones ride trains (marks synthesized from plan records): the whole span
+   dump must still be byte-identical to the forced per-cell run, where
+   every mark is stamped by a real event. *)
 let spans_identical_across_modes () =
   let run forced =
     Metrics.reset ();
     Span.clear ();
     Span.start ();
-    Trainmode.force_per_cell forced;
-    Sample.configure ~n:3 ~seed:0x5eed;
-    (try ignore (Experiments.Common.raw_rtt ~iters:20 ~size:1024 () : float)
-     with e ->
-       Trainmode.force_per_cell false;
-       raise e);
-    Trainmode.force_per_cell false;
-    Sample.configure ~n:0 ~seed:0;
+    let fired = Mixed.traffic ~forced () in
     let fp = span_fingerprint () in
     Span.stop ();
     Span.clear ();
-    fp
+    (fp, fired)
   in
-  let train = run false in
-  let percell = run true in
+  let train, train_fired = run false in
+  let percell, percell_fired = run true in
   checkb "spans were collected" true (String.length train > 0);
+  checkb
+    (Printf.sprintf "the train run fired fewer events (%d vs %d)" train_fired
+       percell_fired)
+    true
+    (train_fired < percell_fired);
   Alcotest.(check string) "span milestones train = per-cell" percell train
 
 (* --- observers keep the fast path engaged ----------------------------- *)
@@ -226,7 +161,7 @@ let timeseries_drop_counter () =
   Timeseries.clear ();
   Timeseries.set_interval 10_000
 
-(* --- registry and sampler at fabric scale ------------------------------- *)
+(* --- registry at fabric scale ------------------------------- *)
 
 (* A fabric registers thousands of label sets per family: lookup must not
    depend on their number, re-registration must return the same
@@ -335,26 +270,17 @@ let pinned_gauge () =
   in
   checkb "trainmode_pinned{observer=pcap} gauge set" true
     (contains dump "trainmode_pinned" && contains dump "observer=\"pcap\"");
-  Sample.configure ~n:64 ~seed:0x5eed;
-  checkb "with PDU sampling, fast path re-engages" true (Trainmode.active ());
-  Sample.configure ~n:0 ~seed:0;
   Pcapng.stop ();
   Pcapng.clear ()
 
 let () =
   Alcotest.run "observe"
     [
-      ( "sampler",
-        [
-          Alcotest.test_case "pure membership" `Quick sampler_pure;
-          Alcotest.test_case "stream matches decide" `Quick sampler_stream;
-          Alcotest.test_case "mode-independent" `Slow sampler_cross_mode;
-        ] );
       ( "sketch",
         [ Alcotest.test_case "quantile error bounds" `Quick sketch_bounds ] );
       ( "spans",
         [
-          Alcotest.test_case "train = per-cell with sampling" `Slow
+          Alcotest.test_case "train = per-cell, mixed sizes" `Slow
             spans_identical_across_modes;
         ] );
       ( "fast-path",
