@@ -32,8 +32,12 @@ let segment ?ctx ~vci payload =
   in
   Bytes.set_int32_be tail (tail_len - 4) crc;
   let pdu = Buf.append payload (Buf.of_bytes tail) in
+  (* one tag shared by the PDU's cells *)
+  let tag =
+    match ctx with None -> None | Some _ -> Some { Cell.ctx; path = None }
+  in
   List.init ncells (fun i ->
-      Cell.make ?ctx ~vci ~eop:(i = ncells - 1)
+      Cell.make ?tag ~vci ~eop:(i = ncells - 1)
         (Buf.sub pdu ~pos:(i * Cell.payload_size) ~len:Cell.payload_size))
 
 type error = Crc_mismatch | Length_mismatch | Too_long
@@ -114,14 +118,14 @@ module Reassembler = struct
     if t.got + Cell.payload_size > max_pdu_bytes then begin
       t.cells <- [];
       t.got <- 0;
-      t.last_ctx <- cell.ctx;
+      t.last_ctx <- cell.tag.ctx;
       Some (discard t Too_long)
     end
     else begin
       t.cells <- cell.payload :: t.cells;
       t.got <- t.got + Cell.payload_size;
       if cell.eop then begin
-        t.last_ctx <- cell.ctx;
+        t.last_ctx <- cell.tag.ctx;
         Some (finish t)
       end
       else None

@@ -1,22 +1,23 @@
-type t = {
-  vci : int;
-  eop : bool;
-  payload : Engine.Buf.t;
+type tag = {
   ctx : Engine.Span.ctx option;
+  path : Engine.Pathrec.journey option;
 }
+
+type t = { vci : int; eop : bool; payload : Engine.Buf.t; tag : tag }
 
 let header_size = 5
 let payload_size = 48
 let on_wire_size = header_size + payload_size
+let untagged = { ctx = None; path = None }
 
-let make ?ctx ~vci ~eop payload =
+let make ?(tag = untagged) ~vci ~eop payload =
   if Engine.Buf.length payload <> payload_size then
     invalid_arg
       (Printf.sprintf "Cell.make: payload must be %d bytes, got %d"
          payload_size
          (Engine.Buf.length payload));
   if vci < 0 then invalid_arg "Cell.make: negative VCI";
-  { vci; eop; payload; ctx }
+  { vci; eop; payload; tag }
 
 let with_vci t vci = { t with vci }
 

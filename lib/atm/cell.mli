@@ -2,22 +2,33 @@
     bytes on the wire — a 5-byte header (of which we model the VCI and the
     PTI end-of-packet bit used by AAL5) and a 48-byte payload. *)
 
+type tag = {
+  ctx : Engine.Span.ctx option;
+      (** span context of the CS-PDU the cell was segmented from *)
+  path : Engine.Pathrec.journey option;
+      (** on an EOP cell sent per-cell with path records on: the PDU's
+          path record in the making, stamped by each stage's route and
+          sealed at delivery (DESIGN.md §17) *)
+}
+(** Observation state riding a cell through links and switches. The cells
+    of a PDU share one, and {!untagged} when nothing observes them, so the
+    carrier widens no cell. *)
+
 type t = {
   vci : int;  (** virtual channel identifier *)
   eop : bool;  (** PTI "end of AAL5 PDU" marker *)
   payload : Engine.Buf.t;
       (** exactly {!payload_size} bytes; usually a zero-copy view into the
           CS-PDU it was segmented from *)
-  ctx : Engine.Span.ctx option;
-      (** span context of the CS-PDU this cell was segmented from; rides
-          the cell through links and switches for causal tracing *)
+  tag : tag;
 }
 
 val header_size : int (* 5 *)
 val payload_size : int (* 48 *)
 val on_wire_size : int (* 53 *)
+val untagged : tag
 
-val make : ?ctx:Engine.Span.ctx -> vci:int -> eop:bool -> Engine.Buf.t -> t
+val make : ?tag:tag -> vci:int -> eop:bool -> Engine.Buf.t -> t
 (** Raises [Invalid_argument] unless the payload is exactly 48 bytes. *)
 
 val with_vci : t -> int -> t

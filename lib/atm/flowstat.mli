@@ -12,11 +12,11 @@
     a Space-Saving top-[k] heavy-hitter sketch of bytes offered at the
     ingress stage, whose estimates obey [est >= true >= est - err].
 
-    Enabling is global ({!configure}), like fault injection and PDU
-    sampling: each {!Network.create_topo} builds a per-fabric instance
-    when active. Accounting is observational only — per-cell counting
-    piggybacks existing switch events and train commits fold whole trains
-    in O(stages) — so it never pins the train fast path. *)
+    Enabling is global ({!configure}), like fault injection: each
+    {!Network.create_topo} builds a per-fabric instance when active.
+    Accounting is observational only — per-cell counting rides each
+    stage's route entry and train commits fold whole trains in
+    O(stages) — so it never pins the train fast path. *)
 
 (** {2 Space-Saving top-K} *)
 

@@ -521,7 +521,7 @@ let capture_fault cell =
 let drop_cell t ~kind (cell : Cell.t) =
   t.dropped <- t.dropped + 1;
   Metrics.Counter.inc t.m_dropped;
-  Span.mark cell.Cell.ctx Span.Dropped;
+  Span.mark cell.Cell.tag.ctx Span.Dropped;
   capture_fault cell;
   if Trace.enabled () then
     Trace.instant Trace.Cell "link.loss"
@@ -590,7 +590,7 @@ let rec transmit t cell =
   (* serialization starts now: for the EOP cell this separates switch /
      queue wait from wire time in the span breakdown (marks replace, so
      the last link the cell crosses wins) *)
-  if cell.Cell.eop then Span.mark cell.Cell.ctx Span.Link_tx;
+  if cell.Cell.eop then Span.mark cell.Cell.tag.ctx Span.Link_tx;
   t.transmitting <- true;
   t.busy_ns <- t.busy_ns + t.cell_time;
   Sim.schedule_drop ~label:"link.tx_cell" t.sim ~delay:t.cell_time (fun () ->
@@ -620,7 +620,7 @@ let bridge_send t (cell : Cell.t) =
     let start = if tail > now then tail else now in
     if start > now then
       Metrics.Gauge.set_max t.m_queue_hw (float_of_int (queued + 1))
-    else if cell.Cell.eop then Span.mark cell.Cell.ctx Span.Link_tx;
+    else if cell.Cell.eop then Span.mark cell.Cell.tag.ctx Span.Link_tx;
     let pl =
       {
         pl_accepts = [| now |];

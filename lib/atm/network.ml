@@ -116,33 +116,14 @@ let elaborate = function
 type dest = To_host of int | To_switch of { sw : int; port : int; trunk : int }
 
 (* Flow-observability bookkeeping (DESIGN.md §17), one per installed route
-   direction. Kept only while flow accounting or path records are active:
-   per-flow PDU sequence numbers and, for path records, the FIFO of
-   partially-stamped per-cell journeys (single-source routing makes wire
-   order per flow total, so the oldest partial expecting stage [j] is the
-   one an EOP cell observed at stage [j] belongs to). *)
+   direction, kept only while flow accounting or path records are active.
+   The per-cell observers need no lookup: each stage's route entry holds a
+   closure over the track, and an EOP cell carries its own path record. *)
 type ftrack = {
-  ft_src : int;
   ft_dst : int;
-  ft_vci : int; (* uplink (sender-side) VCI *)
-  ft_rx_vci : int; (* downlink VCI, for disconnect cleanup *)
-  ft_stages : int; (* switch stages the route crosses *)
   ft_flow : Flowstat.flow option; (* when flow accounting is active *)
   ft_seq : int ref; (* next per-flow PDU sequence number *)
-  ft_partials : partial Fifo.t; (* oldest first *)
 }
-
-and partial = {
-  pa_seq : int;
-  pa_injected : Sim.time;
-  mutable pa_last : Sim.time; (* previous forwarding (or injection) instant *)
-  mutable pa_hops : Pathrec.hop list; (* most-recent-first *)
-  mutable pa_nhops : int; (* length of [pa_hops] *)
-}
-
-(* fills the unused slots of [ft_partials]; never expects a hop *)
-let no_partial =
-  { pa_seq = -1; pa_injected = 0; pa_last = 0; pa_hops = []; pa_nhops = -1 }
 
 type t = {
   sim : Sim.t;
@@ -174,9 +155,9 @@ type t = {
        Cells killed by an ingress loss or fault site never settle and pin
        the counter, which only disables commits through a stage whose
        ingress link refuses plans anyway. *)
-  conn_hops : (int * int, (int * int * int) list) Hashtbl.t;
-    (* (src host, tx VCI) -> per-stage (switch, in port, in VCI), the
-       route-table entries a disconnect must remove *)
+  conn_hops : (int * int, (int * int * int * int * int) list) Hashtbl.t;
+    (* (src host, tx VCI) -> per-stage (switch, in port, in VCI, out port,
+       out VCI), the route-table entries a disconnect must remove *)
   undeliverable : (int, Metrics.Counter.t) Hashtbl.t;
     (* lazily-created per-host counters; see [undeliverable_cell] *)
   obs_on : bool;
@@ -184,9 +165,6 @@ type t = {
        every §17 hook so flags-off runs add no per-cell work *)
   flowstat : Flowstat.t option;
   tracks : (int * int, ftrack) Hashtbl.t; (* (src host, tx VCI) *)
-  hop_map : (int * int * int, ftrack * int) Hashtbl.t;
-    (* (switch, in port, in VCI) -> (track, hop index) *)
-  rx_map : (int * int, ftrack) Hashtbl.t; (* (dst host, rx VCI) *)
 }
 
 (* Count cells that reach a downlink whose host never attached a receive
@@ -209,89 +187,26 @@ let undeliverable_cell t ~host (cell : Cell.t) =
         c
   in
   Metrics.Counter.inc c;
-  Span.mark cell.Cell.ctx Span.Dropped
+  Span.mark cell.Cell.tag.ctx Span.Dropped
 
 (* --- flow observability hooks (DESIGN.md §17) ------------------------- *)
 
-(* Attach stage [hop]'s entry to the oldest partial journey expecting it
-   (|pa_hops| = hop); wire order per flow is total, so FIFO matching is
-   exact on a loss-free path. An injected fault that eats a cell inside a
-   link leaves a stale partial behind, which can shift attribution of the
-   flow's later records — drops decided *at the switch* are matched and
-   cleaned up precisely. *)
-let attach_hop partials ~now ~hop ~mk =
-  match Fifo.find_first (fun pa -> pa.pa_nhops = hop) partials with
-  | None -> ()
-  | Some pa ->
-      pa.pa_hops <- mk ~latency:(now - pa.pa_last) :: pa.pa_hops;
-      pa.pa_nhops <- hop + 1;
-      pa.pa_last <- now
-
-let remove_expecting partials ~hop =
-  ignore (Fifo.remove_first (fun pa -> pa.pa_nhops = hop) partials)
-
-(* Per-cell switch observer: count the cell into its flow's stage-[hop]
-   accounting and, for an EOP cell with path records on, stamp the hop
-   onto the PDU's partial record at the real forwarding instant. *)
-let observe_cell t si (ob : Switch.observed) =
-  match
-    Hashtbl.find_opt t.hop_map (si, ob.Switch.ob_in_port, ob.Switch.ob_in_vci)
-  with
-  | None -> ()
-  | Some (tr, hop) ->
-      (match (t.flowstat, tr.ft_flow) with
-      | Some fs, Some fl ->
-          if ob.Switch.ob_forwarded then Flowstat.count fs fl ~hop ~cells:1
-          else Flowstat.drop fs fl ~hop
-      | _ -> ());
-      if ob.Switch.ob_eop && Pathrec.enabled () then
-        if ob.Switch.ob_forwarded then
-          attach_hop tr.ft_partials ~now:(Sim.now t.sim) ~hop
-            ~mk:(fun ~latency ->
-              {
-                Pathrec.h_stage = si;
-                h_in_port = ob.Switch.ob_in_port;
-                h_out_port = ob.Switch.ob_out_port;
-                h_queue = ob.Switch.ob_queue;
-                h_latency_ns = latency;
-              })
-        else
-          (* the PDU's EOP cell died at this stage: it will never be
-             delivered, so retire its partial record *)
-          remove_expecting tr.ft_partials ~hop
-
-(* Settle provisional path records as the run goes, as links and switches
-   fold, so the pool holds only records still ahead of the clock. Only
-   those strictly before [now]: a truncation at [now] still cuts records
-   that settle at [now]. *)
-let settle_paths ~now = Pathrec.fold ~now:(now - 1)
-
-(* Downlink delivery: the oldest fully-stamped partial is this EOP cell's
-   journey; seal it into a settled-at-delivery path record. *)
-let observe_delivery t ~host (cell : Cell.t) =
-  if cell.Cell.eop && Pathrec.enabled () then
-    match Hashtbl.find_opt t.rx_map (host, cell.Cell.vci) with
+(* Per-cell observer of a flow's stage [hop] (switch [sw]), riding that
+   stage's route entry: count the cell into the flow's accounting and,
+   for an EOP cell carrying a path record, stamp the hop at the real
+   forwarding instant. *)
+let observe_hop t ~hop ~sw ~in_port ~out_port tr cell ~queue ~forwarded =
+  (match (t.flowstat, tr.ft_flow) with
+  | Some fs, Some fl ->
+      if forwarded then Flowstat.count fs fl ~hop ~cells:1
+      else Flowstat.drop fs fl ~hop
+  | _ -> ());
+  if forwarded then
+    match cell.Cell.tag.path with
+    | Some j ->
+        Pathrec.stamp j ~hop ~stage:sw ~in_port ~out_port ~queue
+          ~now:(Sim.now t.sim)
     | None -> ()
-    | Some tr ->
-        (match
-           Fifo.remove_first
-             (fun pa -> pa.pa_nhops = tr.ft_stages)
-             tr.ft_partials
-         with
-        | None -> ()
-        | Some pa ->
-            let now = Sim.now t.sim in
-            settle_paths ~now;
-            Pathrec.add ~settle:now
-              {
-                Pathrec.r_src = tr.ft_src;
-                r_dst = tr.ft_dst;
-                r_vci = tr.ft_vci;
-                r_seq = pa.pa_seq;
-                r_injected = pa.pa_injected;
-                r_delivered = now;
-                r_hops = Array.of_list (List.rev pa.pa_hops);
-              })
 
 (* One injector per attachment point — per access-link direction per host,
    per switch output port per stage — so each has its own seed-derived
@@ -399,17 +314,11 @@ let create_topo sim ~topology config =
       obs_on = Flowstat.active () || Pathrec.enabled ();
       flowstat = (if Flowstat.active () then Some (Flowstat.create ()) else None);
       tracks = Hashtbl.create 64;
-      hop_map = Hashtbl.create 64;
-      rx_map = Hashtbl.create 64;
     }
   in
-  if t.obs_on then begin
+  if t.obs_on then
     (* settle provisional path records no later than any registry read *)
     Metrics.register_flush (fun () -> Pathrec.fold ~now:(Sim.now sim));
-    Array.iteri
-      (fun si sw -> Switch.set_observer sw (fun ob -> observe_cell t si ob))
-      switches
-  end;
   Array.iteri
     (fun si sw ->
       Switch.set_on_settled sw (fun ~in_port ->
@@ -424,7 +333,9 @@ let create_topo sim ~topology config =
         t.in_flight.(sw).(port) <- t.in_flight.(sw).(port) + 1);
     Switch.attach_output switches.(sw) ~port downlinks.(h);
     Link.set_receiver downlinks.(h) (fun cell ->
-        if t.obs_on then observe_delivery t ~host:h cell;
+        (match cell.Cell.tag.path with
+        | Some j -> Pathrec.deliver j ~now:(Sim.now sim)
+        | None -> ());
         match t.rx_handlers.(h) with
         | Some f -> f cell
         | None -> undeliverable_cell t ~host:h cell)
@@ -472,35 +383,39 @@ let capture_cell ~host cell =
 
 let send t ~host cell =
   check_host t host;
-  if cell.Cell.eop then Span.mark cell.Cell.ctx Span.Injected;
+  if cell.Cell.eop then Span.mark cell.Cell.tag.ctx Span.Injected;
   capture_cell ~host cell;
   (* the uplink's on_accept hook counts the cell into the ingress port's
      in-flight gate *)
-  let ok = Link.send t.uplinks.(host) cell in
-  if t.obs_on then begin
-    match Hashtbl.find_opt t.tracks (host, cell.Cell.vci) with
-    | None -> ()
-    | Some tr ->
-        if not ok then (
+  let uplink = t.uplinks.(host) in
+  match
+    if t.obs_on then Hashtbl.find_opt t.tracks (host, cell.Cell.vci) else None
+  with
+  | None -> Link.send uplink cell
+  | Some tr ->
+      (* an EOP cell carries its path record from here on *)
+      let path =
+        if cell.Cell.eop && Pathrec.enabled () then
+          Some
+            (Pathrec.inject ~src:host ~dst:tr.ft_dst ~vci:cell.Cell.vci
+               ~now:(Sim.now t.sim))
+        else None
+      in
+      let ok =
+        Link.send uplink
+          (if Option.is_none path then cell
+           else { cell with tag = { cell.tag with path } })
+      in
+      (match (ok, path, t.flowstat, tr.ft_flow) with
+      | true, Some j, _, _ ->
+          (* numbered only now: a train truncation inside [Link.send] can
+             hand sequence numbers back *)
+          Pathrec.number j ~seq:tr.ft_seq
+      | false, _, Some fs, Some fl ->
           (* the host TX FIFO refused the cell bound for stage 0 *)
-          match (t.flowstat, tr.ft_flow) with
-          | Some fs, Some fl -> Flowstat.drop fs fl ~hop:0
-          | _ -> ())
-        else if cell.Cell.eop && Pathrec.enabled () then begin
-          let seq = !(tr.ft_seq) in
-          incr tr.ft_seq;
-          let now = Sim.now t.sim in
-          Fifo.push tr.ft_partials
-            {
-              pa_seq = seq;
-              pa_injected = now;
-              pa_last = now;
-              pa_hops = [];
-              pa_nhops = 0;
-            }
-        end
-  end;
-  ok
+          Flowstat.drop fs fl ~hop:0
+      | _ -> ());
+      ok
 
 let uplink t ~host =
   check_host t host;
@@ -590,11 +505,10 @@ let observe_train t ~host ~dst ~train ~uplink ~up_plan ~legs ~deliveries =
       | Some fs, Some { ft_flow = Some fl; _ } -> Flowstat.on_train fs fl plan
       | _ -> Trainplan.no_undo);
       (match track with
-      | Some tr ->
-          settle_paths ~now:(Sim.now t.sim);
-          Pathrec.on_train ~seq:tr.ft_seq plan
+      | Some tr -> Pathrec.on_train ~now:(Sim.now t.sim) ~seq:tr.ft_seq plan
       | None -> Trainplan.no_undo);
-      Span.on_train plan ~ctx:(fun i -> (Cell.Train.cell train i).Cell.ctx);
+      Span.on_train plan ~ctx:(fun i ->
+          (Cell.Train.cell train i).Cell.tag.ctx);
       Trace.on_train plan;
     ]
 
@@ -808,51 +722,45 @@ let trunk_toward t sw ~next_sw ~next_port =
 (* Install one direction of a connection: allocate the sender's uplink VCI,
    remap it through a fresh VCI on each trunk of the hop chain, and land on
    a fresh VCI on the receiver's downlink. Records the per-stage route-table
-   keys for disconnect. *)
+   keys for disconnect. With flow accounting or path records on, each
+   stage's route entry carries that stage's observer. *)
 let install_route t ~src ~dst =
   let hops = route_hops t ~src ~dst in
   let tx_vci = alloc_vci "uplink" t.next_tx_vci src in
-  let rec walk hops in_vci acc =
+  (* VCI allocation first: the flow's label names the whole chain *)
+  let rec alloc hops in_vci acc =
     match hops with
     | [] -> assert false
     | [ (sw, in_port) ] ->
         let _, out_port = t.host_attach.(dst) in
         let rx_vci = alloc_vci "downlink" t.next_rx_vci dst in
-        Switch.add_route t.switches.(sw) ~in_port ~in_vci ~out_port
-          ~out_vci:rx_vci;
-        (List.rev ((sw, in_port, in_vci) :: acc), rx_vci)
+        (List.rev ((sw, in_port, in_vci, out_port, rx_vci) :: acc), rx_vci)
     | (sw, in_port) :: ((next_sw, next_port) :: _ as rest) ->
         let out_port, trunk = trunk_toward t sw ~next_sw ~next_port in
         let out_vci = alloc_vci "trunk" t.next_trunk_vci trunk in
-        Switch.add_route t.switches.(sw) ~in_port ~in_vci ~out_port ~out_vci;
-        walk rest out_vci ((sw, in_port, in_vci) :: acc)
+        alloc rest out_vci ((sw, in_port, in_vci, out_port, out_vci) :: acc)
   in
-  let stages, rx_vci = walk hops tx_vci [] in
+  let stages, rx_vci = alloc hops tx_vci [] in
+  let track =
+    if not t.obs_on then None
+    else
+      let vcis = Array.of_list (List.map (fun (_, _, v, _, _) -> v) stages) in
+      let fl =
+        Option.map (fun fs -> Flowstat.register fs ~src ~dst ~vcis) t.flowstat
+      in
+      let tr = { ft_dst = dst; ft_flow = fl; ft_seq = ref 0 } in
+      Hashtbl.replace t.tracks (src, tx_vci) tr;
+      Some tr
+  in
+  List.iteri
+    (fun hop (sw, in_port, in_vci, out_port, out_vci) ->
+      let observe =
+        Option.map (observe_hop t ~hop ~sw ~in_port ~out_port) track
+      in
+      Switch.add_route ?observe t.switches.(sw) ~in_port ~in_vci ~out_port
+        ~out_vci)
+    stages;
   Hashtbl.replace t.conn_hops (src, tx_vci) stages;
-  if t.obs_on then begin
-    let vcis = Array.of_list (List.map (fun (_, _, v) -> v) stages) in
-    let fl =
-      Option.map (fun fs -> Flowstat.register fs ~src ~dst ~vcis) t.flowstat
-    in
-    let tr =
-      {
-        ft_src = src;
-        ft_dst = dst;
-        ft_vci = tx_vci;
-        ft_rx_vci = rx_vci;
-        ft_stages = Array.length vcis;
-        ft_flow = fl;
-        ft_seq = ref 0;
-        ft_partials = Fifo.create ~dummy:no_partial;
-      }
-    in
-    Hashtbl.replace t.tracks (src, tx_vci) tr;
-    List.iteri
-      (fun j (sw, in_port, in_vci) ->
-        Hashtbl.replace t.hop_map (sw, in_port, in_vci) (tr, j))
-      stages;
-    Hashtbl.replace t.rx_map (dst, rx_vci) tr
-  end;
   (tx_vci, rx_vci)
 
 let connect t ~a ~b =
@@ -873,19 +781,14 @@ let disconnect t conn =
     (match Hashtbl.find_opt t.conn_hops (host, vci) with
     | Some stages ->
         List.iter
-          (fun (sw, in_port, in_vci) ->
-            Switch.remove_route t.switches.(sw) ~in_port ~in_vci;
-            Hashtbl.remove t.hop_map (sw, in_port, in_vci))
+          (fun (sw, in_port, in_vci, _, _) ->
+            Switch.remove_route t.switches.(sw) ~in_port ~in_vci)
           stages;
         Hashtbl.remove t.conn_hops (host, vci)
     | None ->
         let sw, port = t.host_attach.(host) in
         Switch.remove_route t.switches.(sw) ~in_port:port ~in_vci:vci);
-    match Hashtbl.find_opt t.tracks (host, vci) with
-    | Some tr ->
-        Hashtbl.remove t.rx_map (tr.ft_dst, tr.ft_rx_vci);
-        Hashtbl.remove t.tracks (host, vci)
-    | None -> ()
+    Hashtbl.remove t.tracks (host, vci)
   in
   side conn.host_a conn.side_a.tx_vci;
   side conn.host_b conn.side_b.tx_vci

@@ -6,7 +6,7 @@ type t = {
   transit : Sim.time;
   output_queue_capacity : int;
   outputs : Link.t option array;
-  routes : (int * int, int * int) Hashtbl.t; (* (in_port, in_vci) -> (out_port, out_vci) *)
+  routes : (int * int, route) Hashtbl.t; (* keyed by (in_port, in_vci) *)
   sources : (int, int) Hashtbl.t array;
       (* per output port: in_port -> number of routes from it, zero counts
          removed, so an output port is single-source iff its table has
@@ -35,21 +35,16 @@ type t = {
       (* a real cell from [in_port] left the fabric — forwarded onto its
          output link, dropped at the output queue, or unroutable (the
          in-flight gate of DESIGN.md §14 counts it out) *)
-  mutable observer : (observed -> unit) option;
-      (* per-cell forwarding observer (flow accounting, path records);
-         called at the forwarding instant for every routed cell *)
 }
 
-(* What the observer sees of one routed cell, at its forwarding instant:
-   the route taken, the output queue depth found on arrival (before the
-   enqueue decision), and whether the cell made it onto the link. *)
-and observed = {
-  ob_in_port : int;
-  ob_in_vci : int;
-  ob_out_port : int;
-  ob_eop : bool;
-  ob_queue : int;
-  ob_forwarded : bool;
+(* A route-table entry. [observe] (flow accounting and path records) sees
+   each cell the route carries at its forwarding instant, with the output
+   queue depth found on arrival (before the enqueue decision) and whether
+   the cell made it onto the link. *)
+and route = {
+  out_port : int;
+  out_vci : int;
+  observe : (Cell.t -> queue:int -> forwarded:bool -> unit) option;
 }
 
 (* One committed train crossing this switch: cell i is forwarded at
@@ -152,7 +147,6 @@ let create sim ~ports ~transit ?(output_queue_capacity = 1024) ?id () =
       port_labels;
       records = Fifo.create ~dummy:dummy_record;
       on_settled = None;
-      observer = None;
     }
   in
   Metrics.register_flush (fun () -> fold_to t (Sim.now sim));
@@ -190,14 +184,14 @@ let set_fault t ~port f =
   check_port t port;
   t.port_faults.(port) <- Some f
 
-let add_route t ~in_port ~in_vci ~out_port ~out_vci =
+let add_route ?observe t ~in_port ~in_vci ~out_port ~out_vci =
   check_port t in_port;
   check_port t out_port;
   if Hashtbl.mem t.routes (in_port, in_vci) then
     invalid_arg
       (Printf.sprintf "Switch.add_route: VCI %d already routed on port %d"
          in_vci in_port);
-  Hashtbl.add t.routes (in_port, in_vci) (out_port, out_vci);
+  Hashtbl.add t.routes (in_port, in_vci) { out_port; out_vci; observe };
   let src = t.sources.(out_port) in
   Hashtbl.replace src in_port
     (1 + Option.value ~default:0 (Hashtbl.find_opt src in_port))
@@ -205,7 +199,7 @@ let add_route t ~in_port ~in_vci ~out_port ~out_vci =
 let remove_route t ~in_port ~in_vci =
   match Hashtbl.find_opt t.routes (in_port, in_vci) with
   | None -> ()
-  | Some (out_port, _) ->
+  | Some { out_port; _ } ->
       Hashtbl.remove t.routes (in_port, in_vci);
       let src = t.sources.(out_port) in
       let n = Hashtbl.find src in_port in
@@ -213,7 +207,6 @@ let remove_route t ~in_port ~in_vci =
       else Hashtbl.replace src in_port (n - 1)
 
 let set_on_settled t f = t.on_settled <- Some f
-let set_observer t f = t.observer <- Some f
 
 let settled t ~in_port =
   match t.on_settled with Some f -> f ~in_port | None -> ()
@@ -245,7 +238,7 @@ let ports t = t.ports
 let plan_route t ~in_port ~in_vci =
   match Hashtbl.find_opt t.routes (in_port, in_vci) with
   | None -> None
-  | Some (out_port, out_vci) -> (
+  | Some { out_port; out_vci; _ } -> (
       match t.outputs.(out_port) with
       | None -> None
       | Some link ->
@@ -304,7 +297,7 @@ let fault_drops t ~out_port =
 
 let input t ~port cell =
   check_port t port;
-  if cell.Cell.eop then Span.mark cell.Cell.ctx Span.Switch_in;
+  if cell.Cell.eop then Span.mark cell.Cell.tag.ctx Span.Switch_in;
   match Hashtbl.find_opt t.routes (port, cell.Cell.vci) with
   | None ->
       t.unroutable <- t.unroutable + 1;
@@ -313,12 +306,15 @@ let input t ~port cell =
         Trace.instant Trace.Cell "switch.unroutable" ~tid:port
           ~args:[ ("vci", Trace.Int cell.Cell.vci) ];
       settled t ~in_port:port
-  | Some (out_port, out_vci) -> (
+  | Some ({ out_port; _ } as route) -> (
       match t.outputs.(out_port) with
       | None -> failwith "Switch: route to a port with no output link"
       | Some link ->
           Sim.schedule_drop ~label:"switch.transit" t.sim ~delay:t.transit
             (fun () ->
+              (* the closure is allocated per cell: it captures the
+                 route, not each of its fields *)
+              let { out_port; out_vci; observe } = route in
               (* The output port queue is the link's transmit queue; a
                  full queue drops the cell, which is what makes large TCP
                  segments fragile over ATM (§7.8). *)
@@ -329,11 +325,12 @@ let input t ~port cell =
               let dropf = (not dropq) && fault_drops t ~out_port in
               let forwarded =
                 if dropq || dropf then begin
-                  drop t ?ctx:cell.Cell.ctx ~out_port ~vci:out_vci ();
+                  drop t ?ctx:cell.Cell.tag.ctx ~out_port ~vci:out_vci ();
                   false
                 end
                 else if begin
-                  if cell.Cell.eop then Span.mark cell.Cell.ctx Span.Switch_out;
+                  if cell.Cell.eop then
+                    Span.mark cell.Cell.tag.ctx Span.Switch_out;
                   Link.send link (Cell.with_vci cell out_vci)
                 end
                 then begin
@@ -344,23 +341,14 @@ let input t ~port cell =
                   true
                 end
                 else begin
-                  drop t ?ctx:cell.Cell.ctx ~out_port ~vci:out_vci ();
+                  drop t ?ctx:cell.Cell.tag.ctx ~out_port ~vci:out_vci ();
                   false
                 end
               in
               Metrics.Gauge.set_max t.port_queue_peak.(out_port)
                 (float_of_int
                    (if forwarded then Link.queue_length link else q));
-              (match t.observer with
-              | Some f ->
-                  f
-                    {
-                      ob_in_port = port;
-                      ob_in_vci = cell.Cell.vci;
-                      ob_out_port = out_port;
-                      ob_eop = cell.Cell.eop;
-                      ob_queue = q;
-                      ob_forwarded = forwarded;
-                    }
+              (match observe with
+              | Some f -> f cell ~queue:q ~forwarded
               | None -> ());
               settled t ~in_port:port))

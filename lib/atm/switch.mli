@@ -30,8 +30,22 @@ val set_fault : t -> port:int -> Engine.Fault.t -> unit
     span mark). *)
 
 val add_route :
-  t -> in_port:int -> in_vci:int -> out_port:int -> out_vci:int -> unit
-(** Raises if the (in_port, in_vci) pair is already routed. *)
+  ?observe:(Cell.t -> queue:int -> forwarded:bool -> unit) ->
+  t ->
+  in_port:int ->
+  in_vci:int ->
+  out_port:int ->
+  out_vci:int ->
+  unit
+(** Raises if the (in_port, in_vci) pair is already routed. [observe]
+    rides the route entry (flow accounting and path records, DESIGN.md
+    §17): it sees every cell the route carries at its forwarding instant
+    (arrival + transit), before the header rewrite, with the output-queue
+    depth found at arrival and whether the cell made it onto the link
+    ([false]: dropped at a full queue or by a port fault). Only the
+    per-cell path calls it; committed trains are accounted analytically
+    at commit time by the network. Unroutable cells meet no route and no
+    observer. *)
 
 val remove_route : t -> in_port:int -> in_vci:int -> unit
 
@@ -46,23 +60,6 @@ val set_on_settled : t -> (in_port:int -> unit) -> unit
     train may only be planned once every earlier per-cell send has reached
     its destination link, so planned downstream entries can never be
     overtaken by a cell still crossing the fabric. *)
-
-type observed = {
-  ob_in_port : int;
-  ob_in_vci : int;
-  ob_out_port : int;
-  ob_eop : bool;
-  ob_queue : int;  (** output-queue depth found at arrival *)
-  ob_forwarded : bool;  (** false: dropped (full queue or port fault) *)
-}
-(** What {!set_observer} sees of one routed cell, at its forwarding
-    instant (arrival + transit). Unroutable cells are not observed — they
-    never resolved to a route. *)
-
-val set_observer : t -> (observed -> unit) -> unit
-(** Install the per-cell forwarding observer (flow accounting and path
-    records, DESIGN.md §17). Only the per-cell path calls it; committed
-    trains are accounted analytically at commit time by the network. *)
 
 val cells_routed : t -> int
 val cells_dropped : t -> int

@@ -45,10 +45,6 @@ let filter_in_place keep t =
 let rec index_from p t i =
   if i >= t.len then -1 else if p t.buf.(i) then i else index_from p t (i + 1)
 
-let find_first p t =
-  let i = index_from p t 0 in
-  if i < 0 then None else Some t.buf.(i)
-
 let remove_first p t =
   let i = index_from p t 0 in
   if i < 0 then None

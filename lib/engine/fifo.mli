@@ -1,5 +1,5 @@
 (** An insertion-ordered buffer of pending records (train plan records,
-    in-flight path records), oldest first.
+    provisional path records), oldest first.
 
     Pushes append; {!filter_in_place} and {!remove_first} compact in place
     and keep the survivors in order. Once the backing array has grown to
@@ -24,9 +24,6 @@ val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val filter_in_place : ('a -> bool) -> 'a t -> unit
 (** Keep the elements satisfying the predicate, in order. The predicate
     sees every element once, oldest first, so it may also update it. *)
-
-val find_first : ('a -> bool) -> 'a t -> 'a option
-(** The oldest element satisfying the predicate. *)
 
 val remove_first : ('a -> bool) -> 'a t -> 'a option
 (** Remove and return the oldest element satisfying the predicate. *)

@@ -2,8 +2,8 @@
 
    The store is two pools: [pending] holds provisional records in commit
    order with their settle instants (train synthesis runs at commit time,
-   before the cells exist on the wire), [settled] is a bounded FIFO of
-   irrevocable ones.
+   before the cells exist on the wire; a delivered journey settles at its
+   delivery), [settled] is a bounded FIFO of irrevocable ones.
    Settling is what feeds the per-hop-position latency sketches, so a
    truncated train's discarded records never leave a trace — the same
    lazy-fold discipline the link and switch counters use. *)
@@ -79,14 +79,39 @@ let clear () =
 let add ~settle r = Fifo.push pending (settle, r)
 let discard r = Fifo.filter_in_place (fun (_, r') -> r' != r) pending
 
+let settle_one r =
+  Array.iteri
+    (fun pos h ->
+      Metrics.Sketch.observe (hop_sketch pos) (float_of_int h.h_latency_ns))
+    r.r_hops;
+  Fifo.push settled r;
+  incr n_settled;
+  if Fifo.length settled > capacity then begin
+    (* drop the oldest settled record; the ring keeps the recent past *)
+    ignore (Fifo.remove_first (fun _ -> true) settled : record option);
+    incr n_dropped
+  end
+
+let fold ~now =
+  Fifo.filter_in_place
+    (fun (s, r) ->
+      if s <= now then settle_one r;
+      s > now)
+    pending
+
 (* One provisional record per EOP cell, stamped at the instants the
    per-cell path would: hop latency is forwarding instant minus the
    previous stage's (or the injection), and the queue depth found at
    arrival is the depth just after acceptance minus the cell itself,
    floored when it went straight to the wire. *)
-let on_train ~seq (p : Trainplan.t) =
+let on_train ~now ~seq (p : Trainplan.t) =
   if not !enabled_flag then Trainplan.no_undo
   else begin
+    (* settle as the run goes, as links and switches fold, so the pool
+       holds only records still ahead of the clock; only those strictly
+       before [now]: a truncation at [now] still cuts records settling
+       at [now] *)
+    fold ~now:(now - 1);
     let recs =
       Array.map
         (fun i ->
@@ -136,25 +161,68 @@ let on_train ~seq (p : Trainplan.t) =
       | _ -> ()
   end
 
-let settle_one r =
-  Array.iteri
-    (fun pos h ->
-      Metrics.Sketch.observe (hop_sketch pos) (float_of_int h.h_latency_ns))
-    r.r_hops;
-  Fifo.push settled r;
-  incr n_settled;
-  if Fifo.length settled > capacity then begin
-    (* drop the oldest settled record; the ring keeps the recent past *)
-    ignore (Fifo.remove_first (fun _ -> true) settled : record option);
-    incr n_dropped
+(* The per-cell path: the journey rides the PDU's EOP cell, so each stamp
+   lands on its own PDU whatever the fabric loses, duplicates or
+   reorders. [j_next] is the hop the journey expects next; a duplicate
+   arriving at a hop already stamped, or delivered after the original,
+   finds it moved on. *)
+type journey = {
+  j_src : int;
+  j_dst : int;
+  j_vci : int;
+  mutable j_seq : int;
+  j_injected : Sim.time;
+  mutable j_last : Sim.time; (* previous forwarding (or injection) instant *)
+  mutable j_hops : hop list; (* most-recent-first *)
+  mutable j_next : int; (* hops stamped so far; -1 once sealed *)
+}
+
+let inject ~src ~dst ~vci ~now =
+  {
+    j_src = src;
+    j_dst = dst;
+    j_vci = vci;
+    j_seq = -1;
+    j_injected = now;
+    j_last = now;
+    j_hops = [];
+    j_next = 0;
+  }
+
+let number j ~seq =
+  j.j_seq <- !seq;
+  incr seq
+
+let stamp j ~hop ~stage ~in_port ~out_port ~queue ~now =
+  if j.j_next = hop then begin
+    j.j_hops <-
+      {
+        h_stage = stage;
+        h_in_port = in_port;
+        h_out_port = out_port;
+        h_queue = queue;
+        h_latency_ns = now - j.j_last;
+      }
+      :: j.j_hops;
+    j.j_next <- hop + 1;
+    j.j_last <- now
   end
 
-let fold ~now =
-  Fifo.filter_in_place
-    (fun (s, r) ->
-      if s <= now then settle_one r;
-      s > now)
-    pending
+let deliver j ~now =
+  if j.j_next >= 0 then begin
+    j.j_next <- -1;
+    fold ~now:(now - 1);
+    add ~settle:now
+      {
+        r_src = j.j_src;
+        r_dst = j.j_dst;
+        r_vci = j.j_vci;
+        r_seq = j.j_seq;
+        r_injected = j.j_injected;
+        r_delivered = now;
+        r_hops = Array.of_list (List.rev j.j_hops);
+      }
+  end
 
 let count () = !n_settled
 let dropped () = !n_dropped

@@ -4,18 +4,21 @@
     every switch stage it crossed a hop entry — stage id, ingress/egress
     port, output-queue depth at arrival, and the hop latency (forwarding
     instant minus the previous stage's forwarding instant, or minus the
-    injection instant for the first hop). The fabric stamps records at
-    real instants on the per-cell path and synthesizes the identical
-    schema analytically from committed train plans, so a run's export is
-    byte-identical whichever path its PDUs rode.
+    injection instant for the first hop). On the per-cell path the record
+    travels with the PDU as a {!journey} riding its EOP cell, stamped at
+    real instants by each stage's route and sealed at delivery; for
+    committed train plans {!on_train} synthesizes the identical schema
+    analytically, so a run's export is byte-identical whichever path its
+    PDUs rode.
 
     Records synthesized from a plan are provisional until their EOP cell
-    has really been accepted by the sender's uplink ([settle]): a train
-    truncation discards the provisional records of cut cells (the
-    per-cell path re-stamps them for real). Per-hop-position latency
-    sketches ([atm_path_hop_latency_ns{hop="<j>"}]) are fed only at
-    settle, by the owning fabric's registered metrics flush, so nothing
-    here pins the train fast path. *)
+    has really been accepted by the sender's uplink: a train truncation
+    discards the provisional records of cut cells (the per-cell path
+    re-stamps them for real). Per-hop-position latency sketches
+    ([atm_path_hop_latency_ns{hop="<j>"}]) are fed only at settle, so
+    nothing here pins the train fast path. {!deliver} and {!on_train}
+    settle every record due strictly before their instant, so the
+    provisional pool holds only the traffic in flight. *)
 
 type hop = {
   h_stage : int;  (** switch id (fabric stage) *)
@@ -46,27 +49,50 @@ val clear : unit -> unit
 (** Drop all records (settled and provisional) and reset the hop
     sketches; keeps the enabled flag. *)
 
-val add : settle:Sim.time -> record -> unit
-(** Install a record. It becomes visible to {!records}/{!write_json} and
-    feeds the hop sketches once {!fold} passes [settle] — the instant its
-    EOP cell is irrevocably on the wire (per-cell stampers pass the
-    delivery instant; train synthesis passes the EOP cell's planned
-    uplink acceptance). *)
+val on_train : now:Sim.time -> seq:int ref -> Trainplan.t -> Trainplan.undo
+(** Synthesize a provisional record for each EOP cell of a train committed
+    at [now], numbered from [seq] (the flow's next PDU sequence number,
+    shared with {!number}) and settling at the cell's planned uplink
+    acceptance. The undo discards the cut cells' records and hands their
+    sequence numbers back unless a later injection on the flow consumed
+    one. A no-op unless records are being collected. *)
 
-val on_train : seq:int ref -> Trainplan.t -> Trainplan.undo
-(** Synthesize a provisional record for each EOP cell of a committed
-    train, numbered from [seq] (the flow's next PDU sequence number,
-    shared with the per-cell stamper) and settling at the cell's planned
-    uplink acceptance. The undo discards the cut cells' records
-    and hands their sequence numbers back unless a later injection on
-    the flow consumed one. A no-op unless records are being collected. *)
+type journey
+(** The record of one per-cell PDU in the making. It rides the PDU's EOP
+    cell (the [path] of its [Atm.Cell.tag]), so stamping needs no lookup
+    and stays exact when the fabric loses, duplicates or reorders cells. *)
+
+val inject : src:int -> dst:int -> vci:int -> now:Sim.time -> journey
+(** A fresh, unnumbered journey for an EOP cell entering the fabric at
+    [now] on [src]'s uplink VCI [vci]. *)
+
+val number : journey -> seq:int ref -> unit
+(** Take the flow's next sequence number. Call it only once the uplink
+    has accepted the cell: a train truncation triggered by that send can
+    hand sequence numbers back first. *)
+
+val stamp :
+  journey ->
+  hop:int ->
+  stage:int ->
+  in_port:int ->
+  out_port:int ->
+  queue:int ->
+  now:Sim.time ->
+  unit
+(** The EOP cell was forwarded at stage [stage] (hop position [hop]) at
+    [now], having found [queue] cells in the output queue. A no-op unless
+    the journey expects hop [hop] next, so a duplicate cell cannot stamp
+    a hop twice. *)
+
+val deliver : journey -> now:Sim.time -> unit
+(** The EOP cell reached its destination's NI: seal the journey into a
+    record settling at [now]. Only the first delivery seals. *)
 
 val fold : now:Sim.time -> unit
 (** Settle every provisional record with [settle <= now]. The owning
-    fabric folds up to just before the current instant whenever it adds
-    a record or publishes a train, so the provisional pool stays as small
-    as the traffic in flight, and registers a fold to now as a metrics
-    flush so every registry read and export sees settled state. *)
+    fabric registers a fold to now as a metrics flush, so every registry
+    read and export sees settled state. *)
 
 val capacity : int
 (** Settled records kept; older ones are dropped, oldest first. *)

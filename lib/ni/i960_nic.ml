@@ -322,7 +322,7 @@ let rx_cell_body t (cell : Atm.Cell.t) =
           deliver t ?ctx cell.vci payload)
 
 let on_cell t (cell : Atm.Cell.t) =
-  if cell.eop then Span.mark cell.ctx Span.Rx_cell;
+  if cell.eop then Span.mark cell.Atm.Cell.tag.ctx Span.Rx_cell;
   Sync.Server.submit t.server ~stage:"rx_cell" ~cost:t.cfg.rx_cell_ns
     (fun () -> rx_cell_body t cell)
 

@@ -204,6 +204,59 @@ let path_settle_eagerly () =
     true
     (total > 0 && live * 100 >= total * 95)
 
+(* Under link faults every record still describes its own PDU: the
+   journey rides the EOP cell, so a cell lost or held back inside a link
+   cannot shift its stamps onto another PDU's record. Each record must
+   match a span — same sender, injection and EOP delivery instants.
+   Duplication is left out: a span's [Rx_cell] mark is latest-wins, so a
+   duplicated EOP cell makes the span, not the record, move. *)
+let path_faults_match_spans () =
+  let run what spec =
+    Metrics.reset ();
+    Span.start ();
+    Span.clear ();
+    Pathrec.start ();
+    Pathrec.clear ();
+    Fault.configure (Some spec);
+    Fun.protect ~finally:(fun () ->
+        Fault.configure None;
+        Span.stop ();
+        Span.clear ();
+        Pathrec.stop ();
+        Pathrec.clear ())
+    @@ fun () ->
+    ignore (Experiments.Common.raw_bandwidth ~count:300 ~size:40 () : float);
+    Metrics.flush ();
+    let marks = Hashtbl.create 512 in
+    List.iter
+      (fun (sp : Span.span) ->
+        match
+          (Span.mark_time sp Span.Injected, Span.mark_time sp Span.Rx_cell)
+        with
+        | Some inj, Some rx -> Hashtbl.replace marks (sp.host, inj, rx) ()
+        | _ -> ())
+      (Span.spans ());
+    let recs = Pathrec.records () in
+    let bad =
+      List.filter
+        (fun (r : Pathrec.record) ->
+          not (Hashtbl.mem marks (r.r_src, r.r_injected, r.r_delivered)))
+        recs
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: records were captured (%d)" what (List.length recs))
+      true
+      (List.length recs > 0);
+    Alcotest.(check int)
+      (Printf.sprintf "%s: records disagreeing with their span" what)
+      0 (List.length bad)
+  in
+  let spec sites = { Fault.none with seed = 1234; sites } in
+  run "2% loss on uplinks" { (spec [ Link_up ]) with loss = 0.02 };
+  run "2% loss on downlinks" { (spec [ Link_down ]) with loss = 0.02 };
+  run "reordering on downlinks"
+    { (spec [ Link_down ]) with reorder = 0.05; reorder_span = 4 }
+
 (* --- near-miss queue peaks --------------------------------------------- *)
 
 (* Three senders share one egress: the backlog peaks well below capacity,
@@ -221,17 +274,11 @@ let path_ring_overflow () =
       Pathrec.clear ())
   @@ fun () ->
   let n = Pathrec.capacity + 3 in
+  let seq = ref 0 in
   for i = 0 to n - 1 do
-    Pathrec.add ~settle:i
-      {
-        r_src = 0;
-        r_dst = 1;
-        r_vci = 32;
-        r_seq = i;
-        r_injected = i;
-        r_delivered = i;
-        r_hops = [||];
-      }
+    let j = Pathrec.inject ~src:0 ~dst:1 ~vci:32 ~now:i in
+    Pathrec.number j ~seq;
+    Pathrec.deliver j ~now:i
   done;
   Pathrec.fold ~now:n;
   Alcotest.(check int) "every settled record counted" n (Pathrec.count ());
@@ -358,6 +405,8 @@ let () =
             path_ring_overflow;
           Alcotest.test_case "records settle during the run" `Quick
             path_settle_eagerly;
+          Alcotest.test_case "records match spans under link faults" `Quick
+            path_faults_match_spans;
         ] );
       ( "switch",
         [

@@ -132,7 +132,7 @@ let test_aal5_cells_inherit_pdu_ctx () =
   checkb "multi-cell PDU" true (List.length cells > 1);
   List.iter
     (fun (cell : Atm.Cell.t) ->
-      checkb "cell carries the PDU's context" true (cell.ctx = Some ctx))
+      checkb "cell carries the PDU's context" true (cell.tag.ctx = Some ctx))
     cells;
   let r = Atm.Aal5.Reassembler.create () in
   let out =

@@ -335,12 +335,12 @@ let clos_pdu n =
   let c03 = Atm.Network.connect net ~a:0 ~b:3 in
   for h = 0 to 3 do
     Atm.Network.attach_rx net ~host:h (fun cell ->
-        if cell.Atm.Cell.eop then Span.mark cell.Atm.Cell.ctx Span.Rx_cell)
+        if cell.Atm.Cell.eop then Span.mark cell.Atm.Cell.tag.ctx Span.Rx_cell)
   done;
-  let ctx = Span.root ~host:0 "pdu" in
+  let tag = { Atm.Cell.ctx = Some (Span.root ~host:0 "pdu"); path = None } in
   let cells =
     Array.init n (fun i ->
-        Atm.Cell.make ~ctx ~vci:c03.Atm.Network.side_a.tx_vci
+        Atm.Cell.make ~tag ~vci:c03.Atm.Network.side_a.tx_vci
           ~eop:(i = n - 1)
           (Buf.alloc Atm.Cell.payload_size))
   in
@@ -378,11 +378,13 @@ let truncation_run ~train ~t_int () =
         with
         | Some _ -> ()
         | None -> Alcotest.fail "train commit refused");
-  let ictx = Span.root ~host:0 "interferer" in
+  let tag =
+    { Atm.Cell.ctx = Some (Span.root ~host:0 "interferer"); path = None }
+  in
   for j = 0 to burst - 1 do
     Sim.schedule_drop_at sim (t_int + (j * 1_000)) (fun () ->
         send
-          (Atm.Cell.make ~ctx:ictx ~vci:c01.Atm.Network.side_a.tx_vci
+          (Atm.Cell.make ~tag ~vci:c01.Atm.Network.side_a.tx_vci
              ~eop:(j = burst - 1)
              (Buf.alloc Atm.Cell.payload_size)))
   done;
