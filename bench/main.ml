@@ -66,6 +66,26 @@ let bench_segment =
     Unet.Segment.write seg ~off:512 ~src:payload ~src_pos:0 ~len:1_500;
     ignore (Unet.Segment.read seg ~off:512 ~len:1_500)
 
+(* fig4: a raw stream's uplink planner — a 64-cell train planned behind a
+   committed 64-cell hop still draining (SBA-200 pacing, 1.8 us per cell,
+   against a 140 Mb/s link's 3.03 us cell time), so every attempt queries
+   the planned occupancy. Built on first use: a link registers metric
+   families, which must not appear in the experiments' dumps. *)
+let bench_link_plan () =
+  let sim = Engine.Sim.create () in
+  let link = Atm.Link.create sim ~bandwidth_mbps:140. ~propagation:500 () in
+  Atm.Link.set_receiver link ignore;
+  let gap = 1_800 in
+  let plan first_attempt =
+    match Atm.Link.plan_chain link ~n:64 ~first_attempt ~gap with
+    | Some pl -> pl
+    | None -> failwith "bench: link plan refused"
+  in
+  let busy = plan gap in
+  ignore (Atm.Link.commit_plan link busy ~fold_sent:true);
+  let next = (Atm.Link.plan_accepts busy).(63) + (2 * gap) in
+  fun () -> ignore (plan next)
+
 (* fig5: the deterministic RNG feeding every workload generator *)
 let bench_rng =
   let rng = Engine.Rng.create 1 in
@@ -74,10 +94,12 @@ let bench_rng =
       ignore (Engine.Rng.int rng 1_000_000)
     done
 
-let micro_tests =
+let micro_tests () =
   Test.make_grouped ~name:"simulator"
     [
       Test.make ~name:"table1:crc32-1500B" (Staged.stage bench_crc);
+      Test.make ~name:"fig4:link-plan-64-busy"
+        (Staged.stage (bench_link_plan ()));
       Test.make ~name:"table2:sim-100-events" (Staged.stage bench_sim_events);
       Test.make ~name:"table3:aal5-sar-1500B" (Staged.stage bench_aal5);
       Test.make ~name:"fig3:aal5-sar-1500B" (Staged.stage bench_aal5);
@@ -97,7 +119,7 @@ let run_micro () =
   let cfg =
     Benchmark.cfg ~limit:2_000 ~quota:(Time.second 0.25) ~stabilize:true ()
   in
-  let raw = Benchmark.all cfg instances micro_tests in
+  let raw = Benchmark.all cfg instances (micro_tests ()) in
   let results =
     List.map (fun instance -> Analyze.all ols instance raw) instances
   in

@@ -27,8 +27,7 @@ let segment ?ctx ~vci payload =
   let tail_len = Bytes.length tail in
   Bytes.set_uint16_be tail (tail_len - 6) len;
   let crc =
-    Crc32.digest_buf
-      (Buf.append payload (Buf.of_bytes_sub tail ~pos:0 ~len:(tail_len - 4)))
+    Crc32.digest ~crc:(Crc32.digest_buf payload) tail ~pos:0 ~len:(tail_len - 4)
   in
   Bytes.set_int32_be tail (tail_len - 4) crc;
   let pdu = Buf.append payload (Buf.of_bytes tail) in

@@ -1,5 +1,7 @@
 (** CRC-32 as used by AAL5 (the IEEE 802.3 polynomial 0x04C11DB7, reflected
-    implementation). Table-driven, processes a byte at a time. *)
+    implementation). Slicing-by-8: eight 256-entry tables built at module
+    initialisation fold 8 bytes per step on native ints (two 32-bit loads,
+    eight lookups), with a byte-at-a-time tail. *)
 
 val digest : ?crc:int32 -> bytes -> pos:int -> len:int -> int32
 (** [digest b ~pos ~len] is the CRC of the byte range; [?crc] continues a

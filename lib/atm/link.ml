@@ -129,14 +129,12 @@ let dummy_hop =
     f_hw = 0;
   }
 
-(* #cells of [h] in the transmit queue at [at] under completion-first
-   semantics: accepted at or before [at], not yet started (a start at
-   exactly [at] counts as started — its pop event fires before any same-time
-   attempt that could observe it on the fast path's planned links). *)
-(* #entries among [arr.(0..n-1)] (monotone non-decreasing) that are <= [x];
-   the timeseries sampler hits these once per boundary, so O(log n) per
-   hop matters against multi-thousand-cell trains *)
-let count_le arr n x =
+(* #entries among [arr.(0..n-1)] (monotone non-decreasing) that are <= [x].
+   Every planned-occupancy query reduces to these: the timeseries sampler
+   and the planner hit them once per boundary / attempt, so O(log n) per
+   hop matters against multi-thousand-cell trains. Typed, so [<=] is an
+   integer compare rather than the polymorphic one. *)
+let count_le (arr : Sim.time array) n (x : Sim.time) =
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -144,6 +142,10 @@ let count_le arr n x =
   done;
   !lo
 
+(* #cells of [h] in the transmit queue at [at] under completion-first
+   semantics: accepted at or before [at], not yet started (a start at
+   exactly [at] counts as started — its pop event fires before any same-time
+   attempt that could observe it on the fast path's planned links). *)
 let hop_queued h ~at =
   (* accepts(i) <= starts(i), so the started set is a subset of the
      accepted set and the difference of counts is the queue depth *)
@@ -286,22 +288,25 @@ let busy_at t ~tail ~at ~sched =
 
 (* #queued among [count] planned cells, tie-aware: a cell starting exactly
    at [at] left the queue iff its pop (the previous cell's completion,
-   scheduled at start - cell_time) precedes the attempt's schedule. *)
+   scheduled at start - cell_time) precedes the attempt's schedule. An
+   acceptance at exactly [at], or a start at [at] whose completion was
+   scheduled at [sched] itself, is a tie only event order decides.
+
+   Both arrays ascend and accepts.(i) <= starts.(i), so with no acceptance
+   at [at] the cells accepted before [at] that have not started by it
+   number (#accepts < at) - (#starts <= at): four binary searches at most
+   instead of a scan of every planned cell. *)
 let queued_tieaware t ~accepts ~starts ~count ~at ~sched =
-  let q = ref 0 in
-  for i = 0 to count - 1 do
-    let p = accepts.(i) in
-    if p < at then begin
-      let s = starts.(i) in
-      if s > at then incr q
-      else if s = at then begin
-        let csched = s - t.cell_time in
-        if csched > sched then incr q else if csched = sched then raise Refuse
-      end
-    end
-    else if p = at then raise Refuse
-  done;
-  !q
+  let acc = count_le accepts count (at - 1) in
+  if acc < count && accepts.(acc) = at then raise Refuse;
+  let st = count_le starts count at in
+  if st > 0 && starts.(st - 1) = at then begin
+    let csched = at - t.cell_time in
+    if csched > sched then acc - count_le starts count (at - 1)
+    else if csched = sched then raise Refuse
+    else acc - st
+  end
+  else acc - st
 
 let occupancy_at t ~local_accepts ~local_starts ~local_count ~at ~sched =
   let occ =

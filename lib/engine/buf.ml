@@ -154,7 +154,37 @@ let to_bytes ~layer t =
   copy_into ~layer t ~dst:b ~dst_pos:0;
   b
 
-let copy ~layer t = of_bytes (to_bytes ~layer t)
+(* A snapshot's stores stay under OCaml's minor-heap object limit (256
+   words). A larger block is allocated straight into the major heap and
+   lives there until a major cycle sweeps it, so one large store per
+   PDU made the peak heap scale with whatever else the program kept
+   live (DESIGN.md §9). 2016 B is a multiple of the 48-byte cell
+   payload: AAL5 cell views cut from a snapshot never straddle two
+   stores. *)
+let store_max = 2016
+
+let copy ~layer t =
+  count ~layer t.len;
+  (* fill [b] from [at] out of [spans]; the unconsumed rest *)
+  let rec fill b at (spans : span list) =
+    match spans with
+    | s :: rest when at < Bytes.length b ->
+        let take = min s.len (Bytes.length b - at) in
+        Bytes.blit s.base s.off b at take;
+        if take = s.len then fill b (at + take) rest
+        else { s with off = s.off + take; len = s.len - take } :: rest
+    | _ -> spans
+  in
+  let rec stores pos spans =
+    if pos >= t.len then []
+    else begin
+      let len = min store_max (t.len - pos) in
+      let b = Bytes.create len in
+      let rest = fill b 0 spans in
+      { base = b; off = 0; len } :: stores (pos + len) rest
+    end
+  in
+  { spans = stores 0 t.spans; len = t.len }
 
 let blit_bytes ~layer ~src ~src_pos ~dst ~dst_pos ~len =
   count ~layer len;

@@ -79,8 +79,10 @@ val to_bytes : layer:string -> t -> bytes
 (** Materialize into a fresh contiguous [bytes]. *)
 
 val copy : layer:string -> t -> t
-(** Snapshot: a fresh contiguous store holding the current contents. The
-    result no longer aliases the source stores. *)
+(** Snapshot: fresh stores holding the current contents, contiguous up
+    to 2016 bytes and cut into 2016-byte stores beyond (each small
+    enough for the minor heap; a multiple of the 48-byte cell payload).
+    The result no longer aliases the source stores. *)
 
 val blit_bytes :
   layer:string -> src:bytes -> src_pos:int -> dst:bytes -> dst_pos:int ->

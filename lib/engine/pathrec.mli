@@ -1,6 +1,11 @@
 (** INT-style per-PDU path records (DESIGN.md §17).
 
-    One record per delivered PDU: who sent it, which VCI it rode, and for
+    One record per PDU whose EOP cell reached its destination host. The
+    record is sealed when that cell arrives, before AAL5 checks the PDU,
+    so a PDU that AAL5 then discards (a lost middle cell, a corrupted
+    payload, an EOP merged into the next PDU's cells) still has one; a
+    PDU whose EOP cell was lost has none. Each record holds who sent the
+    PDU, which VCI it rode, and for
     every switch stage it crossed a hop entry — stage id, ingress/egress
     port, output-queue depth at arrival, and the hop latency (forwarding
     instant minus the previous stage's forwarding instant, or minus the
@@ -87,7 +92,8 @@ val stamp :
 
 val deliver : journey -> now:Sim.time -> unit
 (** The EOP cell reached its destination's NI: seal the journey into a
-    record settling at [now]. Only the first delivery seals. *)
+    record settling at [now], whatever AAL5 later makes of the PDU. Only
+    the first delivery seals. *)
 
 val fold : now:Sim.time -> unit
 (** Settle every provisional record with [settle <= now]. The owning

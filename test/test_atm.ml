@@ -65,6 +65,45 @@ let prop_crc_detects_single_bit_flips =
         (Char.chr (Char.code (Bytes.get b (bit / 8)) lxor (1 lsl (bit mod 8))));
       Atm.Crc32.digest_bytes b <> crc0)
 
+(* Bit-at-a-time reference, no table: the definition the sliced loop must
+   reproduce (reflected polynomial 0xEDB88320, pre- and post-inverted). *)
+let crc_bitwise ?(crc = 0l) b ~pos ~len =
+  let c = ref (Int32.to_int crc land 0xFFFFFFFF lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let prop_crc_matches_bitwise =
+  let gen =
+    QCheck.Gen.(
+      int_range 0 200 >>= fun len ->
+      int_range 0 15 >>= fun pos ->
+      int_range 0 15 >>= fun slack ->
+      int_range 0 len >>= fun cut ->
+      ui32 >>= fun crc ->
+      bytes_size (return (pos + len + slack)) >|= fun b ->
+      (b, pos, len, cut, crc))
+  in
+  let print (b, pos, len, cut, crc) =
+    Printf.sprintf "bytes %S pos %d len %d cut %d crc 0x%08lx"
+      (Bytes.to_string b) pos len cut crc
+  in
+  QCheck.Test.make ~name:"crc32 = bit-at-a-time reference" ~count:500
+    (QCheck.make ~print gen) (fun (b, pos, len, cut, crc) ->
+      let whole = crc_bitwise ~crc b ~pos ~len in
+      let first = Atm.Crc32.digest ~crc b ~pos ~len:cut in
+      Atm.Crc32.digest ~crc b ~pos ~len = whole
+      && Atm.Crc32.digest ~crc:first b ~pos:(pos + cut) ~len:(len - cut) = whole
+      && Atm.Crc32.digest_buf ~crc
+           (Buf.append
+              (Buf.of_bytes_sub b ~pos ~len:cut)
+              (Buf.of_bytes_sub b ~pos:(pos + cut) ~len:(len - cut)))
+         = whole)
+
 (* --- Aal5 ---------------------------------------------------------- *)
 
 let test_cells_for () =
@@ -255,6 +294,219 @@ let test_link_loss_injection () =
   checki "all lost" 0 !got;
   checki "losses counted" 10 (Atm.Link.cells_dropped l)
 
+(* --- Link planner vs a linear-scan reference ----------------------- *)
+
+(* The planner with its queue counted the original way: every occupancy
+   query rescans every planned cell of every pending hop. [Link] answers
+   the same queries by binary search; this is the differential reference
+   for [Link.plan_chain] / [Link.plan_feed]. A pending hop is its
+   (accepts, starts) pair; [tail] is the planned busy-until. *)
+module Ref_plan = struct
+  exception Refuse
+
+  type t = {
+    ct : int;
+    cap : int;
+    mutable hops : (int array * int array) list;
+    mutable tail : int;
+  }
+
+  let busy_at r ~tail ~at ~sched =
+    if tail < at then false
+    else if tail > at then true
+    else
+      let csched = tail - r.ct in
+      if csched < sched then false
+      else if csched > sched then true
+      else raise Refuse
+
+  let queued_tieaware r ~accepts ~starts ~count ~at ~sched =
+    let q = ref 0 in
+    for i = 0 to count - 1 do
+      let p = accepts.(i) in
+      if p < at then begin
+        let s = starts.(i) in
+        if s > at then incr q
+        else if s = at then begin
+          let csched = s - r.ct in
+          if csched > sched then incr q else if csched = sched then raise Refuse
+        end
+      end
+      else if p = at then raise Refuse
+    done;
+    !q
+
+  let occupancy r ~la ~ls ~lc ~at ~sched =
+    List.fold_left
+      (fun acc (accepts, starts) ->
+        acc
+        + queued_tieaware r ~accepts ~starts ~count:(Array.length accepts) ~at
+            ~sched)
+      0 r.hops
+    + queued_tieaware r ~accepts:la ~starts:ls ~count:lc ~at ~sched
+
+  (* (accepts, starts, drops, queue depth after each acceptance) *)
+  let chain r ~n ~first_attempt ~gap =
+    try
+      let accepts = Array.make n 0 and starts = Array.make n 0 in
+      let qafter = Array.make n 0. and drops = ref [] in
+      let tail = ref r.tail in
+      let at = ref first_attempt and sched = ref (first_attempt - gap) in
+      for i = 0 to n - 1 do
+        let accepted = ref false in
+        while not !accepted do
+          if not (busy_at r ~tail:!tail ~at:!at ~sched:!sched) then begin
+            accepts.(i) <- !at;
+            starts.(i) <- !at;
+            tail := !at + r.ct;
+            accepted := true
+          end
+          else begin
+            let occ =
+              occupancy r ~la:accepts ~ls:starts ~lc:i ~at:!at ~sched:!sched
+            in
+            if occ >= r.cap then begin
+              drops := !at :: !drops;
+              sched := !at;
+              at := !at + r.ct
+            end
+            else begin
+              accepts.(i) <- !at;
+              starts.(i) <- !tail;
+              tail := !tail + r.ct;
+              qafter.(i) <- float_of_int (occ + 1);
+              accepted := true
+            end
+          end
+        done;
+        if i < n - 1 then begin
+          sched := accepts.(i);
+          at := accepts.(i) + gap
+        end
+      done;
+      Some (accepts, starts, Array.of_list (List.rev !drops), qafter)
+    with Refuse -> None
+
+  let feed r ~arrivals ~sched_lead ~refuse_occ =
+    try
+      let n = Array.length arrivals in
+      let starts = Array.make n 0 and qafter = Array.make n 0. in
+      let tail = ref r.tail in
+      for i = 0 to n - 1 do
+        let at = arrivals.(i) in
+        let sched = at - sched_lead in
+        if not (busy_at r ~tail:!tail ~at ~sched) then begin
+          starts.(i) <- at;
+          tail := at + r.ct
+        end
+        else begin
+          let occ = occupancy r ~la:arrivals ~ls:starts ~lc:i ~at ~sched in
+          if occ >= refuse_occ || occ >= r.cap then raise Refuse;
+          starts.(i) <- !tail;
+          tail := !tail + r.ct;
+          qafter.(i) <- float_of_int (occ + 1)
+        end
+      done;
+      Some (arrivals, starts, [||], qafter)
+    with Refuse -> None
+
+  let commit r (accepts, starts) =
+    r.hops <- r.hops @ [ (accepts, starts) ];
+    let n = Array.length starts in
+    if n > 0 then r.tail <- max r.tail (starts.(n - 1) + r.ct)
+
+  (* a per-cell [Link.send] at [now] while planned hops are pending *)
+  let bridge r ~now =
+    let tail = max r.tail now in
+    let le x a = Array.fold_left (fun k v -> if v <= x then k + 1 else k) 0 a in
+    let queued =
+      List.fold_left (fun acc (a, s) -> acc + le now a - le now s) 0 r.hops
+    in
+    if tail > now && queued >= r.cap then false
+    else begin
+      commit r ([| now |], [| (if tail > now then tail else now) |]);
+      true
+    end
+end
+
+(* Random link states on a coarse time grid (cell times of 2-8 ns, gaps and
+   offsets of a few ns), so attempts land exactly on planned acceptances,
+   starts and completions — the ties the planner must refuse or resolve.
+   1-3 committed hops, then a bridged per-cell send, then one chain and one
+   feed are planned against that state. Each seed is a one-line repro. *)
+let prop_planner_matches_scan =
+  QCheck.Test.make ~name:"link planner = linear-scan reference" ~count:1_000
+    (QCheck.make
+       ~print:(Printf.sprintf "seed %d")
+       QCheck.Gen.(int_bound 0x3FFF_FFFF))
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let ri lo hi = lo + Random.State.int rs (hi - lo + 1) in
+      let pick a = a.(Random.State.int rs (Array.length a)) in
+      let ct = pick [| 2; 3; 4; 8 |] and cap = pick [| 1; 2; 3; 5; max_int |] in
+      let sim = Sim.create () in
+      let link =
+        Atm.Link.create sim ~queue_capacity:cap
+          ~bandwidth_mbps:(424_000. /. float_of_int ct) ~propagation:5 ()
+      in
+      Atm.Link.set_receiver link ignore;
+      let r = { Ref_plan.ct; cap; hops = []; tail = 0 } in
+      let now () = Sim.now sim in
+      let agree got want =
+        match (got, want) with
+        | None, None -> true
+        | Some pl, Some (a, s, d, q) ->
+            Atm.Link.plan_accepts pl = a
+            && Atm.Link.plan_starts pl = s
+            && Atm.Link.plan_drops pl = d
+            && Atm.Link.plan_queue_after pl = q
+        | _ -> false
+      in
+      (* one random plan of either kind; commits it when both sides agree
+         and [commit] is set *)
+      let plan_one ~chain ~commit =
+        let first = now () + ri 0 (3 * ct) in
+        let got, want =
+          if chain then
+            let n = ri 1 12 and gap = ri 1 (2 * ct) in
+            ( Atm.Link.plan_chain link ~n ~first_attempt:first ~gap,
+              Ref_plan.chain r ~n ~first_attempt:first ~gap )
+          else
+            let at = ref (first - 1) in
+            let arrivals =
+              Array.init (ri 1 12) (fun _ ->
+                  at := !at + ri 1 (2 * ct);
+                  !at)
+            in
+            let sched_lead = ri 0 ct
+            and refuse_occ = pick [| 1; 2; 4; max_int |] in
+            ( Atm.Link.plan_feed link ~arrivals ~sched_lead ~refuse_occ,
+              Ref_plan.feed r ~arrivals ~sched_lead ~refuse_occ )
+        in
+        let ok = agree got want in
+        (match (got, want) with
+        | Some pl, Some (a, s, _, _) when ok && commit ->
+            ignore (Atm.Link.commit_plan link pl ~fold_sent:true);
+            Ref_plan.commit r (a, s)
+        | _ -> ());
+        ok
+      in
+      let ok = ref true in
+      for _ = 1 to ri 1 3 do
+        ok := !ok && plan_one ~chain:(Random.State.bool rs) ~commit:true
+      done;
+      (* advance to an instant some planned cell still occupies, so the
+         per-cell send bridges through the plans rather than going legacy *)
+      if r.tail > 0 then begin
+        Sim.run ~until:(ri 0 (r.tail - 1)) sim;
+        ok :=
+          !ok
+          && Atm.Link.send link (one_cell 1) = Ref_plan.bridge r ~now:(now ())
+      end;
+      !ok
+      && plan_one ~chain:true ~commit:false
+      && plan_one ~chain:false ~commit:false)
+
 (* --- Switch -------------------------------------------------------- *)
 
 let test_switch_routing () =
@@ -425,6 +677,7 @@ let () =
           Alcotest.test_case "empty" `Quick test_crc_empty;
           Alcotest.test_case "chaining" `Quick test_crc_chaining;
           qt prop_crc_detects_single_bit_flips;
+          qt prop_crc_matches_bitwise;
         ] );
       ( "aal5",
         [
@@ -445,6 +698,7 @@ let () =
           Alcotest.test_case "fifo + serialization" `Quick test_link_fifo_and_serialization;
           Alcotest.test_case "queue overflow" `Quick test_link_queue_overflow;
           Alcotest.test_case "loss injection" `Quick test_link_loss_injection;
+          qt prop_planner_matches_scan;
         ] );
       ( "switch",
         [

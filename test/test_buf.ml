@@ -117,6 +117,33 @@ let test_copy_into_counts () =
        (Metrics.counter_value "buf_copy_bytes_total" [ ("layer", layer) ])
     >= 333)
 
+(* A snapshot holds the source's bytes in stores of 2016 B (the last one
+   shorter), one counted copy, and no longer aliases the source. *)
+let test_copy_snapshot_stores () =
+  let rng = Rng.create 42 in
+  let layer = "test_buf" in
+  let copies () =
+    Option.value ~default:0
+      (Metrics.counter_value "buf_copies_total" [ ("layer", layer) ])
+  in
+  for _ = 1 to 100 do
+    let data = Rng.bytes rng (Rng.int rng 6_000) in
+    let before = copies () in
+    let snap = Buf.copy ~layer (random_shape rng data) in
+    checki "one counted copy" (before + 1) (copies ());
+    checkb "content" true (Buf.equal_bytes snap data);
+    let lens = List.map (fun (_, _, len) -> len) (Buf.spans snap) in
+    let n = List.length lens in
+    checkb "2016-byte stores, last one shorter" true
+      (List.for_all (( = ) 2016) (List.filteri (fun i _ -> i < n - 1) lens)
+      && List.for_all (fun l -> l > 0 && l <= 2016) lens);
+    if Bytes.length data > 0 then begin
+      let expect = Bytes.copy data in
+      Bytes.fill data 0 (Bytes.length data) '\xff';
+      checkb "no aliasing" true (Buf.equal_bytes snap expect)
+    end
+  done
+
 let () =
   Alcotest.run "buf"
     [
@@ -127,6 +154,8 @@ let () =
           Alcotest.test_case "sub/concat are zero-copy" `Quick
             test_sub_concat_are_uncounted;
           Alcotest.test_case "copy_into is counted" `Quick test_copy_into_counts;
+          Alcotest.test_case "copy snapshots in 2016-byte stores" `Quick
+            test_copy_snapshot_stores;
         ] );
       ( "span-equivalence",
         [

@@ -257,6 +257,60 @@ let path_faults_match_spans () =
   run "reordering on downlinks"
     { (spec [ Link_down ]) with reorder = 0.05; reorder_span = 4 }
 
+(* Sum of every sample of a counter family in the Prometheus dump. *)
+let prom_sum name =
+  String.split_on_char '\n' (Metrics.to_prometheus_string ())
+  |> List.fold_left
+       (fun acc line ->
+         let n = String.length name in
+         if
+           String.length line > n
+           && String.sub line 0 n = name
+           && (line.[n] = '{' || line.[n] = ' ')
+         then
+           let sp = String.rindex line ' ' in
+           let v = String.sub line (sp + 1) (String.length line - sp - 1) in
+           acc + int_of_float (float_of_string v)
+         else acc)
+       0
+
+(* A record is sealed for every PDU whose EOP cell reached its host —
+   before AAL5 checks it. Under link loss a PDU that lost a middle cell
+   (or whose EOP merged it into the next PDU) still gets a record and is
+   then discarded by AAL5, so the records are exactly the PDUs the NIs
+   handed to the mux (delivered or dropped at a full ring) plus those
+   AAL5 discarded. *)
+let path_records_count_eop_arrivals () =
+  Metrics.reset ();
+  Pathrec.start ();
+  Pathrec.clear ();
+  Fault.configure
+    (Some
+       {
+         Fault.none with
+         seed = 1234;
+         sites = [ Link_up; Link_down ];
+         loss = 0.005;
+       });
+  Fun.protect ~finally:(fun () ->
+      Fault.configure None;
+      Pathrec.stop ();
+      Pathrec.clear ())
+  @@ fun () ->
+  ignore (Experiments.Common.raw_bandwidth ~count:300 ~size:1000 () : float);
+  Metrics.flush ();
+  let delivered = prom_sum "unet_mux_deliveries_total"
+  and rx_dropped = prom_sum "unet_rx_dropped_total"
+  and discarded = prom_sum "aal5_pdus_discarded_total" in
+  Alcotest.(check bool)
+    (Printf.sprintf "AAL5 discarded some PDUs (%d)" discarded)
+    true (discarded > 0);
+  Alcotest.(check int)
+    (Printf.sprintf "records = %d delivered + %d ring-dropped + %d discarded"
+       delivered rx_dropped discarded)
+    (delivered + rx_dropped + discarded)
+    (Pathrec.count ())
+
 (* --- near-miss queue peaks --------------------------------------------- *)
 
 (* Three senders share one egress: the backlog peaks well below capacity,
@@ -407,6 +461,8 @@ let () =
             path_settle_eagerly;
           Alcotest.test_case "records match spans under link faults" `Quick
             path_faults_match_spans;
+          Alcotest.test_case "one record per EOP arrival under link loss"
+            `Quick path_records_count_eop_arrivals;
         ] );
       ( "switch",
         [
