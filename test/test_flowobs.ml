@@ -257,8 +257,9 @@ let path_faults_match_spans () =
   run "reordering on downlinks"
     { (spec [ Link_down ]) with reorder = 0.05; reorder_span = 4 }
 
-(* Sum of every sample of a counter family in the Prometheus dump. *)
-let prom_sum name =
+(* Sum of every sample of a counter family in the Prometheus dump, or of
+   those whose line holds each of [having]. *)
+let prom_sum ?(having = []) name =
   String.split_on_char '\n' (Metrics.to_prometheus_string ())
   |> List.fold_left
        (fun acc line ->
@@ -267,6 +268,7 @@ let prom_sum name =
            String.length line > n
            && String.sub line 0 n = name
            && (line.[n] = '{' || line.[n] = ' ')
+           && List.for_all (contains line) having
          then
            let sp = String.rindex line ' ' in
            let v = String.sub line (sp + 1) (String.length line - sp - 1) in
@@ -310,6 +312,46 @@ let path_records_count_eop_arrivals () =
        delivered rx_dropped discarded)
     (delivered + rx_dropped + discarded)
     (Pathrec.count ())
+
+(* Every cell a flow loses is charged to it exactly once, wherever it
+   was lost: inside a link by an injected fault, at a switch (a full
+   queue or a port fault), or refused by the sender's TX FIFO. Faults on
+   the links and every stage of a 2x2 Clos hit all three stages. *)
+let flow_drops_conserved () =
+  Metrics.reset ();
+  Atm.Flowstat.configure ();
+  Fault.configure
+    (Some
+       {
+         Fault.none with
+         seed = 1234;
+         sites = [ Link_up; Link_down; Switch ];
+         loss = 0.005;
+       });
+  Fun.protect ~finally:(fun () ->
+      Fault.configure None;
+      Atm.Flowstat.disable ())
+  @@ fun () ->
+  ignore
+    (Experiments.Common.raw_bandwidth ~count:300 ~size:1000 ~topology:clos2
+       ~pair:(0, 3) ()
+      : float);
+  Metrics.flush ();
+  let link_faults =
+    prom_sum ~having:[ "kind=\"drop\""; "site=\"link." ] "fault_injected_total"
+  and switch_drops = prom_sum "atm_switch_cell_drops_total" in
+  let refusals = prom_sum "atm_link_cells_dropped_total" - link_faults in
+  Alcotest.(check bool)
+    (Printf.sprintf "links (%d) and switches (%d) lost cells" link_faults
+       switch_drops)
+    true
+    (link_faults > 0 && switch_drops > 0);
+  Alcotest.(check int)
+    (Printf.sprintf
+       "flow drops = %d link faults + %d switch drops + %d TX-FIFO refusals"
+       link_faults switch_drops refusals)
+    (link_faults + switch_drops + refusals)
+    (prom_sum "atm_flow_drops_total")
 
 (* --- near-miss queue peaks --------------------------------------------- *)
 
@@ -450,6 +492,8 @@ let () =
         [
           Alcotest.test_case "exact per-hop tables" `Quick flowstat_exact;
           Alcotest.test_case "metric dump escaping" `Quick metric_escaping;
+          Alcotest.test_case "drops conserved under faults" `Quick
+            flow_drops_conserved;
         ] );
       ( "pathrec",
         [
