@@ -68,8 +68,10 @@ val count : t -> flow -> hop:int -> cells:int -> unit
     negative to un-count a truncated train's cut suffix. *)
 
 val drop : t -> flow -> hop:int -> unit
-(** One cell lost entering stage [hop] (switch queue/fault drop, or the
-    host FIFO refusing the cell bound for stage 0). *)
+(** One cell lost entering stage [hop]: a switch queue or port-fault drop
+    there, an injected loss inside the uplink ([hop] 0) or trunk feeding
+    it, or the host FIFO refusing the cell bound for stage 0. A cell lost
+    inside the downlink counts at the last stage, which forwarded it. *)
 
 val on_train : t -> flow -> Engine.Trainplan.t -> Engine.Trainplan.undo
 (** Count a committed train into every stage of its flow and charge its

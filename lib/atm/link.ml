@@ -50,6 +50,9 @@ type t = {
     (* fired for every real cell accepted by [send] (legacy or bridged),
        never for planned train commits — the network's per-ingress
        in-flight gate counts real cells in with it *)
+  mutable on_loss : (Cell.t -> unit) option;
+    (* fired for every cell the fault injector drops; the network charges
+       it to the cell's flow *)
 }
 
 (* Apply every planned side effect with a timestamp <= [now] — the same
@@ -214,6 +217,7 @@ let create sim ?(queue_capacity = max_int) ?(metrics_labels = []) ~bandwidth_mbp
       a_tail = 0;
       on_interfere = None;
       on_accept = None;
+      on_loss = None;
     }
   in
   Metrics.register_flush (fun () -> fold_to t (Sim.now sim));
@@ -249,6 +253,7 @@ let pending_hops t = Fifo.length t.hops
 let set_interfere t f = t.on_interfere <- Some f
 let clear_interfere t = t.on_interfere <- None
 let set_on_accept t f = t.on_accept <- Some f
+let set_on_loss t f = t.on_loss <- Some f
 let accepted t = match t.on_accept with Some f -> f () | None -> ()
 
 (* --- planning (DESIGN.md §14) ---------------------------------------
@@ -565,7 +570,9 @@ let deliver t cell =
   | Some f -> (
       match Fault.decide f with
       | Fault.Pass -> forward t cell
-      | Fault.Drop -> drop_cell t ~kind:"drop" cell
+      | Fault.Drop -> (
+          drop_cell t ~kind:"drop" cell;
+          match t.on_loss with Some f -> f cell | None -> ())
       | Fault.Corrupt ->
           let cell = corrupted f cell in
           capture_fault cell;

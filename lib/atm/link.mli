@@ -137,3 +137,9 @@ val set_on_accept : t -> (unit -> unit) -> unit
     the wire, legacy or bridged) — never for planned train commits.
     The network wires it on every switch-ingress link to count cells into
     the per-ingress in-flight gate (DESIGN.md §14/§16). *)
+
+val set_on_loss : t -> (Cell.t -> unit) -> unit
+(** Callback fired once per cell the attached fault injector drops inside
+    the link (not for transmit-queue overflow: the sender sees that as a
+    refused {!send}). The network wires it only while flow accounting is
+    on, to charge the loss to the cell's flow (DESIGN.md §17). *)

@@ -165,6 +165,9 @@ type t = {
        every §17 hook so flags-off runs add no per-cell work *)
   flowstat : Flowstat.t option;
   tracks : (int * int, ftrack) Hashtbl.t; (* (src host, tx VCI) *)
+  rx_flows : (int * int, Flowstat.flow) Hashtbl.t;
+    (* (dst host, rx VCI), while flow accounting is on: the flow a
+       downlink cell belongs to *)
 }
 
 (* Count cells that reach a downlink whose host never attached a receive
@@ -314,6 +317,7 @@ let create_topo sim ~topology config =
       obs_on = Flowstat.active () || Pathrec.enabled ();
       flowstat = (if Flowstat.active () then Some (Flowstat.create ()) else None);
       tracks = Hashtbl.create 64;
+      rx_flows = Hashtbl.create 64;
     }
   in
   if t.obs_on then
@@ -348,6 +352,29 @@ let create_topo sim ~topology config =
       Link.set_on_accept trunks.(k) (fun () ->
           t.in_flight.(sb).(pb) <- t.in_flight.(sb).(pb) + 1))
     fb.fb_trunks;
+  (* a cell an injected fault kills inside a link counts against its flow
+     (DESIGN.md §17): an uplink or trunk loss at the stage it was
+     entering, a downlink loss at the last stage, which forwarded it *)
+  (match t.flowstat with
+  | None -> ()
+  | Some fs ->
+      Array.iteri
+        (fun h (sw, port) ->
+          Link.set_on_loss uplinks.(h) (Switch.lost switches.(sw) ~port))
+        fb.fb_attach;
+      Array.iteri
+        (fun k (_, _, sb, pb) ->
+          Link.set_on_loss trunks.(k) (Switch.lost switches.(sb) ~port:pb))
+        fb.fb_trunks;
+      Array.iteri
+        (fun h link ->
+          Link.set_on_loss link (fun cell ->
+              match Hashtbl.find_opt t.rx_flows (h, cell.Cell.vci) with
+              | Some fl ->
+                  Flowstat.drop fs fl
+                    ~hop:(Array.length (Flowstat.flow_vcis fl) - 1)
+              | None -> ()))
+        downlinks);
   (match Fault.configured () with
   | Some fspec -> apply_fault t fspec
   | None -> ());
@@ -748,6 +775,7 @@ let install_route t ~src ~dst =
       let fl =
         Option.map (fun fs -> Flowstat.register fs ~src ~dst ~vcis) t.flowstat
       in
+      Option.iter (Hashtbl.replace t.rx_flows (dst, rx_vci)) fl;
       let tr = { ft_dst = dst; ft_flow = fl; ft_seq = ref 0 } in
       Hashtbl.replace t.tracks (src, tx_vci) tr;
       Some tr
@@ -791,4 +819,6 @@ let disconnect t conn =
     Hashtbl.remove t.tracks (host, vci)
   in
   side conn.host_a conn.side_a.tx_vci;
-  side conn.host_b conn.side_b.tx_vci
+  side conn.host_b conn.side_b.tx_vci;
+  Hashtbl.remove t.rx_flows (conn.host_a, conn.side_a.rx_vci);
+  Hashtbl.remove t.rx_flows (conn.host_b, conn.side_b.rx_vci)

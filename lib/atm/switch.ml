@@ -206,6 +206,11 @@ let remove_route t ~in_port ~in_vci =
       if n = 1 then Hashtbl.remove src in_port
       else Hashtbl.replace src in_port (n - 1)
 
+let lost t ~port (cell : Cell.t) =
+  match Hashtbl.find_opt t.routes (port, cell.Cell.vci) with
+  | Some { observe = Some f; _ } -> f cell ~queue:0 ~forwarded:false
+  | _ -> ()
+
 let set_on_settled t f = t.on_settled <- Some f
 
 let settled t ~in_port =

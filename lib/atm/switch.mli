@@ -42,12 +42,16 @@ val add_route :
     §17): it sees every cell the route carries at its forwarding instant
     (arrival + transit), before the header rewrite, with the output-queue
     depth found at arrival and whether the cell made it onto the link
-    ([false]: dropped at a full queue or by a port fault). Only the
-    per-cell path calls it; committed trains are accounted analytically
-    at commit time by the network. Unroutable cells meet no route and no
-    observer. *)
+    ([false]: dropped at a full queue or by a port fault, or lost on
+    the way in, see {!lost}). Only the per-cell path calls it; committed
+    trains are accounted analytically at commit time by the network.
+    Unroutable cells meet no route and no observer. *)
 
 val remove_route : t -> in_port:int -> in_vci:int -> unit
+
+val lost : t -> port:int -> Cell.t -> unit
+(** A cell bound for input [port] was lost inside the link feeding it:
+    its route's observer sees it as not forwarded, at queue depth 0. *)
 
 val input : t -> port:int -> Cell.t -> unit
 (** Deliver a cell into the switch (wired as the receiver of the host-side
