@@ -32,14 +32,15 @@ let create ?(hosts = 2) ?topology ?(net_config = Atm.Network.default_config)
     Array.init hosts (fun host ->
         let cpu = Host.Cpu.create ~host sim machine in
         match nic with
-        | Sba200_unet ->
-            let i960 = Ni.Sba200.create net ~host ?config:nic_config () in
-            let unet =
-              Unet.create ~cpu ~net ~host (Ni.I960_nic.backend i960)
+        | (Sba200_unet | Sba200_fore) as kind ->
+            let default =
+              if kind = Sba200_unet then Ni.I960_nic.sba200_unet
+              else Ni.I960_nic.sba200_fore
             in
-            { host; cpu; unet; i960 = Some i960; sba100 = None }
-        | Sba200_fore ->
-            let i960 = Ni.Fore_firmware.create net ~host ?config:nic_config () in
+            let i960 =
+              Ni.I960_nic.create net ~host
+                (Option.value nic_config ~default)
+            in
             let unet =
               Unet.create ~cpu ~net ~host (Ni.I960_nic.backend i960)
             in

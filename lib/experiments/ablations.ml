@@ -50,7 +50,7 @@ module Inline = struct
 
   let run ~quick =
     let iters = if quick then 15 else 50 in
-    let base = Ni.Sba200.default_config in
+    let base = Ni.I960_nic.sba200_unet in
     let no_opt =
       {
         base with

@@ -336,6 +336,55 @@ let on_train t train ~rx_vci ~deliveries =
     ~faulted:(t.fault <> None) train ~rx_vci ~deliveries
     ~action:(rx_cell_body t) (on_cell t)
 
+(* Calibration anchors (see DESIGN.md §4):
+   - single-cell one-way = doorbell + tx_single + wire(~9.1 µs through the
+     switch) + rx_cell + rx_single + rx_poll ≈ 32.5 µs  → 65 µs RTT
+   - 48-byte (2-cell) one-way ≈ 60 µs → 120 µs RTT, dominated by the
+     buffer-path fixed costs on both sides
+   - per-cell i960 costs below the 3.03 µs wire serialization, so extra
+     cells add ~3 µs each one-way and the fiber saturates once the fixed
+     costs amortize: tx_fixed ≤ n·(3.03 − tx_per_cell) at n ≈ 17 cells
+     (800 bytes). *)
+let sba200_unet =
+  {
+    name = "SBA-200/U-Net";
+    copy_layer = "sba200";
+    doorbell_ns = 2_000;
+    rx_poll_ns = 1_500;
+    kernel_op_ns = 20_000; (* emulated endpoints pay a real system call *)
+    tx_single_ns = 9_000;
+    tx_fixed_ns = 20_000;
+    tx_per_cell_ns = 1_800;
+    rx_cell_ns = 1_800;
+    rx_single_ns = 9_100;
+    rx_multi_fixed_ns = 20_000;
+    single_cell_optimization = true;
+    max_endpoints = 16; (* bounded by the 256 KB i960 memory (§4.2.4) *)
+    max_seg_size = 1024 * 1024;
+  }
+
+(* The fixed costs model the i960 traversing mbuf-style linked descriptors
+   on the host via DMA (§4.2.1): ~41 µs per message on transmit, ~20 µs on
+   receive, with no single-cell optimization. 4 KB packets: 86 cells →
+   i960 tx time 41 + 86·3.2 ≈ 316 µs → ≈13 MB/s, wire-limited nowhere. *)
+let sba200_fore =
+  {
+    name = "SBA-200/Fore";
+    copy_layer = "sba200_fore";
+    doorbell_ns = 3_000; (* host composes a linked buffer-chain descriptor *)
+    rx_poll_ns = 1_500;
+    kernel_op_ns = 20_000;
+    tx_single_ns = 44_200; (* = tx_fixed + per-cell; no fast path *)
+    tx_fixed_ns = 41_000;
+    tx_per_cell_ns = 3_200;
+    rx_cell_ns = 2_500;
+    rx_single_ns = 20_000;
+    rx_multi_fixed_ns = 20_000;
+    single_cell_optimization = false;
+    max_endpoints = 16;
+    max_seg_size = 1024 * 1024;
+  }
+
 let create net ~host cfg =
   let sim = Atm.Network.sim net in
   let labels = [ ("host", string_of_int host); ("nic", cfg.name) ] in

@@ -4,8 +4,9 @@
     into the output FIFO with flow control) and handling arriving cells
     (reassembly, demultiplexing, delivery into receive queues).
 
-    The SBA-200 U-Net firmware ({!Sba200}) and Fore's original firmware
-    ({!Fore_firmware}) are both instances with different cost parameters. *)
+    The SBA-200 U-Net firmware ({!sba200_unet}) and Fore's original
+    firmware ({!sba200_fore}) are both instances with different cost
+    parameters. *)
 
 type config = {
   name : string;
@@ -33,6 +34,23 @@ type config = {
 }
 
 type t
+
+val sba200_unet : config
+(** The SBA-200 running the custom U-Net firmware of §4.2.2: the i960
+    maintains per-endpoint protection state, polls i960-resident send/free
+    queues, DMAs message data in 32-byte bursts, computes the AAL5 CRC in
+    hardware, and special-cases single-cell messages on both paths. The
+    calibration targets the paper's §4.2.3 numbers: 65 µs single-cell
+    round trip, 120 µs + ~6 µs/cell for multi-cell messages, fiber
+    saturation from ~800-byte packets. *)
+
+val sba200_fore : config
+(** Fore Systems' original SBA-200 firmware (§4.2.1), the baseline the U-Net
+    firmware replaced: the kernel-firmware interface is patterned after BSD
+    mbufs, and the i960 chases those linked descriptor chains across the I/O
+    bus with DMA — high per-message latency and no single-cell fast path.
+    Calibrated to the paper's measurements: ≈160 µs round trip and
+    ≈13 Mbytes/s with 4 KB packets. *)
 
 val create : Atm.Network.t -> host:int -> config -> t
 

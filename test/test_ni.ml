@@ -277,15 +277,15 @@ let test_copy_counts_sba100_vs_sba200 () =
 (* --- firmware configuration sanity -------------------------------------- *)
 
 let test_config_access () =
-  let cfg = Ni.Sba200.default_config in
+  let cfg = Ni.I960_nic.sba200_unet in
   checkb "fast path on in the U-Net firmware" true
     cfg.Ni.I960_nic.single_cell_optimization;
   checkb "fast path off in Fore's firmware" false
-    Ni.Fore_firmware.default_config.Ni.I960_nic.single_cell_optimization;
+    Ni.I960_nic.sba200_fore.Ni.I960_nic.single_cell_optimization;
   checkb "U-Net per-cell cost below the 3.03 us wire time" true
     (cfg.Ni.I960_nic.tx_per_cell_ns < 3_029);
   checkb "Fore per-cell cost above the wire time (i960-bound)" true
-    (Ni.Fore_firmware.default_config.Ni.I960_nic.tx_per_cell_ns > 3_029)
+    (Ni.I960_nic.sba200_fore.Ni.I960_nic.tx_per_cell_ns > 3_029)
 
 let () =
   Alcotest.run "ni"
