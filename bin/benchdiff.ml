@@ -1,14 +1,14 @@
 (* benchdiff: compare two BENCH_<figure>.json snapshots (written by
-   bench/main.exe and bin/enginebench.exe) and flag values that moved
-   beyond tolerance.
+   bench/main.exe) and flag values that moved beyond tolerance.
 
    Virtual-time members (curves, checks, copy counters) are
    deterministic for a given simulator, so they get one symmetric
-   --tolerance: any drift is a behavior change, not noise. Wall-clock
-   members (events/sec, µs/event) are gated per metric by the baseline
-   snapshot's "gates" object with direction-aware tolerances — only
-   movement in the bad direction fails, so noise can never flake an
-   improvement (see Engine.Benchgate).
+   --tolerance: any drift is a behavior change, not noise. Members an
+   experiment declares with a gate (events/PDU, allocated words/event,
+   the fabric's latencies) are checked by the baseline snapshot's
+   "gates" object instead, with per-member, direction-aware
+   tolerances — only movement in the bad direction fails (see
+   Engine.Benchgate).
 
    Exit codes: 0 agreement, 1 flagged regression/drift, 2 unreadable
    snapshot, 3 missing baseline (so CI can say "seed one" distinctly). *)

@@ -10,16 +10,16 @@
 
    - per-metric gates, declared in the *baseline* snapshot under a
      top-level "gates" object and applied to same-named top-level
-     numeric members — needed for wall-clock metrics, where run-to-run
-     noise is real and only movement in the bad direction is a
-     regression. A gate names its tolerance and a direction:
-     "lower_is_better" (µs/event, allocs/event — flag only increases),
-     "higher_is_better" (events/sec — flag only decreases), or "both".
+     numeric members — for members where only movement in one
+     direction is a regression, or that need their own tolerance. A
+     gate names its tolerance and a direction: "lower_is_better"
+     (events/PDU, allocs/event — flag only increases),
+     "higher_is_better" (bandwidth, heavy-hitter recall — flag only
+     decreases), or "both".
 
    The baseline's gates win over the legacy counter rule for the metric
    they name, and an improvement beyond any directional gate's tolerance
-   passes silently — wall-clock noise must not be able to flake an
-   improvement into a CI failure. *)
+   passes silently, so a gain never fails CI. *)
 
 type direction = Lower_is_better | Higher_is_better | Both
 

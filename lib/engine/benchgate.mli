@@ -3,13 +3,13 @@
     A global symmetric tolerance covers the deterministic virtual-time
     members (curve points, checks, copy counters); per-metric {!gate}s —
     declared in the baseline snapshot's top-level ["gates"] object — add
-    direction-aware tolerances for wall-clock metrics, where only
-    movement in the bad direction is a regression and an improvement of
-    any size must pass. *)
+    per-member tolerances, direction-aware where only movement in the
+    bad direction is a regression and an improvement of any size must
+    pass. *)
 
 type direction =
-  | Lower_is_better  (** flag only increases (µs/event, allocs/event) *)
-  | Higher_is_better  (** flag only decreases (events/sec) *)
+  | Lower_is_better  (** flag only increases (events/PDU, allocs/event) *)
+  | Higher_is_better  (** flag only decreases (bandwidth) *)
   | Both  (** symmetric, like the global tolerance *)
 
 type gate = { g_tolerance : float; g_direction : direction }

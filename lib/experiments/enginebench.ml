@@ -1,4 +1,5 @@
-(* Engine-throughput harness: how fast does the simulator itself run?
+(* Engine throughput (the [engine-throughput] experiment): how much work
+   does the simulator itself do per message on its hot path?
 
    Three workload families, chosen to bracket the hot path:
 
@@ -15,30 +16,29 @@
      PDU's train is planned over three switch stages — the gate that
      multi-hop planning (DESIGN.md §16) costs no extra events.
 
-   Each workload runs once as warm-up and once measured, flags-off, so
-   numbers reflect the hot path users pay for. Measured quantities per
-   workload: fired-event count (deterministic — tight symmetric gate),
-   the workload's own virtual-time bandwidth (deterministic), wall
-   events/sec, wall µs/event, and GC words allocated per event
-   (allocation is deterministic for a fixed code path — tight
-   regression-only gate). Wall metrics get generous regression-only
-   gates: CI machines differ, and an improvement must never flake. *)
+   Each workload runs once. Measured per workload: fired events, events
+   per message, the workload's own virtual-time bandwidth, message-latency
+   quantiles and GC words allocated per event. All are deterministic for
+   a fixed code path, so the snapshot members carry tight gates. Wall
+   time is left to the end-to-end benchmark (bench/e2e), which repeats
+   its trials and compares their spread. *)
 
 open Engine
 
 type sample = {
   s_workload : string;
-  s_events : int; (* fired during the measured pass *)
+  s_events : int; (* fired by the workload *)
   s_pdus : int; (* messages the workload pushed through *)
-  s_wall_ns : int;
   s_alloc_words : float; (* minor + major - promoted *)
   s_virt_mb_s : float; (* the workload's own bandwidth figure *)
   (* message-latency quantiles (virtual ns) from the always-on
-     [message_latency_ns] sketch, cleared per measured pass *)
+     [message_latency_ns] sketch, cleared per workload *)
   s_lat_p50 : float;
   s_lat_p99 : float;
   s_lat_p999 : float;
 }
+
+type t = sample list
 
 let workloads ~quick =
   let raw_count = if quick then 150 else 800 in
@@ -70,28 +70,22 @@ let alloc_words () =
   let minor, promoted, major = Gc.counters () in
   minor +. major -. promoted
 
-let measure_one name pdus f =
-  ignore (f () : float);
-  (* warm-up: heap growth, code paths, branch state *)
+let measure_one (name, pdus, f) =
   let sketch = Span.latency () in
+  (* this workload alone feeds the latency sketch *)
   Metrics.Sketch.clear sketch;
-  (* the measured pass alone feeds the latency sketch *)
   let fired0 = Sim.events_fired () in
   let alloc0 = alloc_words () in
-  let t0 = Selfprof.now_ns () in
   let mb = f () in
-  let wall = Selfprof.now_ns () - t0 in
   let alloc = alloc_words () -. alloc0 in
-  let events = Sim.events_fired () - fired0 in
   let q p =
     if Metrics.Sketch.count sketch = 0 then 0.
     else Metrics.Sketch.quantile sketch p
   in
   {
     s_workload = name;
-    s_events = events;
+    s_events = Sim.events_fired () - fired0;
     s_pdus = pdus;
-    s_wall_ns = wall;
     s_alloc_words = alloc;
     s_virt_mb_s = mb;
     s_lat_p50 = q 0.5;
@@ -99,16 +93,7 @@ let measure_one name pdus f =
     s_lat_p999 = q 0.999;
   }
 
-let measure ~quick =
-  List.map (fun (name, pdus, f) -> measure_one name pdus f) (workloads ~quick)
-
-let events_per_sec s =
-  if s.s_wall_ns = 0 then 0.
-  else float_of_int s.s_events /. (float_of_int s.s_wall_ns /. 1e9)
-
-let us_per_event s =
-  if s.s_events = 0 then 0.
-  else float_of_int s.s_wall_ns /. 1e3 /. float_of_int s.s_events
+let run ~quick = List.map measure_one (workloads ~quick)
 
 let alloc_per_event s =
   if s.s_events = 0 then 0.
@@ -117,74 +102,51 @@ let alloc_per_event s =
 let events_per_pdu s =
   if s.s_pdus = 0 then 0. else float_of_int s.s_events /. float_of_int s.s_pdus
 
-(* Gates: deterministic members tight and symmetric; wall members loose
-   and regression-only, so a fast machine or a genuine speedup always
-   passes. The baseline snapshot carries these, and benchdiff obeys the
-   baseline's copy. *)
-let gates samples =
+let members samples =
   let open Benchgate in
+  let gate g_tolerance g_direction = { g_tolerance; g_direction } in
   List.concat_map
     (fun s ->
+      let m suffix v g = (s.s_workload ^ suffix, (v, g)) in
       [
-        ( s.s_workload ^ "_events_fired",
-          { g_tolerance = 0.01; g_direction = Both } );
+        m "_events_fired" (float_of_int s.s_events) (gate 0.01 Both);
         (* deterministic ratchet on the train fast path: any change that
            re-inflates the per-PDU event count fails; deflating it passes
            and the next baseline capture locks the gain in *)
-        ( s.s_workload ^ "_events_per_pdu",
-          { g_tolerance = 0.01; g_direction = Lower_is_better } );
-        ( s.s_workload ^ "_mb_per_sec",
-          { g_tolerance = 0.05; g_direction = Both } );
+        m "_events_per_pdu" (events_per_pdu s) (gate 0.01 Lower_is_better);
+        m "_mb_per_sec" s.s_virt_mb_s (gate 0.05 Both);
         (* virtual-time latencies are deterministic; the sketch buckets
            are multiplicative (~2% wide), so any distribution shift moves
            a quantile by at least a bucket and trips the gate *)
-        ( s.s_workload ^ "_latency_p50_ns",
-          { g_tolerance = 0.01; g_direction = Both } );
-        ( s.s_workload ^ "_latency_p99_ns",
-          { g_tolerance = 0.01; g_direction = Both } );
-        ( s.s_workload ^ "_latency_p999_ns",
-          { g_tolerance = 0.01; g_direction = Both } );
-        ( s.s_workload ^ "_alloc_words_per_event",
-          { g_tolerance = 0.25; g_direction = Lower_is_better } );
-        ( s.s_workload ^ "_events_per_sec_wall",
-          { g_tolerance = 0.8; g_direction = Higher_is_better } );
-        ( s.s_workload ^ "_us_per_event",
-          { g_tolerance = 4.0; g_direction = Lower_is_better } );
+        m "_latency_p50_ns" s.s_lat_p50 (gate 0.01 Both);
+        m "_latency_p99_ns" s.s_lat_p99 (gate 0.01 Both);
+        m "_latency_p999_ns" s.s_lat_p999 (gate 0.01 Both);
+        m "_alloc_words_per_event" (alloc_per_event s)
+          (gate 0.25 Lower_is_better);
       ])
     samples
 
-let snapshot_json ~quick samples =
-  let open Json in
-  let numerics =
-    List.concat_map
-      (fun s ->
-        [
-          (s.s_workload ^ "_events_fired", Num (float_of_int s.s_events));
-          (s.s_workload ^ "_events_per_pdu", Num (events_per_pdu s));
-          (s.s_workload ^ "_mb_per_sec", Num s.s_virt_mb_s);
-          (s.s_workload ^ "_latency_p50_ns", Num s.s_lat_p50);
-          (s.s_workload ^ "_latency_p99_ns", Num s.s_lat_p99);
-          (s.s_workload ^ "_latency_p999_ns", Num s.s_lat_p999);
-          (s.s_workload ^ "_events_per_sec_wall", Num (events_per_sec s));
-          (s.s_workload ^ "_us_per_event", Num (us_per_event s));
-          (s.s_workload ^ "_alloc_words_per_event", Num (alloc_per_event s));
-        ])
-      samples
-  in
-  Obj
-    ([ ("name", Str "engine-throughput"); ("quick", Bool quick) ]
-    @ numerics
-    @ [ ("gates", Benchgate.gates_json (gates samples)) ])
+(* Before the cell-train fast path (DESIGN.md §14), fig4max_raw fired
+   125 120 events for its 150 quick-mode PDUs (~834 per PDU). The
+   events_per_pdu gate ratchets the exact count; this claim asserts that
+   order of magnitude never returns. *)
+let checks samples =
+  List.filter_map
+    (fun s ->
+      if s.s_workload <> "fig4max_raw" then None
+      else
+        Some
+          ( "train fast path engaged: fig4max_raw fires at most a third of \
+             its pre-train 834 events/PDU",
+            s.s_events * 3 * 150 <= 125_120 * s.s_pdus ))
+    samples
 
 let print samples =
-  Format.printf "  %-16s %12s %11s %14s %12s %14s %12s %10s %10s@." "workload"
-    "events" "events/pdu" "events/s wall" "us/event" "words/event" "virt MB/s"
-    "lat p50" "lat p99.9";
+  Format.printf "  %-16s %12s %11s %14s %12s %10s %10s@." "workload" "events"
+    "events/pdu" "words/event" "virt MB/s" "lat p50" "lat p99.9";
   List.iter
     (fun s ->
-      Format.printf
-        "  %-16s %12d %11.1f %14.0f %12.3f %14.1f %12.2f %8.1fus %8.1fus@."
-        s.s_workload s.s_events (events_per_pdu s) (events_per_sec s)
-        (us_per_event s) (alloc_per_event s) s.s_virt_mb_s
-        (s.s_lat_p50 /. 1e3) (s.s_lat_p999 /. 1e3))
+      Format.printf "  %-16s %12d %11.1f %14.1f %12.2f %8.1fus %8.1fus@."
+        s.s_workload s.s_events (events_per_pdu s) (alloc_per_event s)
+        s.s_virt_mb_s (s.s_lat_p50 /. 1e3) (s.s_lat_p999 /. 1e3))
     samples

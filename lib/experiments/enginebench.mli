@@ -1,44 +1,28 @@
-(** Engine-throughput measurement: wall events/sec, µs/event and
-    allocated words/event of the simulator's hot path, over fig4 at its
-    maximum message size (PDU-heavy) and a one-cell-per-message
-    cell-storm (event-rate-heavy). Run flags-off by [bin/enginebench];
-    the snapshot embeds direction-aware {!Engine.Benchgate} gates so CI
-    fails only on regressions, never on improvements or fast machines. *)
+(** Engine throughput, the [engine-throughput] experiment: events,
+    events per message and allocated words per event of the simulator's
+    hot path, over fig4 at its maximum message size (PDU-heavy), a
+    one-cell-per-message cell-storm (event-rate-heavy) and fig4 across a
+    2x2x2 Clos. Every member is deterministic and carries a
+    direction-aware {!Engine.Benchgate} gate; wall-clock throughput is
+    the end-to-end benchmark's to measure. *)
 
-type sample = {
-  s_workload : string;
-  s_events : int;  (** events fired during the measured pass *)
-  s_pdus : int;  (** messages the workload pushed through *)
-  s_wall_ns : int;
-  s_alloc_words : float;  (** GC words: minor + major - promoted *)
-  s_virt_mb_s : float;  (** the workload's own virtual-time bandwidth *)
-  s_lat_p50 : float;
-      (** message-latency quantiles in virtual ns, from the
-          [message_latency_ns] sketch over the measured pass alone *)
-  s_lat_p99 : float;
-  s_lat_p999 : float;
-}
+type t
 
 val workloads : quick:bool -> (string * int * (unit -> float)) list
 (** Named thunks with their message count, each returning its
     virtual-time MB/s. *)
 
-val measure : quick:bool -> sample list
-(** Warm-up pass then measured pass per workload. *)
+val run : quick:bool -> t
+(** One measured pass per workload, with whatever observers are on. *)
 
-val events_per_sec : sample -> float
-val us_per_event : sample -> float
-val alloc_per_event : sample -> float
+val members : t -> (string * (float * Engine.Benchgate.gate)) list
+(** Seven gated snapshot members per workload: events fired, events per
+    message (a ratchet on the cell-train fast path, DESIGN.md §14),
+    virtual bandwidth, latency p50/p99/p99.9 and allocated words per
+    event. *)
 
-val events_per_pdu : sample -> float
-(** Fired events per message — the quantity the cell-train fast path
-    (DESIGN.md §14) exists to shrink; gated as a deterministic ratchet. *)
+val checks : t -> (string * bool) list
+(** The train fast path keeps fig4max_raw at most a third of its
+    pre-train event count. *)
 
-val gates : sample list -> (string * Engine.Benchgate.gate) list
-(** Tight symmetric gates on deterministic members, generous
-    regression-only gates on wall members. *)
-
-val snapshot_json : quick:bool -> sample list -> Engine.Json.t
-(** The BENCH_engine-throughput.json document (metrics + gates). *)
-
-val print : sample list -> unit
+val print : t -> unit

@@ -106,6 +106,13 @@ let all =
       "1024-endpoint fat-tree: incast into one egress port, elephant/mice mix"
       Fabric.run Fabric.print Fabric.checks ~members:Fabric.members
       ~sections:(fun (t : Fabric.t) -> t.sections);
+    (* the simulator's own hot-path cost: appended after fabric, so the
+       earlier experiments' cumulative-counter snapshots keep their
+       values *)
+    exp "engine-throughput"
+      "simulator hot-path cost: events and allocated words per message"
+      Enginebench.run Enginebench.print Enginebench.checks
+      ~members:Enginebench.members;
   ]
 
 let find name = List.find_opt (fun e -> e.name = name) all

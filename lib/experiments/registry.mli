@@ -16,7 +16,7 @@ type outcome = {
       (** the figure's curves as (label, points) — empty for tables *)
   o_members : (string * (float * Engine.Benchgate.gate)) list;
       (** extra top-level snapshot members with direction-aware benchdiff
-          gates (the mechanism BENCH_engine-throughput.json uses); empty
+          gates (engine-throughput and fabric declare them); empty
           for experiments whose snapshot is fully covered by the global
           tolerance *)
   o_sections : string list;

@@ -353,6 +353,47 @@ let flow_drops_conserved () =
     (link_faults + switch_drops + refusals)
     (prom_sum "atm_flow_drops_total")
 
+(* No fault site attaches to trunks, but a caller can fault one through
+   [Network.output_link]: a cell lost inside a trunk counts at the stage
+   it was entering. Host 0's leaf loses every cell it puts on a trunk, so
+   the flow 0 -> 3 forwards all of them at hop 0 and loses them at hop 1. *)
+let trunk_loss_hop () =
+  Metrics.reset ();
+  Atm.Flowstat.configure ();
+  Fun.protect ~finally:Atm.Flowstat.disable @@ fun () ->
+  let sim = Sim.create () in
+  let net =
+    Atm.Network.create_topo sim ~topology:clos2 Atm.Network.default_config
+  in
+  let conn = Atm.Network.connect net ~a:0 ~b:3 in
+  Atm.Network.attach_rx net ~host:3 (fun _ -> ());
+  let leaf = Atm.Network.host_switch net ~host:0 in
+  let access =
+    [ Atm.Network.downlink net ~host:0; Atm.Network.downlink net ~host:1 ]
+  in
+  for port = 0 to Atm.Switch.ports (Atm.Network.switch_at net leaf) - 1 do
+    match Atm.Network.output_link net ~sw:leaf ~port with
+    | Some link when not (List.memq link access) ->
+        Atm.Link.set_fault link
+          (Fault.create ~site:"trunk" { Fault.none with loss = 1. })
+    | _ -> ()
+  done;
+  let tx_vci = conn.Atm.Network.side_a.tx_vci in
+  for j = 0 to 3 do
+    ignore
+      (Atm.Network.send net ~host:0
+         (Atm.Cell.make ~vci:tx_vci ~eop:(j = 3) zero_payload)
+        : bool)
+  done;
+  Sim.run ~until:(Sim.ms 1) sim;
+  match
+    Option.bind (Atm.Network.flowstat net) (fun fs ->
+        Option.bind (Atm.Flowstat.find fs ~src:0 ~vci:tx_vci)
+          Atm.Flowstat.flow_hops)
+  with
+  | Some [| (4, _, 0, _); (0, _, 4, _); (0, _, 0, _) |] -> ()
+  | _ -> Alcotest.fail "expected 4 cells forwarded at hop 0, 4 lost at hop 1"
+
 (* --- near-miss queue peaks --------------------------------------------- *)
 
 (* Three senders share one egress: the backlog peaks well below capacity,
@@ -494,6 +535,8 @@ let () =
           Alcotest.test_case "metric dump escaping" `Quick metric_escaping;
           Alcotest.test_case "drops conserved under faults" `Quick
             flow_drops_conserved;
+          Alcotest.test_case "trunk loss counts at the stage entered" `Quick
+            trunk_loss_hop;
         ] );
       ( "pathrec",
         [

@@ -102,39 +102,58 @@ let spans_identical_across_modes () =
 
 (* --- observers keep the fast path engaged ----------------------------- *)
 
+(* Every engine-throughput workload fires exactly its flags-off events
+   with the trace collector, timeseries sampler and spans attached, and
+   again with flow accounting and path records on: all of them fold at
+   train commit, so none pins the per-cell path. The latency sketch still
+   sees every observed run's messages. *)
 let observers_stay_fast () =
-  let events f =
+  let fired f =
     Metrics.reset ();
     let fired0 = Sim.events_fired () in
-    f ();
+    ignore (f () : float);
     Sim.events_fired () - fired0
   in
-  let workload () =
-    ignore (Experiments.Common.raw_bandwidth ~count:30 ~size:5056 () : float)
+  let observed ~start ~stop f =
+    start ();
+    Fun.protect ~finally:stop (fun () ->
+        let n = fired f in
+        checkb "train-granular observers pin nothing" false
+          (Trainmode.pinned ());
+        n)
   in
-  let base = events workload in
-  Trace.start ();
-  Timeseries.start ();
-  Span.start ();
-  let observed =
-    try events workload
-    with e ->
-      Trace.stop ();
-      Timeseries.stop ();
-      Span.stop ();
-      raise e
-  in
-  checkb "train-granular observers pin nothing" false (Trainmode.pinned ());
-  Trace.stop ();
-  Trace.clear ();
-  Timeseries.stop ();
-  Span.stop ();
-  Span.clear ();
-  checkb
-    (Printf.sprintf "trace+timeseries+spans stay within 2x (%d vs %d events)"
-       observed base)
-    true
-    (observed <= 2 * base)
+  List.iter
+    (fun (name, _, f) ->
+      let base = fired f in
+      checki
+        (name ^ ": trace + timeseries + spans fire the flags-off events")
+        base
+        (observed f
+           ~start:(fun () ->
+             Trace.start ();
+             Timeseries.start ();
+             Span.start ())
+           ~stop:(fun () ->
+             Trace.stop ();
+             Trace.clear ();
+             Timeseries.stop ();
+             Timeseries.clear ();
+             Span.stop ();
+             Span.clear ()));
+      checkb (name ^ ": latency sketch fed while observed") true
+        (Metrics.Sketch.count (Span.latency ()) > 0);
+      checki
+        (name ^ ": flowstat + path records fire the flags-off events")
+        base
+        (observed f
+           ~start:(fun () ->
+             Atm.Flowstat.configure ();
+             Pathrec.start ())
+           ~stop:(fun () ->
+             Atm.Flowstat.disable ();
+             Pathrec.stop ();
+             Pathrec.clear ())))
+    (Experiments.Enginebench.workloads ~quick:true)
 
 (* --- timeseries ring-drop counter ------------------------------------- *)
 

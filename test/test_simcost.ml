@@ -1,11 +1,12 @@
-(* Tests for the wall-clock self-profiler, the event-queue introspection
-   and the direction-aware bench gates: the root-inclusive-equals-elapsed
-   wall invariant over a real experiment, allocation attribution without
+(* Tests for what the simulator itself costs and how that cost is held:
+   the wall-clock profiler (the root-inclusive-equals-elapsed wall
+   invariant over a real experiment, allocation attribution without
    double counting across nested frames, --profile/--selfprof
    composition through one push/pop site, event-kind windows and their
-   allocation summaries, the wall clock staying on the fast path, queue
-   lifecycle counters and histograms, the queue-depth probe, the
-   enginebench snapshot schema, and benchdiff's gating rules. *)
+   allocation summaries, the wall clock staying on the fast path), the
+   event queue's lifecycle counters, histograms and depth probe, and the
+   bench gates (the engine-throughput snapshot schema and benchdiff's
+   gating rules). *)
 
 open Engine
 
@@ -237,39 +238,52 @@ let test_queue_depth_probe () =
         | (_, first) :: _, (_, last) :: _ -> last <= first
         | _ -> false)
 
-(* --- enginebench snapshot schema -------------------------------------- *)
+(* --- engine-throughput snapshot schema ---------------------------------- *)
 
-let test_enginebench_schema () =
-  let samples = Experiments.Enginebench.measure ~quick:true in
-  checki "four workloads" 4 (List.length samples);
-  List.iter
-    (fun (s : Experiments.Enginebench.sample) ->
-      checkb (s.s_workload ^ " fired events") true (s.s_events > 0);
-      checkb (s.s_workload ^ " took wall time") true (s.s_wall_ns > 0);
-      checkb (s.s_workload ^ " allocated") true (s.s_alloc_words > 0.))
-    samples;
-  let j = Experiments.Enginebench.snapshot_json ~quick:true samples in
-  checkb "named" true (Json.member "name" j = Some (Json.Str "engine-throughput"));
-  List.iter
-    (fun (s : Experiments.Enginebench.sample) ->
+(* The registry outcome carries seven deterministic, gated members per
+   workload; wall time is the end-to-end benchmark's, so no member reads
+   a wall clock. *)
+let test_engine_throughput_schema () =
+  match Experiments.Registry.find "engine-throughput" with
+  | None -> Alcotest.fail "engine-throughput experiment missing"
+  | Some e ->
+      let o = e.run ~quick:true in
+      let members = o.Experiments.Registry.o_members in
+      let value key =
+        match List.assoc_opt key members with
+        | Some (v, _) -> v
+        | None -> Alcotest.failf "%s missing" key
+      in
       List.iter
-        (fun suffix ->
-          let key = s.s_workload ^ suffix in
-          checkb (key ^ " present") true
-            (Option.is_some (Benchgate.numeric key j)))
-        [
-          "_events_fired";
-          "_events_per_pdu";
-          "_mb_per_sec";
-          "_events_per_sec_wall";
-          "_us_per_event";
-          "_alloc_words_per_event";
-          "_latency_p50_ns";
-          "_latency_p99_ns";
-          "_latency_p999_ns";
-        ])
-    samples;
-  checki "one gate per metric" 36 (List.length (Benchgate.gates_of_json j))
+        (fun (workload, _, _) ->
+          checkb (workload ^ " fired events") true
+            (value (workload ^ "_events_fired") > 0.);
+          checkb (workload ^ " allocated") true
+            (value (workload ^ "_alloc_words_per_event") > 0.);
+          List.iter
+            (fun suffix -> ignore (value (workload ^ suffix) : float))
+            [
+              "_events_per_pdu";
+              "_mb_per_sec";
+              "_latency_p50_ns";
+              "_latency_p99_ns";
+              "_latency_p999_ns";
+            ])
+        (Experiments.Enginebench.workloads ~quick:true);
+      let contains key sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length key && (String.sub key i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      List.iter
+        (fun (key, _) ->
+          checkb (key ^ " reads no wall clock") false
+            (contains key "_wall" || contains key "_us_per_event"))
+        members;
+      checki "seven gated members per workload" 28 (List.length members);
+      checkb "every claim holds" true (List.for_all snd o.o_checks)
 
 (* --- direction-aware gating ------------------------------------------- *)
 
@@ -331,7 +345,7 @@ let test_diff_missing_metric () =
     (Benchgate.diff ~tolerance:0.1 baseline missing <> [])
 
 let () =
-  Alcotest.run "selfprof"
+  Alcotest.run "simcost"
     [
       ( "wall",
         [
@@ -356,8 +370,8 @@ let () =
         ] );
       ( "bench",
         [
-          Alcotest.test_case "enginebench snapshot schema" `Quick
-            test_enginebench_schema;
+          Alcotest.test_case "engine-throughput snapshot schema" `Quick
+            test_engine_throughput_schema;
           Alcotest.test_case "gate directions" `Quick test_gate_directions;
           Alcotest.test_case "diff obeys baseline gates" `Quick test_diff_gated;
           Alcotest.test_case "missing gated metric flagged" `Quick
