@@ -347,23 +347,15 @@ let experiment =
     & pos 0 string "all"
     & info [] ~docv:"EXPERIMENT" ~doc:names_doc)
 
-let experiment_opt =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "experiment" ] ~docv:"EXPERIMENT"
-        ~doc:"Same as the positional argument; takes precedence over it.")
-
 let cmd =
   let doc = "reproduce the tables and figures of the U-Net paper (SOSP 1995)" in
   let term =
     Term.(
-      const (fun name exp_opt quick check out verbose trace metrics spans pcap
+      const (fun name quick check out verbose trace metrics spans pcap
                  breakdown fault per_cell profile selfprof timeseries
                  interval_us report paths flowstat topo
                  postmortem ->
           setup_logs verbose;
-          let name = Option.value exp_opt ~default:name in
           if per_cell then Engine.Trainmode.force_per_cell true;
           (match topo with
           | None -> ()
@@ -528,7 +520,7 @@ let cmd =
           | None ->
               if name = "all" then finish (run_all ~collect_report quick check)
               else finish (run_experiment ~collect_report name quick check))
-      $ experiment $ experiment_opt $ quick $ check $ out $ verbose
+      $ experiment $ quick $ check $ out $ verbose
       $ trace_file $ metrics_file $ spans_file $ pcap_file $ breakdown $ fault
       $ per_cell $ profile_file $ selfprof_file $ timeseries_file
       $ sample_interval

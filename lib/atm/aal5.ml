@@ -33,7 +33,7 @@ let segment ?ctx ~vci payload =
   let pdu = Buf.append payload (Buf.of_bytes tail) in
   (* one tag shared by the PDU's cells *)
   let tag =
-    match ctx with None -> None | Some _ -> Some { Cell.ctx; path = None }
+    match ctx with None -> None | Some _ -> Some { Cell.ctx; journal = None }
   in
   List.init ncells (fun i ->
       Cell.make ?tag ~vci ~eop:(i = ncells - 1)
@@ -76,22 +76,23 @@ module Reassembler = struct
     mutable cells : Buf.t list;  (* received payload views, reversed *)
     mutable got : int;  (* bytes across [cells] *)
     mutable error_count : int;
-    mutable last_ctx : Span.ctx option;  (* context of the last EOP cell *)
+    mutable last : Cell.tag;  (* tag of the last EOP cell *)
   }
 
-  let create () = { cells = []; got = 0; error_count = 0; last_ctx = None }
+  let create () = { cells = []; got = 0; error_count = 0; last = Cell.untagged }
   let in_progress t = t.got > 0
   let errors t = t.error_count
-  let last_ctx t = t.last_ctx
+  let last_ctx t = t.last.ctx
   let max_pdu_bytes = cells_for max_payload * Cell.payload_size
 
   (* Every discard path funnels through here: the per-VCI state is already
      reset by the caller, so a bad PDU never poisons the next one; the loss
-     is visible in the error count, a metric, and the message's span. *)
+     is visible in the error count, a metric, and the PDU's journal (and so
+     its span). *)
   let discard t err =
     t.error_count <- t.error_count + 1;
     m_discarded (error_reason err);
-    Span.mark t.last_ctx Span.Dropped;
+    Journal.drop t.last.journal;
     Error err
 
   let finish t =
@@ -117,14 +118,14 @@ module Reassembler = struct
     if t.got + Cell.payload_size > max_pdu_bytes then begin
       t.cells <- [];
       t.got <- 0;
-      t.last_ctx <- cell.tag.ctx;
+      t.last <- cell.tag;
       Some (discard t Too_long)
     end
     else begin
       t.cells <- cell.payload :: t.cells;
       t.got <- t.got + Cell.payload_size;
       if cell.eop then begin
-        t.last_ctx <- cell.tag.ctx;
+        t.last <- cell.tag;
         Some (finish t)
       end
       else None

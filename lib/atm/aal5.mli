@@ -42,8 +42,8 @@ module Reassembler : sig
       as cell loss discards a whole segment in the paper's §7.8). Per-VCI
       state is reset before the error is reported, so a corrupted PDU never
       poisons the next one; every discard increments
-      [aal5_pdus_discarded_total{reason}] and marks the PDU's span
-      [Dropped]. *)
+      [aal5_pdus_discarded_total{reason}] and records a drop in the PDU's
+      hop journal, which its span shows as [Dropped]. *)
 
   val in_progress : t -> bool
   val errors : t -> int

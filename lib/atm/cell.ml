@@ -1,6 +1,6 @@
 type tag = {
   ctx : Engine.Span.ctx option;
-  path : Engine.Pathrec.journey option;
+  mutable journal : Engine.Journal.t option;
 }
 
 type t = { vci : int; eop : bool; payload : Engine.Buf.t; tag : tag }
@@ -8,7 +8,7 @@ type t = { vci : int; eop : bool; payload : Engine.Buf.t; tag : tag }
 let header_size = 5
 let payload_size = 48
 let on_wire_size = header_size + payload_size
-let untagged = { ctx = None; path = None }
+let untagged = { ctx = None; journal = None }
 
 let make ?(tag = untagged) ~vci ~eop payload =
   if Engine.Buf.length payload <> payload_size then

@@ -5,10 +5,10 @@
 type tag = {
   ctx : Engine.Span.ctx option;
       (** span context of the CS-PDU the cell was segmented from *)
-  path : Engine.Pathrec.journey option;
-      (** on an EOP cell sent per-cell with path records on: the PDU's
-          path record in the making, stamped by each stage's route and
-          sealed at delivery (DESIGN.md §17) *)
+  mutable journal : Engine.Journal.t option;
+      (** the PDU's hop journal, allocated by [Network] on first need while
+          spans or path records are on (DESIGN.md §17); never set on
+          {!untagged} *)
 }
 (** Observation state riding a cell through links and switches. The cells
     of a PDU share one, and {!untagged} when nothing observes them, so the

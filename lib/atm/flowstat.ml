@@ -35,9 +35,11 @@ module Topk = struct
               Hashtbl.add t.table key { key; est = m.est + w; err = m.est }
         end
 
+  (* ties in key order, so the listing does not depend on hashing *)
   let entries t =
     List.sort
-      (fun (_, a, _) (_, b, _) -> compare b a)
+      (fun (ka, a, _) (kb, b, _) ->
+        if a = b then compare ka kb else compare b a)
       (Hashtbl.fold (fun _ e acc -> (e.key, e.est, e.err) :: acc) t.table [])
 end
 
@@ -79,7 +81,9 @@ type t = {
   by_key : (int * int, flow) Hashtbl.t; (* (src, uplink VCI) *)
   mutable order : flow list; (* reversed registration order *)
   mutable n_exact : int;
-  topk : flow Topk.t;
+  topk : (int * int) Topk.t;
+      (* keyed like [by_key]: a flow's own counters move, so hashing the
+         flow itself would file every offer under a new key *)
 }
 
 let create () =
@@ -142,7 +146,8 @@ let count t fl ~hop ~cells =
       Metrics.Counter.add hops.(hop).hs_cells cells;
       Metrics.Counter.add hops.(hop).hs_bytes (cells * Cell.payload_size)
   | _ -> ());
-  if hop = 0 then Topk.offer t.topk fl (cells * Cell.payload_size)
+  if hop = 0 then
+    Topk.offer t.topk (fl.fl_src, fl.fl_vcis.(0)) (cells * Cell.payload_size)
 
 let drop _t fl ~hop =
   match fl.fl_exact with
@@ -197,4 +202,7 @@ let flow_hops fl =
 
 let flows t = List.rev t.order
 let exact_flows t = t.n_exact
-let top t = Topk.entries t.topk
+let top t =
+  List.map
+    (fun (key, est, err) -> (Hashtbl.find t.by_key key, est, err))
+    (Topk.entries t.topk)

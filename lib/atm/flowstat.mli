@@ -33,7 +33,8 @@ module Topk : sig
       and are dropped on absent keys. *)
 
   val entries : 'a t -> ('a * int * int) list
-  (** [(key, estimate, error)] sorted by estimate descending. For every
+  (** [(key, estimate, error)] sorted by estimate descending, ties in key
+      order. For every
       key, [estimate >= true count]; if the key was never evicted,
       [estimate - error <= true count]. Any key with true count
       > total/k is guaranteed present. *)

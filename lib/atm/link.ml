@@ -27,6 +27,7 @@ type hop = {
 
 type t = {
   sim : Sim.t;
+  id : int; (* names the link to a PDU's hop journal *)
   cell_time : Sim.time;
   propagation : Sim.time;
   queue_capacity : int;
@@ -184,14 +185,18 @@ let busy_ns_at t ~at =
   in
   t.busy_ns + (corr * t.cell_time)
 
+let next_id = ref 0
+
 let create sim ?(queue_capacity = max_int) ?(metrics_labels = []) ~bandwidth_mbps
     ~propagation () =
   if bandwidth_mbps <= 0. then invalid_arg "Link.create: bandwidth must be positive";
   let bits = float_of_int (Cell.on_wire_size * 8) in
   let cell_time = int_of_float (Float.round (bits /. bandwidth_mbps *. 1_000.)) in
+  incr next_id;
   let t =
     {
       sim;
+      id = !next_id;
       cell_time;
       propagation;
       queue_capacity;
@@ -233,6 +238,7 @@ let set_receiver t f = t.receiver <- Some f
 let set_fault t f = t.fault <- Some f
 let cell_time t = t.cell_time
 let propagation t = t.propagation
+let id t = t.id
 
 let cells_sent t =
   fold_to t (Sim.now t.sim);
@@ -531,7 +537,7 @@ let capture_fault cell =
 let drop_cell t ~kind (cell : Cell.t) =
   t.dropped <- t.dropped + 1;
   Metrics.Counter.inc t.m_dropped;
-  Span.mark cell.Cell.tag.ctx Span.Dropped;
+  Journal.drop cell.Cell.tag.journal;
   capture_fault cell;
   if Trace.enabled () then
     Trace.instant Trace.Cell "link.loss"
@@ -598,11 +604,13 @@ let deliver t cell =
           (* held back while later cells overtake it *)
           forward t ~extra_delay:(slots * t.cell_time) cell)
 
+(* the EOP cell starts serializing at [at]: in its journal, this
+   separates switch and queue wait from wire time *)
+let journal_start t (cell : Cell.t) ~at =
+  if cell.Cell.eop then Journal.link_start cell.Cell.tag.journal ~link:t.id ~at
+
 let rec transmit t cell =
-  (* serialization starts now: for the EOP cell this separates switch /
-     queue wait from wire time in the span breakdown (marks replace, so
-     the last link the cell crosses wins) *)
-  if cell.Cell.eop then Span.mark cell.Cell.tag.ctx Span.Link_tx;
+  journal_start t cell ~at:(Sim.now t.sim);
   t.transmitting <- true;
   t.busy_ns <- t.busy_ns + t.cell_time;
   Sim.schedule_drop ~label:"link.tx_cell" t.sim ~delay:t.cell_time (fun () ->
@@ -631,8 +639,8 @@ let bridge_send t (cell : Cell.t) =
   else begin
     let start = if tail > now then tail else now in
     if start > now then
-      Metrics.Gauge.set_max t.m_queue_hw (float_of_int (queued + 1))
-    else if cell.Cell.eop then Span.mark cell.Cell.tag.ctx Span.Link_tx;
+      Metrics.Gauge.set_max t.m_queue_hw (float_of_int (queued + 1));
+    journal_start t cell ~at:start;
     let pl =
       {
         pl_accepts = [| now |];

@@ -39,6 +39,9 @@ val cell_time : t -> Engine.Sim.time
 
 val propagation : t -> Engine.Sim.time
 
+val id : t -> int
+(** Unique per link in the process; names the link in hop journals. *)
+
 val cells_sent : t -> int
 val cells_dropped : t -> int
 (** Queue-overflow drops plus injected losses. *)

@@ -118,7 +118,7 @@ type dest = To_host of int | To_switch of { sw : int; port : int; trunk : int }
 (* Flow-observability bookkeeping (DESIGN.md §17), one per installed route
    direction, kept only while flow accounting or path records are active.
    The per-cell observers need no lookup: each stage's route entry holds a
-   closure over the track, and an EOP cell carries its own path record. *)
+   closure over the flow, and a PDU's cells carry its hop journal. *)
 type ftrack = {
   ft_dst : int;
   ft_flow : Flowstat.flow option; (* when flow accounting is active *)
@@ -190,26 +190,28 @@ let undeliverable_cell t ~host (cell : Cell.t) =
         c
   in
   Metrics.Counter.inc c;
-  Span.mark cell.Cell.tag.ctx Span.Dropped
+  Journal.drop cell.Cell.tag.journal
 
 (* --- flow observability hooks (DESIGN.md §17) ------------------------- *)
 
-(* Per-cell observer of a flow's stage [hop] (switch [sw]), riding that
-   stage's route entry: count the cell into the flow's accounting and,
-   for an EOP cell carrying a path record, stamp the hop at the real
-   forwarding instant. *)
-let observe_hop t ~hop ~sw ~in_port ~out_port tr cell ~queue ~forwarded =
-  (match (t.flowstat, tr.ft_flow) with
-  | Some fs, Some fl ->
-      if forwarded then Flowstat.count fs fl ~hop ~cells:1
-      else Flowstat.drop fs fl ~hop
-  | _ -> ());
-  if forwarded then
-    match cell.Cell.tag.path with
-    | Some j ->
-        Pathrec.stamp j ~hop ~stage:sw ~in_port ~out_port ~queue
-          ~now:(Sim.now t.sim)
-    | None -> ()
+(* The cell to send, carrying its PDU's hop journal when one is wanted: for
+   the span while spans are on, for the path record of a tracked flow
+   while path records are on. The journal goes into the tag the PDU's
+   cells share on first need; an untagged EOP cell gets a tag of its
+   own. *)
+let with_journal (cell : Cell.t) ~tracked =
+  let tag = cell.Cell.tag in
+  let wanted =
+    (tag.ctx <> None && Span.enabled ()) || (tracked && Pathrec.enabled ())
+  in
+  if tag.journal <> None || not wanted then cell
+  else if tag != Cell.untagged then begin
+    tag.journal <- Some (Journal.create ?ctx:tag.ctx ());
+    cell
+  end
+  else if cell.Cell.eop then
+    { cell with tag = { ctx = None; journal = Some (Journal.create ()) } }
+  else cell
 
 (* One injector per attachment point — per access-link direction per host,
    per switch output port per stage — so each has its own seed-derived
@@ -337,9 +339,7 @@ let create_topo sim ~topology config =
         t.in_flight.(sw).(port) <- t.in_flight.(sw).(port) + 1);
     Switch.attach_output switches.(sw) ~port downlinks.(h);
     Link.set_receiver downlinks.(h) (fun cell ->
-        (match cell.Cell.tag.path with
-        | Some j -> Pathrec.deliver j ~now:(Sim.now sim)
-        | None -> ());
+        if cell.Cell.eop then Journal.deliver cell.Cell.tag.journal;
         match t.rx_handlers.(h) with
         | Some f -> f cell
         | None -> undeliverable_cell t ~host:h cell)
@@ -410,39 +410,30 @@ let capture_cell ~host cell =
 
 let send t ~host cell =
   check_host t host;
-  if cell.Cell.eop then Span.mark cell.Cell.tag.ctx Span.Injected;
   capture_cell ~host cell;
   (* the uplink's on_accept hook counts the cell into the ingress port's
      in-flight gate *)
   let uplink = t.uplinks.(host) in
-  match
+  let track =
     if t.obs_on then Hashtbl.find_opt t.tracks (host, cell.Cell.vci) else None
-  with
-  | None -> Link.send uplink cell
-  | Some tr ->
-      (* an EOP cell carries its path record from here on *)
-      let path =
-        if cell.Cell.eop && Pathrec.enabled () then
-          Some
-            (Pathrec.inject ~src:host ~dst:tr.ft_dst ~vci:cell.Cell.vci
-               ~now:(Sim.now t.sim))
-        else None
-      in
-      let ok =
-        Link.send uplink
-          (if Option.is_none path then cell
-           else { cell with tag = { cell.tag with path } })
-      in
-      (match (ok, path, t.flowstat, tr.ft_flow) with
-      | true, Some j, _, _ ->
-          (* numbered only now: a train truncation inside [Link.send] can
-             hand sequence numbers back *)
-          Pathrec.number j ~seq:tr.ft_seq
-      | false, _, Some fs, Some fl ->
-          (* the host TX FIFO refused the cell bound for stage 0 *)
-          Flowstat.drop fs fl ~hop:0
-      | _ -> ());
-      ok
+  in
+  let cell = with_journal cell ~tracked:(track <> None) in
+  let journal = cell.Cell.tag.journal in
+  if cell.Cell.eop then Journal.inject journal;
+  let ok = Link.send uplink cell in
+  (match (track, journal) with
+  | Some tr, Some j when ok && cell.Cell.eop && Pathrec.enabled () ->
+      (* numbered only now: a train truncation inside [Link.send] can
+         hand sequence numbers back *)
+      Journal.number j ~src:host ~dst:tr.ft_dst ~vci:cell.Cell.vci
+        ~seq:tr.ft_seq
+  | _ -> ());
+  (match (ok, t.flowstat, track) with
+  | false, Some fs, Some { ft_flow = Some fl; _ } ->
+      (* the host TX FIFO refused the cell bound for stage 0 *)
+      Flowstat.drop fs fl ~hop:0
+  | _ -> ());
+  ok
 
 let uplink t ~host =
   check_host t host;
@@ -508,17 +499,12 @@ let observe_train t ~host ~dst ~train ~uplink ~up_plan ~legs ~deliveries =
   if track = None && not (Trainmode.synthesizing ()) then []
   else
     let n = Cell.Train.length train in
-    let eops = ref [] in
-    for i = n - 1 downto 0 do
-      if (Cell.Train.cell train i).Cell.eop then eops := i :: !eops
-    done;
     let plan =
       {
         Trainplan.src = host;
         dst;
         vci;
         n;
-        eops = Array.of_list !eops;
         up_accepts = Link.plan_accepts up_plan;
         up_starts = Link.plan_starts up_plan;
         up_cell_time = Link.cell_time uplink;
@@ -531,11 +517,16 @@ let observe_train t ~host ~dst ~train ~uplink ~up_plan ~legs ~deliveries =
       (match (t.flowstat, track) with
       | Some fs, Some { ft_flow = Some fl; _ } -> Flowstat.on_train fs fl plan
       | _ -> Trainplan.no_undo);
-      (match track with
-      | Some tr -> Pathrec.on_train ~now:(Sim.now t.sim) ~seq:tr.ft_seq plan
-      | None -> Trainplan.no_undo);
-      Span.on_train plan ~ctx:(fun i ->
-          (Cell.Train.cell train i).Cell.tag.ctx);
+      (let eop = Cell.Train.cell train (n - 1) in
+       match (with_journal eop ~tracked:(track <> None)).Cell.tag.journal with
+       | Some j when eop.Cell.eop ->
+           let seq =
+             match track with
+             | Some tr when Pathrec.enabled () -> Some tr.ft_seq
+             | _ -> None
+           in
+           Journal.of_plan plan j ~seq
+       | _ -> Trainplan.no_undo);
       Trace.on_train plan;
     ]
 
@@ -782,8 +773,15 @@ let install_route t ~src ~dst =
   in
   List.iteri
     (fun hop (sw, in_port, in_vci, out_port, out_vci) ->
+      (* per-cell flow accounting rides the stage's route entry *)
       let observe =
-        Option.map (observe_hop t ~hop ~sw ~in_port ~out_port) track
+        match (t.flowstat, track) with
+        | Some fs, Some { ft_flow = Some fl; _ } ->
+            Some
+              (fun ~forwarded ->
+                if forwarded then Flowstat.count fs fl ~hop ~cells:1
+                else Flowstat.drop fs fl ~hop)
+        | _ -> None
       in
       Switch.add_route ?observe t.switches.(sw) ~in_port ~in_vci ~out_port
         ~out_vci)

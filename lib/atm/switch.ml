@@ -2,6 +2,7 @@ open Engine
 
 type t = {
   sim : Sim.t;
+  stage : int; (* the fabric's index of this switch *)
   ports : int;
   transit : Sim.time;
   output_queue_capacity : int;
@@ -37,14 +38,13 @@ type t = {
          in-flight gate of DESIGN.md §14 counts it out) *)
 }
 
-(* A route-table entry. [observe] (flow accounting and path records) sees
-   each cell the route carries at its forwarding instant, with the output
-   queue depth found on arrival (before the enqueue decision) and whether
-   the cell made it onto the link. *)
+(* A route-table entry. [observe] (flow accounting) sees each cell the
+   route carries at its forwarding instant: whether it made it onto the
+   link. *)
 and route = {
   out_port : int;
   out_vci : int;
-  observe : (Cell.t -> queue:int -> forwarded:bool -> unit) option;
+  observe : (forwarded:bool -> unit) option;
 }
 
 (* One committed train crossing this switch: cell i is forwarded at
@@ -110,6 +110,7 @@ let create sim ~ports ~transit ?(output_queue_capacity = 1024) ?id () =
   let t =
     {
       sim;
+      stage = Option.value id ~default:0;
       ports;
       transit;
       output_queue_capacity;
@@ -208,7 +209,7 @@ let remove_route t ~in_port ~in_vci =
 
 let lost t ~port (cell : Cell.t) =
   match Hashtbl.find_opt t.routes (port, cell.Cell.vci) with
-  | Some { observe = Some f; _ } -> f cell ~queue:0 ~forwarded:false
+  | Some { observe = Some f; _ } -> f ~forwarded:false
   | _ -> ()
 
 let set_on_settled t f = t.on_settled <- Some f
@@ -283,11 +284,11 @@ let truncate_plan t r ~keep =
     end
   end
 
-let drop t ?ctx ~out_port ~vci () =
+let drop t (cell : Cell.t) ~out_port ~vci =
   t.dropped <- t.dropped + 1;
   Metrics.Counter.inc t.m_dropped;
   Metrics.Counter.inc t.port_drops.(out_port);
-  Span.mark ctx Span.Dropped;
+  Journal.drop cell.Cell.tag.journal;
   if Trace.enabled () then
     Trace.instant Trace.Cell "switch.drop" ~tid:out_port
       ~args:[ ("vci", Trace.Int vci) ]
@@ -302,7 +303,8 @@ let fault_drops t ~out_port =
 
 let input t ~port cell =
   check_port t port;
-  if cell.Cell.eop then Span.mark cell.Cell.tag.ctx Span.Switch_in;
+  if cell.Cell.eop then
+    Journal.switch_in cell.Cell.tag.journal ~stage:t.stage ~in_port:port;
   match Hashtbl.find_opt t.routes (port, cell.Cell.vci) with
   | None ->
       t.unroutable <- t.unroutable + 1;
@@ -330,12 +332,13 @@ let input t ~port cell =
               let dropf = (not dropq) && fault_drops t ~out_port in
               let forwarded =
                 if dropq || dropf then begin
-                  drop t ?ctx:cell.Cell.tag.ctx ~out_port ~vci:out_vci ();
+                  drop t cell ~out_port ~vci:out_vci;
                   false
                 end
                 else if begin
                   if cell.Cell.eop then
-                    Span.mark cell.Cell.tag.ctx Span.Switch_out;
+                    Journal.forward cell.Cell.tag.journal ~stage:t.stage
+                      ~out_port ~link:(Link.id link) ~queue:q;
                   Link.send link (Cell.with_vci cell out_vci)
                 end
                 then begin
@@ -346,14 +349,12 @@ let input t ~port cell =
                   true
                 end
                 else begin
-                  drop t ?ctx:cell.Cell.tag.ctx ~out_port ~vci:out_vci ();
+                  drop t cell ~out_port ~vci:out_vci;
                   false
                 end
               in
               Metrics.Gauge.set_max t.port_queue_peak.(out_port)
                 (float_of_int
                    (if forwarded then Link.queue_length link else q));
-              (match observe with
-              | Some f -> f cell ~queue:q ~forwarded
-              | None -> ());
+              (match observe with Some f -> f ~forwarded | None -> ());
               settled t ~in_port:port))

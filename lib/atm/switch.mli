@@ -17,8 +17,9 @@ val create :
 (** [id] names this switch as one stage of a multi-switch fabric: per-port
     metric labels gain a [("switch", id)] dimension and the
     flight-recorder snapshot becomes [atm.switch.<id>], so stages never
-    alias. Omit it for a single-switch network — the historical label set
-    and snapshot name are kept byte-identical. *)
+    alias; hop journals name the stage by it (0 without one). Omit it for
+    a single-switch network — the historical label set and snapshot name
+    are kept byte-identical. *)
 
 val attach_output : t -> port:int -> Link.t -> unit
 (** Connect the outgoing link of a port. *)
@@ -26,11 +27,11 @@ val attach_output : t -> port:int -> Link.t -> unit
 val set_fault : t -> port:int -> Engine.Fault.t -> unit
 (** Attach a fault injector to an output port: cells routed to it are
     additionally dropped per {!Engine.Fault.drops}, sharing the
-    queue-overflow drop path (same counters, trace event, and [Dropped]
-    span mark). *)
+    queue-overflow drop path (same counters, trace event, and journal
+    drop). *)
 
 val add_route :
-  ?observe:(Cell.t -> queue:int -> forwarded:bool -> unit) ->
+  ?observe:(forwarded:bool -> unit) ->
   t ->
   in_port:int ->
   in_vci:int ->
@@ -38,20 +39,19 @@ val add_route :
   out_vci:int ->
   unit
 (** Raises if the (in_port, in_vci) pair is already routed. [observe]
-    rides the route entry (flow accounting and path records, DESIGN.md
-    §17): it sees every cell the route carries at its forwarding instant
-    (arrival + transit), before the header rewrite, with the output-queue
-    depth found at arrival and whether the cell made it onto the link
-    ([false]: dropped at a full queue or by a port fault, or lost on
-    the way in, see {!lost}). Only the per-cell path calls it; committed
-    trains are accounted analytically at commit time by the network.
-    Unroutable cells meet no route and no observer. *)
+    rides the route entry (flow accounting, DESIGN.md §17): it sees every
+    cell the route carries at its forwarding instant (arrival + transit)
+    and whether the cell made it onto the link ([false]: dropped at a
+    full queue or by a port fault, or lost on the way in, see {!lost}).
+    Only the per-cell path calls it; committed trains are accounted
+    analytically at commit time by the network. Unroutable cells meet no
+    route and no observer. *)
 
 val remove_route : t -> in_port:int -> in_vci:int -> unit
 
 val lost : t -> port:int -> Cell.t -> unit
 (** A cell bound for input [port] was lost inside the link feeding it:
-    its route's observer sees it as not forwarded, at queue depth 0. *)
+    its route's observer sees it as not forwarded. *)
 
 val input : t -> port:int -> Cell.t -> unit
 (** Deliver a cell into the switch (wired as the receiver of the host-side

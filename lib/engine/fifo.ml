@@ -42,17 +42,4 @@ let filter_in_place keep t =
   done;
   if !w < t.len then truncate t !w
 
-let rec index_from p t i =
-  if i >= t.len then -1 else if p t.buf.(i) then i else index_from p t (i + 1)
-
-let remove_first p t =
-  let i = index_from p t 0 in
-  if i < 0 then None
-  else begin
-    let x = t.buf.(i) in
-    Array.blit t.buf (i + 1) t.buf i (t.len - i - 1);
-    truncate t (t.len - 1);
-    Some x
-  end
-
 let to_list t = List.init t.len (fun i -> t.buf.(i))

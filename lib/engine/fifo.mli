@@ -1,8 +1,8 @@
 (** An insertion-ordered buffer of pending records (train plan records,
     provisional path records), oldest first.
 
-    Pushes append; {!filter_in_place} and {!remove_first} compact in place
-    and keep the survivors in order. Once the backing array has grown to
+    Pushes append; {!filter_in_place} compacts in place and keeps the
+    survivors in order. Once the backing array has grown to
     the live high-water mark, a steady state of pushes and retirements
     allocates nothing, and each operation costs the number of live
     elements, not the number ever pushed. *)
@@ -24,9 +24,6 @@ val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val filter_in_place : ('a -> bool) -> 'a t -> unit
 (** Keep the elements satisfying the predicate, in order. The predicate
     sees every element once, oldest first, so it may also update it. *)
-
-val remove_first : ('a -> bool) -> 'a t -> 'a option
-(** Remove and return the oldest element satisfying the predicate. *)
 
 val clear : 'a t -> unit
 val to_list : 'a t -> 'a list

@@ -199,6 +199,7 @@ let create () =
      (exactly one is live at a time in every runner; see Trace) *)
   Trace.attach_clock (fun () -> t.clock);
   Span.attach_clock (fun () -> t.clock);
+  Journal.attach_clock (fun () -> t.clock);
   Pcapng.attach_clock (fun () -> t.clock);
   let cumulative () = !time_base + t.clock in
   Profile.attach_clock cumulative;

@@ -94,6 +94,8 @@ type span = {
   host : int;
   minted : int; (* virtual ns at mint *)
   marks : int array; (* indexed by mark_index; no_mark when unset *)
+  mutable views : (mark -> int option) list;
+      (* the fabric milestones of the span's PDUs, read at export *)
   mutable observed : bool; (* histograms fed at most once per span *)
 }
 
@@ -142,6 +144,7 @@ let mint ~(parent : ctx option) ~host name =
         host;
         minted;
         marks = Array.make n_marks no_mark;
+        views = [];
         observed = false;
       }
     in
@@ -160,7 +163,6 @@ let emit_flow s m =
   let name = "flow:" ^ s.name in
   match m with
   | Doorbell -> Trace.flow_start ~tid:s.host ~id:s.id Trace.Desc name
-  | Switch_in -> Trace.flow_step ~tid:s.host ~id:s.id Trace.Cell name
   | Popped -> Trace.flow_end ~tid:s.host ~id:s.id Trace.Desc name
   | _ -> ()
 
@@ -176,68 +178,8 @@ let mark ctx m =
         s.marks.(mark_index m) <- !clock ();
         if Trace.enabled () then emit_flow s m
 
-(* Set a milestone to a plan instant, or erase it with [no_mark]. No flow
-   emission: flow arrows carry the emission-time clock, which would lie
-   about a future milestone; the real Doorbell and Popped marks still
-   anchor the arrow. *)
-let set_mark ctx m t =
-  match span_of ctx with Some s -> s.marks.(mark_index m) <- t | None -> ()
-
-(* Train-granular milestones (DESIGN.md §15): the plan instant at which
-   the per-cell path stamps each milestone of EOP cell [i]. Marks replace,
-   so these are the values of the last stage the cell crosses. *)
-let train_milestones (p : Trainplan.t) i =
-  let last = p.stages.(Array.length p.stages - 1) in
-  [
-    (Injected, p.up_accepts.(i));
-    (Switch_in, last.arrivals.(i) - last.transit);
-    (Switch_out, last.arrivals.(i));
-    (Link_tx, last.starts.(i));
-    (Rx_cell, p.deliveries.(i));
-  ]
-
-let on_train (p : Trainplan.t) ~ctx =
-  if not !on then Trainplan.no_undo
-  else begin
-    let eops = Array.map (fun i -> (i, ctx i)) p.eops in
-    Array.iter
-      (fun (i, c) ->
-        List.iter (fun (m, t) -> set_mark c m t) (train_milestones p i))
-      eops;
-    (* each planned TX-FIFO refusal marks its message Dropped, as a
-       refused per-cell send does *)
-    let refused =
-      Array.init (Array.length p.up_drops) (fun j ->
-          ctx (Trainplan.refused_cell p j))
-    in
-    let mark_refused k =
-      for j = 0 to k - 1 do
-        set_mark refused.(j) Dropped p.up_drops.(j)
-      done
-    in
-    mark_refused (Array.length refused);
-    let live_drops = ref (Array.length refused) in
-    fun ~keep ~now ->
-      (* erase what the cut retracts; the per-cell re-run re-stamps what
-         really happens *)
-      Array.iter
-        (fun (i, c) ->
-          if i >= keep then
-            List.iter
-              (fun (m, _) -> set_mark c m no_mark)
-              (train_milestones p i))
-        eops;
-      let k = Trainplan.drops_before p ~now in
-      if k < !live_drops then begin
-        for j = k to !live_drops - 1 do
-          set_mark refused.(j) Dropped no_mark
-        done;
-        (* a train is one CS-PDU: its message keeps the last refusal
-           before the cut *)
-        mark_refused k;
-        live_drops := k
-      end
-  end
+let attach ctx view =
+  match span_of ctx with Some s -> s.views <- view :: s.views | None -> ()
 
 (* --- per-message latency sketch -------------------------------------- *)
 
@@ -270,9 +212,16 @@ let observe_latency ctx =
         (float_of_int (!clock () - minted_at))
 
 let spans () = List.rev !order
-let find id = Hashtbl.find_opt store id
 let count () = Hashtbl.length store
-let mark_time s m = if s.marks.(mark_index m) = no_mark then None else Some s.marks.(mark_index m)
+(* A mark's value is the latest of the span's own stamp and its views'. *)
+let mark_at s m =
+  List.fold_left
+    (fun t view -> match view m with Some v when v > t -> v | _ -> t)
+    s.marks.(mark_index m) s.views
+
+let mark_time s m =
+  let t = mark_at s m in
+  if t = no_mark then None else Some t
 
 (* --- phase attribution ---------------------------------------------- *)
 
@@ -282,7 +231,7 @@ let phases s =
   let prev = ref s.minted in
   Array.to_list milestones
   |> List.filter_map (fun (m, name) ->
-         let t = s.marks.(mark_index m) in
+         let t = mark_at s m in
          if t = no_mark then None
          else begin
            let d = t - !prev in
@@ -291,7 +240,9 @@ let phases s =
          end)
 
 let journey s =
-  let last = Array.fold_left max no_mark s.marks in
+  let last =
+    Array.fold_left (fun acc m -> max acc (mark_at s m)) no_mark export_marks
+  in
   if last = no_mark then None else Some (last - s.minted)
 
 let phase_hist =

@@ -58,18 +58,14 @@ val child : ?host:int -> string -> ctx -> ctx
 val mark : ctx option -> mark -> unit
 (** Stamp a milestone at the current virtual time. Marks replace: the
     latest write wins (phases are computed from final values only).
-    Emits Chrome flow events into {!Trace} at [Doorbell] / [Switch_in] /
-    [Popped] when tracing is on, linking send and receive sides. *)
+    Emits Chrome flow events into {!Trace} at [Doorbell] / [Popped] when
+    tracing is on, linking send and receive sides. The fabric milestones
+    are not stamped here: they are views of the PDU's {!Journal}. *)
 
-val on_train :
-  Trainplan.t -> ctx:(int -> ctx option) -> Trainplan.undo
-(** Train-granular backend (DESIGN.md §15): stamp each EOP cell's
-    [Injected], [Switch_in], [Switch_out], [Link_tx] and [Rx_cell] at the
-    plan instant the per-cell path would, and mark [Dropped] at each
-    planned uplink refusal. [ctx i] is cell [i]'s context, read at
-    commit. The undo erases the marks of cut EOP cells and of refusals
-    the truncation retracts; the per-cell path re-stamps what really
-    happens to them. A no-op unless spans are on. *)
+val attach : ctx option -> (mark -> int option) -> unit
+(** Give the span a view: a source of milestones read at export, such as
+    a PDU's hop journal ({!Journal.create}). Each mark reads as the latest
+    of the span's own stamp and its views'. A no-op unless spans are on. *)
 
 val observe_latency : ctx option -> unit
 (** Fold (now − mint time) into the [message_latency_ns] quantile sketch
@@ -89,13 +85,13 @@ type span = {
   host : int;
   minted : int;  (** virtual ns when the span was minted *)
   marks : int array;  (** internal; read via {!mark_time} *)
+  mutable views : (mark -> int option) list;  (** internal: see {!attach} *)
   mutable observed : bool;  (** internal: histogram feed guard *)
 }
 
 val spans : unit -> span list
 (** All spans, oldest first. *)
 
-val find : int -> span option
 val count : unit -> int
 val mark_time : span -> mark -> int option
 

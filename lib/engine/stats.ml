@@ -1,14 +1,3 @@
-module Counter = struct
-  type t = { cname : string; mutable v : int }
-
-  let create cname = { cname; v = 0 }
-  let incr t = t.v <- t.v + 1
-  let add t n = t.v <- t.v + n
-  let value t = t.v
-  let name t = t.cname
-  let reset t = t.v <- 0
-end
-
 module Summary = struct
   type t = {
     mutable samples : float list;

@@ -1,16 +1,4 @@
-(** Measurement helpers: counters and summary statistics over samples. *)
-
-(** Named monotonic counters. *)
-module Counter : sig
-  type t
-
-  val create : string -> t
-  val incr : t -> unit
-  val add : t -> int -> unit
-  val value : t -> int
-  val name : t -> string
-  val reset : t -> unit
-end
+(** Measurement helpers: summary statistics over samples. *)
 
 (** Accumulates float samples; exposes count/mean/min/max/stddev and
     percentiles. *)

@@ -24,12 +24,9 @@ let category_name = function
 type arg = Int of int | Float of float | Str of string
 
 type phase =
-  | Span_begin
-  | Span_end
   | Instant
   | Complete of int (* duration in virtual ns *)
   | Flow_start of int (* flow id *)
-  | Flow_step of int
   | Flow_end of int
 
 type event = {
@@ -42,13 +39,10 @@ type event = {
   args : (string * arg) list;
 }
 
-type sink = event -> unit
-
 let on = ref false
 let clock : (unit -> int) ref = ref (fun () -> 0)
 let next_pid = ref 0
 let cur_pid = ref 0
-let sinks : sink list ref = ref []
 
 (* Bounded ring of the most recent events; older ones are overwritten. *)
 let default_capacity = 65_536
@@ -114,10 +108,7 @@ let clear () =
   total := 0;
   slice_buf := [||];
   slice_head := 0;
-  slice_total := 0;
-  sinks := []
-
-let add_sink f = sinks := !sinks @ [ f ]
+  slice_total := 0
 
 (* Called by [Sim.create]: the new simulator becomes the clock source and
    gets a fresh pid so sub-runs show up as separate tracks in Perfetto. *)
@@ -147,7 +138,6 @@ let note_drop () =
   Metrics.Counter.inc c
 
 let record e =
-  List.iter (fun s -> s e) !sinks;
   let cap = Array.length !buf in
   if cap > 0 then begin
     if !total >= cap then note_drop ();
@@ -161,8 +151,6 @@ let emit ?(tid = 0) ?(args = []) cat ph name =
     record { ts = !clock (); cat; ph; name; pid = !cur_pid; tid; args }
 
 let instant ?tid ?args cat name = emit ?tid ?args cat Instant name
-let span_begin ?tid ?args cat name = emit ?tid ?args cat Span_begin name
-let span_end ?tid ?args cat name = emit ?tid ?args cat Span_end name
 let complete ?tid ?args ~dur cat name = emit ?tid ?args cat (Complete dur) name
 
 (* Flow events: arrows between slices in Perfetto. All points of one
@@ -170,7 +158,6 @@ let complete ?tid ?args ~dur cat name = emit ?tid ?args cat (Complete dur) name
 let flow_start ?tid ?args ~id cat name =
   emit ?tid ?args cat (Flow_start id) name
 
-let flow_step ?tid ?args ~id cat name = emit ?tid ?args cat (Flow_step id) name
 let flow_end ?tid ?args ~id cat name = emit ?tid ?args cat (Flow_end id) name
 
 let train_slice ?(tid = 0) ?(args = []) cat ~ts ~dur name =
@@ -313,12 +300,9 @@ let add_event b e =
   Buffer.add_string b (category_name e.cat);
   Buffer.add_string b "\",\"ph\":\"";
   (match e.ph with
-  | Span_begin -> Buffer.add_char b 'B'
-  | Span_end -> Buffer.add_char b 'E'
   | Instant -> Buffer.add_char b 'i'
   | Complete _ -> Buffer.add_char b 'X'
   | Flow_start _ -> Buffer.add_char b 's'
-  | Flow_step _ -> Buffer.add_char b 't'
   | Flow_end _ -> Buffer.add_char b 'f');
   Buffer.add_string b "\",\"ts\":";
   Buffer.add_string b (us e.ts);
@@ -327,11 +311,9 @@ let add_event b e =
       Buffer.add_string b ",\"dur\":";
       Buffer.add_string b (us dur)
   | Instant -> Buffer.add_string b ",\"s\":\"t\""
-  | Flow_start id | Flow_step id ->
-      Buffer.add_string b (Printf.sprintf ",\"id\":%d" id)
+  | Flow_start id -> Buffer.add_string b (Printf.sprintf ",\"id\":%d" id)
   | Flow_end id ->
-      Buffer.add_string b (Printf.sprintf ",\"id\":%d,\"bp\":\"e\"" id)
-  | Span_begin | Span_end -> ());
+      Buffer.add_string b (Printf.sprintf ",\"id\":%d,\"bp\":\"e\"" id));
   Buffer.add_string b ",\"pid\":";
   Buffer.add_string b (string_of_int e.pid);
   Buffer.add_string b ",\"tid\":";

@@ -22,12 +22,9 @@ val category_name : category -> string
 type arg = Int of int | Float of float | Str of string
 
 type phase =
-  | Span_begin
-  | Span_end
   | Instant
   | Complete of int  (** a whole span with its duration in virtual ns *)
   | Flow_start of int  (** flow arrow start; payload is the flow id *)
-  | Flow_step of int
   | Flow_end of int
 
 type event = {
@@ -39,8 +36,6 @@ type event = {
   tid : int;  (** host id where the emitter knows it; 0 otherwise *)
   args : (string * arg) list;
 }
-
-type sink = event -> unit
 
 val enabled : unit -> bool
 
@@ -60,20 +55,14 @@ val stop : unit -> unit
 (** Disable tracing; the buffered events remain readable. *)
 
 val clear : unit -> unit
-(** Drop all buffered events and sinks (tracing stays in its current
+(** Drop all buffered events (tracing stays in its current
     enabled/disabled state). *)
-
-val add_sink : sink -> unit
-(** Sinks observe every event as it is emitted, before ring buffering (and
-    therefore see events the bounded ring later overwrites). *)
 
 val attach_clock : (unit -> int) -> unit
 (** Called by [Sim.create]: the new simulator becomes the timestamp source
     and subsequent events carry a fresh [pid]. *)
 
 val instant : ?tid:int -> ?args:(string * arg) list -> category -> string -> unit
-val span_begin : ?tid:int -> ?args:(string * arg) list -> category -> string -> unit
-val span_end : ?tid:int -> ?args:(string * arg) list -> category -> string -> unit
 
 val complete :
   ?tid:int -> ?args:(string * arg) list -> dur:int -> category -> string -> unit
@@ -81,12 +70,9 @@ val complete :
 
 val flow_start :
   ?tid:int -> ?args:(string * arg) list -> id:int -> category -> string -> unit
-(** Flow events draw arrows between slices in Perfetto; all points of a
+(** Flow events draw arrows between slices in Perfetto; both ends of a
     flow share [id] (and should share a name). Used by {!Span} to link
     the send and receive sides of one message. *)
-
-val flow_step :
-  ?tid:int -> ?args:(string * arg) list -> id:int -> category -> string -> unit
 
 val flow_end :
   ?tid:int -> ?args:(string * arg) list -> id:int -> category -> string -> unit

@@ -21,8 +21,7 @@ type t = {
   src : int;
   dst : int;
   vci : int; (* the sender-side (uplink) VCI *)
-  n : int;
-  eops : int array; (* indices of the EOP cells, ascending *)
+  n : int; (* one CS-PDU: cell n - 1 is its EOP *)
   up_accepts : int array;
   up_starts : int array;
   up_cell_time : int;
@@ -44,12 +43,3 @@ let drops_before p ~now =
     incr k
   done;
   !k
-
-(* The cell planned refusal [j] turned away: a refused attempt retries the
-   same cell, which is accepted strictly later. *)
-let refused_cell p j =
-  let i = ref 0 in
-  while p.up_accepts.(!i) < p.up_drops.(j) do
-    incr i
-  done;
-  !i

@@ -121,7 +121,6 @@ let rx_cell_body t (cell : Atm.Cell.t) =
         (fun () -> deliver t ?ctx cell.Atm.Cell.vci payload)
 
 let on_cell t (cell : Atm.Cell.t) =
-  if cell.Atm.Cell.eop then Span.mark cell.Atm.Cell.tag.ctx Span.Rx_cell;
   (* The receive trap plus software AAL5/CRC processing, serialized through
      the kernel (which is also what emulated-endpoint operations queue
      behind). *)

@@ -401,14 +401,6 @@ let test_exponential_positive () =
 
 (* --- Stats -------------------------------------------------------- *)
 
-let test_counter () =
-  let c = Stats.Counter.create "c" in
-  Stats.Counter.incr c;
-  Stats.Counter.add c 4;
-  checki "value" 5 (Stats.Counter.value c);
-  Stats.Counter.reset c;
-  checki "reset" 0 (Stats.Counter.value c)
-
 let test_summary () =
   let s = Stats.Summary.create () in
   List.iter (Stats.Summary.add s) [ 1.; 2.; 3.; 4.; 5. ];
@@ -856,7 +848,6 @@ let () =
         ] );
       ( "stats",
         [
-          Alcotest.test_case "counter" `Quick test_counter;
           Alcotest.test_case "summary" `Quick test_summary;
           Alcotest.test_case "series" `Quick test_series;
           Alcotest.test_case "percentile interpolation" `Quick

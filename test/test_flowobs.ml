@@ -78,6 +78,30 @@ let topk_negative () =
         | (key, est, _) :: _ -> Printf.sprintf "%s=%d" key est
         | [] -> "-")
 
+(* A flow's own counters move with every offer; the sketch must still
+   file it under one entry, and never hold more than k. *)
+let topk_one_entry_per_flow () =
+  Atm.Flowstat.configure ~exact_flows:4 ~k:2 ();
+  Fun.protect ~finally:Atm.Flowstat.disable @@ fun () ->
+  let fs = Atm.Flowstat.create () in
+  let f1 = Atm.Flowstat.register fs ~src:0 ~dst:1 ~vcis:[| 32 |] in
+  for _ = 1 to 6 do
+    Atm.Flowstat.count fs f1 ~hop:0 ~cells:1
+  done;
+  Alcotest.(check int) "six offers of one flow: one entry" 1
+    (List.length (Atm.Flowstat.top fs));
+  let f2 = Atm.Flowstat.register fs ~src:1 ~dst:0 ~vcis:[| 33 |] in
+  let f3 = Atm.Flowstat.register fs ~src:2 ~dst:0 ~vcis:[| 34 |] in
+  for i = 1 to 30 do
+    Atm.Flowstat.count fs (if i mod 3 = 0 then f3 else f2) ~hop:0 ~cells:1;
+    let top = Atm.Flowstat.top fs in
+    Alcotest.(check bool) "at most k entries" true (List.length top <= 2);
+    let labels = List.map (fun (fl, _, _) -> Atm.Flowstat.flow_label fl) top in
+    Alcotest.(check int) "no flow listed twice"
+      (List.length labels)
+      (List.length (List.sort_uniq compare labels))
+  done
+
 (* --- exact per-hop flow tables ---------------------------------------- *)
 
 let flowstat_exact () =
@@ -204,12 +228,11 @@ let path_settle_eagerly () =
     true
     (total > 0 && live * 100 >= total * 95)
 
-(* Under link faults every record still describes its own PDU: the
-   journey rides the EOP cell, so a cell lost or held back inside a link
-   cannot shift its stamps onto another PDU's record. Each record must
-   match a span — same sender, injection and EOP delivery instants.
-   Duplication is left out: a span's [Rx_cell] mark is latest-wins, so a
-   duplicated EOP cell makes the span, not the record, move. *)
+(* Under link faults every record still describes its own PDU: the hop
+   journal rides the PDU's cells, so a cell lost, held back or duplicated
+   inside a link cannot shift its stamps onto another PDU's record. Each
+   record must match a span — same sender, injection and EOP delivery
+   instants — since both are views of that journal. *)
 let path_faults_match_spans () =
   let run what spec =
     Metrics.reset ();
@@ -255,7 +278,8 @@ let path_faults_match_spans () =
   run "2% loss on uplinks" { (spec [ Link_up ]) with loss = 0.02 };
   run "2% loss on downlinks" { (spec [ Link_down ]) with loss = 0.02 };
   run "reordering on downlinks"
-    { (spec [ Link_down ]) with reorder = 0.05; reorder_span = 4 }
+    { (spec [ Link_down ]) with reorder = 0.05; reorder_span = 4 };
+  run "duplication on downlinks" { (spec [ Link_down ]) with duplicate = 0.02 }
 
 (* Sum of every sample of a counter family in the Prometheus dump, or of
    those whose line holds each of [having]. *)
@@ -399,9 +423,10 @@ let trunk_loss_hop () =
 (* Three senders share one egress: the backlog peaks well below capacity,
    so nothing drops — invisible to the drop counters, visible in
    atm_switch_queue_peak. *)
-(* Past capacity the ring drops its oldest records one at a time: the
-   count keeps every settled record, and the listing loses exactly the
-   oldest. *)
+(* Past capacity the ring drops its oldest records one at a time, in
+   constant time each: after twice its capacity and three more, the count
+   keeps every settled record, and the listing holds exactly the newest
+   [capacity] in (delivered, src, vci, seq) order. *)
 let path_ring_overflow () =
   Pathrec.start ();
   Pathrec.clear ();
@@ -410,23 +435,27 @@ let path_ring_overflow () =
       Pathrec.stop ();
       Pathrec.clear ())
   @@ fun () ->
-  let n = Pathrec.capacity + 3 in
-  let seq = ref 0 in
+  let n = (2 * Pathrec.capacity) + 3 in
   for i = 0 to n - 1 do
-    let j = Pathrec.inject ~src:0 ~dst:1 ~vci:32 ~now:i in
-    Pathrec.number j ~seq;
-    Pathrec.deliver j ~now:i
+    Pathrec.add ~settle:i
+      {
+        Pathrec.r_src = 0;
+        r_dst = 1;
+        r_vci = 32;
+        r_seq = i;
+        r_injected = i;
+        r_delivered = i;
+        r_hops = [||];
+      }
   done;
   Pathrec.fold ~now:n;
   Alcotest.(check int) "every settled record counted" n (Pathrec.count ());
-  Alcotest.(check int) "three dropped" 3 (Pathrec.dropped ());
-  let recs = Pathrec.records () in
-  Alcotest.(check int)
-    "the ring holds capacity records" Pathrec.capacity (List.length recs);
-  Alcotest.(check bool) "the three oldest are gone" true
-    (List.for_all (fun (r : Pathrec.record) -> r.r_seq >= 3) recs);
-  Alcotest.(check bool) "oldest first" true
-    (match recs with r :: _ -> r.r_seq = 3 | [] -> false)
+  Alcotest.(check int) "the oldest dropped" (n - Pathrec.capacity)
+    (Pathrec.dropped ());
+  Alcotest.(check (list int))
+    "the newest capacity records, oldest first"
+    (List.init Pathrec.capacity (fun k -> n - Pathrec.capacity + k))
+    (List.map (fun (r : Pathrec.record) -> r.r_seq) (Pathrec.records ()))
 
 let queue_peak_near_miss () =
   Metrics.reset ();
@@ -528,6 +557,8 @@ let () =
         [
           Alcotest.test_case "error bounds vs exact counts" `Quick topk_bounds;
           Alcotest.test_case "negative weights" `Quick topk_negative;
+          Alcotest.test_case "one entry per flow" `Quick
+            topk_one_entry_per_flow;
         ] );
       ( "flowstat",
         [

@@ -337,7 +337,7 @@ let clos_pdu n =
     Atm.Network.attach_rx net ~host:h (fun cell ->
         if cell.Atm.Cell.eop then Span.mark cell.Atm.Cell.tag.ctx Span.Rx_cell)
   done;
-  let tag = { Atm.Cell.ctx = Some (Span.root ~host:0 "pdu"); path = None } in
+  let tag = { Atm.Cell.ctx = Some (Span.root ~host:0 "pdu"); journal = None } in
   let cells =
     Array.init n (fun i ->
         Atm.Cell.make ~tag ~vci:c03.Atm.Network.side_a.tx_vci
@@ -379,7 +379,7 @@ let truncation_run ~train ~t_int () =
         | Some _ -> ()
         | None -> Alcotest.fail "train commit refused");
   let tag =
-    { Atm.Cell.ctx = Some (Span.root ~host:0 "interferer"); path = None }
+    { Atm.Cell.ctx = Some (Span.root ~host:0 "interferer"); journal = None }
   in
   for j = 0 to burst - 1 do
     Sim.schedule_drop_at sim (t_int + (j * 1_000)) (fun () ->
