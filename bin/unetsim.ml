@@ -410,10 +410,9 @@ let cmd =
             (match trace with
             | Some path ->
                 or_fail "trace" (fun () ->
-                    Engine.Trace.write_chrome_file path;
+                    let written = Engine.Trace.write_chrome_file path in
                     let dropped = Engine.Trace.dropped_events () in
-                    Format.printf "wrote %d trace events to %s%s@."
-                      (Engine.Trace.total_events () - dropped)
+                    Format.printf "wrote %d trace events to %s%s@." written
                       path
                       (if dropped = 0 then ""
                        else

@@ -80,7 +80,6 @@ module Reassembler = struct
   }
 
   let create () = { cells = []; got = 0; error_count = 0; last = Cell.untagged }
-  let in_progress t = t.got > 0
   let errors t = t.error_count
   let last_ctx t = t.last.ctx
   let max_pdu_bytes = cells_for max_payload * Cell.payload_size

@@ -45,7 +45,6 @@ module Reassembler : sig
       [aal5_pdus_discarded_total{reason}] and records a drop in the PDU's
       hop journal, which its span shows as [Dropped]. *)
 
-  val in_progress : t -> bool
   val errors : t -> int
   (** Count of PDUs discarded due to errors so far. *)
 

@@ -27,8 +27,6 @@ type t = {
   mutable dropped : int;
 }
 
-let clock = ref (fun () -> 0)
-let attach_clock f = clock := f
 let latest f j = Array.fold_left (fun acc h -> max acc (f h)) unset j.hops
 
 (* The span view. *)
@@ -98,7 +96,7 @@ let number j ~src ~dst ~vci ~seq =
 
 (* --- per-cell stamps -------------------------------------------------- *)
 
-let inject j = Option.iter (fun j -> j.injected <- !clock ()) j
+let inject j = Option.iter (fun j -> j.injected <- Clock.now ()) j
 
 let hop_at j stage = Array.find_opt (fun h -> h.stage = stage) j.hops
 
@@ -109,7 +107,7 @@ let switch_in j ~stage ~in_port =
         {
           stage;
           in_port;
-          switch_in = !clock ();
+          switch_in = Clock.now ();
           out_port = -1;
           link = -1;
           queue = 0;
@@ -129,7 +127,7 @@ let forward j ~stage ~out_port ~link ~queue =
           h.out_port <- out_port;
           h.link <- link;
           h.queue <- queue;
-          h.forward <- !clock ()
+          h.forward <- Clock.now ()
       | _ -> ())
 
 (* a link no hop forwards onto is the uplink, which the EOP cell crosses
@@ -142,12 +140,12 @@ let link_start j ~link ~at =
       | None -> if j.up_start = unset then j.up_start <- at)
   | None -> ()
 
-let drop j = Option.iter (fun j -> j.dropped <- !clock ()) j
+let drop j = Option.iter (fun j -> j.dropped <- Clock.now ()) j
 
 let deliver j =
   match j with
   | Some j when j.delivered = unset ->
-      j.delivered <- !clock ();
+      j.delivered <- Clock.now ();
       if j.seq >= 0 then begin
         Pathrec.fold ~now:(j.delivered - 1);
         ignore (seal j ~settle:j.delivered : Pathrec.record)
@@ -189,7 +187,7 @@ let of_plan (p : Trainplan.t) j ~seq =
     | Some seq ->
         (* settle as the run goes, but only strictly before now: a
            truncation at now still cuts records settling at now *)
-        Pathrec.fold ~now:(!clock () - 1);
+        Pathrec.fold ~now:(Clock.now () - 1);
         number j ~src:p.src ~dst:p.dst ~vci:p.vci ~seq;
         Some (seal j ~settle:j.injected, !seq)
   in

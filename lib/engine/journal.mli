@@ -16,8 +16,6 @@
 
 type t
 
-val attach_clock : (unit -> int) -> unit
-
 val create : ?ctx:Span.ctx -> unit -> t
 (** A blank journal; while spans are on, span [ctx] views it. *)
 

@@ -5,7 +5,7 @@
    times open unscaled in Wireshark. Little-endian throughout, matching
    the byte-order magic we write.
 
-   Process-global like Trace: [Sim.create] registers the live clock.
+   Process-global like Trace: stamped with the live simulator's [Clock].
    Packets are retained in memory while enabled and serialized on
    demand, so block layout is deterministic: one Section Header Block,
    the Interface Description Blocks in registration order, then one
@@ -18,7 +18,6 @@ type iface = { if_name : string; linktype : int }
 type packet = { p_iface : int; ts : int; data : string }
 
 let on = ref false
-let clock : (unit -> int) ref = ref (fun () -> 0)
 let ifaces : iface list ref = ref [] (* registration order, reversed *)
 let packets : packet list ref = ref [] (* capture order, reversed *)
 let enabled () = !on
@@ -34,8 +33,6 @@ let clear () =
   ifaces := [];
   packets := []
 
-let attach_clock f = clock := f
-
 let iface ~name ~linktype =
   let rec find i = function
     | [] -> None
@@ -50,7 +47,8 @@ let iface ~name ~linktype =
       List.length known
 
 let capture ~iface data =
-  if !on then packets := { p_iface = iface; ts = !clock (); data } :: !packets
+  if !on then
+    packets := { p_iface = iface; ts = Clock.now (); data } :: !packets
 
 let packet_count () = List.length !packets
 let packet_times () = List.rev_map (fun p -> p.ts) !packets

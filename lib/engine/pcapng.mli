@@ -26,7 +26,6 @@ val start : unit -> unit
 
 val stop : unit -> unit
 val clear : unit -> unit
-val attach_clock : (unit -> int) -> unit
 
 val iface : name:string -> linktype:int -> int
 (** Register (or look up) a capture interface; returns its pcapng

@@ -108,12 +108,10 @@ let walk value n extra acc =
 (* --- virtual clock: per-host stacks charged at charge sites ----------- *)
 
 let v_on = ref false
-let v_clock : (unit -> int) ref = ref (fun () -> 0)
 let v_start = ref 0
 let v_hosts : (int, stack) Hashtbl.t = Hashtbl.create 8
 let v_order : int list ref = ref []
 let v_underflows = ref 0
-let attach_clock f = v_clock := f
 
 let host_stack host =
   match Hashtbl.find_opt v_hosts host with
@@ -307,7 +305,7 @@ let clear = function
       Hashtbl.reset v_hosts;
       v_order := [];
       v_underflows := 0;
-      v_start := !v_clock ()
+      v_start := Clock.cumulative ()
   | Wall ->
       wall := new_stack "engine";
       saved_frames := [];
@@ -343,7 +341,7 @@ let stop = function
       end
 
 let elapsed = function
-  | Virtual -> !v_clock () - !v_start
+  | Virtual -> Clock.cumulative () - !v_start
   | Wall -> (
       match !stopped_elapsed with
       | Some e -> e

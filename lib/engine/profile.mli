@@ -43,10 +43,6 @@ val elapsed : clock -> int
     for [Virtual]; wall time, frozen by {!stop} (0 if never started), for
     [Wall]. *)
 
-val attach_clock : (unit -> int) -> unit
-(** Called by [Sim.create] with a cumulative virtual-time clock (monotone
-    across simulator instances within one run). *)
-
 val push : ?host:int -> string -> unit
 (** Enter a named frame on [host]'s virtual stack and on the wall stack,
     for whichever clocks are enabled. *)

@@ -41,8 +41,6 @@ let armed_flag = ref false
 let bundle_dir = ref "postmortem"
 let deadline_ns = ref 2_000_000_000 (* 2 simulated seconds *)
 let recent_events = ref 256
-let clock : (unit -> int) ref = ref (fun () -> 0)
-let generation = ref 0
 let flows : (string, flow) Hashtbl.t = Hashtbl.create 16
 let flow_order : string list ref = ref [] (* reversed *)
 let snapshots : (string, unit -> Json.t) Hashtbl.t = Hashtbl.create 16
@@ -53,10 +51,6 @@ let trigger_count_ref = ref 0
 let last_bundle_ref : (string * Json.t) list ref = ref []
 
 let armed () = !armed_flag
-
-let attach_clock f =
-  clock := f;
-  incr generation
 
 let clear_flows () =
   Hashtbl.reset flows;
@@ -87,11 +81,11 @@ let register_snapshot name fn =
 let flow key =
   match Hashtbl.find_opt flows key with
   | Some fl ->
-      if fl.fl_gen <> !generation then begin
+      if fl.fl_gen <> Clock.generation () then begin
         (* stale state from a previous simulator instance: restart it *)
-        fl.fl_gen <- !generation;
+        fl.fl_gen <- Clock.generation ();
         fl.fl_pending <- 0;
-        fl.fl_since <- !clock ();
+        fl.fl_since <- Clock.cumulative ();
         fl.fl_delivered <- -1;
         fl.fl_gave_up <- false
       end;
@@ -100,10 +94,10 @@ let flow key =
       let fl =
         {
           fl_pending = 0;
-          fl_since = !clock ();
+          fl_since = Clock.cumulative ();
           fl_delivered = -1;
           fl_gave_up = false;
-          fl_gen = !generation;
+          fl_gen = Clock.generation ();
         }
       in
       Hashtbl.replace flows key fl;
@@ -116,19 +110,19 @@ let sender_pending ~key n =
     (* any change marks a fresh epoch: growth restarts the clock only on
        the 0 -> n edge, shrinkage (ack progress) always does *)
     if (fl.fl_pending = 0 && n > 0) || n < fl.fl_pending then
-      fl.fl_since <- !clock ();
+      fl.fl_since <- Clock.cumulative ();
     fl.fl_pending <- n
   end
 
 let flow_delivered ~key =
   if !armed_flag then begin
-    let now = !clock () in
+    let now = Clock.cumulative () in
     (flow key).fl_delivered <- now;
     last_delivery_global := now
   end
 
 let note_delivery () =
-  if !armed_flag then last_delivery_global := !clock ()
+  if !armed_flag then last_delivery_global := Clock.cumulative ()
 
 let gave_up ~key = if !armed_flag then (flow key).fl_gave_up <- true
 
@@ -186,7 +180,8 @@ let flows_json now =
                );
                ("last_delivery_ns", Json.Num (float_of_int fl.fl_delivered));
                ("gave_up", Json.Bool fl.fl_gave_up);
-               ("current_generation", Json.Bool (fl.fl_gen = !generation));
+               ( "current_generation",
+                 Json.Bool (fl.fl_gen = Clock.generation ()) );
              ] ))
        !flow_order)
 
@@ -235,7 +230,7 @@ let write_bundle bundle =
 
 let do_trigger ~reason =
   armed_flag := false;
-  let now = !clock () in
+  let now = Clock.cumulative () in
   let bundle = build_bundle ~reason now in
   last_bundle_ref := bundle;
   last_trigger_ref :=
@@ -253,7 +248,7 @@ let stalled_flow now =
     (fun key fl ->
       if
         !found = None
-        && fl.fl_gen = !generation
+        && fl.fl_gen = Clock.generation ()
         && fl.fl_pending > 0
         && fl.fl_delivered < fl.fl_since
         (* "zero deliveries while senders have unacked data": anything

@@ -30,11 +30,6 @@ val start : ?dir:string -> ?deadline:int -> ?recent:int -> unit -> unit
 val stop : unit -> unit
 val armed : unit -> bool
 
-val attach_clock : (unit -> int) -> unit
-(** Called by [Sim.create] with the cumulative virtual-time clock; also
-    bumps the flow generation so pending state left over from a previous
-    simulator instance cannot trigger on a later one. *)
-
 (** {2 Reporting (no-ops when disarmed)} *)
 
 val sender_pending : key:string -> int -> unit

@@ -169,19 +169,7 @@ let tombstone_ratio () =
   if fired + cancelled = 0 then 0.
   else float_of_int cancelled /. float_of_int (fired + cancelled)
 
-(* Cumulative virtual time across simulator instances. Experiments build a
-   fresh simulator per sweep point; telemetry that spans a whole run (the
-   profiler's elapsed time, timeseries timestamps, the recorder's stall
-   clock) needs a clock that keeps climbing instead of restarting at every
-   [create]. Each [create] folds the previous instance's final clock into
-   the base, so [time_base + clock] is monotone for the whole process. *)
-let time_base = ref 0
-let last_sim : t option ref = ref None
-
 let create () =
-  (match !last_sim with
-  | Some prev -> time_base := !time_base + prev.clock
-  | None -> ());
   let t =
     {
       clock = 0;
@@ -194,18 +182,10 @@ let create () =
       pool_len = 0;
     }
   in
-  last_sim := Some t;
-  (* the newest simulator stamps trace events, spans and captures
-     (exactly one is live at a time in every runner; see Trace) *)
-  Trace.attach_clock (fun () -> t.clock);
-  Span.attach_clock (fun () -> t.clock);
-  Journal.attach_clock (fun () -> t.clock);
-  Pcapng.attach_clock (fun () -> t.clock);
-  let cumulative () = !time_base + t.clock in
-  Profile.attach_clock cumulative;
-  Timeseries.attach_clock cumulative;
-  Recorder.attach_clock cumulative;
-  (* queue introspection probes, registered after attach_clock so they
+  (* the newest simulator stamps every observer (exactly one is live at a
+     time in every runner; see Clock) *)
+  Clock.attach (fun () -> t.clock);
+  (* queue introspection probes, registered after attach so they
      belong to this instance's generation (sampled only while the
      timeseries sampler is on) *)
   Timeseries.register "sim_queue_depth" [] (fun () -> float_of_int t.live);
@@ -214,7 +194,7 @@ let create () =
   t
 
 let now t = t.clock
-let global_now t = !time_base + t.clock
+let global_now t = Clock.base () + t.clock
 let pending t = t.live
 
 (* Compact once the in-heap tombstone share crosses the same 25% threshold
@@ -375,5 +355,4 @@ let ms n = n * 1_000_000
 let sec n = n * 1_000_000_000
 let of_us_f f = int_of_float (Float.round (f *. 1_000.))
 let to_us t = float_of_int t /. 1_000.
-let to_ms t = float_of_int t /. 1_000_000.
 let to_sec t = float_of_int t /. 1_000_000_000.

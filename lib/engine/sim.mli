@@ -20,7 +20,8 @@ val now : t -> time
 val global_now : t -> time
 (** Cumulative virtual time: this instance's clock plus the final clocks
     of every simulator instance created before it. Monotone across
-    [create] calls; it is what [Profile]/[Timeseries]/[Recorder] see. *)
+    [create] calls; while [t] is the live simulator it equals
+    {!Clock.cumulative}, what [Profile]/[Timeseries]/[Recorder] see. *)
 
 val schedule_at : ?label:string -> t -> time -> (unit -> unit) -> handle
 (** [schedule_at sim t f] runs [f] when the clock reaches [t]. [t] must not be
@@ -82,5 +83,4 @@ val ms : int -> time
 val sec : int -> time
 val of_us_f : float -> time
 val to_us : time -> float
-val to_ms : time -> float
 val to_sec : time -> float

@@ -100,7 +100,6 @@ type span = {
 }
 
 let on = ref false
-let clock : (unit -> int) ref = ref (fun () -> 0)
 let next_id = ref 0
 let store : (int, span) Hashtbl.t = Hashtbl.create 256
 let order : span list ref = ref [] (* newest first *)
@@ -119,8 +118,6 @@ let clear () =
   order := [];
   next_id := 0
 
-let attach_clock f = clock := f
-
 let mint ~(parent : ctx option) ~host name =
   incr next_id;
   let id = !next_id in
@@ -129,7 +126,7 @@ let mint ~(parent : ctx option) ~host name =
     | None -> (id, None)
     | Some p -> (p.trace_id, Some p.span_id)
   in
-  let minted = !clock () in
+  let minted = Clock.now () in
   (* when collection is off, mint a context but retain nothing — hot
      paths may mint per message and must not grow the store. The mint
      time always rides the context so the latency sketch works with
@@ -175,7 +172,7 @@ let mark ctx m =
     match span_of ctx with
     | None -> ()
     | Some s ->
-        s.marks.(mark_index m) <- !clock ();
+        s.marks.(mark_index m) <- Clock.now ();
         if Trace.enabled () then emit_flow s m
 
 let attach ctx view =
@@ -209,7 +206,7 @@ let observe_latency ctx =
   | None -> ()
   | Some { minted_at; _ } ->
       Metrics.Sketch.observe (latency ())
-        (float_of_int (!clock () - minted_at))
+        (float_of_int (Clock.now () - minted_at))
 
 let spans () = List.rev !order
 let count () = Hashtbl.length store

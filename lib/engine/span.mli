@@ -47,7 +47,6 @@ val start : unit -> unit
 
 val stop : unit -> unit
 val clear : unit -> unit
-val attach_clock : (unit -> int) -> unit
 
 val root : ?host:int -> string -> ctx
 (** Mint a new root span (a fresh trace). *)

@@ -3,7 +3,6 @@ module Summary = struct
     mutable samples : float list;
     mutable n : int;
     mutable sum : float;
-    mutable sumsq : float;
     mutable mn : float;
     mutable mx : float;
     mutable sorted : float array option; (* cache, invalidated by add *)
@@ -14,7 +13,6 @@ module Summary = struct
       samples = [];
       n = 0;
       sum = 0.;
-      sumsq = 0.;
       mn = infinity;
       mx = neg_infinity;
       sorted = None;
@@ -24,7 +22,6 @@ module Summary = struct
     t.samples <- x :: t.samples;
     t.n <- t.n + 1;
     t.sum <- t.sum +. x;
-    t.sumsq <- t.sumsq +. (x *. x);
     if x < t.mn then t.mn <- x;
     if x > t.mx then t.mx <- x;
     t.sorted <- None
@@ -34,13 +31,6 @@ module Summary = struct
   let mean t = if t.n = 0 then nan else t.sum /. float_of_int t.n
   let min t = t.mn
   let max t = t.mx
-
-  let stddev t =
-    if t.n < 2 then 0.
-    else
-      let n = float_of_int t.n in
-      let m = t.sum /. n in
-      Float.sqrt (Float.max 0. ((t.sumsq /. n) -. (m *. m)))
 
   let percentile t p =
     if t.n = 0 then invalid_arg "Summary.percentile: empty";

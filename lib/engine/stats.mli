@@ -1,6 +1,6 @@
 (** Measurement helpers: summary statistics over samples. *)
 
-(** Accumulates float samples; exposes count/mean/min/max/stddev and
+(** Accumulates float samples; exposes count/mean/min/max and
     percentiles. *)
 module Summary : sig
   type t
@@ -11,7 +11,6 @@ module Summary : sig
   val mean : t -> float
   val min : t -> float
   val max : t -> float
-  val stddev : t -> float
 
   val percentile : t -> float -> float
   (** [percentile s p] with [p] clamped to \[0, 1\]: the value at rank

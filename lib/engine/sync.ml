@@ -28,8 +28,6 @@ module Mailbox = struct
         end
         else send t v
 
-  let try_recv t = Queue.take_opt t.items
-
   let recv t =
     match Queue.take_opt t.items with
     | Some v -> v

@@ -10,7 +10,6 @@ module Mailbox : sig
   val create : Sim.t -> 'a t
   val send : 'a t -> 'a -> unit
   val recv : 'a t -> 'a
-  val try_recv : 'a t -> 'a option
   val length : 'a t -> int
 
   val recv_timeout : 'a t -> timeout:Sim.time -> 'a option

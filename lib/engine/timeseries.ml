@@ -9,13 +9,13 @@
    quiescent simulation produces no new information anyway, and catching
    up across a long idle gap would cost time proportional to the gap).
 
-   Probes are generation-scoped: [attach_clock] — called by every
-   [Sim.create] — bumps a generation counter, and only probes (re-)
-   registered under the current generation are sampled. Components
-   re-created for each sweep point re-register (registration replaces the
-   callback, keeping one series per identity, mirroring the metrics
-   registry), while probes left over from a previous simulator instance
-   stop being read rather than reporting stale state.
+   Probes are generation-scoped: every [Sim.create] bumps
+   [Clock.generation], and only probes (re-)registered under the current
+   generation are sampled. Components re-created for each sweep point
+   re-register (registration replaces the callback, keeping one series
+   per identity, mirroring the metrics registry), while probes left over
+   from a previous simulator instance stop being read rather than
+   reporting stale state.
 
    Each series is a bounded ring (oldest points dropped, drops counted),
    allocated on the probe's first sample;
@@ -59,7 +59,6 @@ let capacity = 8192
 let probes : (string * labels, probe) Hashtbl.t = Hashtbl.create 32
 let order : (string * labels) list ref = ref [] (* reversed *)
 let enabled_flag = ref false
-let generation = ref 0
 let interval_ns = ref 10_000 (* 10 µs of simulated time *)
 let next_sample = ref 0
 
@@ -70,17 +69,13 @@ let set_interval ns =
   if ns <= 0 then invalid_arg "Timeseries.set_interval";
   interval_ns := ns
 
-let attach_clock _f =
-  (* a new simulator instance: scope out probes owned by the previous one *)
-  incr generation
-
 let register_at ?(kind = Gauge) name labels fn =
   let labels = canon labels in
   let key = (name, labels) in
   match Hashtbl.find_opt probes key with
   | Some p ->
       p.p_fn <- fn;
-      p.p_gen <- !generation;
+      p.p_gen <- Clock.generation ();
       p.p_prev <- None
   | None ->
       let p =
@@ -89,7 +84,7 @@ let register_at ?(kind = Gauge) name labels fn =
           p_labels = labels;
           p_kind = kind;
           p_fn = fn;
-          p_gen = !generation;
+          p_gen = Clock.generation ();
           p_prev = None;
           p_hw = None;
           p_drop_ctr = None;
@@ -187,7 +182,7 @@ let on_event now =
     List.iter
       (fun key ->
         let p = Hashtbl.find probes key in
-        if p.p_gen = !generation then sample_probe b p)
+        if p.p_gen = Clock.generation () then sample_probe b p)
       (List.rev !order);
     next_sample := b + interval
   end

@@ -7,8 +7,8 @@
     at most one per fired event, so a long idle gap yields one sample
     rather than thousands of identical ones.
 
-    Probes are generation-scoped: each [Sim.create] bumps a generation
-    (via {!attach_clock}) and only probes registered — or re-registered,
+    Probes are generation-scoped: each [Sim.create] bumps
+    {!Clock.generation} and only probes registered — or re-registered,
     which replaces the callback like the metrics registry does — under
     the current generation are read, so callbacks never report state from
     a dead simulator instance.
@@ -50,9 +50,6 @@ val set_interval : int -> unit
 (** Sampling interval in simulated ns (default 10 µs). *)
 
 val interval : unit -> int
-
-val attach_clock : (unit -> int) -> unit
-(** Called by [Sim.create]; bumps the probe generation. *)
 
 val on_event : int -> unit
 (** Called by [Sim.step] with the cumulative virtual time of the event

@@ -1,11 +1,10 @@
 (* Structured trace events stamped with the virtual-nanosecond clock.
 
    The tracer is process-global: experiments create their simulators deep
-   inside library code, so [Sim.create] registers each new simulator's clock
-   (and a fresh Chrome "pid") here rather than having every constructor
-   thread a tracer handle through three layers of the stack. Exactly one
-   simulator is live at a time in every runner, which makes the
-   last-registered clock the active one.
+   inside library code, so events are stamped from [Clock] (the live
+   simulator's time) and carry its generation as the Chrome "pid", rather
+   than having every constructor thread a tracer handle through three
+   layers of the stack.
 
    Disabled tracing must cost nothing on the hot paths: [enabled] is a
    single mutable bool read, and every instrumentation site guards argument
@@ -40,27 +39,14 @@ type event = {
 }
 
 let on = ref false
-let clock : (unit -> int) ref = ref (fun () -> 0)
-let next_pid = ref 0
-let cur_pid = ref 0
-
-(* Bounded ring of the most recent events; older ones are overwritten. *)
-let default_capacity = 65_536
-
-let dummy =
-  { ts = 0; cat = Cpu; ph = Instant; name = ""; pid = 0; tid = 0; args = [] }
-
-let buf = ref [||]
-let head = ref 0
-let total = ref 0
 
 (* Train-granular slices (DESIGN.md §15): one mutable record per
    coarse-grained span a plan commit synthesizes (uplink serialization,
-   switch transit, downlink serialization of a whole train). They live in
-   their own ring because truncation listeners patch them in place —
-   a split train shrinks its slices to the kept prefix, a fully cut one
-   drops them — and they carry future timestamps, so [events] merges them
-   with the per-cell ring by timestamp at read time. *)
+   switch transit, downlink serialization of a whole train). Truncation
+   listeners patch them in place — a split train shrinks its slices to the
+   kept prefix, a fully cut one drops them — and they carry future
+   timestamps, so [events] merges them with the per-cell emissions by
+   timestamp at read time. *)
 type slice = {
   mutable sl_ts : int;
   mutable sl_dur : int;
@@ -72,22 +58,19 @@ type slice = {
   sl_args : (string * arg) list;
 }
 
-let slice_buf : slice array ref = ref [||]
-let slice_head = ref 0
-let slice_total = ref 0
+(* One bounded ring of the most recent emissions, per-cell events and
+   train slices alike; older ones are overwritten. *)
+type entry = Event of event | Slice of slice
 
-let dummy_slice =
-  {
-    sl_ts = 0;
-    sl_dur = 0;
-    sl_live = false;
-    sl_cat = Cpu;
-    sl_name = "";
-    sl_pid = 0;
-    sl_tid = 0;
-    sl_args = [];
-  }
+let default_capacity = 65_536
 
+let dummy =
+  Event
+    { ts = 0; cat = Cpu; ph = Instant; name = ""; pid = 0; tid = 0; args = [] }
+
+let buf = ref [||]
+let head = ref 0
+let total = ref 0
 let enabled () = !on
 
 let start ?(capacity = default_capacity) () =
@@ -95,9 +78,6 @@ let start ?(capacity = default_capacity) () =
   buf := Array.make capacity dummy;
   head := 0;
   total := 0;
-  slice_buf := Array.make capacity dummy_slice;
-  slice_head := 0;
-  slice_total := 0;
   on := true
 
 let stop () = on := false
@@ -105,17 +85,7 @@ let stop () = on := false
 let clear () =
   buf := [||];
   head := 0;
-  total := 0;
-  slice_buf := [||];
-  slice_head := 0;
-  slice_total := 0
-
-(* Called by [Sim.create]: the new simulator becomes the clock source and
-   gets a fresh pid so sub-runs show up as separate tracks in Perfetto. *)
-let attach_clock f =
-  incr next_pid;
-  cur_pid := !next_pid;
-  clock := f
+  total := 0
 
 (* Ring overwrites are silent data loss; surface them in Metrics so a
    too-small ring is visible in every dump. Registered lazily: a run
@@ -146,9 +116,12 @@ let record e =
     incr total
   end
 
+(* Each simulator is its own Chrome pid, so sub-runs show up as separate
+   tracks in Perfetto. *)
 let emit ?(tid = 0) ?(args = []) cat ph name =
   if !on then
-    record { ts = !clock (); cat; ph; name; pid = !cur_pid; tid; args }
+    let pid = Clock.generation () in
+    record (Event { ts = Clock.now (); cat; ph; name; pid; tid; args })
 
 let instant ?tid ?args cat name = emit ?tid ?args cat Instant name
 let complete ?tid ?args ~dur cat name = emit ?tid ?args cat (Complete dur) name
@@ -168,18 +141,12 @@ let train_slice ?(tid = 0) ?(args = []) cat ~ts ~dur name =
       sl_live = true;
       sl_cat = cat;
       sl_name = name;
-      sl_pid = !cur_pid;
+      sl_pid = Clock.generation ();
       sl_tid = tid;
       sl_args = args;
     }
   in
-  let cap = Array.length !slice_buf in
-  if cap > 0 then begin
-    if !slice_total >= cap then note_drop ();
-    !slice_buf.(!slice_head) <- s;
-    slice_head := (!slice_head + 1) mod cap;
-    incr slice_total
-  end;
+  record (Slice s);
   s
 
 (* (name, tid, start, end) of each slice of a committed train covering its
@@ -221,14 +188,11 @@ let on_train (p : Trainplan.t) =
           (fun s (_, _, _, fin) -> s.sl_dur <- fin - s.sl_ts)
           slices (train_bounds p keep)
 
-let total_events () = !total + !slice_total
+let total_events () = !total
 
 let dropped_events () =
-  let overwritten buf total =
-    let cap = Array.length !buf in
-    if cap = 0 then !total else max 0 (!total - cap)
-  in
-  overwritten buf total + overwritten slice_buf slice_total
+  let cap = Array.length !buf in
+  if cap = 0 then !total else max 0 (!total - cap)
 
 let event_of_slice s =
   {
@@ -241,23 +205,21 @@ let event_of_slice s =
     args = s.sl_args;
   }
 
-let live_slices () =
-  let cap = Array.length !slice_buf in
-  let n = min !slice_total cap in
-  let first = if !slice_total <= cap then 0 else !slice_head in
-  List.init n (fun i -> !slice_buf.((first + i) mod cap))
-  |> List.filter (fun s -> s.sl_live)
-  |> List.stable_sort (fun a b -> compare a.sl_ts b.sl_ts)
-
 let events () =
   let cap = Array.length !buf in
   let n = min !total cap in
   let first = if !total <= cap then 0 else !head in
-  let base = List.init n (fun i -> !buf.((first + i) mod cap)) in
+  let base, slices =
+    List.init n (fun i -> !buf.((first + i) mod cap))
+    |> List.partition_map (function Event e -> Left e | Slice s -> Right s)
+  in
   (* Per-cell emissions arrive in clock order; slices carry planned future
-     timestamps, so weave them in by timestamp (base events win ties to
-     keep the per-cell-only view unchanged). *)
-  match live_slices () with
+     timestamps, so weave the live ones in by timestamp (base events win
+     ties to keep the per-cell-only view unchanged). *)
+  match
+    List.filter (fun s -> s.sl_live) slices
+    |> List.stable_sort (fun a b -> compare a.sl_ts b.sl_ts)
+  with
   | [] -> base
   | slices ->
       let rec merge acc slices base =
@@ -323,18 +285,22 @@ let add_event b e =
 
 (* A bare JSON array of event objects — the form both chrome://tracing and
    Perfetto accept directly. *)
-let to_chrome_json () =
+let chrome_json events =
   let b = Buffer.create 4096 in
   Buffer.add_string b "[\n";
   List.iteri
     (fun i e ->
       if i > 0 then Buffer.add_string b ",\n";
       add_event b e)
-    (events ());
+    events;
   Buffer.add_string b "\n]\n";
   Buffer.contents b
 
+let to_chrome_json () = chrome_json (events ())
+
 let write_chrome_file path =
+  let events = events () in
   let oc = open_out path in
-  output_string oc (to_chrome_json ());
-  close_out oc
+  output_string oc (chrome_json events);
+  close_out oc;
+  List.length events

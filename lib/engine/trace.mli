@@ -32,7 +32,7 @@ type event = {
   cat : category;
   ph : phase;
   name : string;
-  pid : int;  (** simulator generation (one per [Sim.create]) *)
+  pid : int;  (** the live simulator's {!Clock.generation} *)
   tid : int;  (** host id where the emitter knows it; 0 otherwise *)
   args : (string * arg) list;
 }
@@ -49,7 +49,8 @@ val on_train : Trainplan.t -> Trainplan.undo
     cell-train fast path engaged. *)
 
 val start : ?capacity:int -> unit -> unit
-(** Enable tracing into a fresh ring of [capacity] events (default 65536). *)
+(** Enable tracing into a fresh ring of [capacity] events (default 65536),
+    shared by per-cell events and train slices. *)
 
 val stop : unit -> unit
 (** Disable tracing; the buffered events remain readable. *)
@@ -57,10 +58,6 @@ val stop : unit -> unit
 val clear : unit -> unit
 (** Drop all buffered events (tracing stays in its current
     enabled/disabled state). *)
-
-val attach_clock : (unit -> int) -> unit
-(** Called by [Sim.create]: the new simulator becomes the timestamp source
-    and subsequent events carry a fresh [pid]. *)
 
 val instant : ?tid:int -> ?args:(string * arg) list -> category -> string -> unit
 
@@ -78,7 +75,10 @@ val flow_end :
   ?tid:int -> ?args:(string * arg) list -> id:int -> category -> string -> unit
 
 val events : unit -> event list
-(** The retained events, oldest first. *)
+(** The retained events: per-cell events in emission order, with the
+    retained train slices that no truncation dropped merged in by
+    timestamp (per-cell events first on a tie). At most the ring's
+    capacity. *)
 
 val total_events : unit -> int
 (** Events emitted since {!start}, including overwritten ones. *)
@@ -92,4 +92,6 @@ val to_chrome_json : unit -> string
 (** The retained events as a Chrome [trace_event] JSON array: objects with
     [name]/[cat]/[ph]/[ts]/[pid]/[tid] (timestamps in microseconds). *)
 
-val write_chrome_file : string -> unit
+val write_chrome_file : string -> int
+(** Write {!to_chrome_json} to a file; returns the number of events
+    written. *)

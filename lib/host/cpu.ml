@@ -12,7 +12,6 @@ let machine t = t.machine
 let sim t = t.sim
 let host t = t.host
 let busy_time t = t.busy
-let reset_busy t = t.busy <- 0
 
 (* Per-layer busy-time accounting: the machine-readable version of the
    paper's Table 1 cost breakdown. Counters are cached per layer label. *)

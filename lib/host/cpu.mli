@@ -37,5 +37,3 @@ val charge_copy : ?layer:string -> t -> bytes:int -> unit
 
 val busy_time : t -> Engine.Sim.time
 (** Total time this CPU has spent in charged work. *)
-
-val reset_busy : t -> unit

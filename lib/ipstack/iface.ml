@@ -12,16 +12,12 @@ type t = {
   mutable rx_cost : Buf.t -> int;
   mutable transmit : Span.ctx option -> Buf.t -> unit;
       (* set once the pair is wired *)
-  mutable sent : int;
-  mutable delivered : int;
   mutable dropped : int;
 }
 
 let sim t = t.sim
 let cpu t = t.cpu
 let mtu t = t.mtu
-let packets_sent t = t.sent
-let packets_delivered t = t.delivered
 let tx_drops t = t.dropped
 let queue_length t = Sync.Mailbox.length t.mbox
 let queue_limit t = t.tx_queue_limit
@@ -56,13 +52,11 @@ let start_stack t =
            | Tx (cost, ctx, pkt) ->
                Profile.push ~host "iface.tx";
                Host.Cpu.charge ~layer:"ipstack" t.cpu cost;
-               t.sent <- t.sent + 1;
                t.transmit ctx pkt;
                Profile.pop ~host ()
            | Deliver pkt ->
                Profile.push ~host "iface.rx";
                Host.Cpu.charge ~layer:"ipstack" t.cpu (t.rx_cost pkt);
-               t.delivered <- t.delivered + 1;
                t.rx_handler pkt;
                Profile.pop ~host ());
            loop ()
@@ -80,8 +74,6 @@ let make ~sim ~cpu ~mtu ~tx_queue =
       rx_handler = (fun _ -> ());
       rx_cost = (fun _ -> 0);
       transmit = (fun _ _ -> failwith "Iface: not wired");
-      sent = 0;
-      delivered = 0;
       dropped = 0;
     }
   in

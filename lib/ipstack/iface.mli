@@ -32,8 +32,6 @@ val set_rx : t -> rx_cost_ns:(Engine.Buf.t -> int) -> (Engine.Buf.t -> unit) -> 
     receiver-side protocol processing of a packet before the handler runs
     (in stack-process context). Delivered packets own their storage. *)
 
-val packets_sent : t -> int
-val packets_delivered : t -> int
 val tx_drops : t -> int
 (** Packets dropped before reaching the wire (interface queue overflow). *)
 

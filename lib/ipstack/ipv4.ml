@@ -12,7 +12,6 @@ type t = {
   addr : int;
   mutable udp : handler option;
   mutable tcp : handler option;
-  mutable bad : int;
 }
 
 let ip_overhead_ns = 500 (* residual IP processing not folded into transports *)
@@ -21,7 +20,7 @@ let handler_payload pkt =
   Buf.sub pkt ~pos:header_size ~len:(Buf.length pkt - header_size)
 
 let attach iface ~addr =
-  let t = { iface; addr; udp = None; tcp = None; bad = 0 } in
+  let t = { iface; addr; udp = None; tcp = None } in
   let rx_cost pkt =
     if Buf.length pkt < header_size then 0
     else
@@ -34,22 +33,17 @@ let attach iface ~addr =
       | None -> ip_overhead_ns
   in
   let rx pkt =
-    if Buf.length pkt < header_size then t.bad <- t.bad + 1
-    else if not (Checksum.verify_buf (Buf.sub pkt ~pos:0 ~len:header_size))
-    then t.bad <- t.bad + 1
-    else begin
+    if
+      Buf.length pkt >= header_size
+      && Checksum.verify_buf (Buf.sub pkt ~pos:0 ~len:header_size)
+      && Buf.get_uint16_be pkt 2 = Buf.length pkt
+    then
       let proto = Buf.get_uint8 pkt 9 in
       let src = Int32.to_int (Buf.get_uint32_be pkt 12) in
-      let total = Buf.get_uint16_be pkt 2 in
-      if total <> Buf.length pkt then t.bad <- t.bad + 1
-      else
-        let h =
-          if proto = 17 then t.udp else if proto = 6 then t.tcp else None
-        in
-        match h with
-        | Some h -> h.h_fn ~src (handler_payload pkt)
-        | None -> t.bad <- t.bad + 1
-    end
+      let h =
+        if proto = 17 then t.udp else if proto = 6 then t.tcp else None
+      in
+      match h with Some h -> h.h_fn ~src (handler_payload pkt) | None -> ()
   in
   Iface.set_rx iface ~rx_cost_ns:rx_cost rx;
   t
@@ -59,7 +53,6 @@ let iface t = t.iface
 let sim t = Iface.sim t.iface
 let cpu t = Iface.cpu t.iface
 let mtu t = Iface.mtu t.iface - header_size
-let bad_packets t = t.bad
 
 let send t proto ?ctx ~dst ~cost_ns payload =
   let len = Buf.length payload in

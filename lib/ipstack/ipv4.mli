@@ -41,7 +41,6 @@ val register :
 (** Install the transport's receive handler and cost model. The handler gets
     the transport payload as a view of a packet that owns its storage (safe
     to retain); packets failing the header checksum and packets for
-    unregistered protocols are dropped (and counted). *)
+    unregistered protocols are dropped. *)
 
 val header_size : int
-val bad_packets : t -> int

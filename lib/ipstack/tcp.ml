@@ -214,8 +214,6 @@ type t = {
   mutable n_retx : int;
   mutable n_fast_retx : int;
   mutable n_timeouts : int;
-  mutable n_bytes_sent : int;
-  mutable n_bytes_rcvd : int;
   (* seq -> span of the first emission, for retransmit parentage; pruned
      below snd_una as acks arrive *)
   seg_ctx : (int, Span.ctx) Hashtbl.t;
@@ -242,8 +240,6 @@ let state t = t.st
 let retransmits t = t.n_retx
 let fast_retransmits t = t.n_fast_retx
 let timeouts t = t.n_timeouts
-let bytes_sent t = t.n_bytes_sent
-let bytes_received t = t.n_bytes_rcvd
 let cwnd t = t.cwnd
 let srtt_us t = t.srtt /. 1_000.
 let unacked t = Bytebuf.tail t.sndbuf - t.snd_una
@@ -433,7 +429,6 @@ and pump t =
             if t.timing = None then
               t.timing <- Some (t.snd_nxt + data_len, Sim.now (sim_of t));
             emit t ~flags ~seq:t.snd_nxt ~payload;
-            t.n_bytes_sent <- t.n_bytes_sent + data_len;
             t.snd_nxt <- t.snd_nxt + data_len + (if fin_now then 1 else 0);
             arm_retx t
           end
@@ -557,7 +552,6 @@ let rec drain_ooo t =
         let fresh = Buf.length data - skip in
         let n = Bytebuf.append t.rcvbuf ~layer:"tcp_rcvbuf" data skip fresh in
         t.rcv_nxt <- t.rcv_nxt + n;
-        t.n_bytes_rcvd <- t.n_bytes_rcvd + n;
         if n = fresh && fin then begin
           t.fin_rcvd <- true;
           t.rcv_nxt <- t.rcv_nxt + 1
@@ -588,7 +582,6 @@ let process_data t ~seq ~payload ~fin =
   else if seq = t.rcv_nxt then begin
     let n = Bytebuf.append t.rcvbuf ~layer:"tcp_rcvbuf" payload 0 len in
     t.rcv_nxt <- t.rcv_nxt + n;
-    t.n_bytes_rcvd <- t.n_bytes_rcvd + n;
     if n = len && fin then begin
       t.fin_rcvd <- true;
       t.rcv_nxt <- t.rcv_nxt + 1;
@@ -613,7 +606,6 @@ let process_data t ~seq ~payload ~fin =
           (len - fresh_from)
       in
       t.rcv_nxt <- t.rcv_nxt + n;
-      t.n_bytes_rcvd <- t.n_bytes_rcvd + n;
       if n = len - fresh_from && fin then begin
         t.fin_rcvd <- true;
         t.rcv_nxt <- t.rcv_nxt + 1;
@@ -659,8 +651,6 @@ let mk_conn stack ~lport ~raddr ~rport ~st =
     n_retx = 0;
     n_fast_retx = 0;
     n_timeouts = 0;
-    n_bytes_sent = 0;
-    n_bytes_rcvd = 0;
     seg_ctx = Hashtbl.create 8;
   }
 

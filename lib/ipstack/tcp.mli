@@ -77,8 +77,6 @@ val pp_state : Format.formatter -> state -> unit
 val retransmits : t -> int
 val fast_retransmits : t -> int
 val timeouts : t -> int
-val bytes_sent : t -> int
-val bytes_received : t -> int
 
 val unacked : t -> int
 (** Stream bytes sent but not yet acknowledged by the peer. *)

@@ -65,9 +65,6 @@ and stack = {
   sockbuf_limit : int option;
   costs : costs;
   ports : (int, socket) Hashtbl.t;
-  mutable csum_failures : int;
-  mutable sent : int;
-  mutable delivered : int;
   (* pcb cache (§7.6): the last destination port resolved *)
   mutable pcb_cache : socket option;
 }
@@ -92,9 +89,6 @@ let attach ?(checksum = true) ?sockbuf_limit ~costs ip =
       sockbuf_limit;
       costs;
       ports = Hashtbl.create 16;
-      csum_failures = 0;
-      sent = 0;
-      delivered = 0;
       pcb_cache = None;
     }
   in
@@ -103,9 +97,7 @@ let attach ?(checksum = true) ?sockbuf_limit ~costs ip =
     + checksum_cost t (Buf.length payload)
   in
   let rx ~src payload =
-    if Buf.length payload < header_size then
-      t.csum_failures <- t.csum_failures + 1
-    else begin
+    if Buf.length payload >= header_size then begin
       let sport = Buf.get_uint16_be payload 0 in
       let dport = Buf.get_uint16_be payload 2 in
       let ok =
@@ -113,8 +105,7 @@ let attach ?(checksum = true) ?sockbuf_limit ~costs ip =
         || Buf.get_uint16_be payload 6 = 0 (* sender had checksum off *)
         || Checksum.verify_buf payload
       in
-      if not ok then t.csum_failures <- t.csum_failures + 1
-      else
+      if ok then
         match lookup t dport with
         | None -> () (* no listener: silently dropped (no ICMP, §7.1) *)
         | Some s ->
@@ -129,7 +120,6 @@ let attach ?(checksum = true) ?sockbuf_limit ~costs ip =
             in
             if accept then begin
               Queue.add (src, sport, data) s.s_queue;
-              t.delivered <- t.delivered + 1;
               Sync.Condition.broadcast s.s_cond
             end
     end
@@ -184,7 +174,6 @@ let sendto s ~dst ~dst_port data =
   (* sendto has copy semantics: snapshot so the caller may reuse [data]
      while the datagram sits in transmit queues — the socket-layer copy *)
   let pdu = Buf.copy ~layer:"udp_app" view in
-  t.sent <- t.sent + 1;
   let cost =
     t.costs.stack_send_ns (Bytes.length data)
     + checksum_cost t (Buf.length pdu)
@@ -252,7 +241,3 @@ let sockbuf_drops t =
     (fun _ s acc ->
       acc + match s.s_sockbuf with Some sb -> Host.Kernel.Sockbuf.drops sb | None -> 0)
     t.ports 0
-
-let checksum_failures t = t.csum_failures
-let datagrams_sent t = t.sent
-let datagrams_delivered t = t.delivered

@@ -57,7 +57,3 @@ val pending : socket -> int
 
 val sockbuf_drops : stack -> int
 (** Datagrams lost to receive-buffer overflow (the Figure 7 kernel losses). *)
-
-val checksum_failures : stack -> int
-val datagrams_sent : stack -> int
-val datagrams_delivered : stack -> int

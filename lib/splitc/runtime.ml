@@ -50,7 +50,6 @@ module Intvec = struct
     t.len <- t.len + 1
 
   let contents t = Array.sub t.data 0 t.len
-  let length t = t.len
 end
 
 type slot =
@@ -176,7 +175,6 @@ let append_buf ctx id =
   | None -> Fmt.failwith "Splitc: unknown append buffer %d" id
 
 let append_buffer_contents ctx ~id = Intvec.contents (append_buf ctx id)
-let append_buffer_count ctx ~id = Intvec.length (append_buf ctx id)
 
 (* --- handler registration --------------------------------------------- *)
 

@@ -70,7 +70,6 @@ val store_pair : ctx -> proc:int -> buf:int -> int -> int -> unit
 
 val register_append_buffer : ctx -> id:int -> unit
 val append_buffer_contents : ctx -> id:int -> int array
-val append_buffer_count : ctx -> id:int -> int
 
 val store_ints : ctx -> proc:int -> arr:int -> pos:int -> int array -> unit
 (** One-way bulk store into a remote int array (chunked to the transport's

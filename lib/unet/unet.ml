@@ -326,10 +326,6 @@ let set_upcall t (ep : Endpoint.t) cond f =
   ignore t;
   ep.upcall <- Some (cond, f)
 
-let clear_upcall t (ep : Endpoint.t) =
-  ignore t;
-  ep.upcall <- None
-
 let disable_upcalls t (ep : Endpoint.t) =
   ignore t;
   ep.upcalls_enabled <- false

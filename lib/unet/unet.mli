@@ -115,7 +115,6 @@ val provide_free_buffer :
     via the free queue. *)
 
 val set_upcall : t -> Endpoint.t -> Endpoint.upcall_cond -> (unit -> unit) -> unit
-val clear_upcall : t -> Endpoint.t -> unit
 
 val disable_upcalls : t -> Endpoint.t -> unit
 (** Cheap critical-section entry: upcalls must be maskable at user level. *)

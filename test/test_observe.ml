@@ -272,6 +272,41 @@ let idle_probe_dumps () =
   Sys.remove csv;
   Timeseries.clear ()
 
+(* --- one trace ring ---------------------------------------------------- *)
+
+(* Train slices share the bounded ring with per-cell events, so a stream
+   that overflows it keeps at most [capacity] events of both kinds, and
+   the count the CLI prints (what [write_chrome_file] returns) is the
+   count the file holds. *)
+let trace_one_ring () =
+  let capacity = 64 in
+  Metrics.reset ();
+  Trace.start ~capacity ();
+  Fun.protect ~finally:(fun () ->
+      Trace.stop ();
+      Trace.clear ())
+  @@ fun () ->
+  ignore (Experiments.Common.raw_bandwidth ~count:60 ~size:5056 () : float);
+  let events = Trace.events () in
+  let is_slice (e : Trace.event) =
+    String.length e.name > 6 && String.sub e.name 0 6 = "train."
+  in
+  checkb "the stream overflowed the ring" true
+    (Trace.total_events () > 2 * capacity);
+  checkb "train slices retained" true (List.exists is_slice events);
+  checkb "per-cell events retained" true
+    (List.exists (fun e -> not (is_slice e)) events);
+  let n = List.length events in
+  if n > capacity then Alcotest.failf "exported %d > capacity %d" n capacity;
+  let path = Filename.temp_file "obs_trace" ".json" in
+  let written = Trace.write_chrome_file path in
+  let exported =
+    Option.fold ~none:(-1) ~some:List.length (Json.to_list (Json.of_file path))
+  in
+  Sys.remove path;
+  checki "events exported = events retained" n exported;
+  checki "count written = events exported" exported written
+
 (* --- pinning observers are named -------------------------------------- *)
 
 let pinned_gauge () =
@@ -308,6 +343,11 @@ let () =
           Alcotest.test_case "ring drops counted" `Quick
             timeseries_drop_counter;
           Alcotest.test_case "pinning observer named" `Quick pinned_gauge;
+        ] );
+      ( "trace",
+        [
+          Alcotest.test_case "one ring for events and slices" `Quick
+            trace_one_ring;
         ] );
       ( "registry",
         [

@@ -48,10 +48,13 @@ let golden =
 
 let test_golden_layout () =
   Pcapng.start ();
-  Pcapng.attach_clock (fun () -> 0x0102030405060708);
   let ifc = Pcapng.iface ~name:"atm0" ~linktype:Pcapng.linktype_sunatm in
   checki "first interface gets id 0" 0 ifc;
-  Pcapng.capture ~iface:ifc "ping";
+  let sim = Sim.create () in
+  ignore
+    (Sim.schedule_at sim 0x0102030405060708 (fun () ->
+         Pcapng.capture ~iface:ifc "ping"));
+  Sim.run sim;
   let got = Pcapng.to_string () in
   checki "capture length" (String.length golden) (String.length got);
   check Alcotest.string "byte-exact block layout" golden got;
