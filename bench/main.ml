@@ -35,7 +35,7 @@ let bench_sim_events =
 let bench_aal5 =
   let r = Atm.Aal5.Reassembler.create () in
   fun () ->
-    List.iter
+    Array.iter
       (fun c -> ignore (Atm.Aal5.Reassembler.push r c))
       (Atm.Aal5.segment ~vci:1 (Engine.Buf.of_bytes payload))
 

@@ -17,7 +17,7 @@ let pdu_wire_bytes len = cells_for len * Cell.on_wire_size
 
    The CS-PDU is never materialized: it is the payload view followed by a
    fresh pad+trailer store, and every cell is a 48-byte view into that
-   concatenation. *)
+   concatenation — one span, except where a cell straddles two stores. *)
 let segment ?ctx ~vci payload =
   let len = Buf.length payload in
   if len > max_payload then invalid_arg "Aal5.segment: payload too long";
@@ -35,7 +35,7 @@ let segment ?ctx ~vci payload =
   let tag =
     match ctx with None -> None | Some _ -> Some { Cell.ctx; journal = None }
   in
-  List.init ncells (fun i ->
+  Array.init ncells (fun i ->
       Cell.make ?tag ~vci ~eop:(i = ncells - 1)
         (Buf.sub pdu ~pos:(i * Cell.payload_size) ~len:Cell.payload_size))
 
@@ -73,13 +73,14 @@ let m_discarded =
 
 module Reassembler = struct
   type t = {
-    mutable cells : Buf.t list;  (* received payload views, reversed *)
-    mutable got : int;  (* bytes across [cells] *)
+    acc : Buf.acc;  (* received payload views, fused as they arrive *)
     mutable error_count : int;
     mutable last : Cell.tag;  (* tag of the last EOP cell *)
   }
 
-  let create () = { cells = []; got = 0; error_count = 0; last = Cell.untagged }
+  let create () =
+    { acc = Buf.acc_create (); error_count = 0; last = Cell.untagged }
+
   let errors t = t.error_count
   let last_ctx t = t.last.ctx
   let max_pdu_bytes = cells_for max_payload * Cell.payload_size
@@ -95,9 +96,7 @@ module Reassembler = struct
     Error err
 
   let finish t =
-    let pdu = Buf.concat (List.rev t.cells) in
-    t.cells <- [];
-    t.got <- 0;
+    let pdu = Buf.acc_take t.acc in
     let total = Buf.length pdu in
     (* total is a positive multiple of 48 by construction, so the trailer
        reads below stay in bounds even for a garbage PDU *)
@@ -114,15 +113,13 @@ module Reassembler = struct
     else Ok (Buf.sub pdu ~pos:0 ~len:stored_len)
 
   let push t (cell : Cell.t) =
-    if t.got + Cell.payload_size > max_pdu_bytes then begin
-      t.cells <- [];
-      t.got <- 0;
+    if Buf.acc_length t.acc + Cell.payload_size > max_pdu_bytes then begin
+      Buf.acc_clear t.acc;
       t.last <- cell.tag;
       Some (discard t Too_long)
     end
     else begin
-      t.cells <- cell.payload :: t.cells;
-      t.got <- t.got + Cell.payload_size;
+      Buf.acc_add t.acc cell.payload;
       if cell.eop then begin
         t.last <- cell.tag;
         Some (finish t)

@@ -16,11 +16,12 @@ val pdu_wire_bytes : int -> int
 (** Bytes on the wire (53 per cell) for a payload of the given length — the
     exact sawtooth of the paper's Figure 4 "AAL-5 limit" curve. *)
 
-val segment : ?ctx:Engine.Span.ctx -> vci:int -> Engine.Buf.t -> Cell.t list
-(** Split a payload into cells with padding, trailer and CRC. The CS-PDU is
-    the payload view concatenated with a fresh pad+trailer store; every cell
-    payload is a zero-copy view into it. Every cell inherits the CS-PDU's
-    span context [ctx]. *)
+val segment : ?ctx:Engine.Span.ctx -> vci:int -> Engine.Buf.t -> Cell.t array
+(** Split a payload into cells with padding, trailer and CRC, in wire
+    order. The CS-PDU is the payload view concatenated with a fresh
+    pad+trailer store; every cell payload is a zero-copy view into it, a
+    single span unless the cell straddles two stores. Every cell inherits
+    the CS-PDU's span context [ctx]. *)
 
 type error =
   | Crc_mismatch
@@ -30,7 +31,9 @@ type error =
 val pp_error : Format.formatter -> error -> unit
 
 (** Per-VCI reassembler: feed cells in order; a completed PDU (or an error,
-    e.g. after cell loss) is reported when the EOP cell arrives. *)
+    e.g. after cell loss) is reported when the EOP cell arrives. Cell views
+    are fused as they arrive ({!Engine.Buf.acc}), so a PDU whose cells are
+    contiguous on a few stores reassembles into that many spans. *)
 module Reassembler : sig
   type t
 

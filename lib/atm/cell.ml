@@ -87,15 +87,11 @@ module Train = struct
 
   let receive sim server ~stage ~cost ~faulted t ~rx_vci ~deliveries ~action
       on_cell =
-    let n = t.live in
     let paced =
       if Engine.Trainmode.active () && not faulted then
-        Engine.Sync.Server.submit_paced server ~stage ~cost
-          ~arrivals:(Array.sub deliveries 0 n)
-          ~actions:
-            (Array.init n (fun i ->
-                 let cell = with_vci t.cells.(i) rx_vci in
-                 fun () -> action cell))
+        Engine.Sync.Server.submit_paced server ~stage ~cost ~n:t.live
+          ~arrivals:deliveries ~action:(fun i ->
+            action ~vci:rx_vci t.cells.(i))
       else None
     in
     match paced with

@@ -86,15 +86,16 @@ module Train : sig
     train ->
     rx_vci:int ->
     deliveries:Engine.Sim.time array ->
-    action:(t -> unit) ->
+    action:(vci:int -> t -> unit) ->
     (t -> unit) ->
     unit
   (** A NI's receive of a whole train, called at [deliveries.(0)]. On the
       fast path ({!Engine.Trainmode.active} and not [faulted]) the run of
       per-cell [cost] jobs on [server] is one paced batch, charged to the
-      profile as [stage], whose [action]s (one per cell, relabelled
-      [rx_vci]) run at its completion, and an upstream truncation trims
-      the batch. Otherwise — or when [server]
+      profile as [stage], whose one indexed action runs [action ~vci:rx_vci]
+      on each cell at its completion (the cells keep their sender-side
+      VCI: none is relabelled), and an upstream truncation trims the
+      batch. Otherwise — or when [server]
       refuses the batch — the cells go one by one to the per-cell handler
       through {!expand} with label ["ni.rx_train"]. *)
 end

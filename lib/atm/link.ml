@@ -4,21 +4,24 @@ open Engine
    the fast path (DESIGN.md §14): per-cell acceptance and serialization-start
    instants computed up front, with drop / queue-high-water side effects kept
    as time-stamped entries that lazily fold into the real counters no later
-   than any observer reads them. [h_live] shrinks when the owning train is
-   truncated back to the per-cell path. *)
+   than any observer reads them. The high-water entries are not stored apart:
+   cell i that queued behind others left [h_qafter.(i)] > 0 cells queued at
+   [h_accepts.(i)]. [h_live] shrinks when the owning train is truncated back
+   to the per-cell path. *)
 type hop = {
   mutable h_live : int;  (* cells still riding this plan *)
   h_accepts : Sim.time array;  (* p_i: instant cell i enters the queue *)
   h_starts : Sim.time array;  (* s_i: instant cell i starts serializing *)
+  mutable h_qafter : float array;
+    (* queue depth after accepting cell i; 0 when it went straight to the
+       wire *)
   h_fold_sent : bool;
     (* trains fold sent/delivery analytically; bridged cells keep a real
        delivery event that does its own accounting *)
   mutable h_drops : Sim.time array;  (* refused-attempt instants, ascending *)
   mutable h_ndrops : int;
-  mutable h_hw_t : Sim.time array;  (* queue high-water marks at acceptance *)
-  mutable h_hw_v : float array;
-  mutable h_nhw : int;
-  (* fold cursors: first entry of each kind not yet applied *)
+  (* fold cursors: first entry of each kind not yet applied (high-water
+     and busy by cell index) *)
   mutable f_busy : int;
   mutable f_sent : int;
   mutable f_drop : int;
@@ -66,7 +69,7 @@ let hop_done t now h =
   h.f_busy >= h.h_live
   && (not h.h_fold_sent || h.f_sent >= h.h_live)
   && h.f_drop >= h.h_ndrops
-  && h.f_hw >= h.h_nhw
+  && h.f_hw >= h.h_live
   (* even with every side effect folded, the last cell occupies the wire
      until start + cell_time: retiring earlier would let a legacy send
      overlap it (send only consults [a_tail] while hops are live) *)
@@ -98,13 +101,13 @@ let fold_hop t now h =
       h.f_sent <- s
     end
   end;
-  let w = past h.h_hw_t h.h_nhw h.f_hw now in
+  let w = past h.h_accepts h.h_live h.f_hw now in
   if w > h.f_hw then begin
-    let m = ref h.h_hw_v.(h.f_hw) in
-    for i = h.f_hw + 1 to w - 1 do
-      if h.h_hw_v.(i) > !m then m := h.h_hw_v.(i)
+    let m = ref 0. in
+    for i = h.f_hw to w - 1 do
+      if h.h_qafter.(i) > !m then m := h.h_qafter.(i)
     done;
-    Metrics.Gauge.set_max t.m_queue_hw !m;
+    if !m > 0. then Metrics.Gauge.set_max t.m_queue_hw !m;
     h.f_hw <- w
   end
 
@@ -121,12 +124,10 @@ let dummy_hop =
     h_live = 0;
     h_accepts = [||];
     h_starts = [||];
+    h_qafter = [||];
     h_fold_sent = false;
     h_drops = [||];
     h_ndrops = 0;
-    h_hw_t = [||];
-    h_hw_v = [||];
-    h_nhw = 0;
     f_busy = 0;
     f_sent = 0;
     f_drop = 0;
@@ -277,11 +278,10 @@ type plan = {
   pl_accepts : Sim.time array;
   pl_starts : Sim.time array;
   pl_drops : Sim.time array;
-  pl_hw_t : Sim.time array;
-  pl_hw_v : float array;
   pl_qafter : float array;
       (* queue depth just after each acceptance — what a feeder reading
-         [queue_length] right after a successful send would see *)
+         [queue_length] right after a successful send would see; 0 for a
+         cell that went straight to the wire *)
 }
 
 (* Wire state seen by an attempt firing at [at] from an event scheduled at
@@ -321,16 +321,18 @@ let queued_tieaware t ~accepts ~starts ~count ~at ~sched =
 
 let occupancy_at t ~local_accepts ~local_starts ~local_count ~at ~sched =
   let occ =
-    Fifo.fold_left
-      (fun acc h ->
-        acc
-        + queued_tieaware t ~accepts:h.h_accepts ~starts:h.h_starts
-            ~count:h.h_live ~at ~sched)
-      0 t.hops
+    ref
+      (queued_tieaware t ~accepts:local_accepts ~starts:local_starts
+         ~count:local_count ~at ~sched)
   in
-  occ
-  + queued_tieaware t ~accepts:local_accepts ~starts:local_starts
-      ~count:local_count ~at ~sched
+  for k = 0 to Fifo.length t.hops - 1 do
+    let h = Fifo.get t.hops k in
+    occ :=
+      !occ
+      + queued_tieaware t ~accepts:h.h_accepts ~starts:h.h_starts
+          ~count:h.h_live ~at ~sched
+  done;
+  !occ
 
 let plannable t =
   (not t.transmitting)
@@ -351,8 +353,7 @@ let plan_chain t ~n ~first_attempt ~gap =
     try
       let accepts = Array.make n 0 and starts = Array.make n 0 in
       let qafter = Array.make n 0. in
-      let drops = ref [] and ndrops = ref 0 in
-      let hw_t = ref [] and hw_v = ref [] in
+      let ndrops = ref 0 in
       let tail = ref t.a_tail in
       let guard = ref 0 in
       let at = ref first_attempt and sched = ref (first_attempt - gap) in
@@ -373,7 +374,6 @@ let plan_chain t ~n ~first_attempt ~gap =
                 ~local_count:i ~at:!at ~sched:!sched
             in
             if occ >= t.queue_capacity then begin
-              drops := !at :: !drops;
               incr ndrops;
               sched := !at;
               at := !at + t.cell_time
@@ -383,8 +383,6 @@ let plan_chain t ~n ~first_attempt ~gap =
               starts.(i) <- !tail;
               tail := !tail + t.cell_time;
               qafter.(i) <- float_of_int (occ + 1);
-              hw_t := !at :: !hw_t;
-              hw_v := float_of_int (occ + 1) :: !hw_v;
               accepted := true
             end
           end
@@ -394,13 +392,24 @@ let plan_chain t ~n ~first_attempt ~gap =
           at := accepts.(i) + gap
         end
       done;
+      (* the refused attempts are implied by the acceptances: cell i's
+         first attempt came [gap] after cell i-1's acceptance (cell 0's at
+         [first_attempt]) and each refusal retried one cell_time later *)
+      let drops = Array.make !ndrops 0 in
+      let d = ref 0 in
+      for i = 0 to n - 1 do
+        let a = ref (if i = 0 then first_attempt else accepts.(i - 1) + gap) in
+        while !a < accepts.(i) do
+          drops.(!d) <- !a;
+          incr d;
+          a := !a + t.cell_time
+        done
+      done;
       Some
         {
           pl_accepts = accepts;
           pl_starts = starts;
-          pl_drops = Array.of_list (List.rev !drops);
-          pl_hw_t = Array.of_list (List.rev !hw_t);
-          pl_hw_v = Array.of_list (List.rev !hw_v);
+          pl_drops = drops;
           pl_qafter = qafter;
         }
     with Refuse -> None
@@ -416,37 +425,34 @@ let plan_feed t ~arrivals ~sched_lead ~refuse_occ =
   else
     try
       let n = Array.length arrivals in
-      let starts = Array.make n 0 in
+      (* a cell that finds the wire free starts as it arrives: [starts] is
+         [arrivals] itself until the first cell has to queue *)
+      let starts = ref arrivals in
       let qafter = Array.make n 0. in
-      let hw_t = ref [] and hw_v = ref [] in
       let tail = ref t.a_tail in
       for i = 0 to n - 1 do
         let at = arrivals.(i) in
         let sched = at - sched_lead in
-        if not (busy_at t ~tail:!tail ~at ~sched) then begin
-          starts.(i) <- at;
+        if not (busy_at t ~tail:!tail ~at ~sched) then
+          (* the copy, once made, already holds [at] here *)
           tail := at + t.cell_time
-        end
         else begin
           let occ =
-            occupancy_at t ~local_accepts:arrivals ~local_starts:starts
+            occupancy_at t ~local_accepts:arrivals ~local_starts:!starts
               ~local_count:i ~at ~sched
           in
           if occ >= refuse_occ || occ >= t.queue_capacity then raise Refuse;
-          starts.(i) <- !tail;
+          if !starts == arrivals then starts := Array.copy arrivals;
+          !starts.(i) <- !tail;
           tail := !tail + t.cell_time;
-          qafter.(i) <- float_of_int (occ + 1);
-          hw_t := at :: !hw_t;
-          hw_v := float_of_int (occ + 1) :: !hw_v
+          qafter.(i) <- float_of_int (occ + 1)
         end
       done;
       Some
         {
           pl_accepts = arrivals;
-          pl_starts = starts;
+          pl_starts = !starts;
           pl_drops = [||];
-          pl_hw_t = Array.of_list (List.rev !hw_t);
-          pl_hw_v = Array.of_list (List.rev !hw_v);
           pl_qafter = qafter;
         }
     with Refuse -> None
@@ -463,12 +469,10 @@ let commit_plan t pl ~fold_sent =
       h_live = n;
       h_accepts = pl.pl_accepts;
       h_starts = pl.pl_starts;
+      h_qafter = pl.pl_qafter;
       h_fold_sent = fold_sent;
       h_drops = pl.pl_drops;
       h_ndrops = Array.length pl.pl_drops;
-      h_hw_t = pl.pl_hw_t;
-      h_hw_v = pl.pl_hw_v;
-      h_nhw = Array.length pl.pl_hw_t;
       f_busy = 0;
       f_sent = 0;
       f_drop = 0;
@@ -505,14 +509,22 @@ let truncate_hop t h ~keep ~now =
       h.f_drop <- !kd
     end;
     h.h_ndrops <- !kd;
-    let kh = ref 0 in
-    while !kh < h.h_nhw && h.h_hw_t.(!kh) < now do
-      incr kh
+    (* high-water entries at or after [now] are retracted like drops, kept
+       cells included: the kept cells' entries are zeroed in a copy (the
+       array is shared with the plan's other readers). A folded entry at
+       exactly [now] re-fires identically on the per-cell path (same queue
+       state), so no un-apply is needed. *)
+    let kh = count_le h.h_accepts keep (now - 1) in
+    let zero = ref false in
+    for i = kh to keep - 1 do
+      if h.h_qafter.(i) > 0. then zero := true
     done;
-    (* a folded high-water at exactly [now] re-fires identically on the
-       per-cell path (same queue state), so no un-apply is needed *)
-    if h.f_hw > !kh then h.f_hw <- !kh;
-    h.h_nhw <- !kh;
+    if !zero then begin
+      let q = Array.sub h.h_qafter 0 keep in
+      Array.fill q kh (keep - kh) 0.;
+      h.h_qafter <- q
+    end;
+    if h.f_hw > kh then h.f_hw <- kh;
     if h.f_busy > keep then begin
       t.busy_ns <- t.busy_ns - ((h.f_busy - keep) * t.cell_time);
       h.f_busy <- keep
@@ -626,7 +638,10 @@ let rec transmit t cell =
    order is exactly arrival order. Same-instant completions resolve
    completion-first (see DESIGN.md §14 on this tie). Serialization start and
    occupancy ride a singleton hop; delivery stays a real event so loss-free
-   forward accounting (sent, trace, span) runs on the per-cell path. *)
+   forward accounting (sent, trace, span) runs on the per-cell path. A
+   bridged cell's high water is set as it is accepted, not folded. *)
+let bridged_qafter = [| 0. |]
+
 let bridge_send t (cell : Cell.t) =
   let now = Sim.now t.sim in
   (match t.on_interfere with Some f -> f () | None -> ());
@@ -646,9 +661,7 @@ let bridge_send t (cell : Cell.t) =
         pl_accepts = [| now |];
         pl_starts = [| start |];
         pl_drops = [||];
-        pl_hw_t = [||];
-        pl_hw_v = [||];
-        pl_qafter = [||];
+        pl_qafter = bridged_qafter;
       }
     in
     ignore (commit_plan t pl ~fold_sent:false);

@@ -19,43 +19,96 @@ let alloc n = of_bytes (Bytes.make n '\000')
 let length t = t.len
 let is_empty t = t.len = 0
 
+(* The spans covering [want] bytes from [skip] bytes into [spans]. A span
+   covered whole is shared, not rebuilt. *)
+let rec take skip want = function
+  | [] -> []
+  | (s : span) :: rest ->
+      if skip >= s.len then take (skip - s.len) want rest
+      else
+        let n = min (s.len - skip) want in
+        let s' =
+          if skip = 0 && n = s.len then s
+          else { base = s.base; off = s.off + skip; len = n }
+        in
+        s' :: (if want > n then take 0 (want - n) rest else [])
+
 let sub t ~pos ~len =
   if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Buf.sub";
   if len = 0 then empty
+  else if len = t.len then t
+  else { spans = take pos len t.spans; len }
+
+(* --- fused accumulation ---------------------------------------------- *)
+
+(* The newest span stays open as [a_open], extended in place to [a_len]
+   while the views added continue it on the same store; only a break
+   (another store, or a gap) closes it onto [a_done]. A span closed
+   unextended is kept, not rebuilt. *)
+type acc = {
+  mutable a_open : span;  (* [no_span] when none is open *)
+  mutable a_len : int;
+  mutable a_done : span list;  (* closed spans, newest first *)
+  mutable a_total : int;
+}
+
+let no_span = { base = Bytes.empty; off = 0; len = 0 }
+
+let acc_clear a =
+  a.a_open <- no_span;
+  a.a_len <- 0;
+  a.a_done <- [];
+  a.a_total <- 0
+
+let acc_create () = { a_open = no_span; a_len = 0; a_done = []; a_total = 0 }
+let acc_length a = a.a_total
+
+let closed a =
+  let o = a.a_open in
+  if a.a_len = o.len then o else { o with len = a.a_len }
+
+(* top level, not local closures: adding allocates only when a span
+   breaks *)
+let rec acc_spans a = function
+  | [] -> ()
+  | (s : span) :: rest ->
+      let o = a.a_open in
+      if s.base == o.base && o.off + a.a_len = s.off then
+        a.a_len <- a.a_len + s.len
+      else begin
+        if o != no_span then a.a_done <- closed a :: a.a_done;
+        a.a_open <- s;
+        a.a_len <- s.len
+      end;
+      acc_spans a rest
+
+let acc_add a t =
+  acc_spans a t.spans;
+  a.a_total <- a.a_total + t.len
+
+let rec acc_all a = function
+  | [] -> ()
+  | t :: ts ->
+      acc_add a t;
+      acc_all a ts
+
+let acc_take a =
+  if a.a_total = 0 then empty
   else begin
-    let acc = ref [] and skip = ref pos and want = ref len in
-    List.iter
-      (fun (s : span) ->
-        if !want > 0 then
-          if !skip >= s.len then skip := !skip - s.len
-          else begin
-            let take = min (s.len - !skip) !want in
-            acc := { base = s.base; off = s.off + !skip; len = take } :: !acc;
-            skip := 0;
-            want := !want - take
-          end)
-      t.spans;
-    { spans = List.rev !acc; len }
+    let spans = List.rev_append a.a_done [ closed a ] in
+    let t = { spans; len = a.a_total } in
+    acc_clear a;
+    t
   end
 
-(* fuse adjacent views over the same store so span lists stay short even
-   after reassembling many cells cut from one PDU *)
-let fuse spans =
-  let rec go = function
-    | a :: b :: rest when a.base == b.base && a.off + a.len = b.off ->
-        go ({ a with len = a.len + b.len } :: rest)
-    | a :: rest -> a :: go rest
-    | [] -> []
-  in
-  go spans
-
+(* adjacent views over the same store fuse, so span lists stay short *)
 let concat ts =
-  let spans =
-    fuse (List.concat_map (fun t -> t.spans) ts)
-  in
-  { spans; len = List.fold_left (fun n (s : span) -> n + s.len) 0 spans }
+  let a = acc_create () in
+  acc_all a ts;
+  acc_take a
 
 let append a b = concat [ a; b ]
+
 let spans t = List.map (fun s -> (s.base, s.off, s.len)) t.spans
 let iter_spans t f = List.iter (fun s -> f s.base ~pos:s.off ~len:s.len) t.spans
 

@@ -40,12 +40,33 @@ val length : t -> int
 val is_empty : t -> bool
 
 val sub : t -> pos:int -> len:int -> t
-(** Zero-copy sub-view. Raises [Invalid_argument] when out of range. *)
+(** Zero-copy sub-view. Raises [Invalid_argument] when out of range. A
+    view inside one span allocates one span; the whole of [t] is [t]. *)
 
 val concat : t list -> t
 (** Zero-copy concatenation (adjacent views over the same store fuse). *)
 
 val append : t -> t -> t
+
+(** {1 Fused accumulation}
+
+    An accumulator collects views in order and fuses as it goes: a view
+    that continues the newest span on the same store extends that span in
+    place, so appending the cells of one PDU cut from a few stores
+    allocates only at store boundaries. The result equals {!concat} of
+    the added views, span for span. *)
+
+type acc
+
+val acc_create : unit -> acc
+val acc_add : acc -> t -> unit
+val acc_length : acc -> int
+(** Bytes added since the last {!acc_take} or {!acc_clear}. *)
+
+val acc_take : acc -> t
+(** The accumulated view; the accumulator is left empty. *)
+
+val acc_clear : acc -> unit
 
 val spans : t -> (bytes * int * int) list
 (** The underlying spans, in order; no copy. *)

@@ -18,6 +18,10 @@ let push t x =
   t.buf.(t.len) <- x;
   t.len <- t.len + 1
 
+let get t i =
+  if i < 0 || i >= t.len then invalid_arg "Fifo.get";
+  t.buf.(i)
+
 let fold_left f acc t =
   let acc = ref acc in
   for i = 0 to t.len - 1 do

@@ -18,6 +18,9 @@ val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 (** Append as the newest element. *)
 
+val get : 'a t -> int -> 'a
+(** [get t i] is the [i]-th element, oldest first (0-based). *)
+
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 (** Oldest first. *)
 

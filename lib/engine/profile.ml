@@ -166,10 +166,13 @@ let kinds : (string, kind) Hashtbl.t = Hashtbl.create 16
 let kind_order : string list ref = ref []
 
 (* Words allocated so far. Promoted words are counted once in the minor
-   heap and again in the major heap, so they are subtracted once. *)
+   heap and again in the major heap, so they are subtracted once. The
+   minor part is [Gc.minor_words], which includes the live minor heap:
+   [Gc.counters]'s minor count only moves at a minor collection, so two
+   reads of equal work differed by whatever sat in the minor heap. *)
 let alloc_words () =
-  let minor, promoted, major = Gc.counters () in
-  minor +. major -. promoted
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 (* Charge the interval since the previous transition to the frame that
    was executing through it, then restamp. *)

@@ -54,6 +54,12 @@ val pop : ?host:int -> unit -> unit
 
 val unmatched_pops : clock -> int
 
+val alloc_words : unit -> float
+(** Words allocated by the process so far, minor and major, promoted
+    words counted once. Exact at any instant (the minor part includes the
+    live minor heap), so the difference of two reads is the allocation
+    of the work between them. *)
+
 (** {2 Virtual clock} *)
 
 val charge : ?host:int -> ?frames:string list -> int -> unit

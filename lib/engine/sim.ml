@@ -3,11 +3,15 @@ type time = int
 type event = {
   mutable at : time;
   mutable seq : int; (* tie-breaker: FIFO among same-time events *)
-  mutable thunk : (unit -> unit) option; (* None once fired or cancelled *)
+  mutable thunk : unit -> unit; (* [fired] once fired or cancelled *)
   mutable label : string; (* static schedule-site kind; "" = unlabeled *)
   pooled : bool; (* allocated by [schedule_drop]: no handle escapes, so the
                     record is recycled through the free list after firing *)
 }
+
+(* The thunk of a fired or cancelled event, compared with [==]: a shared
+   sentinel instead of an option saves the [Some] box on every schedule. *)
+let fired () = ()
 
 (* Binary min-heap over (at, seq). A simple array-backed heap is enough: the
    simulator's hot loop is push/pop and both are O(log n) with no allocation
@@ -18,7 +22,7 @@ module Heap = struct
   type t = { mutable a : event array; mutable len : int }
 
   let swaps = ref 0
-  let dummy = { at = 0; seq = 0; thunk = None; label = ""; pooled = false }
+  let dummy = { at = 0; seq = 0; thunk = fired; label = ""; pooled = false }
   let min_capacity = 256
   let create () = { a = Array.make min_capacity dummy; len = 0 }
 
@@ -43,8 +47,10 @@ module Heap = struct
       i := p
     done
 
+  (* The earliest event, removed; [dummy] when the heap is empty (no
+     option box per pop). *)
   let pop h =
-    if h.len = 0 then None
+    if h.len = 0 then dummy
     else begin
       let a = h.a in
       let top = a.(0) in
@@ -68,10 +74,10 @@ module Heap = struct
         end
         else continue := false
       done;
-      Some top
+      top
     end
 
-  let peek h = if h.len = 0 then None else Some h.a.(0)
+  let peek h = if h.len = 0 then dummy else h.a.(0)
 
   (* Tombstone compaction: drop every cancelled record in one pass and
      re-establish the heap property bottom-up (Floyd). Pop order is a total
@@ -101,7 +107,7 @@ module Heap = struct
     let kept = ref 0 in
     for i = 0 to h.len - 1 do
       let e = h.a.(i) in
-      if e.thunk <> None then begin
+      if e.thunk != fired then begin
         h.a.(!kept) <- e;
         incr kept
       end
@@ -210,7 +216,7 @@ let schedule_at ?(label = "") t at f =
     invalid_arg
       (Printf.sprintf "Sim.schedule_at: time %d is in the past (now %d)" at
          t.clock);
-  let e = { at; seq = t.next_seq; thunk = Some f; label; pooled = false } in
+  let e = { at; seq = t.next_seq; thunk = f; label; pooled = false } in
   t.next_seq <- t.next_seq + 1;
   t.live <- t.live + 1;
   Metrics.Counter.inc c_scheduled;
@@ -237,11 +243,11 @@ let schedule_drop_at ?(label = "") t at f =
       t.pool.(t.pool_len) <- Heap.dummy;
       e.at <- at;
       e.seq <- t.next_seq;
-      e.thunk <- Some f;
+      e.thunk <- f;
       e.label <- label;
       e
     end
-    else { at; seq = t.next_seq; thunk = Some f; label; pooled = true }
+    else { at; seq = t.next_seq; thunk = f; label; pooled = true }
   in
   t.next_seq <- t.next_seq + 1;
   t.live <- t.live + 1;
@@ -274,12 +280,11 @@ let recycle t (e : event) =
    drops immediately (see [handle]). Pooled records never reach here:
    [schedule_drop] returns no handle. *)
 let cancel { h_ev = e; h_sim = t } =
-  match e.thunk with
-  | None -> ()
-  | Some _ ->
-      e.thunk <- None;
-      t.live <- t.live - 1;
-      Metrics.Counter.inc c_cancelled
+  if e.thunk != fired then begin
+    e.thunk <- fired;
+    t.live <- t.live - 1;
+    Metrics.Counter.inc c_cancelled
+  end
 
 (* Same-timestamp batch bookkeeping for the self-profiler: a batch ends
    when a fired event carries a later timestamp (or the run drains). *)
@@ -297,36 +302,37 @@ let step t =
   let selfprof = Profile.(enabled Wall) in
   let swaps0 = !Heap.swaps in
   let rec loop skipped =
-    match Heap.pop t.heap with
-    | None -> false
-    | Some e -> (
-        match e.thunk with
-        | None ->
-            (* cancelled: a tombstone, pure pop-path waste ([live] already
-               dropped at cancel time) *)
-            loop (skipped + 1)
-        | Some f ->
-            e.thunk <- None;
-            t.live <- t.live - 1;
-            t.clock <- e.at;
-            Metrics.Counter.inc c_fired;
-            if Timeseries.enabled () then Timeseries.on_event (global_now t);
-            if Recorder.armed () then Recorder.tick (global_now t);
-            if selfprof then begin
-              Profile.observe_pop_cost (skipped + !Heap.swaps - swaps0);
-              if e.at = t.last_fired_at then t.batch <- t.batch + 1
-              else begin
-                flush_batch t;
-                t.last_fired_at <- e.at;
-                t.batch <- 1
-              end;
-              Profile.event_begin ~label:e.label;
-              f ();
-              Profile.event_end ()
-            end
-            else f ();
-            recycle t e;
-            true)
+    let e = Heap.pop t.heap in
+    if e == Heap.dummy then false
+    else
+      let f = e.thunk in
+      if f == fired then
+        (* cancelled: a tombstone, pure pop-path waste ([live] already
+           dropped at cancel time) *)
+        loop (skipped + 1)
+      else begin
+        e.thunk <- fired;
+        t.live <- t.live - 1;
+        t.clock <- e.at;
+        Metrics.Counter.inc c_fired;
+        if Timeseries.enabled () then Timeseries.on_event (global_now t);
+        if Recorder.armed () then Recorder.tick (global_now t);
+        if selfprof then begin
+          Profile.observe_pop_cost (skipped + !Heap.swaps - swaps0);
+          if e.at = t.last_fired_at then t.batch <- t.batch + 1
+          else begin
+            flush_batch t;
+            t.last_fired_at <- e.at;
+            t.batch <- 1
+          end;
+          Profile.event_begin ~label:e.label;
+          f ();
+          Profile.event_end ()
+        end
+        else f ();
+        recycle t e;
+        true
+      end
   in
   loop 0
 
@@ -336,11 +342,9 @@ let run ?until t =
   | Some limit ->
       let continue = ref true in
       while !continue do
-        match Heap.peek t.heap with
-        | None -> continue := false
-        | Some e ->
-            if e.at > limit then continue := false
-            else if not (step t) then continue := false
+        let e = Heap.peek t.heap in
+        if e == Heap.dummy || e.at > limit then continue := false
+        else if not (step t) then continue := false
       done;
       if t.clock < limit then t.clock <- limit);
   (* a final sample/watchdog check at the end-of-run clock, so a run that

@@ -145,8 +145,11 @@ module Server = struct
     p_cost : Sim.time;
     p_stage : string option;
     p_arrivals : Sim.time array;
-    p_starts : Sim.time array;  (* start.(i) = max(arrival.(i), end.(i-1)) *)
-    p_actions : (unit -> unit) array;
+    p_free : Sim.time;
+      (* the server was free of earlier work from here on; unit i starts at
+         max(arrival.(i), end.(i-1)) with end.(-1) = p_free, computed where
+         a split or truncation needs it rather than stored *)
+    p_action : int -> unit;  (* the deferred body of unit i *)
     mutable p_n : int;  (* live prefix; shrinks if the train truncates *)
     mutable p_ev : Sim.handle option;
     mutable p_split_evs : (int * Sim.handle) list;
@@ -223,6 +226,14 @@ module Server = struct
     t.busy_until <- Sim.now t.sim;
     c.c_done ()
 
+  (* The instant the first [k] units of [p] are done. *)
+  let paced_end p k =
+    let e = ref p.p_free in
+    for i = 0 to k - 1 do
+      e := max p.p_arrivals.(i) !e + p.p_cost
+    done;
+    !e
+
   (* Paced completion runs every deferred per-cell action in arrival order
      with the server held busy, exactly as the per-cell path runs each k
      inside its job_done event: a submit from the final action (the EOP
@@ -234,7 +245,7 @@ module Server = struct
     t.busy <- true;
     t.busy_until <- Sim.now t.sim;
     for i = 0 to p.p_n - 1 do
-      p.p_actions.(i) ()
+      p.p_action i
     done;
     match Queue.take_opt t.jobs with
     | Some next -> start t next
@@ -296,31 +307,38 @@ module Server = struct
     let consumed = ref 0 in
     let i = ref 0 in
     if not t.busy then begin
-      while !i < n && p.p_starts.(!i) + p.p_cost < now do
-        p.p_actions.(!i) ();
+      (* [fin]: the end of the unit before [!i] *)
+      let fin = ref p.p_free in
+      while !i < n && max p.p_arrivals.(!i) !fin + p.p_cost < now do
+        fin := max p.p_arrivals.(!i) !fin + p.p_cost;
+        p.p_action !i;
         incr consumed;
         incr i
       done;
-      if !i < n && p.p_starts.(!i) <= now then begin
-        let e = p.p_starts.(!i) + p.p_cost in
-        let k = p.p_actions.(!i) in
+      if !i < n && max p.p_arrivals.(!i) !fin <= now then begin
+        let u = !i in
         incr consumed;
         incr i;
-        resume_inflight t ~until:e ~k
+        resume_inflight t
+          ~until:(max p.p_arrivals.(u) !fin + p.p_cost)
+          ~k:(fun () -> p.p_action u)
       end
     end;
     (* arrived units queue as jobs and keep their charge; future ones are
-       refunded and charged again when they come back through [submit] *)
+       refunded and charged again when they come back through [submit];
+       only these requeued units get a closure of their own *)
     let future = ref 0 in
     while !i < n do
-      let k = p.p_actions.(!i) and arr = p.p_arrivals.(!i) in
+      let u = !i in
+      let k () = p.p_action u in
+      let arr = p.p_arrivals.(u) in
       if arr <= now then Queue.add { cost = p.p_cost; k } t.jobs
       else begin
         let h =
           Sim.schedule ~label:"sync.paced_arrival" t.sim ~delay:(arr - now)
             (fun () -> submit t ?stage:p.p_stage ~cost:p.p_cost k)
         in
-        p.p_split_evs <- (!i, h) :: p.p_split_evs;
+        p.p_split_evs <- (u, h) :: p.p_split_evs;
         incr future
       end;
       incr i
@@ -384,20 +402,12 @@ module Server = struct
             (Sim.schedule ~label:"sync.chain_done" t.sim ~delay:(last - now)
                (finish_chain t c))
 
-  let submit_paced t ~stage ~cost ~arrivals ~actions =
+  let submit_paced t ~stage ~cost ~n ~arrivals ~action =
     if cost <= 0 then invalid_arg "Server.submit_paced: non-positive cost";
     if t.batch <> None || not (Queue.is_empty t.jobs) then None
     else begin
-      let n = Array.length arrivals in
-      if n = 0 || Array.length actions <> n then
-        invalid_arg "Server.submit_paced: bad arrays";
-      let starts = Array.make n 0 in
-      let prev = ref (if t.busy then t.busy_until else 0) in
-      for i = 0 to n - 1 do
-        let s = max arrivals.(i) !prev in
-        starts.(i) <- s;
-        prev := s + cost
-      done;
+      if n <= 0 || Array.length arrivals < n then
+        invalid_arg "Server.submit_paced: bad unit count";
       t.busy_time <- t.busy_time + (n * cost);
       let p_stage = Some stage in
       charge t p_stage (n * cost);
@@ -406,8 +416,8 @@ module Server = struct
           p_cost = cost;
           p_stage;
           p_arrivals = arrivals;
-          p_starts = starts;
-          p_actions = actions;
+          p_free = (if t.busy then t.busy_until else 0);
+          p_action = action;
           p_n = n;
           p_ev = None;
           p_split_evs = [];
@@ -417,8 +427,8 @@ module Server = struct
       t.batch <- Some (Paced p);
       p.p_ev <-
         Some
-          (Sim.schedule ~label:"sync.batch_done" t.sim ~delay:(!prev - now)
-             (finish_paced t p));
+          (Sim.schedule ~label:"sync.batch_done" t.sim
+             ~delay:(paced_end p n - now) (finish_paced t p));
       Some p
     end
 
@@ -453,7 +463,7 @@ module Server = struct
           | None -> ());
           if keep = 0 then t.batch <- None
           else
-            let e = p.p_starts.(keep - 1) + p.p_cost in
+            let e = paced_end p keep in
             p.p_ev <-
               Some
                 (Sim.schedule ~label:"sync.batch_done" t.sim

@@ -120,14 +120,16 @@ module Server : sig
     t ->
     stage:string ->
     cost:Sim.time ->
+    n:int ->
     arrivals:Sim.time array ->
-    actions:(unit -> unit) array ->
+    action:(int -> unit) ->
     paced option
-  (** Model one [cost] job per cell, the i-th arriving at [arrivals.(i)]
-      (nondecreasing, first >= now) and starting when both arrived and the
-      previous unit is done; all [actions] run in order at the last unit's
-      completion with the server held busy. Only the final action may
-      submit further work. Returns [None] (caller falls back to per-cell)
+  (** Model [n] [cost] jobs, one per cell, the i-th arriving at
+      [arrivals.(i)] (nondecreasing, first >= now; entries past [n] are
+      ignored) and starting when both arrived and the previous unit is
+      done; [action i] runs for each unit in order at the last unit's
+      completion with the server held busy. Only the final unit's action
+      may submit further work. Returns [None] (caller falls back to per-cell)
       unless the queue is empty and no batch is active; the server may
       still be finishing one plain job, which the schedule chains off. A
       split refunds only the units still to arrive: they re-{!submit}. *)

@@ -29,7 +29,7 @@ type sample = {
   s_workload : string;
   s_events : int; (* fired by the workload *)
   s_pdus : int; (* messages the workload pushed through *)
-  s_alloc_words : float; (* minor + major - promoted *)
+  s_alloc_words : float; (* Profile.alloc_words across the workload *)
   s_virt_mb_s : float; (* the workload's own bandwidth figure *)
   (* message-latency quantiles (virtual ns) from the always-on
      [message_latency_ns] sketch, cleared per workload *)
@@ -66,18 +66,14 @@ let workloads ~quick =
           ~pair:(0, 3) () );
   ]
 
-let alloc_words () =
-  let minor, promoted, major = Gc.counters () in
-  minor +. major -. promoted
-
 let measure_one (name, pdus, f) =
   let sketch = Span.latency () in
   (* this workload alone feeds the latency sketch *)
   Metrics.Sketch.clear sketch;
   let fired0 = Sim.events_fired () in
-  let alloc0 = alloc_words () in
+  let alloc0 = Profile.alloc_words () in
   let mb = f () in
-  let alloc = alloc_words () -. alloc0 in
+  let alloc = Profile.alloc_words () -. alloc0 in
   let q p =
     if Metrics.Sketch.count sketch = 0 then 0.
     else Metrics.Sketch.quantile sketch p

@@ -16,6 +16,15 @@ type t = {
 
 let ip_overhead_ns = 500 (* residual IP processing not folded into transports *)
 
+(* A receive-side drop, counted by protocol and reason. The family is
+   registered at the first drop, so dumps of runs without one are
+   unchanged. *)
+let rx_dropped ~proto reason =
+  Metrics.Counter.inc
+    (Metrics.counter ~help:"packets the IP suite dropped on receive"
+       "ip_rx_dropped_total"
+       [ ("proto", proto); ("reason", reason) ])
+
 let handler_payload pkt =
   Buf.sub pkt ~pos:header_size ~len:(Buf.length pkt - header_size)
 
@@ -33,17 +42,20 @@ let attach iface ~addr =
       | None -> ip_overhead_ns
   in
   let rx pkt =
-    if
-      Buf.length pkt >= header_size
-      && Checksum.verify_buf (Buf.sub pkt ~pos:0 ~len:header_size)
-      && Buf.get_uint16_be pkt 2 = Buf.length pkt
-    then
+    if Buf.length pkt < header_size then rx_dropped ~proto:"ipv4" "short"
+    else if not (Checksum.verify_buf (Buf.sub pkt ~pos:0 ~len:header_size))
+    then rx_dropped ~proto:"ipv4" "bad_checksum"
+    else if Buf.get_uint16_be pkt 2 <> Buf.length pkt then
+      rx_dropped ~proto:"ipv4" "length_mismatch"
+    else
       let proto = Buf.get_uint8 pkt 9 in
       let src = Int32.to_int (Buf.get_uint32_be pkt 12) in
       let h =
         if proto = 17 then t.udp else if proto = 6 then t.tcp else None
       in
-      match h with Some h -> h.h_fn ~src (handler_payload pkt) | None -> ()
+      match h with
+      | Some h -> h.h_fn ~src (handler_payload pkt)
+      | None -> rx_dropped ~proto:"ipv4" "unregistered_proto"
   in
   Iface.set_rx iface ~rx_cost_ns:rx_cost rx;
   t

@@ -40,7 +40,16 @@ val register :
   unit
 (** Install the transport's receive handler and cost model. The handler gets
     the transport payload as a view of a packet that owns its storage (safe
-    to retain); packets failing the header checksum and packets for
-    unregistered protocols are dropped. *)
+    to retain). Packets shorter than a header, failing the header checksum,
+    whose length field disagrees with their length, or for an unregistered
+    protocol are dropped and counted in
+    [ip_rx_dropped_total{proto="ipv4",reason}] ({!rx_dropped}). *)
+
+val rx_dropped : proto:string -> string -> unit
+(** Count one receive-side drop in [ip_rx_dropped_total{proto,reason}].
+    The family is registered at the first drop, so runs without drops
+    dump exactly as before. Reasons in use: [short], [bad_checksum],
+    [length_mismatch] (IPv4 and UDP share the first two) and
+    [unregistered_proto]. *)
 
 val header_size : int

@@ -97,7 +97,9 @@ let attach ?(checksum = true) ?sockbuf_limit ~costs ip =
     + checksum_cost t (Buf.length payload)
   in
   let rx ~src payload =
-    if Buf.length payload >= header_size then begin
+    if Buf.length payload < header_size then
+      Ipv4.rx_dropped ~proto:"udp" "short"
+    else begin
       let sport = Buf.get_uint16_be payload 0 in
       let dport = Buf.get_uint16_be payload 2 in
       let ok =
@@ -105,7 +107,8 @@ let attach ?(checksum = true) ?sockbuf_limit ~costs ip =
         || Buf.get_uint16_be payload 6 = 0 (* sender had checksum off *)
         || Checksum.verify_buf payload
       in
-      if ok then
+      if not ok then Ipv4.rx_dropped ~proto:"udp" "bad_checksum"
+      else
         match lookup t dport with
         | None -> () (* no listener: silently dropped (no ICMP, §7.1) *)
         | Some s ->

@@ -110,7 +110,7 @@ and process_desc t (ep : Unet.Endpoint.t) (desc : Unet.Desc.tx) =
           ~args:
             [
               ("len", Trace.Int (Buf.length data));
-              ("cells", Trace.Int (List.length cells));
+              ("cells", Trace.Int (Array.length cells));
             ];
       (* a stalled DMA burst shows up as extra occupancy of the i960,
          delaying this descriptor and everything serialized behind it *)
@@ -120,17 +120,13 @@ and process_desc t (ep : Unet.Endpoint.t) (desc : Unet.Desc.tx) =
       if stall > 0 && Trace.enabled () then
         Trace.instant Trace.Desc "ni.dma_stall" ~tid:t.host
           ~args:[ ("ns", Trace.Int stall) ];
-      match cells with
-      | [ cell ] when t.cfg.single_cell_optimization ->
-          Sync.Server.submit t.server ~stage:"tx_single"
-            ~cost:(t.cfg.tx_single_ns + stall) (fun () ->
-              inject t desc cell [])
-      | _ ->
-          if not (try_train t desc cells) then begin
-            Sync.Server.submit t.server ~stage:"tx_dma"
-              ~cost:(t.cfg.tx_fixed_ns + stall) (fun () ->
-                send_cells t desc cells)
-          end)
+      if Array.length cells = 1 && t.cfg.single_cell_optimization then
+        Sync.Server.submit t.server ~stage:"tx_single"
+          ~cost:(t.cfg.tx_single_ns + stall) (fun () -> inject t desc cells 0)
+      else if not (try_train t desc cells) then
+        Sync.Server.submit t.server ~stage:"tx_dma"
+          ~cost:(t.cfg.tx_fixed_ns + stall) (fun () ->
+            send_cells t desc cells 0))
 
 (* Send a multi-cell PDU as one analytically planned train (DESIGN.md §14):
    the whole uplink / switch / downlink journey is computed up front and the
@@ -142,42 +138,40 @@ and try_train t desc cells =
     (not (Trainmode.active ()))
     || t.fault <> None
     || not (Sync.Server.idle t.server)
+    || Array.length cells < 2
   then false
   else
-    let arr = Array.of_list cells in
-    if Array.length arr < 2 then false
-    else
-      let train = Atm.Cell.Train.of_cells arr in
-      let now = Sim.now t.sim in
-      let first_end = now + t.cfg.tx_fixed_ns in
-      match
-        Atm.Network.commit_train t.net ~host:t.host ~train
-          ~first_attempt:(first_end + t.cfg.tx_per_cell_ns)
-          ~gap:t.cfg.tx_per_cell_ns
-          ~on_interfere:(fun () -> Sync.Server.interfere t.server)
-      with
-      | None -> false
-      | Some accepts ->
-          let n = Array.length accepts in
-          (* instant the per-cell path creates the event that performs the
-             final acceptance: the last unit job's completion event is made
-             when the job starts (previous accept), unless the last accept
-             needed link retries — then it is the retry one cell slot
-             before *)
-          let done_sched =
-            if accepts.(n - 1) - accepts.(n - 2) = t.cfg.tx_per_cell_ns then
-              accepts.(n - 2)
-            else
-              accepts.(n - 1)
-              - Atm.Link.cell_time (Atm.Network.uplink t.net ~host:t.host)
-          in
-          Sync.Server.begin_chain t.server ~stages:("tx_dma", "tx_cell")
-            ~done_sched ~first_end ~unit_cost:t.cfg.tx_per_cell_ns ~accepts
-            ~on_done:(fun () -> chain_done t desc)
-            ~on_split:(fun ~accepted ~phase ->
-              chain_split t desc arr ~train ~accepted ~phase)
-            ();
-          true
+    let train = Atm.Cell.Train.of_cells cells in
+    let now = Sim.now t.sim in
+    let first_end = now + t.cfg.tx_fixed_ns in
+    match
+      Atm.Network.commit_train t.net ~host:t.host ~train
+        ~first_attempt:(first_end + t.cfg.tx_per_cell_ns)
+        ~gap:t.cfg.tx_per_cell_ns
+        ~on_interfere:(fun () -> Sync.Server.interfere t.server)
+    with
+    | None -> false
+    | Some accepts ->
+        let n = Array.length accepts in
+        (* instant the per-cell path creates the event that performs the
+           final acceptance: the last unit job's completion event is made
+           when the job starts (previous accept), unless the last accept
+           needed link retries — then it is the retry one cell slot
+           before *)
+        let done_sched =
+          if accepts.(n - 1) - accepts.(n - 2) = t.cfg.tx_per_cell_ns then
+            accepts.(n - 2)
+          else
+            accepts.(n - 1)
+            - Atm.Link.cell_time (Atm.Network.uplink t.net ~host:t.host)
+        in
+        Sync.Server.begin_chain t.server ~stages:("tx_dma", "tx_cell")
+          ~done_sched ~first_end ~unit_cost:t.cfg.tx_per_cell_ns ~accepts
+          ~on_done:(fun () -> chain_done t desc)
+          ~on_split:(fun ~accepted ~phase ->
+            chain_split t desc cells ~train ~accepted ~phase)
+          ();
+        true
 
 (* The chain's last cell was accepted: identical to the last per-cell
    inject's success continuation, with the interfere hook retired before
@@ -190,26 +184,21 @@ and chain_done t desc =
    prefix (planned state past now was just discarded by the truncation
    listeners) and the remaining cells re-enter the per-cell path from
    exactly where the batch stood. *)
-and chain_split t desc arr ~train ~accepted ~phase =
+and chain_split t desc cells ~train ~accepted ~phase =
   let uplink = Atm.Network.uplink t.net ~host:t.host in
   Atm.Link.clear_interfere uplink;
   Atm.Cell.Train.truncate train ~keep:accepted ~now:(Sim.now t.sim);
-  let rest = ref [] in
-  for i = Array.length arr - 1 downto accepted do
-    rest := arr.(i) :: !rest
-  done;
-  let rest = !rest in
   match phase with
   | Sync.Server.Chain_first f_end ->
       (* the fixed-cost setup job is in flight; at its end the per-cell
          path starts submitting unit jobs *)
       Sync.Server.resume_inflight t.server ~until:f_end ~k:(fun () ->
-          send_cells t desc rest)
+          send_cells t desc cells accepted)
   | Sync.Server.Chain_unit u_end ->
       (* the pending cell's unit job is in flight; its completion is the
          cell's first send attempt *)
       Sync.Server.resume_inflight t.server ~until:u_end ~k:(fun () ->
-          inject t desc (List.hd rest) (List.tl rest))
+          inject t desc cells accepted)
   | Sync.Server.Chain_gap first_attempt ->
       (* between refused attempts: the per-cell path here is a bare retry
          event (the server sits idle), re-attempting every cell slot since
@@ -220,21 +209,22 @@ and chain_split t desc arr ~train ~accepted ~phase =
       while !at < now do
         at := !at + ct
       done;
-      if !at = now then inject t desc (List.hd rest) (List.tl rest)
+      if !at = now then inject t desc cells accepted
       else
         ignore
           (Sim.schedule ~label:"ni.retry" t.sim ~delay:(!at - now) (fun () ->
-               inject t desc (List.hd rest) (List.tl rest)))
+               inject t desc cells accepted))
 
-and send_cells t desc = function
-  | [] -> ()
-  | cell :: rest ->
-      Sync.Server.submit t.server ~stage:"tx_cell" ~cost:t.cfg.tx_per_cell_ns
-        (fun () -> inject t desc cell rest)
+(* the per-cell path from cell [i] on *)
+and send_cells t desc cells i =
+  if i < Array.length cells then
+    Sync.Server.submit t.server ~stage:"tx_cell" ~cost:t.cfg.tx_per_cell_ns
+      (fun () -> inject t desc cells i)
 
-and inject t desc cell rest =
-  if Atm.Network.send t.net ~host:t.host cell then
-    if rest = [] then pdu_injected t desc else send_cells t desc rest
+and inject t desc cells i =
+  if Atm.Network.send t.net ~host:t.host cells.(i) then
+    if i = Array.length cells - 1 then pdu_injected t desc
+    else send_cells t desc cells (i + 1)
   else
     (* NI output FIFO full: stall one cell time and retry (the i960 polls
        the FIFO level; cells are never dropped on the way out). *)
@@ -243,7 +233,7 @@ and inject t desc cell rest =
     in
     ignore
       (Sim.schedule ~label:"ni.retry" t.sim ~delay:retry_delay (fun () ->
-           inject t desc cell rest))
+           inject t desc cells i))
 
 and pdu_injected t (desc : Unet.Desc.tx) =
   desc.Unet.Desc.injected <- true;
@@ -293,17 +283,18 @@ let deliver t ?ctx vci payload =
 let fits_single_cell payload =
   Buf.length payload <= Atm.Cell.payload_size - Atm.Aal5.trailer_size
 
-(* The body of a per-cell rx job: feed the reassembler and, at the EOP,
-   hand the PDU to the delivery job. Shared verbatim by the per-cell path
-   (inside an rx_cell job) and the train path (as a deferred paced
-   action). *)
-let rx_cell_body t (cell : Atm.Cell.t) =
+(* The body of a per-cell rx job: feed the reassembler of [vci] (the
+   receive-side VCI) and, at the EOP, hand the PDU to the delivery job.
+   Shared verbatim by the per-cell path (inside an rx_cell job) and the
+   train path (as a deferred paced action, on the train's sender-labelled
+   cells). *)
+let rx_cell_body t ~vci (cell : Atm.Cell.t) =
   let r =
-    match Hashtbl.find_opt t.reasm cell.vci with
-    | Some r -> r
-    | None ->
+    match Hashtbl.find t.reasm vci with
+    | r -> r
+    | exception Not_found ->
         let r = Atm.Aal5.Reassembler.create () in
-        Hashtbl.add t.reasm cell.vci r;
+        Hashtbl.add t.reasm vci r;
         r
   in
   match Atm.Aal5.Reassembler.push r cell with
@@ -319,11 +310,11 @@ let rx_cell_body t (cell : Atm.Cell.t) =
         else t.cfg.rx_multi_fixed_ns
       in
       Sync.Server.submit t.server ~stage:"rx_deliver" ~cost (fun () ->
-          deliver t ?ctx cell.vci payload)
+          deliver t ?ctx vci payload)
 
 let on_cell t (cell : Atm.Cell.t) =
   Sync.Server.submit t.server ~stage:"rx_cell" ~cost:t.cfg.rx_cell_ns
-    (fun () -> rx_cell_body t cell)
+    (fun () -> rx_cell_body t ~vci:cell.vci cell)
 
 (* A whole train arriving at the NI: model the run of per-cell rx jobs as
    one paced batch — cell i's handling starts once it has arrived and the

@@ -99,15 +99,16 @@ let deliver t ?ctx vci payload =
           Metrics.Counter.inc t.m_received
       | None -> ())
 
-(* The software AAL5 work for one cell, run as (or inside) a kernel job;
-   [cell] already holds the host's counted PIO copy of the payload. *)
-let rx_cell_body t (cell : Atm.Cell.t) =
+(* The software AAL5 work for one cell of receive-side VCI [vci], run as
+   (or inside) a kernel job; [cell] already holds the host's counted PIO
+   copy of the payload. *)
+let rx_cell_body t ~vci (cell : Atm.Cell.t) =
   let r =
-    match Hashtbl.find_opt t.reasm cell.Atm.Cell.vci with
-    | Some r -> r
-    | None ->
+    match Hashtbl.find t.reasm vci with
+    | r -> r
+    | exception Not_found ->
         let r = Atm.Aal5.Reassembler.create () in
-        Hashtbl.add t.reasm cell.Atm.Cell.vci r;
+        Hashtbl.add t.reasm vci r;
         r
   in
   match Atm.Aal5.Reassembler.push r cell with
@@ -118,7 +119,7 @@ let rx_cell_body t (cell : Atm.Cell.t) =
   | Some (Ok payload) ->
       let ctx = Atm.Aal5.Reassembler.last_ctx r in
       Sync.Server.submit t.kernel ~stage:"rx_deliver" ~cost:t.cfg.rx_fixed_ns
-        (fun () -> deliver t ?ctx cell.Atm.Cell.vci payload)
+        (fun () -> deliver t ?ctx vci payload)
 
 let on_cell t (cell : Atm.Cell.t) =
   (* The receive trap plus software AAL5/CRC processing, serialized through
@@ -130,7 +131,7 @@ let on_cell t (cell : Atm.Cell.t) =
     { cell with Atm.Cell.payload = Buf.copy ~layer:"sba100_rx_pio" cell.payload }
   in
   Sync.Server.submit t.kernel ~stage:"rx_cell" ~cost:t.cfg.rx_per_cell_ns
-    (fun () -> rx_cell_body t cell)
+    (fun () -> rx_cell_body t ~vci:cell.vci cell)
 
 (* The PIO copy happens inside each paced action — at the cell's
    consumption, only for cells actually consumed — so the copy counters
@@ -140,8 +141,8 @@ let on_train t train ~rx_vci ~deliveries =
   Atm.Cell.Train.receive t.sim t.kernel ~stage:"rx_cell"
     ~cost:t.cfg.rx_per_cell_ns ~faulted:(t.fault <> None) train ~rx_vci
     ~deliveries
-    ~action:(fun cell ->
-      rx_cell_body t
+    ~action:(fun ~vci cell ->
+      rx_cell_body t ~vci
         {
           cell with
           Atm.Cell.payload =
@@ -243,7 +244,7 @@ let do_send t (ep : Unet.Endpoint.t) =
               ~args:
                 [
                   ("len", Trace.Int (Buf.length data));
-                  ("cells", Trace.Int (List.length cells));
+                  ("cells", Trace.Int (Array.length cells));
                 ];
           Host.Cpu.charge ~layer:"ni_tx" t.cpu t.cfg.tx_fixed_ns;
           (* on the SBA-100 the "DMA" is the host's own PIO loop, so a
@@ -259,15 +260,14 @@ let do_send t (ep : Unet.Endpoint.t) =
              count is the same whether the copies happen here or spread
              through the loop below — the counters only dump aggregates) *)
           let copied =
-            Array.of_list
-              (List.map
-                 (fun (cell : Atm.Cell.t) ->
-                   {
-                     cell with
-                     Atm.Cell.payload =
-                       Buf.copy ~layer:"sba100_tx_pio" cell.payload;
-                   })
-                 cells)
+            Array.map
+              (fun (cell : Atm.Cell.t) ->
+                {
+                  cell with
+                  Atm.Cell.payload =
+                    Buf.copy ~layer:"sba100_tx_pio" cell.payload;
+                })
+              cells
           in
           if not (train_send t copied) then
             Array.iter

@@ -115,16 +115,16 @@ let test_cells_for () =
 
 let test_segment_structure () =
   let cells = Atm.Aal5.segment ~vci:9 (mk_buf 100) in
-  checki "cell count" (Atm.Aal5.cells_for 100) (List.length cells);
-  List.iteri
+  checki "cell count" (Atm.Aal5.cells_for 100) (Array.length cells);
+  Array.iteri
     (fun i c ->
       checki "vci carried" 9 c.Atm.Cell.vci;
-      checkb "eop only on last" (i = List.length cells - 1) c.Atm.Cell.eop)
+      checkb "eop only on last" (i = Array.length cells - 1) c.Atm.Cell.eop)
     cells
 
 let reassemble cells =
   let r = Atm.Aal5.Reassembler.create () in
-  List.fold_left
+  Array.fold_left
     (fun acc c -> match Atm.Aal5.Reassembler.push r c with Some x -> Some x | None -> acc)
     None cells
 
@@ -146,7 +146,7 @@ let prop_aal5_roundtrip =
 let test_corruption_detected () =
   let cells = Atm.Aal5.segment ~vci:1 (mk_buf 200) in
   let corrupted =
-    List.mapi
+    Array.mapi
       (fun i (c : Atm.Cell.t) ->
         if i = 1 then begin
           let p = buf_bytes c.payload in
@@ -163,8 +163,8 @@ let test_corruption_detected () =
 let test_lost_cell_detected () =
   let cells = Atm.Aal5.segment ~vci:1 (mk_buf 200) in
   (* drop the middle cell: the PDU must be rejected at EOP *)
-  let cells = List.filteri (fun i _ -> i <> 1) cells in
-  (match reassemble cells with
+  let cells = List.filteri (fun i _ -> i <> 1) (Array.to_list cells) in
+  (match reassemble (Array.of_list cells) with
   | Some (Error _) -> ()
   | Some (Ok _) -> Alcotest.fail "lost cell not detected"
   | None -> Alcotest.fail "no EOP result");
@@ -173,12 +173,12 @@ let test_lost_cell_detected () =
 let test_reassembler_error_count () =
   let r = Atm.Aal5.Reassembler.create () in
   let cells = Atm.Aal5.segment ~vci:1 (mk_buf 100) in
-  let cells = List.filteri (fun i _ -> i <> 0) cells in
+  let cells = List.filteri (fun i _ -> i <> 0) (Array.to_list cells) in
   List.iter (fun c -> ignore (Atm.Aal5.Reassembler.push r c)) cells;
   checki "error counted" 1 (Atm.Aal5.Reassembler.errors r);
   (* a subsequent healthy PDU goes through *)
   (match
-     List.fold_left
+     Array.fold_left
        (fun acc c ->
          match Atm.Aal5.Reassembler.push r c with Some x -> Some x | None -> acc)
        None
@@ -193,8 +193,8 @@ let test_interleaved_vcis () =
   let r1 = Atm.Aal5.Reassembler.create () in
   let r2 = Atm.Aal5.Reassembler.create () in
   let d1 = mk_payload 200 and d2 = Bytes.init 150 (fun i -> Char.chr ((i * 3) mod 256)) in
-  let c1 = Atm.Aal5.segment ~vci:1 (Buf.of_bytes d1)
-  and c2 = Atm.Aal5.segment ~vci:2 (Buf.of_bytes d2) in
+  let c1 = Array.to_list (Atm.Aal5.segment ~vci:1 (Buf.of_bytes d1))
+  and c2 = Array.to_list (Atm.Aal5.segment ~vci:2 (Buf.of_bytes d2)) in
   let out1 = ref None and out2 = ref None in
   let rec interleave a b =
     match (a, b) with

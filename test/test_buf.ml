@@ -85,7 +85,7 @@ let test_aal5_roundtrip_over_shapes () =
     let cells = Atm.Aal5.segment ~vci:5 (random_shape rng data) in
     let r = Atm.Aal5.Reassembler.create () in
     let out =
-      List.fold_left
+      Array.fold_left
         (fun acc c ->
           match Atm.Aal5.Reassembler.push r c with Some x -> Some x | None -> acc)
         None cells
@@ -94,6 +94,178 @@ let test_aal5_roundtrip_over_shapes () =
     | Some (Ok got) -> checkb "payload intact" true (Buf.equal_bytes got data)
     | _ -> Alcotest.fail "reassembly failed"
   done
+
+(* --- fused reassembly ------------------------------------------------ *)
+
+(* No span continues its predecessor on the same store. *)
+let span_fused b =
+  let rec go = function
+    | (b1, o1, l1) :: ((b2, o2, _) :: _ as rest) ->
+        (not (b1 == b2 && o1 + l1 = o2)) && go rest
+    | _ -> true
+  in
+  go (Buf.spans b)
+
+(* Same spans, store for store. *)
+let same_spans a b =
+  List.length (Buf.spans a) = List.length (Buf.spans b)
+  && List.for_all2
+       (fun (b1, o1, l1) (b2, o2, l2) -> b1 == b2 && o1 = o2 && l1 = l2)
+       (Buf.spans a) (Buf.spans b)
+
+(* Move some of a PDU's cells to other stores: a cell alone on a fresh
+   store, or a run of cells laid out contiguously (at an offset) on one
+   fresh store. The rest keep the segmenter's views: contiguous within
+   each payload store, straddling where two stores meet. *)
+let relayout rng (cells : Atm.Cell.t array) =
+  let n = Array.length cells in
+  let out = Array.copy cells in
+  let i = ref 0 in
+  while !i < n do
+    let k = min (n - !i) (1 + Rng.int rng 4) in
+    (match Rng.int rng 3 with
+    | 0 ->
+        let pad = Rng.int rng 8 in
+        let store = Bytes.make (pad + (k * 48) + Rng.int rng 8) '\000' in
+        for j = 0 to k - 1 do
+          let c = cells.(!i + j) in
+          Buf.copy_into ~layer:"test" c.payload ~dst:store
+            ~dst_pos:(pad + (j * 48));
+          out.(!i + j) <-
+            {
+              c with
+              payload = Buf.of_bytes_sub store ~pos:(pad + (j * 48)) ~len:48;
+            }
+        done
+    | _ -> ());
+    i := !i + k
+  done;
+  out
+
+(* One PDU's cells on [vci] and the outcome its EOP must report. *)
+type pdu = { cells : Atm.Cell.t array; want : (bytes, Atm.Aal5.error) result }
+
+(* A CS-PDU whose trailer claims a length the PDU cannot hold, with a CRC
+   that matches, so only the length check rejects it. *)
+let bad_length_pdu rng ~vci =
+  let data = Rng.bytes rng (Rng.int rng 300) in
+  let len = Bytes.length data in
+  let total = Atm.Aal5.cells_for len * 48 in
+  let b = Bytes.make total '\000' in
+  Bytes.blit data 0 b 0 len;
+  Bytes.set_uint16_be b (total - 6) total;
+  Bytes.set_int32_be b (total - 4) (Atm.Crc32.digest b ~pos:0 ~len:(total - 4));
+  let n = total / 48 in
+  Array.init n (fun i ->
+      Atm.Cell.make ~vci ~eop:(i = n - 1)
+        (Buf.of_bytes_sub b ~pos:(i * 48) ~len:48))
+
+let random_pdu rng ~vci =
+  match Rng.int rng 10 with
+  | 0 ->
+      {
+        cells = bad_length_pdu rng ~vci;
+        want = Error Atm.Aal5.Length_mismatch;
+      }
+  | k ->
+      let data = Rng.bytes rng (Rng.int rng 5_000) in
+      let payload =
+        match Rng.int rng 3 with
+        | 0 -> random_shape rng data
+        | 1 -> Buf.copy ~layer:"test" (Buf.of_bytes data)
+        | _ -> Buf.of_bytes data
+      in
+      let cells = relayout rng (Atm.Aal5.segment ~vci payload) in
+      if k = 1 then begin
+        (* one flipped byte, on a fresh store: the CRC must catch it *)
+        let i = Rng.int rng (Array.length cells) in
+        let c = cells.(i) in
+        let b = Buf.to_bytes ~layer:"test" c.payload in
+        let at = Rng.int rng 48 in
+        Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x5a));
+        cells.(i) <- { c with payload = Buf.of_bytes b };
+        { cells; want = Error Atm.Aal5.Crc_mismatch }
+      end
+      else { cells; want = Ok data }
+
+(* Interleave a few VCIs' PDUs on one wire, feed each cell to its VCI's
+   reassembler, and check every EOP: a good PDU comes back content-equal
+   to the concatenation of its cells, in exactly the spans [Buf.concat]
+   fuses them into, with no two spans left that continue each other; a
+   bad one is discarded for its reason. Now and then a VCI first
+   overflows the reassembler ([Too_long]), which must leave it clean for
+   the PDUs that follow. *)
+let prop_fused_reassembly =
+  QCheck.Test.make ~name:"reassembly fuses spans, content = concat of cells"
+    ~count:150
+    (QCheck.make
+       ~print:(Printf.sprintf "seed %d")
+       QCheck.Gen.(int_bound 0xFFFFFF))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let nvci = 1 + Rng.int rng 3 in
+      let queues =
+        Array.init nvci (fun vci ->
+            let pdus =
+              List.init (1 + Rng.int rng 3) (fun _ -> random_pdu rng ~vci)
+            in
+            List.concat_map
+              (fun p ->
+                Array.to_list
+                  (Array.mapi
+                     (fun i c ->
+                       let eop = i = Array.length p.cells - 1 in
+                       (c, if eop then Some p else None))
+                     p.cells))
+              pdus)
+      in
+      let rs = Array.init nvci (fun _ -> Atm.Aal5.Reassembler.create ()) in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      Array.iteri
+        (fun vci r ->
+          if Rng.int rng 8 = 0 then begin
+            let c =
+              {
+                (Atm.Aal5.segment ~vci (Buf.alloc 100)).(0) with
+                Atm.Cell.eop = false;
+              }
+            in
+            let over = ref false in
+            for _ = 1 to Atm.Aal5.cells_for Atm.Aal5.max_payload + 1 do
+              match Atm.Aal5.Reassembler.push r c with
+              | Some (Error Atm.Aal5.Too_long) -> over := true
+              | Some _ -> expect false
+              | None -> ()
+            done;
+            expect !over
+          end)
+        rs;
+      let pending () = Array.exists (fun q -> q <> []) queues in
+      while pending () do
+        let vci = Rng.int rng nvci in
+        match queues.(vci) with
+        | [] -> ()
+        | (c, eop) :: rest -> (
+            queues.(vci) <- rest;
+            match (Atm.Aal5.Reassembler.push rs.(vci) c, eop) with
+            | None, None -> ()
+            | Some (Ok got), Some { cells; want = Ok data } ->
+                let views =
+                  Array.to_list
+                    (Array.map (fun (c : Atm.Cell.t) -> c.payload) cells)
+                in
+                let concat =
+                  Buf.sub (Buf.concat views) ~pos:0 ~len:(Bytes.length data)
+                in
+                expect (Buf.equal_bytes got data);
+                expect (Buf.equal got concat);
+                expect (same_spans got concat);
+                expect (span_fused got)
+            | Some (Error e), Some { want = Error e'; _ } -> expect (e = e')
+            | _ -> expect false)
+      done;
+      !ok)
 
 (* --- counted copies ------------------------------------------------- *)
 
@@ -164,5 +336,6 @@ let () =
             test_internet_checksum_span_equivalence;
           Alcotest.test_case "aal5 roundtrip over shapes" `Quick
             test_aal5_roundtrip_over_shapes;
+          QCheck_alcotest.to_alcotest prop_fused_reassembly;
         ] );
     ]

@@ -152,6 +152,76 @@ let test_udp_mtu_enforced () =
             with Invalid_argument _ -> true)));
   Sim.run ~until:(Sim.sec 1) sim
 
+(* --- receive-side drops ------------------------------------------------ *)
+
+(* An IPv4 packet from host 0 to host 1 around [payload], with a valid
+   header checksum over whatever [len_field] says. *)
+let ip_packet ?(proto = 17) ?len_field payload =
+  let n = Ipv4.header_size + Bytes.length payload in
+  let b = Bytes.make n '\000' in
+  Bytes.set_uint8 b 0 0x45;
+  Bytes.set_uint16_be b 2 (Option.value len_field ~default:n);
+  Bytes.set_uint8 b 8 64;
+  Bytes.set_uint8 b 9 proto;
+  Bytes.set_int32_be b 16 1l;
+  Bytes.set_uint16_be b 10 (Checksum.compute b ~pos:0 ~len:Ipv4.header_size);
+  Bytes.blit payload 0 b Ipv4.header_size (Bytes.length payload);
+  b
+
+(* Hand [pkt] to host 1's IP layer over the wire and return how far
+   [ip_rx_dropped_total{proto,reason}] moved. *)
+let rx_drops_after ~proto ~reason pkt =
+  let count () =
+    Option.value ~default:0
+      (Metrics.counter_value "ip_rx_dropped_total"
+         [ ("proto", proto); ("reason", reason) ])
+  in
+  let before = count () in
+  let sim, sa, _ = unet_suites () in
+  ignore
+    (Proc.spawn sim (fun () ->
+         Iface.send sa.Suite.iface ~cost_ns:0 (Buf.of_bytes pkt)));
+  Sim.run ~until:(Sim.sec 1) sim;
+  count () - before
+
+let udp_datagram ~csum =
+  let d = Bytes.make 16 'x' in
+  Bytes.set_uint16_be d 0 5000;
+  Bytes.set_uint16_be d 2 7;
+  Bytes.set_uint16_be d 4 16;
+  Bytes.set_uint16_be d 6 csum;
+  d
+
+let test_ip_drop_short () =
+  checki "short packet counted" 1
+    (rx_drops_after ~proto:"ipv4" ~reason:"short" (Bytes.make 12 '\000'))
+
+let test_ip_drop_bad_checksum () =
+  let pkt = ip_packet (Bytes.make 8 '\000') in
+  Bytes.set_uint16_be pkt 10 (Bytes.get_uint16_be pkt 10 lxor 0xff);
+  checki "bad header checksum counted" 1
+    (rx_drops_after ~proto:"ipv4" ~reason:"bad_checksum" pkt)
+
+let test_ip_drop_length_mismatch () =
+  checki "length mismatch counted" 1
+    (rx_drops_after ~proto:"ipv4" ~reason:"length_mismatch"
+       (ip_packet ~len_field:40 (Bytes.make 8 '\000')))
+
+let test_ip_drop_unregistered_proto () =
+  checki "unregistered protocol counted" 1
+    (rx_drops_after ~proto:"ipv4" ~reason:"unregistered_proto"
+       (ip_packet ~proto:99 (Bytes.make 8 '\000')))
+
+let test_udp_drop_short () =
+  checki "short datagram counted" 1
+    (rx_drops_after ~proto:"udp" ~reason:"short"
+       (ip_packet (Bytes.make 4 '\000')))
+
+let test_udp_drop_bad_checksum () =
+  checki "UDP checksum failure counted" 1
+    (rx_drops_after ~proto:"udp" ~reason:"bad_checksum"
+       (ip_packet (udp_datagram ~csum:0x1234)))
+
 (* --- TCP -------------------------------------------------------------- *)
 
 let tcp_pair ?(path = `Unet) ?tcp_window () =
@@ -563,6 +633,19 @@ let () =
           Alcotest.test_case "recv timeout" `Quick test_udp_recv_timeout;
           Alcotest.test_case "sockbuf losses" `Quick test_udp_sockbuf_losses;
           Alcotest.test_case "MTU enforced" `Quick test_udp_mtu_enforced;
+        ] );
+      ( "rx-drops",
+        [
+          Alcotest.test_case "ipv4 short" `Quick test_ip_drop_short;
+          Alcotest.test_case "ipv4 bad checksum" `Quick
+            test_ip_drop_bad_checksum;
+          Alcotest.test_case "ipv4 length mismatch" `Quick
+            test_ip_drop_length_mismatch;
+          Alcotest.test_case "ipv4 unregistered protocol" `Quick
+            test_ip_drop_unregistered_proto;
+          Alcotest.test_case "udp short" `Quick test_udp_drop_short;
+          Alcotest.test_case "udp bad checksum" `Quick
+            test_udp_drop_bad_checksum;
         ] );
       ( "tcp",
         [

@@ -285,6 +285,40 @@ let test_engine_throughput_schema () =
       checki "seven gated members per workload" 28 (List.length members);
       checkb "every claim holds" true (List.for_all snd o.o_checks)
 
+(* --- allocation ---------------------------------------------------------- *)
+
+(* Allocated words are read exactly: the minor part comes from
+   [Gc.minor_words], not from [Gc.counters], whose minor count only moves
+   at a minor collection. So, after one warm-up pass has grown the
+   process-wide tables, two back-to-back measurements of the same
+   deterministic workload read the same words. *)
+let test_alloc_words_repeatable () =
+  let words () =
+    let members =
+      Experiments.Enginebench.(members (run ~quick:true))
+    in
+    fst (List.assoc "fig4max_raw_alloc_words_per_event" members)
+  in
+  ignore (words ());
+  let a = words () in
+  let b = words () in
+  Alcotest.(check (float 0.)) "back-to-back words per event" a b
+
+(* The cell-train path's allocation budget: a stream of 5056-byte raw
+   PDUs (107 cells each, every one a train) allocated 15 843 minor words
+   per PDU before cells were built once into an array, plans stopped
+   keeping shadow lists, a paced batch held one indexed action and
+   reassembly fused its spans. The budget is 0.6x that. *)
+let test_train_path_alloc_budget () =
+  Metrics.reset ();
+  let count = 200 in
+  let w0 = Gc.minor_words () in
+  ignore (Experiments.Common.raw_bandwidth ~count ~size:5056 () : float);
+  let per_pdu = (Gc.minor_words () -. w0) /. float_of_int count in
+  let budget = 0.6 *. 15_843. in
+  if per_pdu > budget then
+    Alcotest.failf "%.0f minor words per PDU, budget %.0f" per_pdu budget
+
 (* --- direction-aware gating ------------------------------------------- *)
 
 let snap gates values =
@@ -367,6 +401,13 @@ let () =
           Alcotest.test_case "pop-cost and batch histograms" `Quick
             test_queue_histograms;
           Alcotest.test_case "depth probe cadence" `Quick test_queue_depth_probe;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "words read equal back to back" `Quick
+            test_alloc_words_repeatable;
+          Alcotest.test_case "train path words per PDU" `Quick
+            test_train_path_alloc_budget;
         ] );
       ( "bench",
         [

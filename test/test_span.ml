@@ -129,8 +129,8 @@ let test_aal5_cells_inherit_pdu_ctx () =
   Span.start ();
   let ctx = Span.root "pdu" in
   let cells = Atm.Aal5.segment ~ctx ~vci:5 (Buf.alloc 200) in
-  checkb "multi-cell PDU" true (List.length cells > 1);
-  List.iter
+  checkb "multi-cell PDU" true (Array.length cells > 1);
+  Array.iter
     (fun (cell : Atm.Cell.t) ->
       checkb "cell carries the PDU's context" true (cell.tag.ctx = Some ctx))
     cells;
@@ -141,7 +141,7 @@ let test_aal5_cells_inherit_pdu_ctx () =
         match Atm.Aal5.Reassembler.push r c with
         | Some (Ok payload) -> Some payload
         | _ -> None)
-      cells
+      (Array.to_list cells)
   in
   checki "PDU reassembled" 1 (List.length out);
   checkb "receiver recovers the context from the EOP cell" true
