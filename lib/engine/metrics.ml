@@ -234,9 +234,9 @@ let histogram ?(help = "") name labels =
   | I_hist h -> h
   | _ -> assert false
 
-let sketch ?(help = "") ?alpha name labels =
+let sketch ?(help = "") name labels =
   let f = family ~kind:Sketch_k ~help name in
-  match sample f labels (fun () -> I_sketch (Sketch.create ?alpha ())) with
+  match sample f labels (fun () -> I_sketch (Sketch.create ())) with
   | I_sketch s -> s
   | _ -> assert false
 

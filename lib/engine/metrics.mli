@@ -75,7 +75,7 @@ val on_gauge_fn : (string -> labels -> (unit -> float) -> unit) -> unit
 
 val histogram : ?help:string -> string -> labels -> Histogram.t
 
-val sketch : ?help:string -> ?alpha:float -> string -> labels -> Sketch.t
+val sketch : ?help:string -> string -> labels -> Sketch.t
 (** Register (or fetch) a quantile sketch. Dumps as a summary with
     p50/p99/p99.9 quantile lines plus [_sum]/[_count]. *)
 

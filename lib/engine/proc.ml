@@ -50,9 +50,8 @@ let spawn ?(name = "proc") sim body =
           | _ -> None);
     }
   in
-  ignore
-    (Sim.schedule ~label:"proc.spawn" sim ~delay:0 (fun () ->
-         Effect.Deep.match_with body () handler));
+  Sim.schedule_drop ~label:"proc.spawn" sim ~delay:0 (fun () ->
+      Effect.Deep.match_with body () handler);
   p
 
 let suspend register =
@@ -61,7 +60,7 @@ let suspend register =
 
 let sleep sim ~time =
   suspend (fun resume ->
-      ignore (Sim.schedule ~label:"proc.sleep" sim ~delay:time resume))
+      Sim.schedule_drop ~label:"proc.sleep" sim ~delay:time resume)
 
 let yield sim = sleep sim ~time:0
 

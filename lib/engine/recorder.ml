@@ -40,7 +40,8 @@ type trigger_info = { tr_reason : string; tr_at : int; tr_dir : string }
 let armed_flag = ref false
 let bundle_dir = ref "postmortem"
 let deadline_ns = ref 2_000_000_000 (* 2 simulated seconds *)
-let recent_events = ref 256
+(* trailing trace events a bundle keeps *)
+let recent_events = 256
 let flows : (string, flow) Hashtbl.t = Hashtbl.create 16
 let flow_order : string list ref = ref [] (* reversed *)
 let snapshots : (string, unit -> Json.t) Hashtbl.t = Hashtbl.create 16
@@ -57,11 +58,9 @@ let clear_flows () =
   flow_order := [];
   last_delivery_global := -1
 
-let start ?(dir = "postmortem") ?(deadline = 2_000_000_000) ?(recent = 256)
-    () =
+let start ?(dir = "postmortem") ?(deadline = 2_000_000_000) () =
   bundle_dir := dir;
   deadline_ns := deadline;
-  recent_events := recent;
   clear_flows ();
   last_trigger_ref := None;
   trigger_count_ref := 0;
@@ -147,8 +146,8 @@ let recent_events_json () =
   let evs = Trace.events () in
   let n = List.length evs in
   let tail =
-    if n <= !recent_events then evs
-    else List.filteri (fun i _ -> i >= n - !recent_events) evs
+    if n <= recent_events then evs
+    else List.filteri (fun i _ -> i >= n - recent_events) evs
   in
   Json.List (List.map event_json tail)
 

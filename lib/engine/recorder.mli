@@ -21,11 +21,11 @@
     Process-global, off by default; every reporting call is a single
     boolean test when disarmed. *)
 
-val start : ?dir:string -> ?deadline:int -> ?recent:int -> unit -> unit
+val start : ?dir:string -> ?deadline:int -> unit -> unit
 (** Arm the watchdog. [dir] is where the bundle lands (default
     ["postmortem"]), [deadline] the stall threshold in simulated ns
-    (default 2 s — past the UAM retransmission give-up), [recent] how
-    many trailing trace events the bundle keeps (default 256). *)
+    (default 2 s — past the UAM retransmission give-up). The bundle keeps
+    the last 256 trace events. *)
 
 val stop : unit -> unit
 val armed : unit -> bool

@@ -10,38 +10,6 @@
 
 open Engine
 
-(* shared raw ping-pong over an arbitrary cluster *)
-let rtt_on cluster ~size ~iters ~recv_extra_ns =
-  let n0 = Cluster.node cluster 0 and n1 = Cluster.node cluster 1 in
-  let ep0, a0 = Cluster.simple_endpoint n0 in
-  let ep1, _ = Cluster.simple_endpoint n1 in
-  let ch0, ch1 = Unet.connect_pair (n0.unet, ep0) (n1.unet, ep1) in
-  let payload = Common.payload_of_size a0 size in
-  ignore
-    (Proc.spawn ~name:"echo" cluster.sim (fun () ->
-         let rec loop () =
-           let d = Unet.recv n1.unet ep1 in
-           if recv_extra_ns > 0 then Host.Cpu.charge n1.cpu recv_extra_ns;
-           ignore (Unet.send n1.unet ep1 (Unet.Desc.tx ~chan:ch1 d.rx_payload));
-           Common.return_buffers n1 ep1 d;
-           loop ()
-         in
-         loop ()));
-  let sum = ref 0. and n = ref 0 in
-  ignore
-    (Proc.spawn ~name:"client" cluster.sim (fun () ->
-         for _ = 1 to iters do
-           let t0 = Sim.now cluster.sim in
-           ignore (Unet.send n0.unet ep0 (Unet.Desc.tx ~chan:ch0 payload));
-           let d = Unet.recv n0.unet ep0 in
-           if recv_extra_ns > 0 then Host.Cpu.charge n0.cpu recv_extra_ns;
-           Common.return_buffers n0 ep0 d;
-           sum := !sum +. Sim.to_us (Sim.now cluster.sim - t0);
-           incr n
-         done));
-  Sim.run ~until:(Sim.sec 30) cluster.sim;
-  !sum /. float_of_int (max 1 !n)
-
 (* ------------------------------------------------------------------ *)
 (* inline: single-cell optimization on/off                              *)
 
@@ -59,10 +27,8 @@ module Inline = struct
       }
     in
     {
-      with_opt = rtt_on (Cluster.create ()) ~size:16 ~iters ~recv_extra_ns:0;
-      without_opt =
-        rtt_on (Cluster.create ~nic_config:no_opt ()) ~size:16 ~iters
-          ~recv_extra_ns:0;
+      with_opt = Common.raw_rtt ~size:16 ~iters ();
+      without_opt = Common.raw_rtt ~nic_config:no_opt ~size:16 ~iters ();
     }
 
   let print t =
@@ -89,45 +55,18 @@ end
 module Firmware = struct
   type t = { unet_rtt : float; fore_rtt : float; unet_bw : float; fore_bw : float }
 
-  let bw_on nic ~size ~count =
-    let c = Cluster.create ~nic () in
-    let n0 = Cluster.node c 0 and n1 = Cluster.node c 1 in
-    let ep0, a0 = Cluster.simple_endpoint ~free_buffers:4 n0 in
-    let ep1, _ = Cluster.simple_endpoint ~free_buffers:56 ~rx_slots:128 n1 in
-    let ch0, _ = Unet.connect_pair (n0.unet, ep0) (n1.unet, ep1) in
-    let payload = Common.payload_of_size a0 size in
-    let received = ref 0 and done_at = ref 0 in
-    ignore
-      (Proc.spawn c.sim (fun () ->
-           while !received < count do
-             let d = Unet.recv n1.unet ep1 in
-             incr received;
-             Common.return_buffers n1 ep1 d
-           done;
-           done_at := Sim.now c.sim));
-    ignore
-      (Proc.spawn c.sim (fun () ->
-           let sent = ref 0 in
-           while !sent < count do
-             match Unet.send n0.unet ep0 (Unet.Desc.tx ~chan:ch0 payload) with
-             | Ok () -> incr sent
-             | Error Unet.Queue_full -> Proc.sleep c.sim ~time:(Sim.us 10)
-             | Error e -> Fmt.failwith "%a" Unet.pp_error e
-           done));
-    Sim.run ~until:(Sim.sec 60) c.sim;
-    float_of_int (size * !received) /. 1e6 /. Sim.to_sec !done_at
-
   let run ~quick =
     let iters = if quick then 15 else 50 in
     let count = if quick then 150 else 500 in
+    let bw nic =
+      Common.raw_bandwidth ~nic ~repoll:(Sim.us 10) ~until:(Sim.sec 60)
+        ~size:4096 ~count ()
+    in
     {
-      unet_rtt =
-        rtt_on (Cluster.create ()) ~size:16 ~iters ~recv_extra_ns:0;
-      fore_rtt =
-        rtt_on (Cluster.create ~nic:Cluster.Sba200_fore ()) ~size:16 ~iters
-          ~recv_extra_ns:0;
-      unet_bw = bw_on Cluster.Sba200_unet ~size:4096 ~count;
-      fore_bw = bw_on Cluster.Sba200_fore ~size:4096 ~count;
+      unet_rtt = Common.raw_rtt ~size:16 ~iters ();
+      fore_rtt = Common.raw_rtt ~nic:Cluster.Sba200_fore ~size:16 ~iters ();
+      unet_bw = bw Cluster.Sba200_unet;
+      fore_bw = bw Cluster.Sba200_fore;
     }
 
   let print t =
@@ -159,34 +98,16 @@ end
 module Window = struct
   type t = { points : (int * float) list (* w, 4 KB store bandwidth *) }
 
-  let store_bw ~window ~count ~size =
-    let config = { Uam.default_config with window } in
-    let c = Cluster.create () in
-    let a0 = Uam.create ~config (Cluster.node c 0).unet ~rank:0 ~nodes:2 in
-    let a1 = Uam.create ~config (Cluster.node c 1).unet ~rank:1 ~nodes:2 in
-    Uam.connect a0 a1;
-    let x0 = Uam.Xfer.attach a0 and x1 = Uam.Xfer.attach a1 in
-    Uam.Xfer.register_region x1 ~id:1 (Bytes.make (max size 8192) '\000');
-    let block = Bytes.make size '\000' in
-    let t_done = ref 0 in
-    ignore
-      (Proc.spawn c.sim (fun () -> Uam.poll_until a1 (fun () -> false)));
-    ignore
-      (Proc.spawn c.sim (fun () ->
-           for _ = 1 to count do
-             Uam.Xfer.store x0 ~dst:1 ~region:1 ~offset:0 block
-           done;
-           Uam.Xfer.quiet x0;
-           t_done := Sim.now c.sim));
-    Sim.run ~until:(Sim.sec 120) c.sim;
-    float_of_int (size * count) /. 1e6 /. Sim.to_sec !t_done
-
   let run ~quick =
     let count = if quick then 100 else 300 in
     {
       points =
         List.map
-          (fun w -> (w, store_bw ~window:w ~count ~size:4096))
+          (fun window ->
+            ( window,
+              Common.uam_store_bandwidth
+                ~config:{ Uam.default_config with window }
+                ~count ~size:4096 () ))
           [ 1; 2; 4; 8; 16 ];
     }
 
@@ -221,114 +142,49 @@ module Tcp_tuning = struct
     delack_ack_us : float;
   }
 
-  let stream ~cfg ~total =
-    let c = Cluster.create () in
-    let mk u = Ipstack.Ipv4.attach (fst (Ipstack.Iface.unet_pair u u)) in
-    ignore mk;
-    (* build the two stacks by hand so the TCP config is fully ours *)
-    let ifa, ifb =
-      Ipstack.Iface.unet_pair (Cluster.node c 0).unet (Cluster.node c 1).unet
-    in
-    let ipa = Ipstack.Ipv4.attach ifa ~addr:0 in
-    let ipb = Ipstack.Ipv4.attach ifb ~addr:1 in
-    let sa = Ipstack.Tcp.attach ipa cfg in
-    let sb = Ipstack.Tcp.attach ipb cfg in
-    let l = Ipstack.Tcp.listen sb ~port:80 in
-    let received = ref 0 and t_done = ref 0 in
-    ignore
-      (Proc.spawn c.sim (fun () ->
-           let conn = Ipstack.Tcp.accept l in
-           let rec loop () =
-             let chunk = Ipstack.Tcp.recv conn ~max:65536 in
-             if Bytes.length chunk > 0 then begin
-               received := !received + Bytes.length chunk;
-               loop ()
-             end
-           in
-           loop ();
-           t_done := Sim.now c.sim));
-    ignore
-      (Proc.spawn c.sim (fun () ->
-           let conn = Ipstack.Tcp.connect sa ~dst:1 ~dst_port:80 () in
-           let chunk = Bytes.make 8192 '\000' in
-           let sent = ref 0 in
-           while !sent < total do
-             Ipstack.Tcp.send conn chunk;
-             sent := !sent + 8192
-           done;
-           Ipstack.Tcp.close conn));
-    Sim.run ~until:(Sim.sec 120) c.sim;
-    float_of_int !received /. 1e6 /. Sim.to_sec !t_done
+  (* bare stacks on a fresh two-host cluster, so the TCP config is fully
+     ours *)
+  let bed cfg = Common.tcp_pair (Cluster.create ()) (0, 1) cfg
 
   (* the §7.8 pathology: an isolated segment's ack waits for the 200 ms
      delayed-ack timer when no reverse traffic piggybacks it *)
   let isolated_ack_us ~cfg =
-    let c = Cluster.create () in
-    let ifa, ifb =
-      Ipstack.Iface.unet_pair (Cluster.node c 0).unet (Cluster.node c 1).unet
-    in
-    let sa = Ipstack.Tcp.attach (Ipstack.Ipv4.attach ifa ~addr:0) cfg in
-    let sb = Ipstack.Tcp.attach (Ipstack.Ipv4.attach ifb ~addr:1) cfg in
-    let l = Ipstack.Tcp.listen sb ~port:80 in
-    ignore (Proc.spawn c.sim (fun () -> ignore (Ipstack.Tcp.accept l)));
+    let { Common.sim; client; server; server_addr } = bed cfg in
+    let l = Ipstack.Tcp.listen server ~port:80 in
+    ignore (Proc.spawn sim (fun () -> ignore (Ipstack.Tcp.accept l)));
     let result = ref nan in
     ignore
-      (Proc.spawn c.sim (fun () ->
-           let conn = Ipstack.Tcp.connect sa ~dst:1 ~dst_port:80 () in
-           Proc.sleep c.sim ~time:(Sim.ms 2);
-           let t0 = Sim.now c.sim in
+      (Proc.spawn sim (fun () ->
+           let conn =
+             Ipstack.Tcp.connect client ~dst:server_addr ~dst_port:80 ()
+           in
+           Proc.sleep sim ~time:(Sim.ms 2);
+           let t0 = Sim.now sim in
            Ipstack.Tcp.send conn (Bytes.make 64 '\000');
            while Ipstack.Tcp.unacked conn > 0 do
-             Proc.sleep c.sim ~time:(Sim.us 50)
+             Proc.sleep sim ~time:(Sim.us 50)
            done;
-           result := Sim.to_us (Sim.now c.sim - t0)));
-    Sim.run ~until:(Sim.sec 10) c.sim;
+           result := Sim.to_us (Sim.now sim - t0)));
+    Sim.run ~until:(Sim.sec 10) sim;
     !result
-
-  let echo_rtt ~cfg ~iters =
-    let c = Cluster.create () in
-    let ifa, ifb =
-      Ipstack.Iface.unet_pair (Cluster.node c 0).unet (Cluster.node c 1).unet
-    in
-    let sa = Ipstack.Tcp.attach (Ipstack.Ipv4.attach ifa ~addr:0) cfg in
-    let sb = Ipstack.Tcp.attach (Ipstack.Ipv4.attach ifb ~addr:1) cfg in
-    let l = Ipstack.Tcp.listen sb ~port:80 in
-    ignore
-      (Proc.spawn c.sim (fun () ->
-           let conn = Ipstack.Tcp.accept l in
-           try
-             let rec loop () =
-               Ipstack.Tcp.send conn (Ipstack.Tcp.recv_exact conn ~len:64);
-               loop ()
-             in
-             loop ()
-           with End_of_file -> ()));
-    let sum = ref 0. and n = ref 0 in
-    ignore
-      (Proc.spawn c.sim (fun () ->
-           let conn = Ipstack.Tcp.connect sa ~dst:1 ~dst_port:80 () in
-           for _ = 1 to iters do
-             let t0 = Sim.now c.sim in
-             Ipstack.Tcp.send conn (Bytes.make 64 '\000');
-             ignore (Ipstack.Tcp.recv_exact conn ~len:64);
-             sum := !sum +. Sim.to_us (Sim.now c.sim - t0);
-             incr n
-           done;
-           Ipstack.Tcp.close conn));
-    Sim.run ~until:(Sim.sec 60) c.sim;
-    !sum /. float_of_int (max 1 !n)
 
   let run ~quick =
     let total = (if quick then 1 else 3) * 1024 * 1024 in
     let iters = if quick then 10 else 30 in
     let base = Ipstack.Tcp.unet_config () in
+    let echo_rtt cfg =
+      Common.tcp_rtt ~iters ~until:(Sim.sec 60) ~size:64 (bed cfg)
+    in
     {
       mss_points =
         List.map
-          (fun mss -> (mss, stream ~cfg:{ base with mss } ~total))
+          (fun mss ->
+            ( mss,
+              Common.tcp_stream ~until:(Sim.sec 120) ~total
+                (bed { base with mss }) ))
           [ 512; 1024; 2048; 4096 ];
-      no_delack_rtt = echo_rtt ~cfg:base ~iters;
-      delack_rtt = echo_rtt ~cfg:{ base with delayed_ack = true } ~iters;
+      no_delack_rtt = echo_rtt base;
+      delack_rtt = echo_rtt { base with delayed_ack = true };
       no_delack_ack_us = isolated_ack_us ~cfg:base;
       delack_ack_us = isolated_ack_us ~cfg:{ base with delayed_ack = true };
     }
@@ -384,9 +240,8 @@ module Upcall = struct
   let run ~quick =
     let iters = if quick then 15 else 50 in
     {
-      polling = rtt_on (Cluster.create ()) ~size:16 ~iters ~recv_extra_ns:0;
-      signal =
-        rtt_on (Cluster.create ()) ~size:16 ~iters ~recv_extra_ns:signal_ns;
+      polling = Common.raw_rtt ~size:16 ~iters ();
+      signal = Common.raw_rtt ~recv_extra_ns:signal_ns ~size:16 ~iters ();
     }
 
   let print t =

@@ -16,7 +16,6 @@ open Engine
 type flow = {
   goodput_mb : float;
   retransmits : int;
-  timeouts : int;
   finished_at : Engine.Sim.time;
 }
 
@@ -37,70 +36,35 @@ let run_contest ~mss ~total ~switch_cells =
     { Atm.Network.default_config with switch_queue_capacity = switch_cells }
   in
   let c = Cluster.create ~hosts:3 ~net_config () in
-  let open Ipstack in
   (* senders 0 and 1 both stream to receiver 2 *)
-  let mk_pair a b =
-    let ifa, ifb =
-      Iface.unet_pair ~mtu:9_188 (Cluster.node c a).Cluster.unet
-        (Cluster.node c b).Cluster.unet
-    in
-    let cfg = { (Tcp.unet_config ~window:(32 * 1024) ()) with mss } in
-    let sa = Tcp.attach (Ipv4.attach ifa ~addr:a) cfg in
-    let sb = Tcp.attach (Ipv4.attach ifb ~addr:b) cfg in
-    (sa, sb)
-  in
-  let s0, r0 = mk_pair 0 2 in
-  let s1, r1 = mk_pair 1 2 in
-  let flows = ref [] in
-  let run_flow sender receiver port =
-    let l = Tcp.listen receiver ~port in
-    let received = ref 0 and t_done = ref 0 in
-    ignore
-      (Proc.spawn c.sim (fun () ->
-           let conn = Tcp.accept l in
-           let rec loop () =
-             let chunk = Tcp.recv conn ~max:65536 in
-             if Bytes.length chunk > 0 then begin
-               received := !received + Bytes.length chunk;
-               loop ()
-             end
-           in
-           loop ();
-           t_done := Sim.now c.sim));
-    ignore
-      (Proc.spawn c.sim (fun () ->
-           let conn = Tcp.connect sender ~dst:2 ~dst_port:port () in
-           let chunk = Bytes.make 8192 '\000' in
-           let sent = ref 0 in
-           while !sent < total do
-             Tcp.send conn chunk;
-             sent := !sent + 8192
-           done;
-           Tcp.close conn;
-           flows :=
-             (fun () ->
-               {
-                 goodput_mb =
-                   float_of_int !received /. 1e6 /. Sim.to_sec !t_done;
-                 retransmits = Tcp.retransmits conn;
-                 timeouts = Tcp.timeouts conn;
-                 finished_at = !t_done;
-               })
-             :: !flows))
-  in
-  run_flow s0 r0 80;
-  run_flow s1 r1 81;
+  let cfg = { (Ipstack.Tcp.unet_config ~window:(32 * 1024) ()) with mss } in
+  let bed sender = Common.tcp_pair ~mtu:9_188 c (sender, 2) cfg in
+  let b0 = bed 0 in
+  let b1 = bed 1 in
+  let data = Bytes.make total '\000' in
+  let f0 = Common.tcp_flow b0 data in
+  let f1 = Common.tcp_flow ~port:81 b1 data in
   Sim.run ~until:(Sim.sec 300) c.sim;
   let nic2 = Option.get (Cluster.node c 2).Cluster.i960 in
-  let flows = List.map (fun f -> f ()) !flows in
+  (* the flow that finished last is listed first *)
+  let flows =
+    List.map
+      (fun (f : Common.tcp_flow) ->
+        {
+          goodput_mb = Common.tcp_goodput f;
+          retransmits = f.retransmits;
+          finished_at = f.finished_at;
+        })
+      [ f0; f1 ]
+    |> List.stable_sort (fun a b -> compare b.finished_at a.finished_at)
+  in
   let makespan =
     List.fold_left (fun a f -> max a f.finished_at) 1 flows
   in
   {
     mss;
     flows;
-    makespan_aggregate_mb =
-      float_of_int (2 * total) /. 1e6 /. Sim.to_sec makespan;
+    makespan_aggregate_mb = Common.mb_per_s (2 * total) makespan;
     cells_dropped = Atm.Switch.cells_dropped (Atm.Network.switch c.net);
     reassembly_errors = Ni.I960_nic.reassembly_errors nic2;
   }

@@ -6,7 +6,6 @@
 type flow = {
   goodput_mb : float;
   retransmits : int;
-  timeouts : int;
   finished_at : Engine.Sim.time;
 }
 

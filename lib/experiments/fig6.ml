@@ -26,10 +26,10 @@ let run ~quick =
           Common.udp_rtt ~iters ~path:Common.Kernel_ethernet ~size ());
     tcp_atm =
       mk "kernel TCP over ATM (us)" (fun size ->
-          Common.tcp_rtt ~iters ~path:Common.Kernel_atm ~size ());
+          Common.tcp_rtt ~iters ~size (Common.tcp_bed Common.Kernel_atm));
     tcp_eth =
       mk "kernel TCP over Ethernet (us)" (fun size ->
-          Common.tcp_rtt ~iters ~path:Common.Kernel_ethernet ~size ());
+          Common.tcp_rtt ~iters ~size (Common.tcp_bed Common.Kernel_ethernet));
   }
 
 let print t =

@@ -20,7 +20,8 @@ let run ~quick =
       (List.map
          (fun rate ->
            ( rate,
-             Common.tcp_stream ~window ~total ~app_rate_mb:rate ~path () ))
+             Common.tcp_stream ~total ~app_rate_mb:rate
+               (Common.tcp_bed ~window path) ))
          rates)
   in
   {

@@ -18,7 +18,7 @@ let run ~quick =
     tcp =
       Stats.Series.make "U-Net TCP RTT (us)"
         (Common.sweep sizes (fun size ->
-             Common.tcp_rtt ~iters ~path:Common.Unet_path ~size ()));
+             Common.tcp_rtt ~iters ~size (Common.tcp_bed Common.Unet_path)));
     raw =
       Stats.Series.make "raw U-Net RTT (us)"
         (Common.sweep sizes (fun size -> Common.raw_rtt ~iters ~size ()));

@@ -61,23 +61,17 @@ let pattern k total = Bytes.init total (fun i -> Char.chr ((i * k + 7) land 0xff
 
 let run_uam ~rate ~total =
   with_fault rate (fun () ->
-      let c = Cluster.create () in
       (* the aggressive timeouts of the loss tests: base 2 ms, backoff
          capped at 16 ms so deep loss runs still converge quickly *)
       let config =
         { Uam.default_config with rto = Sim.ms 2; rto_max = Sim.ms 16 }
       in
-      let a0 = Uam.create ~config (Cluster.node c 0).Cluster.unet ~rank:0 ~nodes:2 in
-      let a1 = Uam.create ~config (Cluster.node c 1).Cluster.unet ~rank:1 ~nodes:2 in
-      Uam.connect a0 a1;
+      let c, a0, a1 = Common.uam_pair ~config () in
       let x0 = Uam.Xfer.attach a0 and x1 = Uam.Xfer.attach a1 in
       let region = Bytes.make total '\000' in
       Uam.Xfer.register_region x1 ~id:1 region;
       let data = pattern 131 total in
       let before = Fault.injected_total () in
-      ignore
-        (Proc.spawn ~name:"server" c.Cluster.sim (fun () ->
-             Uam.poll_until a1 (fun () -> false)));
       let t_done = ref 0 and completed = ref false in
       ignore
         (Proc.spawn ~name:"client" c.Cluster.sim (fun () ->
@@ -99,56 +93,22 @@ let run_uam ~rate ~total =
 let run_tcp ~rate ~total =
   with_fault rate (fun () ->
       let c = Cluster.create () in
-      let open Ipstack in
-      let ifa, ifb =
-        Iface.unet_pair ~mtu:9_188 (Cluster.node c 0).Cluster.unet
-          (Cluster.node c 1).Cluster.unet
-      in
       (* the paper's standard U-Net TCP configuration: 2048-byte segments
          keep the loss-amplification of big AAL5 PDUs bounded (§7.8) *)
-      let cfg = { (Tcp.unet_config ~window:(32 * 1024) ()) with mss = 2_048 } in
-      let sa = Tcp.attach (Ipv4.attach ifa ~addr:0) cfg in
-      let sb = Tcp.attach (Ipv4.attach ifb ~addr:1) cfg in
-      let data = pattern 197 total in
-      let rx = Buffer.create total in
+      let cfg =
+        { (Ipstack.Tcp.unet_config ~window:(32 * 1024) ()) with mss = 2_048 }
+      in
+      let bed = Common.tcp_pair ~mtu:9_188 c (0, 1) cfg in
       let before = Fault.injected_total () in
-      let listener = Tcp.listen sb ~port:80 in
-      let t_done = ref 0 in
-      ignore
-        (Proc.spawn ~name:"sink" c.Cluster.sim (fun () ->
-             let conn = Tcp.accept listener in
-             let rec loop () =
-               let chunk = Tcp.recv conn ~max:65536 in
-               if Bytes.length chunk > 0 then begin
-                 Buffer.add_bytes rx chunk;
-                 loop ()
-               end
-             in
-             loop ();
-             t_done := Sim.now c.Cluster.sim));
-      let retx = ref 0 in
-      ignore
-        (Proc.spawn ~name:"source" c.Cluster.sim (fun () ->
-             let conn = Tcp.connect sa ~dst:1 ~dst_port:80 () in
-             let step = 8_192 in
-             let off = ref 0 in
-             while !off < total do
-               let len = min step (total - !off) in
-               Tcp.send conn (Bytes.sub data !off len);
-               off := !off + len
-             done;
-             Tcp.close conn;
-             retx := Tcp.retransmits conn));
+      let f = Common.tcp_flow bed (pattern 197 total) in
       Sim.run ~until:(Sim.sec 120) c.Cluster.sim;
-      let completed = Buffer.length rx = total in
-      let secs = Sim.to_sec !t_done in
+      let completed = f.received = total in
       {
         goodput_mb =
-          (if secs <= 0. then 0.
-           else float_of_int (Buffer.length rx) /. 1e6 /. secs);
-        retransmits = !retx;
+          (if f.finished_at <= 0 then 0. else Common.tcp_goodput f);
+        retransmits = f.retransmits;
         completed;
-        intact = completed && String.equal (Buffer.contents rx) (Bytes.to_string data);
+        intact = completed && f.intact;
         delivered = delivered_uplinks c;
         injected = Fault.injected_total () - before;
       })

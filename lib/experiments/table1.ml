@@ -21,83 +21,6 @@ let wire_one_way_us net_cfg =
   +. (2. *. Sim.to_us net_cfg.Atm.Network.link_propagation)
   +. Sim.to_us net_cfg.Atm.Network.switch_transit
 
-let sba100_rtt ~size ~iters =
-  let c = Cluster.create ~nic:Cluster.Sba100 () in
-  let n0 = Cluster.node c 0 and n1 = Cluster.node c 1 in
-  let ep0, _ = Cluster.simple_endpoint ~emulated:true n0 in
-  let ep1, _ = Cluster.simple_endpoint ~emulated:true n1 in
-  let ch0, ch1 = Unet.connect_pair (n0.unet, ep0) (n1.unet, ep1) in
-  let payload = Unet.Desc.Inline (Buf.alloc size) in
-  ignore
-    (Proc.spawn ~name:"echo" c.sim (fun () ->
-         let rec loop () =
-           let d = Unet.recv n1.unet ep1 in
-           ignore (Unet.send n1.unet ep1 (Unet.Desc.tx ~chan:ch1 d.rx_payload));
-           loop ()
-         in
-         loop ()));
-  let sum = ref 0. and n = ref 0 in
-  ignore
-    (Proc.spawn ~name:"client" c.sim (fun () ->
-         for _ = 1 to iters do
-           let t0 = Sim.now c.sim in
-           ignore (Unet.send n0.unet ep0 (Unet.Desc.tx ~chan:ch0 payload));
-           ignore (Unet.recv n0.unet ep0);
-           sum := !sum +. Sim.to_us (Sim.now c.sim - t0);
-           incr n
-         done));
-  Sim.run ~until:(Sim.sec 10) c.sim;
-  !sum /. float_of_int (max 1 !n)
-
-let sba100_bandwidth ~size ~count =
-  let c = Cluster.create ~nic:Cluster.Sba100 () in
-  let n0 = Cluster.node c 0 and n1 = Cluster.node c 1 in
-  let ep0, a0 =
-    Cluster.simple_endpoint ~emulated:true ~free_buffers:4 n0
-  in
-  let ep1, _ =
-    Cluster.simple_endpoint ~emulated:true ~free_buffers:56 ~rx_slots:128 n1
-  in
-  let ch0, _ = Unet.connect_pair (n0.unet, ep0) (n1.unet, ep1) in
-  let payload =
-    let rec take acc got =
-      if got >= size then List.rev acc
-      else
-        match Unet.Segment.Allocator.alloc a0 with
-        | Some (off, len) -> take ((off, min len (size - got)) :: acc) (got + len)
-        | None -> failwith "table1: segment exhausted"
-    in
-    Unet.Desc.Buffers (take [] 0)
-  in
-  let received = ref 0 and done_at = ref 0 in
-  ignore
-    (Proc.spawn ~name:"sink" c.sim (fun () ->
-         while !received < count do
-           let d = Unet.recv n1.unet ep1 in
-           incr received;
-           match d.rx_payload with
-           | Unet.Desc.Buffers bufs ->
-               List.iter
-                 (fun (off, _) ->
-                   ignore
-                     (Unet.provide_free_buffer n1.unet ep1 ~off ~len:4160))
-                 bufs
-           | Unet.Desc.Inline _ -> ()
-         done;
-         done_at := Sim.now c.sim));
-  ignore
-    (Proc.spawn ~name:"source" c.sim (fun () ->
-         let sent = ref 0 in
-         while !sent < count do
-           match Unet.send n0.unet ep0 (Unet.Desc.tx ~chan:ch0 payload) with
-           | Ok () -> incr sent
-           | Error Unet.Queue_full -> Proc.sleep c.sim ~time:(Sim.us 20)
-           | Error e -> Fmt.failwith "table1: %a" Unet.pp_error e
-         done));
-  Sim.run ~until:(Sim.sec 60) c.sim;
-  let secs = Sim.to_sec !done_at in
-  float_of_int (size * !received) /. 1e6 /. secs
-
 let run ~quick =
   let iters = if quick then 20 else 100 in
   let cfg = Ni.Sba100.default_config in
@@ -114,7 +37,8 @@ let run ~quick =
     +. Sim.to_us (cfg.doorbell_ns + cfg.rx_poll_ns)
     +. (tx_total -. aal5_send) +. (rx_total -. aal5_recv)
   in
-  let rtt = sba100_rtt ~size:32 ~iters in
+  let nic = Cluster.Sba100 in
+  let rtt = Common.raw_rtt ~nic ~until:(Sim.sec 10) ~size:32 ~iters () in
   {
     cfg_trap_level_us = trap_level;
     cfg_aal5_send_us = aal5_send;
@@ -122,7 +46,9 @@ let run ~quick =
     cfg_one_way_us = trap_level +. aal5_send +. aal5_recv;
     measured_one_way_us = rtt /. 2.;
     measured_rtt_us = rtt;
-    measured_bw_1k_mb = sba100_bandwidth ~size:1024 ~count:(if quick then 200 else 1000);
+    measured_bw_1k_mb =
+      Common.raw_bandwidth ~nic ~repoll:(Sim.us 20) ~until:(Sim.sec 60)
+        ~size:1024 ~count:(if quick then 200 else 1000) ();
   }
 
 let print t =

@@ -19,23 +19,10 @@ let mbit mb = mb *. 8.
 let store_ack_rtt ~quick =
   let iters = if quick then 20 else 60 in
   let c, a0, a1 = Common.uam_pair () in
-  let open Engine in
   Uam.register_handler a1 5 (fun _ ~src:_ _ ~args:_ ~payload:_ -> ());
-  ignore
-    (Proc.spawn ~name:"server" c.Cluster.sim (fun () ->
-         Uam.poll_until a1 (fun () -> false)));
-  let sum = ref 0. and n = ref 0 in
-  ignore
-    (Proc.spawn ~name:"client" c.Cluster.sim (fun () ->
-         for _ = 1 to iters do
-           let t0 = Sim.now c.Cluster.sim in
-           Uam.request a0 ~dst:1 ~handler:5 ~args:[| 1; 2 |] ();
-           Uam.poll_until a0 (fun () -> Uam.barrier_ready a0 ~dst:1);
-           sum := !sum +. Sim.to_us (Sim.now c.Cluster.sim - t0);
-           incr n
-         done));
-  Sim.run ~until:(Sim.sec 10) c.Cluster.sim;
-  !sum /. float_of_int (max 1 !n)
+  Common.mean_round_us c.sim ~until:(Engine.Sim.sec 10) ~iters (fun _ ->
+      Uam.request a0 ~dst:1 ~handler:5 ~args:[| 1; 2 |] ();
+      Uam.poll_until a0 (fun () -> Uam.barrier_ready a0 ~dst:1))
 
 let run ~quick =
   let bw_count = if quick then 200 else 800 in
@@ -51,10 +38,10 @@ let run ~quick =
     (* receiver-side goodput of a 4 KB blast *)
     snd (Common.udp_blast ~count:(bw_count / 2) ~path:Common.Unet_path ~size:4096 ())
   in
-  let tcp_rtt = Common.tcp_rtt ~path:Common.Unet_path ~size:8 () in
+  let tcp_rtt = Common.tcp_rtt ~size:8 (Common.tcp_bed Common.Unet_path) in
   let tcp_bw =
     Common.tcp_stream ~total:((if quick then 2 else 6) * 1024 * 1024)
-      ~path:Common.Unet_path ()
+      (Common.tcp_bed Common.Unet_path)
   in
   let st_rtt = store_ack_rtt ~quick in
   let st_bw = am_bw in

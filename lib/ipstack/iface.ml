@@ -263,10 +263,9 @@ let link_transmit fl frame =
       (Float.round (float_of_int (Buf.length frame) *. fl.fl_frame_ns_per_byte))
   in
   fl.fl_busy_until <- start + ser;
-  ignore
-    (Sim.schedule_at ~label:"iface.rx" fl.fl_sim
-       (fl.fl_busy_until + fl.fl_propagation)
-       (fun () -> fl.fl_rx frame))
+  Sim.schedule_drop_at ~label:"iface.rx" fl.fl_sim
+    (fl.fl_busy_until + fl.fl_propagation)
+    (fun () -> fl.fl_rx frame)
 
 type reasm = { mutable r_buf : bytes; mutable r_got : int }
 

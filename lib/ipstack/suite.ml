@@ -11,24 +11,26 @@ let build ~iface ~addr ~udp_attach ~tcp_cfg =
   let tcp = Tcp.attach ip tcp_cfg in
   { iface; ip; udp; tcp }
 
-let unet_pair ?(tcp_window = 8 * 1024) ?(udp_checksum = true) ua ub =
+let unet_pair ?(tcp_window = 8 * 1024) ua ub =
   let ifa, ifb = Iface.unet_pair ~mtu:9_000 ua ub in
   let mk iface addr =
     build ~iface ~addr
       ~udp_attach:(fun ip ->
-        Udp.attach ~checksum:udp_checksum ~costs:Udp.unet_costs ip)
+        Udp.attach ~checksum:true ~costs:Udp.unet_costs ip)
       ~tcp_cfg:(Tcp.unet_config ~window:tcp_window ())
   in
   (mk ifa (Unet.host ua), mk ifb (Unet.host ub))
 
-let kernel_atm_pair ?(tcp_window = 64 * 1024) ?(kcfg = Host.Kernel.sunos) ua
-    ub =
+let kernel_atm_pair ?(tcp_window = 64 * 1024) ua ub =
   (* The vendor ATM driver fights the generic BSD buffer strategies (§7.2):
      its per-packet driver cost far exceeds the mature Ethernet driver's,
      which is what makes small-message latency over ATM *worse* than over
      Ethernet in Figure 6. *)
   let kcfg =
-    { kcfg with Host.Kernel.driver_ns = kcfg.Host.Kernel.driver_ns + 50_000 }
+    {
+      Host.Kernel.sunos with
+      driver_ns = Host.Kernel.sunos.Host.Kernel.driver_ns + 50_000;
+    }
   in
   let ifa, ifb = Iface.unet_pair ~mtu:9_188 ~encapsulation:true ua ub in
   let mk iface addr =
@@ -40,8 +42,9 @@ let kernel_atm_pair ?(tcp_window = 64 * 1024) ?(kcfg = Host.Kernel.sunos) ua
   in
   (mk ifa (Unet.host ua), mk ifb (Unet.host ub))
 
-let kernel_ethernet_pair ?(tcp_window = 64 * 1024)
-    ?(kcfg = Host.Kernel.sunos) ~sim ~cpu_a ~cpu_b ~addr_a ~addr_b () =
+let kernel_ethernet_pair ?(tcp_window = 64 * 1024) ~sim ~cpu_a ~cpu_b ~addr_a
+    ~addr_b () =
+  let kcfg = Host.Kernel.sunos in
   (* 10 Mbit/s Ethernet with a ~100 µs per-frame driver+interrupt cost and
      LAN propagation; frames beyond 1514 bytes fragment in the driver. *)
   let ifa, ifb =

@@ -14,27 +14,16 @@ type t = {
   tcp : Tcp.stack;
 }
 
-val unet_pair :
-  ?tcp_window:int ->
-  ?udp_checksum:bool ->
-  Unet.t ->
-  Unet.t ->
-  t * t
+val unet_pair : ?tcp_window:int -> Unet.t -> Unet.t -> t * t
 (** Both hosts must carry an SBA-200 U-Net NI. Addresses are the U-Net host
     indices. *)
 
-val kernel_atm_pair :
-  ?tcp_window:int ->
-  ?kcfg:Host.Kernel.config ->
-  Unet.t ->
-  Unet.t ->
-  t * t
+val kernel_atm_pair : ?tcp_window:int -> Unet.t -> Unet.t -> t * t
 (** The U-Net instances should sit on Fore-firmware NIs
     ([Cluster.Sba200_fore]) for the paper's kernel-over-ATM numbers. *)
 
 val kernel_ethernet_pair :
   ?tcp_window:int ->
-  ?kcfg:Host.Kernel.config ->
   sim:Engine.Sim.t ->
   cpu_a:Host.Cpu.t ->
   cpu_b:Host.Cpu.t ->

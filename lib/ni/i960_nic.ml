@@ -211,9 +211,8 @@ and chain_split t desc cells ~train ~accepted ~phase =
       done;
       if !at = now then inject t desc cells accepted
       else
-        ignore
-          (Sim.schedule ~label:"ni.retry" t.sim ~delay:(!at - now) (fun () ->
-               inject t desc cells accepted))
+        Sim.schedule_drop ~label:"ni.retry" t.sim ~delay:(!at - now)
+          (fun () -> inject t desc cells accepted)
 
 (* the per-cell path from cell [i] on *)
 and send_cells t desc cells i =
@@ -231,9 +230,8 @@ and inject t desc cells i =
     let retry_delay =
       Atm.Link.cell_time (Atm.Network.uplink t.net ~host:t.host)
     in
-    ignore
-      (Sim.schedule ~label:"ni.retry" t.sim ~delay:retry_delay (fun () ->
-           inject t desc cells i))
+    Sim.schedule_drop ~label:"ni.retry" t.sim ~delay:retry_delay (fun () ->
+        inject t desc cells i)
 
 and pdu_injected t (desc : Unet.Desc.tx) =
   desc.Unet.Desc.injected <- true;

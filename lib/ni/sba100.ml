@@ -9,8 +9,6 @@ type config = {
   tx_per_cell_ns : int;
   rx_per_cell_ns : int;
   rx_fixed_ns : int;
-  crc_tx_share : float;
-  crc_rx_share : float;
   max_seg_size : int;
 }
 
@@ -30,8 +28,6 @@ let default_config =
     tx_per_cell_ns = 7_060;
     rx_per_cell_ns = 5_000;
     rx_fixed_ns = 4_400;
-    crc_tx_share = 0.33;
-    crc_rx_share = 0.40;
     max_seg_size = 256 * 1024;
   }
 

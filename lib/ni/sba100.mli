@@ -15,8 +15,6 @@ type config = {
   tx_per_cell_ns : int;  (** software SAR + CRC + PIO store, per cell *)
   rx_per_cell_ns : int;
   rx_fixed_ns : int;
-  crc_tx_share : float;  (** fraction of AAL5 send overhead that is CRC *)
-  crc_rx_share : float;
   max_seg_size : int;
 }
 

@@ -85,10 +85,9 @@ let send_msg f ~src ~dst msg =
   Proc.sleep f.f_sim
     ~time:(o_ns f + occupancy f (Buf.length msg.m_payload));
   let there = f.f_nodes.(dst) in
-  ignore
-    (Sim.schedule ~label:"splitc.net" f.f_sim ~delay:(net_time f) (fun () ->
-         Queue.add msg there.n_queue;
-         Sync.Condition.broadcast there.n_cond))
+  Sim.schedule_drop ~label:"splitc.net" f.f_sim ~delay:(net_time f) (fun () ->
+      Queue.add msg there.n_queue;
+      Sync.Condition.broadcast there.n_cond)
 
 let rec dispatch f ~rank msg =
   let node = f.f_nodes.(rank) in

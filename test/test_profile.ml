@@ -134,8 +134,9 @@ let test_batch_refunds () =
   let run () =
     let fired0 = Sim.events_fired () in
     ignore
-      (Experiments.Common.tcp_stream ~path:Experiments.Common.Kernel_atm
-         ~window:(64 * 1024) ~total:(320 * 1024) ~app_rate_mb:12. ()
+      (Experiments.Common.(
+         tcp_stream ~total:(320 * 1024) ~app_rate_mb:12.
+           (tcp_bed ~window:(64 * 1024) Kernel_atm))
         : float);
     Sim.events_fired () - fired0
   in

@@ -319,6 +319,29 @@ let test_train_path_alloc_budget () =
   if per_pdu > budget then
     Alcotest.failf "%.0f minor words per PDU, budget %.0f" per_pdu budget
 
+(* A sleep schedules its wake-up through the simulator's pool of event
+   records ([Sim.schedule_drop]), so once a warm-up has filled the pool it
+   allocates only its continuation and closures. A sleep read 38 minor
+   words when each one allocated a fresh event record and a handle that
+   nothing read. *)
+let test_sleep_words () =
+  let sim = Sim.create () in
+  let sleeps = 1_000 in
+  let per_sleep = ref nan in
+  ignore
+    (Proc.spawn sim (fun () ->
+         for _ = 1 to 100 do
+           Proc.sleep sim ~time:1
+         done;
+         let w0 = Gc.minor_words () in
+         for _ = 1 to sleeps do
+           Proc.sleep sim ~time:1
+         done;
+         per_sleep := (Gc.minor_words () -. w0) /. float_of_int sleeps));
+  Sim.run sim;
+  if not (!per_sleep <= 32.) then
+    Alcotest.failf "%.1f minor words per Proc.sleep, budget 32" !per_sleep
+
 (* --- direction-aware gating ------------------------------------------- *)
 
 let snap gates values =
@@ -408,6 +431,7 @@ let () =
             test_alloc_words_repeatable;
           Alcotest.test_case "train path words per PDU" `Quick
             test_train_path_alloc_budget;
+          Alcotest.test_case "words per sleep" `Quick test_sleep_words;
         ] );
       ( "bench",
         [
