@@ -54,24 +54,8 @@ let create ?(hosts = 2) ?topology ?(net_config = Atm.Network.default_config)
 
 let node t i = t.nodes.(i)
 
-let simple_endpoint ?(emulated = false) ?(direct_access = false)
-    ?(seg_size = 256 * 1024) ?(rx_slots = 64) ?(free_buffers = 32)
-    ?(buffer_size = 4160) node =
-  let ep =
-    match
-      Unet.create_endpoint node.unet ~emulated ~direct_access ~rx_slots
-        ~free_slots:(max 1 free_buffers) ~seg_size ()
-    with
-    | Ok ep -> ep
-    | Error e -> Fmt.invalid_arg "simple_endpoint: %a" Unet.pp_error e
-  in
-  let alloc = Unet.Segment.Allocator.create ep.segment ~block:buffer_size in
-  for _ = 1 to free_buffers do
-    match Unet.Segment.Allocator.alloc alloc with
-    | Some (off, len) -> (
-        match Unet.provide_free_buffer node.unet ep ~off ~len with
-        | Ok () -> ()
-        | Error e -> Fmt.invalid_arg "simple_endpoint: %a" Unet.pp_error e)
-    | None -> invalid_arg "simple_endpoint: segment too small for free buffers"
-  done;
-  (ep, alloc)
+let simple_endpoint ?emulated ?direct_access ?(seg_size = 256 * 1024) ?rx_slots
+    ?(free_buffers = 32) ?(buffer_size = 4160) node =
+  Unet.open_endpoint node.unet ?emulated ?direct_access ?rx_slots
+    ~free_slots:(max 1 free_buffers) ~seg_size ~block:buffer_size
+    ~post:free_buffers ()

@@ -53,6 +53,6 @@ val simple_endpoint :
   ?buffer_size:int ->
   node ->
   Unet.Endpoint.t * Unet.Segment.Allocator.t
-(** An endpoint with a block allocator over its segment and [free_buffers]
-    receive buffers already posted to the free queue. The remaining blocks
-    are for the application's send buffers. *)
+(** {!Unet.open_endpoint} with [buffer_size]-byte blocks (default 4160),
+    [free_buffers] of them (default 32) posted to the free queue. The
+    remaining blocks are for the application's send buffers. *)

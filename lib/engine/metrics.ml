@@ -54,10 +54,11 @@ end
    that rank while memory stays O(occupied buckets) however many values
    are observed — unlike [Histogram], which retains every sample. *)
 module Sketch = struct
+  let alpha = 0.01
+  let gamma = (1. +. alpha) /. (1. -. alpha)
+  let log_gamma = Float.log gamma
+
   type t = {
-    alpha : float;
-    gamma : float;
-    log_gamma : float;
     buckets : (int, int ref) Hashtbl.t;
     mutable zero : int; (* values <= 0 collapse into one bucket *)
     mutable n : int;
@@ -66,13 +67,8 @@ module Sketch = struct
     mutable mx : float;
   }
 
-  let create ?(alpha = 0.01) () =
-    if alpha <= 0. || alpha >= 1. then invalid_arg "Sketch.create: alpha";
-    let gamma = (1. +. alpha) /. (1. -. alpha) in
+  let create () =
     {
-      alpha;
-      gamma;
-      log_gamma = Float.log gamma;
       buckets = Hashtbl.create 64;
       zero = 0;
       n = 0;
@@ -89,7 +85,7 @@ module Sketch = struct
     t.mn <- infinity;
     t.mx <- neg_infinity
 
-  let bucket_index t v = int_of_float (Float.ceil (Float.log v /. t.log_gamma))
+  let bucket_index v = int_of_float (Float.ceil (Float.log v /. log_gamma))
 
   let observe t v =
     t.n <- t.n + 1;
@@ -98,7 +94,7 @@ module Sketch = struct
     if v > t.mx then t.mx <- v;
     if v <= 0. then t.zero <- t.zero + 1
     else
-      let i = bucket_index t v in
+      let i = bucket_index v in
       match Hashtbl.find_opt t.buckets i with
       | Some r -> incr r
       | None -> Hashtbl.add t.buckets i (ref 1)
@@ -106,7 +102,6 @@ module Sketch = struct
   let count t = t.n
   let total t = t.sum
   let max t = t.mx
-  let alpha t = t.alpha
 
   (* Nearest-rank quantile over the buckets in index order; the value
      reported for bucket i is the bucket midpoint 2*gamma^i/(gamma+1),
@@ -127,7 +122,7 @@ module Sketch = struct
            (fun i ->
              acc := !acc + !(Hashtbl.find t.buckets i);
              if !acc > rank then begin
-               out := 2. *. (t.gamma ** float_of_int i) /. (t.gamma +. 1.);
+               out := 2. *. (gamma ** float_of_int i) /. (gamma +. 1.);
                raise Exit
              end)
            ids

@@ -38,7 +38,7 @@ module Histogram : sig
 end
 
 (** A DDSketch-style log-bucketed quantile sketch: every reported
-    quantile is within relative error [alpha] (default 1%) of the exact
+    quantile is within relative error {!Sketch.alpha} (1%) of the exact
     sample at that rank, at O(occupied buckets) memory however many
     values are observed. Use it where a {!Histogram} (which retains every
     sample) would grow without bound — e.g. per-message latency over a
@@ -46,13 +46,14 @@ end
 module Sketch : sig
   type t
 
-  val create : ?alpha:float -> unit -> t
+  val create : unit -> t
   val observe : t -> float -> unit
   val clear : t -> unit
   val count : t -> int
   val total : t -> float
   val max : t -> float
-  val alpha : t -> float
+  val alpha : float
+  (** The relative error bound, 0.01. *)
 
   val quantile : t -> float -> float
   (** Nearest-rank quantile (rank [q*(n-1)]); raises [Invalid_argument]

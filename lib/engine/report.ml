@@ -382,7 +382,7 @@ let sketch_section () =
          n (q 0.5) (q 0.99) (q 0.999)
          (fmt_ns (int_of_float (Metrics.Sketch.max s)))
          (fmt_ns (int_of_float (Metrics.Sketch.total s /. float_of_int n)))
-         (Metrics.Sketch.alpha s *. 100.))
+         (Metrics.Sketch.alpha *. 100.))
 
 let metrics_section () =
   let json = Json.of_string (Metrics.to_json_string ()) in

@@ -1,8 +1,5 @@
 open Engine
 
-(* the block size of [Cluster.simple_endpoint]'s free buffers *)
-let buffer_size = 4_160
-
 (* build a scatter-gather payload of [size] bytes from an allocator *)
 let payload_of_size alloc size =
   if size <= Unet.Desc.inline_max then Unet.Desc.Inline (Buf.alloc size)
@@ -16,17 +13,6 @@ let payload_of_size alloc size =
     in
     Unet.Desc.Buffers (take [] 0)
   end
-
-let return_buffers node ep (d : Unet.Desc.rx) =
-  match d.rx_payload with
-  | Unet.Desc.Inline _ -> ()
-  | Unet.Desc.Buffers bufs ->
-      List.iter
-        (fun (off, _) ->
-          ignore
-            (Unet.provide_free_buffer node.Cluster.unet ep ~off
-               ~len:buffer_size))
-        bufs
 
 (* [bytes] moved by [at]; nan when the run never got there *)
 let mb_per_s bytes at =
@@ -63,7 +49,7 @@ let raw_rtt ?(iters = 50) ?topology ?(pair = (0, 1)) ?nic ?nic_config
   let h0, h1 = pair in
   let n0 = Cluster.node c h0 and n1 = Cluster.node c h1 in
   let ep0, a0 = raw_endpoint n0 in
-  let ep1, _ = raw_endpoint n1 in
+  let ep1, a1 = raw_endpoint n1 in
   let ch0, ch1 = Unet.connect_pair (n0.unet, ep0) (n1.unet, ep1) in
   let payload = payload_of_size a0 size in
   let recv (n : Cluster.node) ep =
@@ -78,7 +64,7 @@ let raw_rtt ?(iters = 50) ?topology ?(pair = (0, 1)) ?nic ?nic_config
            (match Unet.send n1.unet ep1 (Unet.Desc.tx ~chan:ch1 d.rx_payload) with
            | Ok () -> ()
            | Error e -> Fmt.failwith "echo: %a" Unet.pp_error e);
-           return_buffers n1 ep1 d;
+           Unet.release n1.unet ep1 a1 d;
            loop ()
          in
          loop ()));
@@ -86,7 +72,7 @@ let raw_rtt ?(iters = 50) ?topology ?(pair = (0, 1)) ?nic ?nic_config
       (match Unet.send n0.unet ep0 (Unet.Desc.tx ~chan:ch0 payload) with
       | Ok () -> ()
       | Error e -> Fmt.failwith "client: %a" Unet.pp_error e);
-      return_buffers n0 ep0 (recv n0 ep0))
+      Unet.release n0.unet ep0 a0 (recv n0 ep0))
 
 let raw_bandwidth ?(count = 1500) ?topology ?(pair = (0, 1)) ?nic
     ?(repoll = Sim.us 5) ?(until = Sim.sec 120) ~size () =
@@ -94,7 +80,7 @@ let raw_bandwidth ?(count = 1500) ?topology ?(pair = (0, 1)) ?nic
   let h0, h1 = pair in
   let n0 = Cluster.node c h0 and n1 = Cluster.node c h1 in
   let ep0, a0 = raw_endpoint ~free_buffers:4 n0 in
-  let ep1, _ = raw_endpoint ~free_buffers:56 ~rx_slots:128 n1 in
+  let ep1, a1 = raw_endpoint ~free_buffers:56 ~rx_slots:128 n1 in
   let ch0, _ = Unet.connect_pair (n0.unet, ep0) (n1.unet, ep1) in
   let payload = payload_of_size a0 size in
   let received = ref 0 and done_at = ref 0 in
@@ -103,7 +89,7 @@ let raw_bandwidth ?(count = 1500) ?topology ?(pair = (0, 1)) ?nic
          while !received < count do
            let d = Unet.recv n1.unet ep1 in
            incr received;
-           return_buffers n1 ep1 d
+           Unet.release n1.unet ep1 a1 d
          done;
          done_at := Sim.now c.sim));
   ignore
@@ -364,13 +350,13 @@ type tcp_flow = {
   mutable received : int;
   mutable intact : bool;
   mutable finished_at : Sim.time;
-  mutable retransmits : int;
+  mutable source : Ipstack.Tcp.t option;
 }
 
 let tcp_flow ?(port = 80) ?app_rate_mb bed data =
   let open Ipstack in
   let sim = bed.sim and total = Bytes.length data in
-  let f = { received = 0; intact = true; finished_at = 0; retransmits = 0 } in
+  let f = { received = 0; intact = true; finished_at = 0; source = None } in
   let listener = Tcp.listen bed.server ~port in
   ignore
     (Proc.spawn ~name:"tcp-sink" sim (fun () ->
@@ -393,6 +379,7 @@ let tcp_flow ?(port = 80) ?app_rate_mb bed data =
          let conn =
            Tcp.connect bed.client ~dst:bed.server_addr ~dst_port:port ()
          in
+         f.source <- Some conn;
          let chunk = 8192 in
          let interval =
            match app_rate_mb with
@@ -412,9 +399,11 @@ let tcp_flow ?(port = 80) ?app_rate_mb bed data =
            Tcp.send conn (Bytes.sub data !sent len);
            sent := !sent + len
          done;
-         Tcp.close conn;
-         f.retransmits <- Tcp.retransmits conn));
+         Tcp.close conn));
   f
+
+let tcp_retransmits f =
+  Option.fold ~none:0 ~some:Ipstack.Tcp.retransmits f.source
 
 let tcp_goodput f = mb_per_s f.received f.finished_at
 

@@ -22,9 +22,6 @@ val mb_per_s : int -> Engine.Sim.time -> float
 val payload_of_size : Unet.Segment.Allocator.t -> int -> Unet.Desc.payload
 (** Inline for small sizes, a scatter-gather buffer list otherwise. *)
 
-val return_buffers : Cluster.node -> Unet.Endpoint.t -> Unet.Desc.rx -> unit
-(** Hand a received message's buffers back to the free queue. *)
-
 val raw_rtt :
   ?iters:int ->
   ?topology:Atm.Network.topology ->
@@ -129,8 +126,8 @@ type tcp_flow = {
   mutable intact : bool;  (** every byte read matched the payload *)
   mutable finished_at : Engine.Sim.time;
       (** when the sink read end of stream; 0 until then *)
-  mutable retransmits : int;
-      (** the source's retransmissions by the time it closed *)
+  mutable source : Ipstack.Tcp.t option;
+      (** the source's connection, once it has connected *)
 }
 
 val tcp_flow :
@@ -139,6 +136,10 @@ val tcp_flow :
     that connects from the client and writes the payload in 8 KB sends,
     paced to [app_rate_mb] (unlimited when omitted), then closes. The
     caller runs the simulation. *)
+
+val tcp_retransmits : tcp_flow -> int
+(** The source's retransmissions so far: read after the run, this counts
+    those of the last window, which come after the source has closed. *)
 
 val tcp_goodput : tcp_flow -> float
 (** Bytes read over the time to end of stream, in MB/s. *)

@@ -52,7 +52,7 @@ let run_contest ~mss ~total ~switch_cells =
       (fun (f : Common.tcp_flow) ->
         {
           goodput_mb = Common.tcp_goodput f;
-          retransmits = f.retransmits;
+          retransmits = Common.tcp_retransmits f;
           finished_at = f.finished_at;
         })
       [ f0; f1 ]

@@ -106,7 +106,7 @@ let run_tcp ~rate ~total =
       {
         goodput_mb =
           (if f.finished_at <= 0 then 0. else Common.tcp_goodput f);
-        retransmits = f.retransmits;
+        retransmits = Common.tcp_retransmits f;
         completed;
         intact = completed && f.intact;
         delivered = delivered_uplinks c;

@@ -104,99 +104,11 @@ let decapsulate frame =
   else
     Some (Buf.sub frame ~pos:encap_size ~len:(Buf.length frame - encap_size))
 
-let unet_side u ~mtu =
-  let block = mtu + 64 in
-  let seg_size = 2 * ip_buffer_count * block in
-  let ep =
-    match
-      Unet.create_endpoint u ~tx_slots:128 ~rx_slots:128
-        ~free_slots:(ip_buffer_count + 1) ~seg_size ()
-    with
-    | Ok ep -> ep
-    | Error e -> Fmt.invalid_arg "Iface.unet_pair: %a" Unet.pp_error e
-  in
-  let alloc = Unet.Segment.Allocator.create ep.segment ~block in
-  for _ = 1 to ip_buffer_count do
-    match Unet.Segment.Allocator.alloc alloc with
-    | Some (off, len) ->
-        (match Unet.provide_free_buffer u ep ~off ~len with
-        | Ok () -> ()
-        | Error e -> Fmt.invalid_arg "Iface.unet_pair: %a" Unet.pp_error e)
-    | None -> assert false
-  done;
-  (ep, alloc)
-
-let unet_transmit u (ep : Unet.Endpoint.t) alloc ~chan in_flight ~encap ?ctx
-    raw_pkt =
-  let pkt = if encap then encapsulate raw_pkt else raw_pkt in
-  (* reclaim transmit buffers whose descriptors the NI has consumed *)
-  let rec reap () =
-    match Queue.peek_opt in_flight with
-    | Some ((desc : Unet.Desc.tx), buf) when desc.injected ->
-        ignore (Queue.pop in_flight);
-        Unet.Segment.Allocator.free alloc buf;
-        reap ()
-    | _ -> ()
-  in
-  reap ();
-  (* IP packets always stage through communication-segment buffers (no
-     single-cell fast path: headers make even tiny datagrams multi-cell,
-     which is why U-Net UDP starts at 138 µs over the 120 µs base). *)
-  begin
-    let rec alloc_buf () =
-      reap ();
-      match Unet.Segment.Allocator.alloc alloc with
-      | Some b -> b
-      | None ->
-          (* all buffers still queued in the NI: wait for the doorbell *)
-          Proc.sleep (Unet.sim u) ~time:(Sim.us 5);
-          alloc_buf ()
-    in
-    let off, _blen = alloc_buf () in
-    (* stage the packet into the communication segment: the one mandatory
-       send-side copy of IP-over-U-Net *)
-    Unet.Segment.write_buf ~layer:"ip_tx" ep.segment ~off pkt;
-    let desc =
-      Unet.Desc.tx ?ctx ~chan (Unet.Desc.Buffers [ (off, Buf.length pkt) ])
-    in
-    match Unet.send u ep desc with
-    | Ok () -> Queue.add (desc, (off, _blen)) in_flight
-    | Error Unet.Queue_full ->
-        Unet.Segment.Allocator.free alloc (off, _blen)
-    | Error e -> Fmt.failwith "Iface: U-Net send: %a" Unet.pp_error e
-  end
-
-let start_unet_poller t u (ep : Unet.Endpoint.t) alloc ~encap =
+let unet_poller t u (ep : Unet.Endpoint.t) alloc ~encap =
   ignore
     (Proc.spawn ~name:"ip-poller" t.sim (fun () ->
          let rec loop () =
-           let rx = Unet.recv u ep in
-           let pkt =
-             match rx.Unet.Desc.rx_payload with
-             | Unet.Desc.Inline b -> b (* snapshot owned by the descriptor *)
-             | Unet.Desc.Buffers bufs ->
-                 (* materialize before the buffers go back on the free
-                    queue: the NI may refill them at any point after *)
-                 let pkt =
-                   Buf.copy ~layer:"ip_rx"
-                     (Buf.concat
-                        (List.map
-                           (fun (off, len) ->
-                             Unet.Segment.view ep.segment ~off ~len)
-                           bufs))
-                 in
-                 List.iter
-                   (fun (off, _len) ->
-                     match
-                       Unet.provide_free_buffer u ep ~off
-                         ~len:(Unet.Segment.Allocator.block_size alloc)
-                     with
-                     | Ok () -> ()
-                     | Error e ->
-                         Fmt.failwith "Iface: free return: %a" Unet.pp_error e)
-                   bufs;
-                 pkt
-           in
+           let pkt = Unet.take u ep alloc ~layer:"ip_rx" (Unet.recv u ep) in
            (if encap then
               match decapsulate pkt with
               | Some ip_pkt -> deliver t ip_pkt
@@ -210,16 +122,30 @@ let unet_pair ?(mtu = 9_000) ?(tx_queue = 64) ?(encapsulation = false) ua ub =
   let encap = encapsulation in
   let ta = make ~sim:(Unet.sim ua) ~cpu:(Unet.cpu ua) ~mtu ~tx_queue in
   let tb = make ~sim:(Unet.sim ub) ~cpu:(Unet.cpu ub) ~mtu ~tx_queue in
-  let ep_a, alloc_a = unet_side ua ~mtu in
-  let ep_b, alloc_b = unet_side ub ~mtu in
+  let side u =
+    let block = mtu + 64 in
+    Unet.open_endpoint u ~tx_slots:128 ~rx_slots:128
+      ~free_slots:(ip_buffer_count + 1) ~seg_size:(2 * ip_buffer_count * block)
+      ~block ~post:ip_buffer_count ()
+  in
+  let ep_a, alloc_a = side ua in
+  let ep_b, alloc_b = side ub in
   let ch_a, ch_b = Unet.connect_pair (ua, ep_a) (ub, ep_b) in
-  let fl_a = Queue.create () and fl_b = Queue.create () in
-  ta.transmit <-
-    (fun ctx pkt -> unet_transmit ua ep_a alloc_a ~chan:ch_a fl_a ~encap ?ctx pkt);
-  tb.transmit <-
-    (fun ctx pkt -> unet_transmit ub ep_b alloc_b ~chan:ch_b fl_b ~encap ?ctx pkt);
-  start_unet_poller ta ua ep_a alloc_a ~encap;
-  start_unet_poller tb ub ep_b alloc_b ~encap;
+  (* IP packets always stage through communication-segment buffers (no
+     single-cell fast path: headers make even tiny datagrams multi-cell,
+     which is why U-Net UDP starts at 138 µs over the 120 µs base); a
+     packet the full send queue refuses is dropped *)
+  let wire t u ep alloc ~chan =
+    let st =
+      Unet.stager u ep alloc ~layer:"ip_tx" ~wait:(Sim.us 5) ~on_full:`Drop
+    in
+    t.transmit <-
+      (fun ctx pkt ->
+        Unet.stage st ?ctx ~chan (if encap then encapsulate pkt else pkt));
+    unet_poller t u ep alloc ~encap
+  in
+  wire ta ua ep_a alloc_a ~chan:ch_a;
+  wire tb ub ep_b alloc_b ~chan:ch_b;
   (ta, tb)
 
 (* ------------------------------------------------------------------ *)

@@ -68,15 +68,7 @@ let parse_direct_prefix payload =
 (* A descriptor's payload as a zero-copy view over the communication
    segment; the DMA happens in one burst in [process_desc]. *)
 let gather (ep : Unet.Endpoint.t) (desc : Unet.Desc.tx) =
-  let data =
-    match desc.tx_payload with
-    | Unet.Desc.Inline b -> b
-    | Unet.Desc.Buffers ranges ->
-        Buf.concat
-          (List.map
-             (fun (off, len) -> Unet.Segment.view ep.segment ~off ~len)
-             ranges)
-  in
+  let data = Unet.gather_payload ep desc.tx_payload in
   if ep.direct_access then add_direct_prefix desc.dest_offset data else data
 
 let rec pump_next t =

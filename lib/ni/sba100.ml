@@ -222,15 +222,7 @@ let do_send t (ep : Unet.Endpoint.t) =
       match Unet.Endpoint.find_channel ep desc.chan with
       | None -> ()
       | Some chan ->
-          let data =
-            match desc.tx_payload with
-            | Unet.Desc.Inline b -> b
-            | Unet.Desc.Buffers ranges ->
-                Buf.concat
-                  (List.map
-                     (fun (off, len) -> Unet.Segment.view ep.segment ~off ~len)
-                     ranges)
-          in
+          let data = Unet.gather_payload ep desc.tx_payload in
           Span.mark desc.ctx Span.Nic_tx;
           let cells =
             Atm.Aal5.segment ?ctx:desc.ctx ~vci:chan.Unet.Channel.tx_vci data

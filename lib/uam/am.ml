@@ -123,24 +123,13 @@ let create ?(config = default_config) u ~rank ~nodes =
   let nbuffers = 4 * config.window * npeers in
   let seg_size = (nbuffers + 2) * block in
   let slots = max 64 (4 * config.window * npeers) in
-  let ep =
-    match
-      Unet.create_endpoint u ~tx_slots:slots ~rx_slots:slots ~free_slots:slots
-        ~seg_size ()
-    with
-    | Ok ep -> ep
-    | Error e -> Fmt.invalid_arg "Uam.create: %a" Unet.pp_error e
+  (* the receive half of the buffers goes on the free queue *)
+  let ep, alloc =
+    Unet.open_endpoint u ~tx_slots:slots ~rx_slots:slots ~free_slots:slots
+      ~seg_size ~block
+      ~post:(2 * config.window * npeers)
+      ()
   in
-  let alloc = Unet.Segment.Allocator.create ep.segment ~block in
-  (* post the receive half of the buffers to the free queue *)
-  for _ = 1 to 2 * config.window * npeers do
-    match Unet.Segment.Allocator.alloc alloc with
-    | Some (off, len) -> (
-        match Unet.provide_free_buffer u ep ~off ~len with
-        | Ok () -> ()
-        | Error e -> Fmt.invalid_arg "Uam.create: %a" Unet.pp_error e)
-    | None -> assert false
-  done;
   {
     cfg = config;
     u;
@@ -508,33 +497,11 @@ let peer_of_chan t chan =
   | Some p -> p
   | None -> Fmt.failwith "Uam: message on unknown channel %d" chan
 
-let read_message t (d : Unet.Desc.rx) =
-  match d.rx_payload with
-  | Unet.Desc.Inline b -> b (* snapshot owned by the descriptor *)
-  | Unet.Desc.Buffers bufs ->
-      (* materialize before the buffers go back on the free queue — the
-         handler (and anything it retains) must not see them refilled *)
-      let out =
-        Buf.copy ~layer:"uam_rx"
-          (Buf.concat
-             (List.map
-                (fun (off, len) -> Unet.Segment.view t.ep.segment ~off ~len)
-                bufs))
-      in
-      List.iter
-        (fun (off, _len) ->
-          match
-            Unet.provide_free_buffer t.u t.ep ~off
-              ~len:(Unet.Segment.Allocator.block_size t.alloc)
-          with
-          | Ok () -> ()
-          | Error e -> Fmt.failwith "Uam: free-buffer return: %a" Unet.pp_error e)
-        bufs;
-      out
-
 let process_one t (rx : Unet.Desc.rx) =
   let p = peer_of_chan t rx.src_chan in
-  let d = decode (read_message t rx) in
+  (* the handler (and anything it retains) must not see the receive
+     buffers refilled *)
+  let d = decode (Unet.take t.u t.ep t.alloc ~layer:"uam_rx" rx) in
   (* any arrival — data, duplicate, or bare ACK — proves the peer->us
      direction alive, which is what exonerates it from the stall watchdog *)
   if Recorder.armed () then

@@ -30,15 +30,27 @@ type backend = {
 type kemu = {
   kep : Endpoint.t; (* the single real endpoint *)
   kalloc : Segment.Allocator.t;
+  kstage : stager; (* outbound messages too big for a descriptor *)
   kmbox : Endpoint.t Sync.Mailbox.t; (* one entry per posted descriptor *)
   kdemux : (Channel.id, Endpoint.t * Channel.id) Hashtbl.t;
       (* kernel chan -> (emulated endpoint, its channel id) *)
   ktx : (int * Channel.id, Channel.id) Hashtbl.t;
       (* (emulated ep id, emulated chan) -> kernel chan *)
-  k_in_flight : (Desc.tx * (int * int) list) Queue.t;
 }
 
-type t = {
+(* Sends staged into blocks of [s_alloc], each held until the NI has
+   injected its descriptor. *)
+and stager = {
+  s_unet : t;
+  s_ep : Endpoint.t;
+  s_alloc : Segment.Allocator.t;
+  s_layer : string; (* the staging copy's layer *)
+  s_wait : Sim.time; (* re-poll while every block is in flight *)
+  s_retry : bool; (* re-poll a full send queue, or drop the message *)
+  s_in_flight : (Desc.tx * (int * int) list) Queue.t;
+}
+
+and t = {
   cpu : Host.Cpu.t;
   net : Atm.Network.t;
   host : int;
@@ -338,29 +350,129 @@ let enable_upcalls t (ep : Endpoint.t) =
   if not (Ring.is_empty ep.rx_ring) then Endpoint.fire_upcalls ep ~was_empty:true
 
 (* ------------------------------------------------------------------ *)
-(* The kernel multiplexor for emulated endpoints (§3.5).               *)
+(* The process's buffer duties (§3): post receive buffers, take a
+   received message out of its buffers, and stage sends into blocks that
+   come back once the NI has injected them. *)
 
-let kemu_block = 4_160
-let kemu_pool = 64 (* blocks in the kernel endpoint's segment *)
-let kemu_rx_buffers = 32 (* posted to the kernel endpoint's free queue *)
+let open_endpoint t ?emulated ?direct_access ?tx_slots ?rx_slots ~free_slots
+    ~seg_size ~block ~post () =
+  let fail e = Fmt.invalid_arg "Unet.open_endpoint: %a" pp_error e in
+  match
+    create_endpoint t ?emulated ?direct_access ?tx_slots ?rx_slots ~free_slots
+      ~seg_size ()
+  with
+  | Error e -> fail e
+  | Ok ep ->
+      let alloc = Segment.Allocator.create ep.segment ~block in
+      for _ = 1 to post do
+        match Segment.Allocator.alloc alloc with
+        | Some (off, len) -> (
+            match provide_free_buffer t ep ~off ~len with
+            | Ok () -> ()
+            | Error e -> fail e)
+        | None ->
+            invalid_arg
+              "Unet.open_endpoint: segment too small for the receive buffers"
+      done;
+      (ep, alloc)
 
-(* a descriptor's payload as a zero-copy view over the endpoint's segment *)
 let gather_payload (ep : Endpoint.t) = function
   | Desc.Inline b -> b
   | Desc.Buffers ranges ->
       Buf.concat
         (List.map (fun (off, len) -> Segment.view ep.segment ~off ~len) ranges)
 
-let kemu_reap k =
-  let rec go () =
-    match Queue.peek_opt k.k_in_flight with
-    | Some ((desc : Desc.tx), bufs) when desc.injected ->
-        ignore (Queue.pop k.k_in_flight);
-        List.iter (Segment.Allocator.free k.kalloc) bufs;
-        go ()
-    | _ -> ()
+(* hand each received buffer back whole, at the allocator's block size *)
+let rec return_blocks who t ep ~block = function
+  | [] -> ()
+  | (off, _) :: rest ->
+      (match provide_free_buffer t ep ~off ~len:block with
+      | Ok () -> ()
+      | Error e -> Fmt.failwith "%s: %a" who pp_error e);
+      return_blocks who t ep ~block rest
+
+let take t ep alloc ~layer (d : Desc.rx) =
+  match d.rx_payload with
+  | Desc.Inline b -> b (* a snapshot owned by the descriptor *)
+  | Desc.Buffers bufs ->
+      (* copy out before the buffers go back on the free queue: the NI may
+         refill them at any point after *)
+      let data = Buf.copy ~layer (gather_payload ep d.rx_payload) in
+      return_blocks "Unet.take" t ep
+        ~block:(Segment.Allocator.block_size alloc)
+        bufs;
+      data
+
+let release t ep alloc (d : Desc.rx) =
+  match d.rx_payload with
+  | Desc.Inline _ -> ()
+  | Desc.Buffers bufs ->
+      return_blocks "Unet.release" t ep
+        ~block:(Segment.Allocator.block_size alloc)
+        bufs
+
+let stager t ep alloc ~layer ~wait ~on_full =
+  {
+    s_unet = t;
+    s_ep = ep;
+    s_alloc = alloc;
+    s_layer = layer;
+    s_wait = wait;
+    s_retry = (on_full = `Retry);
+    s_in_flight = Queue.create ();
+  }
+
+(* take back the blocks of every send the NI has injected, oldest first *)
+let rec reap s =
+  match Queue.peek_opt s.s_in_flight with
+  | Some ((desc : Desc.tx), bufs) when desc.injected ->
+      ignore (Queue.pop s.s_in_flight);
+      List.iter (Segment.Allocator.free s.s_alloc) bufs;
+      reap s
+  | _ -> ()
+
+(* false when the send queue is full and the stager drops *)
+let rec push s desc =
+  match send s.s_unet s.s_ep desc with
+  | Ok () -> true
+  | Error Queue_full when s.s_retry ->
+      Proc.sleep (sim s.s_unet) ~time:s.s_wait;
+      push s desc
+  | Error Queue_full -> false
+  | Error e -> Fmt.failwith "Unet.stage: %a" pp_error e
+
+let stage s ?ctx ~chan data =
+  let len = Buf.length data in
+  (* at least one block; when all are in flight, wait for the NI *)
+  let rec take_blocks acc got =
+    if got >= len && acc <> [] then List.rev acc
+    else begin
+      reap s;
+      match Segment.Allocator.alloc s.s_alloc with
+      | Some ((_, blen) as b) -> take_blocks (b :: acc) (got + blen)
+      | None ->
+          Proc.sleep (sim s.s_unet) ~time:s.s_wait;
+          take_blocks acc got
+    end
   in
-  go ()
+  let bufs = take_blocks [] 0 in
+  let pos = ref 0 in
+  let ranges =
+    List.map
+      (fun (off, blen) ->
+        let n = min blen (len - !pos) in
+        Segment.write_buf ~layer:s.s_layer s.s_ep.segment ~off
+          (Buf.sub data ~pos:!pos ~len:n);
+        pos := !pos + n;
+        (off, n))
+      bufs
+  in
+  let desc = Desc.tx ?ctx ~chan (Desc.Buffers ranges) in
+  if push s desc then Queue.add (desc, bufs) s.s_in_flight
+  else List.iter (Segment.Allocator.free s.s_alloc) bufs
+
+(* ------------------------------------------------------------------ *)
+(* The kernel multiplexor for emulated endpoints (§3.5).               *)
 
 (* the kernel's transmit side: drain one emulated descriptor through the
    shared real endpoint *)
@@ -376,85 +488,21 @@ let kemu_tx t k (ep : Endpoint.t) =
           Host.Cpu.charge ~layer:"kernel" t.cpu t.backend.kernel_op_ns;
           Host.Cpu.charge_copy t.cpu ~bytes:(Buf.length data);
           desc.injected <- true;
-          let rec take_bufs acc got =
-            if got >= Buf.length data then List.rev acc
-            else begin
-              kemu_reap k;
-              match Segment.Allocator.alloc k.kalloc with
-              | Some (off, blen) ->
-                  take_bufs ((off, blen) :: acc) (got + blen)
-              | None ->
-                  (* staging buffers all in flight: wait for the NI *)
-                  Proc.sleep (sim t) ~time:(Sim.us 10);
-                  take_bufs acc got
-            end
-          in
           if Buf.length data <= Desc.inline_max then begin
             (* snapshot out of the emulated segment: the descriptor may
                outlive the application's reuse of that memory *)
             let staged = Buf.copy ~layer:"kernel" data in
-            let rec push () =
-              match
-                send t k.kep
-                  (Desc.tx ?ctx:desc.ctx ~chan:kchan (Desc.Inline staged))
-              with
-              | Ok () -> ()
-              | Error Queue_full ->
-                  Proc.sleep (sim t) ~time:(Sim.us 10);
-                  push ()
-              | Error e -> Fmt.failwith "kernel mux tx: %a" pp_error e
-            in
-            push ()
+            ignore
+              (push k.kstage
+                 (Desc.tx ?ctx:desc.ctx ~chan:kchan (Desc.Inline staged))
+                : bool)
           end
-          else begin
-            let bufs = take_bufs [] 0 in
-            let pos = ref 0 in
-            let ranges =
-              List.map
-                (fun (off, blen) ->
-                  let n = min blen (Buf.length data - !pos) in
-                  Segment.write_buf ~layer:"kernel" k.kep.segment ~off
-                    (Buf.sub data ~pos:!pos ~len:n);
-                  pos := !pos + n;
-                  (off, n))
-                bufs
-            in
-            let kdesc =
-              Desc.tx ?ctx:desc.ctx ~chan:kchan (Desc.Buffers ranges)
-            in
-            let rec push () =
-              match send t k.kep kdesc with
-              | Ok () -> Queue.add (kdesc, bufs) k.k_in_flight
-              | Error Queue_full ->
-                  Proc.sleep (sim t) ~time:(Sim.us 10);
-                  push ()
-              | Error e -> Fmt.failwith "kernel mux tx: %a" pp_error e
-            in
-            push ()
-          end)
+          else stage k.kstage ?ctx:desc.ctx ~chan:kchan data)
 
 (* the kernel's receive side: demultiplex arriving messages back to the
    owning emulated endpoint, with a copy into its segment *)
 let kemu_rx t k (d : Desc.rx) =
-  let data =
-    match d.rx_payload with
-    | Desc.Inline b -> b
-    | Desc.Buffers bufs ->
-        (* snapshot out of the kernel segment before the buffers go back on
-           the free queue and get overwritten by later arrivals *)
-        let data =
-          Buf.copy ~layer:"kernel"
-            (Buf.concat
-               (List.map
-                  (fun (off, len) -> Segment.view k.kep.segment ~off ~len)
-                  bufs))
-        in
-        List.iter
-          (fun (off, _) ->
-            ignore (provide_free_buffer t k.kep ~off ~len:kemu_block))
-          bufs;
-        data
-  in
+  let data = take t k.kep k.kalloc ~layer:"kernel" d in
   match Hashtbl.find_opt k.kdemux d.src_chan with
   | None ->
       Mux.rx_dropped ?ctx:d.ctx "unknown_channel";
@@ -470,37 +518,20 @@ let ensure_kemu t =
   match t.kemu with
   | Some k -> k
   | None ->
-      let kep =
-        match
-          create_endpoint t ~tx_slots:128 ~rx_slots:128
-            ~free_slots:(kemu_rx_buffers + 1)
-            ~seg_size:(kemu_pool * kemu_block)
-            ()
-        with
-        | Ok ep -> ep
-        | Error e ->
-            Fmt.failwith
-              "U-Net: cannot create the kernel's real endpoint for emulated \
-               endpoints: %a"
-              pp_error e
+      let kep, kalloc =
+        open_endpoint t ~tx_slots:128 ~rx_slots:128 ~free_slots:33
+          ~seg_size:(64 * 4_160) ~block:4_160 ~post:32 ()
       in
-      let kalloc = Segment.Allocator.create kep.segment ~block:kemu_block in
-      for _ = 1 to kemu_rx_buffers do
-        match Segment.Allocator.alloc kalloc with
-        | Some (off, len) ->
-            (match provide_free_buffer t kep ~off ~len with
-            | Ok () -> ()
-            | Error e -> Fmt.failwith "kernel mux: %a" pp_error e)
-        | None -> assert false
-      done;
       let k =
         {
           kep;
           kalloc;
+          kstage =
+            stager t kep kalloc ~layer:"kernel" ~wait:(Sim.us 10)
+              ~on_full:`Retry;
           kmbox = Sync.Mailbox.create (sim t);
           kdemux = Hashtbl.create 16;
           ktx = Hashtbl.create 16;
-          k_in_flight = Queue.create ();
         }
       in
       ignore

@@ -114,6 +114,69 @@ val provide_free_buffer :
 (** Hand a receive buffer (a range of the communication segment) to the NI
     via the free queue. *)
 
+(** {2 Buffer duties}
+
+    The buffer discipline a process keeps inside its segment (§3): post
+    receive buffers from a fixed-block allocator, copy a received message
+    out before handing its buffers back, and stage each send into blocks
+    it takes back once the NI has injected the message. Each helper raises
+    on a U-Net error, naming itself. *)
+
+val open_endpoint :
+  t ->
+  ?emulated:bool ->
+  ?direct_access:bool ->
+  ?tx_slots:int ->
+  ?rx_slots:int ->
+  free_slots:int ->
+  seg_size:int ->
+  block:int ->
+  post:int ->
+  unit ->
+  Endpoint.t * Segment.Allocator.t
+(** {!create_endpoint}, a [block]-byte allocator over its segment, and
+    [post] of its blocks on the free queue; the other blocks are the
+    process's send buffers. Raises [Invalid_argument] when the endpoint
+    cannot be created or its segment holds fewer than [post] blocks. *)
+
+val gather_payload : Endpoint.t -> Desc.payload -> Engine.Buf.t
+(** A descriptor's payload as a zero-copy view over the endpoint's
+    segment; inline bytes as they are. *)
+
+val take :
+  t -> Endpoint.t -> Segment.Allocator.t -> layer:string -> Desc.rx ->
+  Engine.Buf.t
+(** A received message as bytes it owns. Its buffers are copied out,
+    counted under [buf_copies_total{layer}], then go back on the free
+    queue at the allocator's block size, where later arrivals may refill
+    them. An inline payload is already a snapshot and is returned as is. *)
+
+val release : t -> Endpoint.t -> Segment.Allocator.t -> Desc.rx -> unit
+(** Hand a received message's buffers back to the free queue, at the
+    allocator's block size, without copying them out. *)
+
+type stager
+(** Sends staged into an allocator's blocks, each block held until the NI
+    has injected the message that uses it. *)
+
+val stager :
+  t ->
+  Endpoint.t ->
+  Segment.Allocator.t ->
+  layer:string ->
+  wait:Engine.Sim.time ->
+  on_full:[ `Drop | `Retry ] ->
+  stager
+(** [layer] names the staging copy; [wait] is the re-poll interval while
+    every block is in flight. On a full send queue the message is dropped
+    ([`Drop]) or re-sent every [wait] until it fits ([`Retry]). *)
+
+val stage :
+  stager -> ?ctx:Engine.Span.ctx -> chan:Channel.id -> Engine.Buf.t -> unit
+(** Copy the message into as many free blocks as it needs (at least one),
+    first taking back the blocks of injected sends, and post it on [chan].
+    Blocks the process while no block is free. *)
+
 val set_upcall : t -> Endpoint.t -> Endpoint.upcall_cond -> (unit -> unit) -> unit
 
 val disable_upcalls : t -> Endpoint.t -> unit

@@ -103,38 +103,12 @@ let prop_wire_order =
 
 (* --- multi-stage train fast path: flags-off invisibility -------------- *)
 
-let strip_event_counters dump =
-  String.split_on_char '\n' dump
-  |> List.filter (fun line ->
-         not
-           (String.length line >= 16
-           && String.sub line 0 16 = "sim_events_total"))
-  |> String.concat "\n"
-
-let both_modes f =
-  let run forced =
-    Metrics.reset ();
-    Trainmode.force_per_cell forced;
-    let fired0 = Sim.events_fired () in
-    (try f ()
-     with e ->
-       Trainmode.force_per_cell false;
-       raise e);
-    Trainmode.force_per_cell false;
-    Metrics.flush ();
-    ( strip_event_counters (Metrics.to_prometheus_string ()),
-      Sim.events_fired () - fired0 )
-  in
-  let train = run false in
-  let percell = run true in
-  (train, percell)
-
 (* fig3-style round trips between cross-pod hosts: every PDU crosses three
    stages in each direction, and the analytic trains must reproduce the
    per-cell reference byte-for-byte. *)
 let clos_differential_rtt () =
   let (train_dump, _), (percell_dump, _) =
-    both_modes (fun () ->
+    Differential.both_modes (fun () ->
         ignore
           (Experiments.Common.raw_rtt ~iters:20 ~size:1024 ~topology:clos2
              ~pair:(0, 3) ()
@@ -145,7 +119,7 @@ let clos_differential_rtt () =
 
 let clos_differential_bandwidth () =
   let (train_dump, train_fired), (percell_dump, percell_fired) =
-    both_modes (fun () ->
+    Differential.both_modes (fun () ->
         ignore
           (Experiments.Common.raw_bandwidth ~count:30 ~size:5056
              ~topology:clos2 ~pair:(0, 3) ()

@@ -531,89 +531,6 @@ let test_iface_tx_drops () =
   Sim.run ~until:(Sim.ms 100) sim;
   checkb "device queue dropped silently (§7.4)" true (Iface.tx_drops ifa > 0)
 
-(* --- flow demultiplexing (§7.1 extension) ----------------------------- *)
-
-let flow_pair () =
-  let c = Cluster.create () in
-  let a, b =
-    Flow_demux.pair (Cluster.node c 0).unet (Cluster.node c 1).unet
-      ~local_addr:10 ~remote_addr:20
-  in
-  (c, a, b)
-
-let test_flow_demux_routing () =
-  let c, a, b = flow_pair () in
-  let at7 = ref [] and at9 = ref [] in
-  Flow_demux.register_flow b ~flow_id:7 (fun ~src data ->
-      at7 := (src, Bytes.to_string data) :: !at7);
-  Flow_demux.register_flow b ~flow_id:9 (fun ~src:_ data ->
-      at9 := (0, Bytes.to_string data) :: !at9);
-  ignore
-    (Proc.spawn c.sim (fun () ->
-         Flow_demux.send a ~flow_id:7 (Bytes.of_string "seven");
-         Flow_demux.send a ~flow_id:9 (Bytes.of_string "nine");
-         Flow_demux.send a ~flow_id:7 (Bytes.of_string "seven-again")));
-  Sim.run c.sim;
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
-    "flow 7 in order with source address"
-    [ (10, "seven"); (10, "seven-again") ]
-    (List.rev !at7);
-  checki "flow 9 got one" 1 (List.length !at9);
-  checki "all delivered to flows" 3 (Flow_demux.delivered b);
-  checki "no kernel fallbacks" 0 (Flow_demux.kernel_fallbacks b)
-
-let test_flow_demux_kernel_fallback () =
-  let c, a, b = flow_pair () in
-  let kernel_saw = ref [] in
-  Flow_demux.set_kernel_handler b (fun ~flow_id ~src:_ _ ->
-      kernel_saw := flow_id :: !kernel_saw);
-  Flow_demux.register_flow b ~flow_id:1 (fun ~src:_ _ -> ());
-  ignore
-    (Proc.spawn c.sim (fun () ->
-         Flow_demux.send a ~flow_id:1 (Bytes.create 8);
-         Flow_demux.send a ~flow_id:99 (Bytes.create 8);
-         Flow_demux.send a ~flow_id:42 (Bytes.create 2000)));
-  Sim.run c.sim;
-  checki "one resolved locally" 1 (Flow_demux.delivered b);
-  checki "two fell through to the kernel endpoint" 2
-    (Flow_demux.kernel_fallbacks b);
-  check (Alcotest.list Alcotest.int) "kernel saw the unresolved tags"
-    [ 99; 42 ] (List.rev !kernel_saw)
-
-let test_flow_demux_fallback_costs () =
-  (* the kernel fallback pays a system call; a registered flow does not *)
-  let measure registered =
-    let c, a, b = flow_pair () in
-    if registered then Flow_demux.register_flow b ~flow_id:5 (fun ~src:_ _ -> ());
-    let t_done = ref 0 in
-    ignore
-      (Proc.spawn c.sim (fun () ->
-           for _ = 1 to 20 do
-             Flow_demux.send a ~flow_id:5 (Bytes.create 1000)
-           done));
-    ignore
-      (Sim.schedule c.sim ~delay:(Sim.ms 50) (fun () -> t_done := 0));
-    Sim.run c.sim;
-    Host.Cpu.busy_time (Cluster.node c 1).cpu
-  in
-  let fast = measure true and slow = measure false in
-  checkb
-    (Printf.sprintf "kernel path busier (%d vs %d ns)" slow fast)
-    true
-    (slow > fast + 19 * 20_000)
-
-let test_flow_demux_duplicate_flow () =
-  let _, _, b = flow_pair () in
-  Flow_demux.register_flow b ~flow_id:7 (fun ~src:_ _ -> ());
-  checkb "duplicate registration rejected" true
-    (try
-       Flow_demux.register_flow b ~flow_id:7 (fun ~src:_ _ -> ());
-       false
-     with Invalid_argument _ -> true);
-  Flow_demux.unregister_flow b ~flow_id:7;
-  Flow_demux.register_flow b ~flow_id:7 (fun ~src:_ _ -> ())
-
 let () =
   Alcotest.run "ipstack"
     [
@@ -666,12 +583,5 @@ let () =
         [
           Alcotest.test_case "fragmentation" `Quick test_framed_fragmentation;
           Alcotest.test_case "tx drops" `Quick test_iface_tx_drops;
-        ] );
-      ( "flow-demux",
-        [
-          Alcotest.test_case "routing" `Quick test_flow_demux_routing;
-          Alcotest.test_case "kernel fallback" `Quick test_flow_demux_kernel_fallback;
-          Alcotest.test_case "fallback costs" `Quick test_flow_demux_fallback_costs;
-          Alcotest.test_case "duplicate flow" `Quick test_flow_demux_duplicate_flow;
         ] );
     ]

@@ -23,7 +23,7 @@ let sketch_bounds () =
   checki "count is exact" n (Metrics.Sketch.count s);
   Alcotest.(check (float 1e-6)) "max is exact" sorted.(n - 1)
     (Metrics.Sketch.max s);
-  let tol = (Metrics.Sketch.alpha s *. 1.1) +. 1e-9 in
+  let tol = (Metrics.Sketch.alpha *. 1.1) +. 1e-9 in
   List.iter
     (fun q ->
       let want = exact q and got = Metrics.Sketch.quantile s q in

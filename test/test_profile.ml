@@ -162,6 +162,39 @@ let test_batch_refunds () =
   checkb "the per-cell run fires more" true (per_cell_events > events);
   Alcotest.(check string) "folded profile equals the per-cell run's" cell train
 
+(* The same three checks on [fig8 --quick]: with the profiler and the
+   flight recorder on, the run fires the flags-off events, its folded
+   profile equals the per-cell run's, and no post-mortem bundle is
+   written. *)
+let test_fig8_fast_path () =
+  let fig8 = Option.get (Experiments.Registry.find "fig8") in
+  let run () =
+    let fired0 = Sim.events_fired () in
+    ignore (fig8.run ~quick:true : Experiments.Registry.outcome);
+    Sim.events_fired () - fired0
+  in
+  let flags_off = run () in
+  let observed per_cell =
+    let dir = Filename.temp_file "fig8-pm" "" in
+    Sys.remove dir;
+    Trainmode.force_per_cell per_cell;
+    Recorder.start ~dir ();
+    Fun.protect
+      ~finally:(fun () ->
+        Recorder.stop ();
+        Trainmode.force_per_cell false)
+      (fun () ->
+        with_profile @@ fun () ->
+        let events = run () in
+        checki "no post-mortem trigger" 0 (Recorder.trigger_count ());
+        checkb "no post-mortem bundle" false (Sys.file_exists dir);
+        (events, Profile.(to_folded_string Virtual)))
+  in
+  let events, train = observed false in
+  let _, cell = observed true in
+  checki "profile + recorder fire the flags-off events" flags_off events;
+  Alcotest.(check string) "folded profile equals the per-cell run's" cell train
+
 (* --- timeseries sampling --------------------------------------------- *)
 
 let with_timeseries f =
@@ -271,6 +304,8 @@ let () =
             (balanced_run "fig5");
           Alcotest.test_case "batch refunds keep the fast path" `Quick
             test_batch_refunds;
+          Alcotest.test_case "fig8: profiler and recorder keep the fast path"
+            `Quick test_fig8_fast_path;
         ] );
       ( "timeseries",
         [

@@ -6,36 +6,8 @@
 
 open Engine
 
-(* sim_events_total{outcome=...} is the one family the fast path is
-   allowed (expected) to change. *)
-let strip_event_counters dump =
-  String.split_on_char '\n' dump
-  |> List.filter (fun line ->
-         not (String.length line >= 16 && String.sub line 0 16 = "sim_events_total"))
-  |> String.concat "\n"
-
-(* Run [f] once per mode from a clean registry and return each mode's
-   stripped Prometheus dump plus the events it fired. *)
-let both_modes f =
-  let run forced =
-    Metrics.reset ();
-    Trainmode.force_per_cell forced;
-    let fired0 = Sim.events_fired () in
-    (try f ()
-     with e ->
-       Trainmode.force_per_cell false;
-       raise e);
-    Trainmode.force_per_cell false;
-    Metrics.flush ();
-    (strip_event_counters (Metrics.to_prometheus_string ()),
-     Sim.events_fired () - fired0)
-  in
-  let train = run false in
-  let percell = run true in
-  (train, percell)
-
 let check_identical name f =
-  let (train_dump, _), (percell_dump, _) = both_modes f in
+  let (train_dump, _), (percell_dump, _) = Differential.both_modes f in
   Alcotest.(check string) (name ^ ": metrics train = per-cell") percell_dump
     train_dump
 
@@ -59,7 +31,7 @@ let store_style () =
    vacuously equivalent because nothing ever trained. *)
 let fast_path_engages () =
   let (_, train_fired), (_, percell_fired) =
-    both_modes (fun () ->
+    Differential.both_modes (fun () ->
         ignore (Experiments.Common.raw_bandwidth ~count:30 ~size:5056 () : float))
   in
   Alcotest.(check bool)
@@ -75,7 +47,7 @@ let prop_sizes =
     QCheck.(map (fun n -> 40 + (n mod 5017)) small_nat)
     (fun size ->
       let (train_dump, _), (percell_dump, _) =
-        both_modes (fun () ->
+        Differential.both_modes (fun () ->
             ignore
               (Experiments.Common.raw_bandwidth ~count:10 ~size () : float))
       in
@@ -95,7 +67,7 @@ let faulty_pair_run () =
   let send_flow src dst count =
     let n_src = Cluster.node c src and n_dst = Cluster.node c dst in
     let ep_s, a_s = Cluster.simple_endpoint ~free_buffers:4 n_src in
-    let ep_d, _ =
+    let ep_d, a_d =
       Cluster.simple_endpoint ~free_buffers:56 ~rx_slots:128 n_dst
     in
     let ch, _ = Unet.connect_pair (n_src.unet, ep_s) (n_dst.unet, ep_d) in
@@ -105,7 +77,7 @@ let faulty_pair_run () =
            (* the lossy flow drops PDUs: drain whatever arrives *)
            while true do
              let d = Unet.recv n_dst.unet ep_d in
-             Experiments.Common.return_buffers n_dst ep_d d
+             Unet.release n_dst.unet ep_d a_d d
            done));
     ignore
       (Proc.spawn ~name:"source" c.sim (fun () ->
@@ -123,7 +95,7 @@ let faulty_pair_run () =
 
 let fault_expansion () =
   let (train_dump, train_fired), (percell_dump, percell_fired) =
-    both_modes faulty_pair_run
+    Differential.both_modes faulty_pair_run
   in
   (* expansion is exact: same deliveries, same drops, same everything *)
   Alcotest.(check string) "faulty run: metrics train = per-cell" percell_dump
@@ -165,7 +137,7 @@ let stream_run ~count ~peak () =
   let net = c.Cluster.net in
   let n_src = Cluster.node c 0 and n_dst = Cluster.node c 1 in
   let ep_s, a_s = Cluster.simple_endpoint ~free_buffers:4 n_src in
-  let ep_d, _ = Cluster.simple_endpoint ~free_buffers:56 ~rx_slots:128 n_dst in
+  let ep_d, a_d = Cluster.simple_endpoint ~free_buffers:56 ~rx_slots:128 n_dst in
   let ch, _ = Unet.connect_pair (n_src.unet, ep_s) (n_dst.unet, ep_d) in
   let payload = Experiments.Common.payload_of_size a_s 1024 in
   let received = ref 0 in
@@ -173,7 +145,7 @@ let stream_run ~count ~peak () =
     (Proc.spawn ~name:"sink" c.sim (fun () ->
          while true do
            let d = Unet.recv n_dst.unet ep_d in
-           Experiments.Common.return_buffers n_dst ep_d d;
+           Unet.release n_dst.unet ep_d a_d d;
            incr received
          done));
   ignore
@@ -208,7 +180,7 @@ let run_length_independent () =
   (* the per-cell run plans nothing, so the peak is the train run's *)
   let peak = ref 0 in
   let (train_dump, train_fired), (percell_dump, percell_fired) =
-    both_modes (stream_run ~count ~peak)
+    Differential.both_modes (stream_run ~count ~peak)
   in
   Alcotest.(check bool)
     (Printf.sprintf "the stream trained (train %d vs per-cell %d events)"

@@ -720,6 +720,78 @@ let test_cell_loss_discards_whole_messages () =
   checkb "some messages lost" true (ep1.rx_delivered < 100);
   checkb "most messages still arrive" true (ep1.rx_delivered > 10)
 
+(* --- buffer duties --------------------------------------------------- *)
+
+(* every data-path copy so far, over all layers *)
+let copies_total () =
+  String.split_on_char '\n' (Metrics.to_prometheus_string ())
+  |> List.filter (fun l ->
+         String.length l > 17 && String.sub l 0 17 = "buf_copies_total{")
+  |> List.fold_left
+       (fun acc l ->
+         acc + int_of_string (List.nth (String.split_on_char ' ' l) 1))
+       0
+
+(* Three 3000-byte messages reach a receiver with two free buffers, 1 ms
+   apart. The first is taken (copied out), the second released. The third
+   lands in the buffer the first was taken from, and the taken copy stays
+   intact. *)
+let test_take_and_release () =
+  with_pair (fun c n0 n1 ->
+      let ep0, a0 = Cluster.simple_endpoint n0 in
+      let ep1, a1 = Cluster.simple_endpoint ~free_buffers:2 n1 in
+      let ch0, _ = Unet.connect_pair (n0.unet, ep0) (n1.unet, ep1) in
+      let msg i = Bytes.make 3000 (Char.chr (Char.code 'a' + i)) in
+      ignore
+        (Proc.spawn c.sim (fun () ->
+             for i = 0 to 2 do
+               let off, _ = Option.get (Unet.Segment.Allocator.alloc a0) in
+               Unet.Segment.write ep0.segment ~off ~src:(msg i) ~src_pos:0
+                 ~len:3000;
+               ignore
+                 (Unet.send n0.unet ep0
+                    (Unet.Desc.tx ~chan:ch0 (Unet.Desc.Buffers [ (off, 3000) ])));
+               Proc.sleep c.sim ~time:(Sim.ms 1)
+             done));
+      let buffers (d : Unet.Desc.rx) =
+        match d.rx_payload with
+        | Unet.Desc.Buffers bufs -> bufs
+        | Unet.Desc.Inline _ -> Alcotest.fail "expected a buffered message"
+      in
+      let copies_before = ref 0 and copies_after = ref 0 in
+      let taken = ref Buf.empty and first = ref [] and third = ref [] in
+      ignore
+        (Proc.spawn c.sim (fun () ->
+             let d0 = Unet.recv n1.unet ep1 in
+             first := buffers d0;
+             let c0 = copies_total () in
+             taken := Unet.take n1.unet ep1 a1 ~layer:"test_take" d0;
+             copies_before := copies_total () - c0;
+             Unet.release n1.unet ep1 a1 (Unet.recv n1.unet ep1);
+             let d2 = Unet.recv n1.unet ep1 in
+             third := buffers d2;
+             let c2 = copies_total () in
+             Unet.release n1.unet ep1 a1 d2;
+             copies_after := copies_total () - c2));
+      Sim.run c.sim;
+      checkb "the third message refilled the taken buffer" true
+        (List.map fst !third = List.map fst !first);
+      checkb "the taken message is intact" true
+        (Buf.equal_bytes !taken (msg 0));
+      checki "take made one copy" 1 !copies_before;
+      checki "under the layer given" 1
+        (Option.value ~default:0
+           (Metrics.counter_value "buf_copies_total" [ ("layer", "test_take") ]));
+      checki "release made none" 0 !copies_after;
+      checki "the free ring holds every block again" 2
+        (Unet.Ring.length ep1.free_ring);
+      Unet.Ring.iter
+        (fun (_, len) ->
+          checki "at the allocator's block size"
+            (Unet.Segment.Allocator.block_size a1)
+            len)
+        ep1.free_ring)
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -769,6 +841,8 @@ let () =
           Alcotest.test_case "single-cell RTT 65us" `Quick test_single_cell_rtt_calibration;
           Alcotest.test_case "kernel emulation slower" `Quick test_emulated_endpoint_slower;
           Alcotest.test_case "Fore firmware ~160us" `Quick test_fore_firmware_slower;
+          Alcotest.test_case "take copies out, release does not" `Quick
+            test_take_and_release;
         ] );
       ( "direct-access",
         [
