@@ -17,7 +17,6 @@ let i_frame_every = 12
 let i_frame_size = 3_000
 let p_frame_size = 800
 let frame_interval = Sim.ms 3 (* a brisk synthetic stream *)
-let buffer_size = 4_160
 
 (* header: [frame_no u32][kind u8] *)
 let mk_frame ~no ~key size =
@@ -29,8 +28,8 @@ let mk_frame ~no ~key size =
 let () =
   let cluster = Cluster.create ~hosts:2 () in
   let tx = Cluster.node cluster 0 and rx = Cluster.node cluster 1 in
-  let ep_tx, alloc = Cluster.simple_endpoint ~buffer_size tx in
-  let ep_rx, _ = Cluster.simple_endpoint ~free_buffers:40 ~buffer_size rx in
+  let ep_tx, alloc_tx = Cluster.simple_endpoint tx in
+  let ep_rx, alloc_rx = Cluster.simple_endpoint ~free_buffers:40 rx in
   let ch_tx, ch_rx = Unet.connect_pair (tx.unet, ep_tx) (rx.unet, ep_rx) in
 
   (* inject cell loss: the switch-bound fiber drops 1% of cells, so a
@@ -47,7 +46,7 @@ let () =
          let rec loop () =
            let d = Unet.recv rx.unet ep_rx in
            (match d.rx_payload with
-           | Unet.Desc.Buffers ((off, _) :: _ as bufs) ->
+           | Unet.Desc.Buffers ((off, _) :: _) ->
                let hdr = Unet.Segment.read ep_rx.segment ~off ~len:5 in
                let no = Int32.to_int (Bytes.get_int32_be hdr 0) in
                let key = Bytes.get_uint8 hdr 4 = 1 in
@@ -62,31 +61,23 @@ let () =
                          (Unet.Desc.Inline (Buf.of_bytes ack))))
                end
                else incr got_delta;
-               List.iter
-                 (fun (o, _) ->
-                   ignore
-                     (Unet.provide_free_buffer rx.unet ep_rx ~off:o
-                        ~len:buffer_size))
-                 bufs
+               Unet.release rx.unet ep_rx alloc_rx d
            | _ -> ());
            loop ()
          in
          loop ()));
 
-  (* sender: stream frames; retransmit unacked key frames on a deadline *)
+  (* sender: stream frames; retransmit unacked key frames on a deadline.
+     Each frame is staged into segment blocks that come back once the NI
+     has injected it. *)
+  let stager =
+    Unet.stager tx.unet ep_tx alloc_tx ~layer:"video_tx" ~wait:(Sim.us 5)
+      ~on_full:`Retry
+  in
   ignore
     (Proc.spawn ~name:"streamer" cluster.sim (fun () ->
          let send_frame frame =
-           let size = Bytes.length frame in
-           let off, _ = Option.get (Unet.Segment.Allocator.alloc alloc) in
-           Unet.Segment.write ep_tx.segment ~off ~src:frame ~src_pos:0 ~len:size;
-           (match
-              Unet.send tx.unet ep_tx
-                (Unet.Desc.tx ~chan:ch_tx (Unet.Desc.Buffers [ (off, size) ]))
-            with
-           | Ok () -> ()
-           | Error e -> Fmt.failwith "send: %a" Unet.pp_error e);
-           Unet.Segment.Allocator.free alloc (off, buffer_size)
+           Unet.stage stager ~chan:ch_tx (Buf.of_bytes frame)
          in
          let drain_acks () =
            let rec go () =

@@ -84,21 +84,6 @@ module Train = struct
       end
     in
     from 0
-
-  let receive sim server ~stage ~cost ~faulted t ~rx_vci ~deliveries ~action
-      on_cell =
-    let paced =
-      if Engine.Trainmode.active () && not faulted then
-        Engine.Sync.Server.submit_paced server ~stage ~cost ~n:t.live
-          ~arrivals:deliveries ~action:(fun i ->
-            action ~vci:rx_vci t.cells.(i))
-      else None
-    in
-    match paced with
-    | Some p ->
-        on_truncate t (fun ~keep ~now:_ ->
-            Engine.Sync.Server.truncate_paced server p ~keep)
-    | None -> expand sim ~label:"ni.rx_train" t ~rx_vci ~deliveries on_cell
 end
 
 type train = Train.train

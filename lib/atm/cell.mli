@@ -76,28 +76,6 @@ module Train : sig
       chained [label] event per cell. Each step re-checks the live length,
       so an upstream truncation stops the chain (the per-cell path
       re-delivers the cut cells for real). *)
-
-  val receive :
-    Engine.Sim.t ->
-    Engine.Sync.Server.t ->
-    stage:string ->
-    cost:Engine.Sim.time ->
-    faulted:bool ->
-    train ->
-    rx_vci:int ->
-    deliveries:Engine.Sim.time array ->
-    action:(vci:int -> t -> unit) ->
-    (t -> unit) ->
-    unit
-  (** A NI's receive of a whole train, called at [deliveries.(0)]. On the
-      fast path ({!Engine.Trainmode.active} and not [faulted]) the run of
-      per-cell [cost] jobs on [server] is one paced batch, charged to the
-      profile as [stage], whose one indexed action runs [action ~vci:rx_vci]
-      on each cell at its completion (the cells keep their sender-side
-      VCI: none is relabelled), and an upstream truncation trims the
-      batch. Otherwise — or when [server]
-      refuses the batch — the cells go one by one to the per-cell handler
-      through {!expand} with label ["ni.rx_train"]. *)
 end
 
 type train = Train.train

@@ -414,8 +414,8 @@ let plan_chain t ~n ~first_attempt ~gap =
         }
     with Refuse -> None
 
-(* Plan an arrival-fed link (a switch output, or the SBA-100's fixed-pace
-   uplink): cell i's send attempt fires at [arrivals.(i)] from an event
+(* Plan an arrival-fed link (a switch output: a trunk or a downlink): cell
+   i's send attempt fires at [arrivals.(i)] from an event
    scheduled [sched_lead] earlier. No retry here — an attempt that can't be
    accepted (>= [refuse_occ] queued, the caller's drop threshold) refuses
    the plan instead of modelling the drop. *)

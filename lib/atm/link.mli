@@ -97,7 +97,7 @@ val plan_feed :
   sched_lead:Engine.Sim.time ->
   refuse_occ:int ->
   plan option
-(** Arrival-fed plan (switch output, fixed-pace PIO uplink): cell i's
+(** Arrival-fed plan (a switch output: trunk or downlink): cell i's
     attempt fires at [arrivals.(i)] (strictly increasing) from an event
     scheduled [sched_lead] earlier. Refuses rather than modelling a drop if
     occupancy would reach [refuse_occ] (the caller's drop threshold) or the

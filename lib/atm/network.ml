@@ -543,7 +543,7 @@ let observe_train t ~host ~dst ~train ~uplink ~up_plan ~legs ~deliveries =
    owner must arrange for [on_interfere] to split its chain (it is
    installed as the uplink's interfere hook; clear it when the chain
    ends). *)
-let commit_train_gen t ~host ~train ~plan_uplink ~on_interfere =
+let commit_train t ~host ~train ~first_attempt ~gap ~on_interfere =
   check_host t host;
   let sw0, port0 = t.host_attach.(host) in
   if Cell.Train.length train = 0 || t.in_flight.(sw0).(port0) > 0 then None
@@ -597,7 +597,10 @@ let commit_train_gen t ~host ~train ~plan_uplink ~on_interfere =
     match resolve sw0 port0 (Cell.Train.vci train) [] with
     | None -> None
     | Some (hops, dst, rx_vci) -> (
-        match plan_uplink uplink with
+        match
+          Link.plan_chain uplink ~n:(Cell.Train.length train) ~first_attempt
+            ~gap
+        with
         | None -> None
         | Some up_plan -> (
             match plan_stages uplink (Link.plan_starts up_plan) hops [] with
@@ -648,14 +651,6 @@ let commit_train_gen t ~host ~train ~plan_uplink ~on_interfere =
                             | Some f -> f cell
                             | None -> undeliverable_cell t ~host:dst cell));
                 Some (Link.plan_accepts up_plan)))
-
-let commit_train t ~host ~train ~first_attempt ~gap ~on_interfere =
-  commit_train_gen t ~host ~train ~on_interfere ~plan_uplink:(fun uplink ->
-      Link.plan_chain uplink ~n:(Cell.Train.length train) ~first_attempt ~gap)
-
-let commit_train_feed t ~host ~train ~arrivals ~sched_lead ~on_interfere =
-  commit_train_gen t ~host ~train ~on_interfere ~plan_uplink:(fun uplink ->
-      Link.plan_feed uplink ~arrivals ~sched_lead ~refuse_occ:max_int)
 
 (* --- signalling: route discovery and VCI allocation ------------------- *)
 

@@ -161,18 +161,6 @@ val commit_train :
     [on_interfere] is installed as the uplink's interfere hook; the
     caller owns clearing it when its chain ends or splits. *)
 
-val commit_train_feed :
-  t ->
-  host:int ->
-  train:Cell.train ->
-  arrivals:Engine.Sim.time array ->
-  sched_lead:Engine.Sim.time ->
-  on_interfere:(unit -> unit) ->
-  Engine.Sim.time array option
-(** Like {!commit_train} but for a fixed-pace uplink feed (the SBA-100's
-    PIO loop): cell i's send happens unconditionally at [arrivals.(i)],
-    from an event scheduled [sched_lead] earlier. *)
-
 (** The transmit/receive VCI pair naming a one-way-per-direction duplex
     channel, as handed to an endpoint at channel registration. *)
 type duplex = { tx_vci : int; rx_vci : int }

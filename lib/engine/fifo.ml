@@ -46,4 +46,3 @@ let filter_in_place keep t =
   done;
   if !w < t.len then truncate t !w
 
-let to_list t = List.init t.len (fun i -> t.buf.(i))

@@ -29,4 +29,3 @@ val filter_in_place : ('a -> bool) -> 'a t -> unit
     sees every element once, oldest first, so it may also update it. *)
 
 val clear : 'a t -> unit
-val to_list : 'a t -> 'a list

@@ -5,7 +5,7 @@
    measure and when they charge it.
 
    Virtual clock: simulated time. The places that actually account
-   virtual time — [Host.Cpu.charge_raw], [Sync.Server] — report it
+   virtual time — [Host.Cpu]'s charges, [Sync.Server] — report it
    with [charge] at the moment it is charged, *before* the implied
    [Proc.sleep]. Attributing at the charge site rather than measuring
    elapsed time between push and pop is what keeps the numbers honest in a

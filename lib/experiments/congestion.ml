@@ -46,7 +46,7 @@ let run_contest ~mss ~total ~switch_cells =
   let f1 = Common.tcp_flow ~port:81 b1 data in
   Sim.run ~until:(Sim.sec 300) c.sim;
   let nic2 = Option.get (Cluster.node c 2).Cluster.i960 in
-  (* the flow that finished last is listed first *)
+  (* sender 0's flow (port 80), then sender 1's (port 81) *)
   let flows =
     List.map
       (fun (f : Common.tcp_flow) ->
@@ -56,7 +56,6 @@ let run_contest ~mss ~total ~switch_cells =
           finished_at = f.finished_at;
         })
       [ f0; f1 ]
-    |> List.stable_sort (fun a b -> compare b.finished_at a.finished_at)
   in
   let makespan =
     List.fold_left (fun a f -> max a f.finished_at) 1 flows
@@ -78,8 +77,6 @@ let run ~quick =
     large_seg = run_contest ~mss:9_148 ~total ~switch_cells;
   }
 
-let aggregate ct = List.fold_left (fun a f -> a +. f.goodput_mb) 0. ct.flows
-
 let print t =
   Format.printf
     "Congestion over ATM (§7.8, after Romanow & Floyd): two TCP flows \
@@ -98,12 +95,11 @@ let print t =
   in
   Common.print_table
     ~header:
-      [ "MSS"; "aggregate (MB/s)"; "per-flow (MB/s)"; "retransmits";
+      [ "MSS"; "aggregate (MB/s)"; "per-flow :80 / :81 (MB/s)"; "retransmits";
         "cells dropped"; "PDUs killed" ]
     ~rows:[ row t.small_seg; row t.large_seg ]
 
 let checks t =
-  ignore aggregate;
   let min_flow ct =
     List.fold_left (fun a f -> Float.min a f.goodput_mb) infinity ct.flows
   in

@@ -18,11 +18,6 @@ val charge : ?layer:string -> t -> Engine.Sim.time -> unit
     in the [host_cpu_busy_ns_total] registry family and names the [Cpu]
     trace span (default ["other"]). *)
 
-val charge_raw : ?layer:string -> t -> Engine.Sim.time -> unit
-(** {!charge} without the machine scaling: the cost is already in this
-    machine's nanoseconds. Lets a caller coalesce [n] equal pre-scaled
-    charges into one (scaling does not distribute over addition). *)
-
 val charge_us : ?layer:string -> t -> float -> unit
 
 val charge_cycles : ?layer:string -> t -> int -> unit

@@ -25,51 +25,13 @@ type t = {
   server : Sync.Server.t; (* the i960 *)
   kernel : Sync.Server.t; (* kernel path for emulated endpoints *)
   mux : Unet.Mux.t;
+  rx : Rx.t;
   txq : Unet.Endpoint.t Queue.t; (* one entry per posted descriptor *)
   mutable tx_active : bool;
-  mutable fault : Fault.t option;
-  reasm : (int, Atm.Aal5.Reassembler.t) Hashtbl.t;
   mutable sent : int;
-  mutable received : int;
-  mutable errors : int;
   m_sent : Metrics.Counter.t;
-  m_received : Metrics.Counter.t;
-  m_errors : Metrics.Counter.t;
-  m_demux : Metrics.Counter.t;
   m_dma_bytes : Metrics.Counter.t;
 }
-
-(* Direct-access framing: on direct-access endpoints every PDU carries a
-   5-byte prefix [flag; offset_be32]; flag 1 means "deposit at offset". *)
-let direct_prefix_size = 5
-
-let add_direct_prefix dest_offset data =
-  let prefix = Bytes.create direct_prefix_size in
-  (match dest_offset with
-  | Some off ->
-      Bytes.set_uint8 prefix 0 1;
-      Bytes.set_int32_be prefix 1 (Int32.of_int off)
-  | None ->
-      Bytes.set_uint8 prefix 0 0;
-      Bytes.set_int32_be prefix 1 0l);
-  Buf.append (Buf.of_bytes prefix) data
-
-let parse_direct_prefix payload =
-  if Buf.length payload < direct_prefix_size then (None, payload)
-  else
-    let flag = Buf.get_uint8 payload 0 in
-    let off = Int32.to_int (Buf.get_uint32_be payload 1) in
-    let data =
-      Buf.sub payload ~pos:direct_prefix_size
-        ~len:(Buf.length payload - direct_prefix_size)
-    in
-    ((if flag = 1 then Some off else None), data)
-
-(* A descriptor's payload as a zero-copy view over the communication
-   segment; the DMA happens in one burst in [process_desc]. *)
-let gather (ep : Unet.Endpoint.t) (desc : Unet.Desc.tx) =
-  let data = Unet.gather_payload ep desc.tx_payload in
-  if ep.direct_access then add_direct_prefix desc.dest_offset data else data
 
 let rec pump_next t =
   match Queue.take_opt t.txq with
@@ -91,7 +53,7 @@ and process_desc t (ep : Unet.Endpoint.t) (desc : Unet.Desc.tx) =
          buffers (desc.injected) *)
       Span.mark desc.ctx Span.Nic_tx;
       let data =
-        Buf.copy ~layer:(t.cfg.copy_layer ^ "_tx_dma") (gather ep desc)
+        Buf.copy ~layer:(t.cfg.copy_layer ^ "_tx_dma") (Unet.frame ep desc)
       in
       Metrics.Counter.add t.m_dma_bytes (Buf.length data);
       let cells =
@@ -107,7 +69,7 @@ and process_desc t (ep : Unet.Endpoint.t) (desc : Unet.Desc.tx) =
       (* a stalled DMA burst shows up as extra occupancy of the i960,
          delaying this descriptor and everything serialized behind it *)
       let stall =
-        match t.fault with Some f -> Fault.dma_stall f | None -> 0
+        match Rx.fault t.rx with Some f -> Fault.dma_stall f | None -> 0
       in
       if stall > 0 && Trace.enabled () then
         Trace.instant Trace.Desc "ni.dma_stall" ~tid:t.host
@@ -128,7 +90,7 @@ and process_desc t (ep : Unet.Endpoint.t) (desc : Unet.Desc.tx) =
 and try_train t desc cells =
   if
     (not (Trainmode.active ()))
-    || t.fault <> None
+    || Rx.fault t.rx <> None
     || not (Sync.Server.idle t.server)
     || Array.length cells < 2
   then false
@@ -238,84 +200,6 @@ let notify_tx t ep =
     pump_next t
   end
 
-let deliver_pdu t ?ctx vci payload =
-  Metrics.Counter.inc t.m_demux;
-  if Trace.enabled () then
-    Trace.instant Trace.Desc "ni.rx_demux" ~tid:t.host
-      ~args:
-        [
-          ("vci", Trace.Int vci); ("len", Trace.Int (Buf.length payload));
-        ];
-  match Unet.Mux.lookup t.mux ~rx_vci:vci with
-  | None -> ignore (Unet.Mux.deliver t.mux ~rx_vci:vci ?ctx payload)
-  | Some (ep, _) ->
-      let dest_offset, data =
-        if ep.Unet.Endpoint.direct_access then parse_direct_prefix payload
-        else (None, payload)
-      in
-      (match Unet.Mux.deliver t.mux ~rx_vci:vci ?ctx ?dest_offset data with
-      | Some _ ->
-          t.received <- t.received + 1;
-          Metrics.Counter.inc t.m_received
-      | None -> ())
-
-let deliver t ?ctx vci payload =
-  match t.fault with
-  | Some f when Fault.rx_overrun f ->
-      (* the rx ring overran while the PDU sat in i960 memory: it never
-         reaches the mux, and recovery is the sender's problem *)
-      Unet.Mux.rx_dropped ?ctx "ni_overrun";
-      if Trace.enabled () then
-        Trace.instant Trace.Desc "ni.rx_overrun" ~tid:t.host
-          ~args:[ ("vci", Trace.Int vci) ]
-  | _ -> deliver_pdu t ?ctx vci payload
-
-let fits_single_cell payload =
-  Buf.length payload <= Atm.Cell.payload_size - Atm.Aal5.trailer_size
-
-(* The body of a per-cell rx job: feed the reassembler of [vci] (the
-   receive-side VCI) and, at the EOP, hand the PDU to the delivery job.
-   Shared verbatim by the per-cell path (inside an rx_cell job) and the
-   train path (as a deferred paced action, on the train's sender-labelled
-   cells). *)
-let rx_cell_body t ~vci (cell : Atm.Cell.t) =
-  let r =
-    match Hashtbl.find t.reasm vci with
-    | r -> r
-    | exception Not_found ->
-        let r = Atm.Aal5.Reassembler.create () in
-        Hashtbl.add t.reasm vci r;
-        r
-  in
-  match Atm.Aal5.Reassembler.push r cell with
-  | None -> ()
-  | Some (Error _) ->
-      t.errors <- t.errors + 1;
-      Metrics.Counter.inc t.m_errors
-  | Some (Ok payload) ->
-      let ctx = Atm.Aal5.Reassembler.last_ctx r in
-      let cost =
-        if t.cfg.single_cell_optimization && fits_single_cell payload then
-          t.cfg.rx_single_ns
-        else t.cfg.rx_multi_fixed_ns
-      in
-      Sync.Server.submit t.server ~stage:"rx_deliver" ~cost (fun () ->
-          deliver t ?ctx vci payload)
-
-let on_cell t (cell : Atm.Cell.t) =
-  Sync.Server.submit t.server ~stage:"rx_cell" ~cost:t.cfg.rx_cell_ns
-    (fun () -> rx_cell_body t ~vci:cell.vci cell)
-
-(* A whole train arriving at the NI: model the run of per-cell rx jobs as
-   one paced batch — cell i's handling starts once it has arrived and the
-   previous one is done — with the reassembly pushes deferred to the batch
-   completion (nothing observes the reassembler in between). The EOP push
-   submits the delivery job for real, exactly as the per-cell path. *)
-let on_train t train ~rx_vci ~deliveries =
-  Atm.Cell.Train.receive t.sim t.server ~stage:"rx_cell" ~cost:t.cfg.rx_cell_ns
-    ~faulted:(t.fault <> None) train ~rx_vci ~deliveries
-    ~action:(rx_cell_body t) (on_cell t)
-
 (* Calibration anchors (see DESIGN.md §4):
    - single-cell one-way = doorbell + tx_single + wire(~9.1 µs through the
      switch) + rx_cell + rx_single + rx_poll ≈ 32.5 µs  → 65 µs RTT
@@ -368,43 +252,40 @@ let sba200_fore =
 let create net ~host cfg =
   let sim = Atm.Network.sim net in
   let labels = [ ("host", string_of_int host); ("nic", cfg.name) ] in
+  let m_sent =
+    Metrics.counter ~help:"PDUs injected onto the wire by a NI"
+      "ni_pdus_sent_total" labels
+  in
+  let server = Sync.Server.create ~owner:(host, [ "ni"; cfg.name ]) sim in
+  let mux = Unet.Mux.create ~host ~copy_layer:(cfg.copy_layer ^ "_rx") () in
+  let rx =
+    Rx.create net ~host ~labels ~server ~mux ~cell_ns:cfg.rx_cell_ns
+      ~single_ns:
+        (if cfg.single_cell_optimization then cfg.rx_single_ns
+         else cfg.rx_multi_fixed_ns)
+      ~multi_ns:cfg.rx_multi_fixed_ns
+  in
   let t =
     {
       sim;
       net;
       host;
       cfg;
-      server = Sync.Server.create ~owner:(host, [ "ni"; cfg.name ]) sim;
+      server;
       kernel = Sync.Server.create sim;
-      mux = Unet.Mux.create ~host ~copy_layer:(cfg.copy_layer ^ "_rx") ();
+      mux;
+      rx;
       txq = Queue.create ();
       tx_active = false;
-      fault =
-        Fault.configured_at Fault.Ni ~site:(Printf.sprintf "ni.%d" host);
-      reasm = Hashtbl.create 16;
       sent = 0;
-      received = 0;
-      errors = 0;
-      m_sent =
-        Metrics.counter ~help:"PDUs injected onto the wire by a NI"
-          "ni_pdus_sent_total" labels;
-      m_received =
-        Metrics.counter ~help:"PDUs demultiplexed into an endpoint by a NI"
-          "ni_pdus_received_total" labels;
-      m_errors =
-        Metrics.counter ~help:"AAL5 reassembly failures at a NI"
-          "ni_reassembly_errors_total" labels;
-      m_demux =
-        Metrics.counter ~help:"reassembled PDUs presented to the mux by a NI"
-          "ni_rx_demux_total" labels;
+      m_sent;
       m_dma_bytes =
         Metrics.counter ~help:"bytes the on-board processor DMAed out of segments"
           "ni_dma_bytes_total" labels;
     }
   in
-  Atm.Network.attach_rx net ~host (fun cell -> on_cell t cell);
-  Atm.Network.attach_rx_train net ~host (fun train ~rx_vci ~deliveries ->
-      on_train t train ~rx_vci ~deliveries);
+  Atm.Network.attach_rx net ~host (Rx.on_cell rx);
+  Atm.Network.attach_rx_train net ~host (Rx.on_train rx);
   Timeseries.register ~kind:Timeseries.Utilization "ni_i960_utilization"
     labels (fun () -> float_of_int (Sync.Server.busy_time t.server));
   Timeseries.register "ni_i960_queue_depth" labels (fun () ->
@@ -424,9 +305,7 @@ let backend t =
     kernel_path = Some t.kernel;
   }
 
-let set_fault t f = t.fault <- Some f
-let config t = t.cfg
 let server t = t.server
 let pdus_sent t = t.sent
-let pdus_received t = t.received
-let reassembly_errors t = t.errors
+let pdus_received t = Rx.pdus_received t.rx
+let reassembly_errors t = Rx.reassembly_errors t.rx

@@ -53,17 +53,13 @@ val sba200_fore : config
     ≈13 Mbytes/s with 4 KB packets. *)
 
 val create : Atm.Network.t -> host:int -> config -> t
+(** A global fault spec naming the [Ni] site gives the NI one injector
+    ({!Rx.fault}): a DMA stall adds occupancy to the i960 for the stalled
+    descriptor's DMA burst, and the receive engine's overruns drop
+    reassembled PDUs before the mux. *)
 
 val backend : t -> Unet.backend
 (** The {!Unet.backend} this NI exposes; pass it to [Unet.create]. *)
-
-val config : t -> config
-
-val set_fault : t -> Engine.Fault.t -> unit
-(** Attach a fault injector: [dma_stall] adds occupancy to the i960 for
-    the stalled descriptor's DMA burst, [rx_overrun] drops reassembled
-    PDUs before the mux. [create] already attaches one when a global
-    spec names the [Ni] site. *)
 
 (* Statistics *)
 

@@ -23,17 +23,15 @@ val default_config : config
 type t
 
 val create : Atm.Network.t -> host:int -> cpu:Host.Cpu.t -> ?config:config -> unit -> t
+(** The host sends every PDU cell by cell from its trap, so no train
+    leaves an SBA-100. A global fault spec naming the [Ni] site gives the
+    NI one injector ({!Rx.fault}): a DMA stall charges the sending CPU
+    extra per-PDU PIO time, and the receive engine's overruns drop
+    reassembled PDUs before the mux. *)
 
 val backend : t -> Unet.backend
 (** All endpoints on this backend must be created with [~emulated:true]
     ([max_endpoints] is 0). *)
 
-val set_fault : t -> Engine.Fault.t -> unit
-(** Attach a fault injector: [dma_stall] charges the sending CPU extra
-    per-PDU PIO time, [rx_overrun] drops reassembled PDUs before the mux.
-    [create] already attaches one when a global spec names the [Ni] site. *)
-
-val config : t -> config
 val pdus_sent : t -> int
 val pdus_received : t -> int
-val reassembly_errors : t -> int

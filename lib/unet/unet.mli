@@ -143,6 +143,14 @@ val gather_payload : Endpoint.t -> Desc.payload -> Engine.Buf.t
 (** A descriptor's payload as a zero-copy view over the endpoint's
     segment; inline bytes as they are. *)
 
+val frame : Endpoint.t -> Desc.tx -> Engine.Buf.t
+(** The PDU a NI sends for a descriptor: its {!gather_payload}, behind a
+    5-byte prefix carrying [dest_offset] on a direct-access endpoint. *)
+
+val unframe : Engine.Buf.t -> int option * Engine.Buf.t
+(** The inverse of {!frame} on a PDU bound for a direct-access endpoint:
+    the deposit offset, if the sender gave one, and the data. *)
+
 val take :
   t -> Endpoint.t -> Segment.Allocator.t -> layer:string -> Desc.rx ->
   Engine.Buf.t

@@ -206,6 +206,33 @@ let test_watchdog_black_hole () =
            kvs)
   | _ -> Alcotest.fail "bundle carries no snapshots object"
 
+(* A whole registered figure under total cell loss, as the CLI runs it
+   with [--fault loss=1,seed=1,at=link --postmortem DIR]: the watchdog
+   fires once and leaves a bundle on disk whose manifest gives a reason. *)
+let test_black_holed_figure () =
+  let dir = Filename.temp_file "fig3-pm" "" in
+  Sys.remove dir;
+  (match Fault.parse "loss=1,seed=1,at=link" with
+  | Ok spec -> Fault.configure (Some spec)
+  | Error msg -> Alcotest.fail msg);
+  Recorder.start ~dir ();
+  Fun.protect
+    ~finally:(fun () ->
+      Recorder.stop ();
+      Fault.configure None)
+    (fun () ->
+      let fig3 = Option.get (Experiments.Registry.find "fig3") in
+      ignore (fig3.run ~quick:true : Experiments.Registry.outcome));
+  checki "exactly one post-mortem" 1 (Recorder.trigger_count ());
+  let manifest = Filename.concat dir "manifest.json" in
+  checkb "manifest.json on disk" true (Sys.file_exists manifest);
+  let reason = Json.member "reason" (Json.of_file manifest) in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  match reason with
+  | Some (Json.Str r) -> checkb "the manifest gives a reason" true (r <> "")
+  | _ -> Alcotest.fail "manifest.json has no reason"
+
 (* The benign end-of-run shape — the last message was delivered but its
    ack is still pending when the run ends — must NOT trigger: delivery on
    the flow after the pending epoch began exonerates it. *)
@@ -442,6 +469,8 @@ let () =
             `Quick test_watchdog_black_hole;
           Alcotest.test_case "clean run never triggers" `Quick
             test_watchdog_clean_run;
+          Alcotest.test_case "black-holed figure leaves a bundle" `Quick
+            test_black_holed_figure;
         ] );
       ( "rx-drops",
         [

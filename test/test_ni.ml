@@ -224,6 +224,24 @@ let test_sba100_stats () =
   checki "sent" 3 (Ni.Sba100.pdus_sent (Option.get n0.sba100));
   checki "received" 3 (Ni.Sba100.pdus_received (Option.get n1.sba100))
 
+(* The host sends every cell from its trap, so no train leaves an SBA-100:
+   a 1 KB stream fires as many events with the fast path on as forced off
+   (a planned feed would fold the per-cell send events away). *)
+let test_sba100_no_train () =
+  let events ~forced =
+    Trainmode.force_per_cell forced;
+    Fun.protect ~finally:(fun () -> Trainmode.force_per_cell false)
+    @@ fun () ->
+    let fired0 = Sim.events_fired () in
+    ignore
+      (Experiments.Common.raw_bandwidth ~nic:Cluster.Sba100 ~size:1024
+         ~count:200 ()
+        : float);
+    Sim.events_fired () - fired0
+  in
+  checki "events: fast path on = forced per-cell" (events ~forced:true)
+    (events ~forced:false)
+
 (* --- copy accounting ----------------------------------------------------- *)
 
 let nic_copies layers =
@@ -306,6 +324,8 @@ let () =
           Alcotest.test_case "emulated only" `Quick test_sba100_requires_emulated;
           Alcotest.test_case "sender pays" `Quick test_sba100_sender_pays;
           Alcotest.test_case "stats" `Quick test_sba100_stats;
+          Alcotest.test_case "SBA-100 rides no train" `Quick
+            test_sba100_no_train;
         ] );
       ( "copy-accounting",
         [

@@ -212,8 +212,8 @@ let test_mux_unknown_tag () =
 
 (* --- endpoint lifecycle, protection, limits -------------------------- *)
 
-let with_pair f =
-  let c = Cluster.create () in
+let with_pair ?nic f =
+  let c = Cluster.create ?nic () in
   let n0 = Cluster.node c 0 and n1 = Cluster.node c 1 in
   f c n0 n1
 
@@ -492,10 +492,14 @@ let test_fore_firmware_slower () =
 
 (* --- direct-access U-Net -------------------------------------------- *)
 
-let test_direct_access_deposit () =
-  with_pair (fun c n0 n1 ->
-      let ep0, _ = Cluster.simple_endpoint ~direct_access:true n0 in
-      let ep1, _ = Cluster.simple_endpoint ~direct_access:true n1 in
+(* On the SBA-200 the endpoints are real; the SBA-100 has only emulated
+   ones, which its host-side NI services directly. *)
+let direct_access_deposit nic =
+  with_pair ~nic (fun c n0 n1 ->
+      let emulated = nic = Cluster.Sba100 in
+      let name = if emulated then "SBA-100" else "SBA-200" in
+      let ep0, _ = Cluster.simple_endpoint ~emulated ~direct_access:true n0 in
+      let ep1, _ = Cluster.simple_endpoint ~emulated ~direct_access:true n1 in
       let ch0, _ = Unet.connect_pair (n0.unet, ep0) (n1.unet, ep1) in
       let data = Buf.of_string "deposited-directly" in
       ignore
@@ -508,13 +512,17 @@ let test_direct_access_deposit () =
       ignore (Proc.spawn c.sim (fun () -> got := Some (Unet.recv n1.unet ep1)));
       Sim.run c.sim;
       (* data is at the sender-specified offset in the receiver's segment *)
-      check Alcotest.bytes "at offset 512"
+      check Alcotest.bytes (name ^ ": at offset 512")
         (Buf.to_bytes ~layer:"test" data)
         (Unet.Segment.read ep1.segment ~off:512 ~len:(Buf.length data));
       match !got with
       | Some { Unet.Desc.rx_payload = Unet.Desc.Buffers [ (512, len) ]; _ } ->
-          checki "notification points at the deposit" (Buf.length data) len
-      | _ -> Alcotest.fail "expected a direct-access notification")
+          checki (name ^ ": notification points at the deposit")
+            (Buf.length data) len
+      | _ -> Alcotest.fail (name ^ ": expected a direct-access notification"))
+
+let test_direct_access_deposit () =
+  List.iter direct_access_deposit [ Cluster.Sba200_unet; Cluster.Sba100 ]
 
 let test_direct_access_bad_offset () =
   with_pair (fun c n0 n1 ->
