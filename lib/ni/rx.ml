@@ -47,14 +47,7 @@ let demux t ?ctx vci payload =
     Trace.instant Trace.Desc "ni.rx_demux" ~tid:t.host
       ~args:
         [ ("vci", Trace.Int vci); ("len", Trace.Int (Buf.length payload)) ];
-  let delivered =
-    match Unet.Mux.lookup t.mux ~rx_vci:vci with
-    | Some (ep, _) when ep.Unet.Endpoint.direct_access ->
-        let dest_offset, data = Unet.unframe payload in
-        Unet.Mux.deliver t.mux ~rx_vci:vci ?ctx ?dest_offset data
-    | _ -> Unet.Mux.deliver t.mux ~rx_vci:vci ?ctx payload
-  in
-  if Option.is_some delivered then begin
+  if Option.is_some (Unet.Mux.deliver t.mux ~rx_vci:vci ?ctx payload) then begin
     t.received <- t.received + 1;
     Metrics.Counter.inc t.m_received
   end

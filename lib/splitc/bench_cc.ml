@@ -104,7 +104,7 @@ let run ?(n = 16_384) ?(degree = 4) transports =
         end;
         i := !i + 2
       done;
-      let total_changed = Runtime.reduce_int ctx Runtime.Sum !changed in
+      let total_changed = Runtime.reduce ctx Runtime.Int Runtime.Sum !changed in
       continue := total_changed > 0
     done;
     Runtime.barrier ctx;
@@ -112,9 +112,9 @@ let run ?(n = 16_384) ?(degree = 4) transports =
     (* verification: gather labels on 0, compare to sequential union-find *)
     let id_all = 41 in
     let all = Array.make (if rank = 0 then n else 1) 0 in
-    Runtime.register_ints ctx ~id:id_all all;
+    Runtime.register ctx Runtime.Int ~id:id_all all;
     Runtime.barrier ctx;
-    Runtime.store_ints ctx ~proc:0 ~arr:id_all ~pos:lo labels;
+    Runtime.store ctx Runtime.Int ~proc:0 ~arr:id_all ~pos:lo labels;
     Runtime.all_store_sync ctx;
     let ok =
       if rank <> 0 then true

@@ -14,7 +14,7 @@ let run ?(k = 192) ?(iters = 40) transports =
     let lo = rank * rows in
     let len = rows * k in
     let ghost = Array.make (2 * k) 0. in
-    Runtime.register_floats ctx ~id:id_ghost ghost;
+    Runtime.register ctx Runtime.Float ~id:id_ghost ghost;
     Runtime.barrier ctx;
     (* b = 1 everywhere; x0 = 0 *)
     let x = Array.make len 0. in
@@ -27,15 +27,15 @@ let run ?(k = 192) ?(iters = 40) transports =
         s := !s +. (a.(i) *. b.(i))
       done;
       Runtime.charge ctx ~cycles:(len * 2);
-      Runtime.reduce_float ctx Runtime.Sum !s
+      Runtime.reduce ctx Runtime.Float Runtime.Sum !s
     in
     (* exchange boundary rows of [v] into neighbours' ghost arrays *)
     let exchange v =
       if rank > 0 then
-        Runtime.store_floats ctx ~proc:(rank - 1) ~arr:id_ghost ~pos:k
+        Runtime.store ctx Runtime.Float ~proc:(rank - 1) ~arr:id_ghost ~pos:k
           (Array.sub v 0 k);
       if rank < p - 1 then
-        Runtime.store_floats ctx ~proc:(rank + 1) ~arr:id_ghost ~pos:0
+        Runtime.store ctx Runtime.Float ~proc:(rank + 1) ~arr:id_ghost ~pos:0
           (Array.sub v (len - k) k);
       Runtime.all_store_sync ctx
     in
@@ -94,7 +94,7 @@ let run ?(k = 192) ?(iters = 40) transports =
       let ri = 1. -. q.(i) in
       true_rr := !true_rr +. (ri *. ri)
     done;
-    let true_rr = Runtime.reduce_float ctx Runtime.Sum !true_rr in
+    let true_rr = Runtime.reduce ctx Runtime.Float Runtime.Sum !true_rr in
     (* the 2-norm residual of CG is not monotone on ill-conditioned grids,
        so require (a) real progress at some iteration and (b) the recurrence
        residual to agree with the recomputed true residual *)

@@ -5,11 +5,9 @@ type result = {
   checked : bool;
 }
 
-let comp_us r = r.total_us -. r.comm_us
-
 let pp fmt r =
   Format.fprintf fmt "%-18s total %10.0f us  comp %10.0f us  comm %10.0f us  %s"
-    r.name r.total_us (comp_us r) r.comm_us
+    r.name r.total_us (r.total_us -. r.comm_us) r.comm_us
     (if r.checked then "ok" else "FAILED")
 
 let finish ~name ~checked timings =

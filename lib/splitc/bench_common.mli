@@ -9,8 +9,6 @@ type result = {
   checked : bool;  (** output passed its correctness check *)
 }
 
-val comp_us : result -> float
-
 val pp : Format.formatter -> result -> unit
 
 val finish :

@@ -65,17 +65,17 @@ let run ?(params = default) transports =
         fill_block b_entry ~g ~b bi bj tmp;
         Array.blit tmp 0 b_local (s * bsz) bsz)
       mine;
-    Runtime.register_floats ctx ~id:id_a a_local;
-    Runtime.register_floats ctx ~id:id_b b_local;
-    Runtime.register_floats ctx ~id:id_c c_local;
+    Runtime.register ctx Runtime.Float ~id:id_a a_local;
+    Runtime.register ctx Runtime.Float ~id:id_b b_local;
+    Runtime.register ctx Runtime.Float ~id:id_c c_local;
     Runtime.barrier ctx;
     (* compute each owned C block, prefetching the blocks needed by the
        next iteration while multiplying the current ones (as in the paper) *)
     let fetch_pair (bi, bj) k =
       let gb_a = (bi * g) + k and gb_b = (k * g) + bj in
-      ( Runtime.get_floats_async ctx ~proc:(owner p gb_a) ~arr:id_a
+      ( Runtime.get_async ctx Runtime.Float ~proc:(owner p gb_a) ~arr:id_a
           ~pos:(slot p gb_a * bsz) ~len:bsz,
-        Runtime.get_floats_async ctx ~proc:(owner p gb_b) ~arr:id_b
+        Runtime.get_async ctx Runtime.Float ~proc:(owner p gb_b) ~arr:id_b
           ~pos:(slot p gb_b * bsz) ~len:bsz )
     in
     let blocks = Array.of_list mine in

@@ -44,12 +44,12 @@ let run ?(n = 65_536) ?(digit_bits = 8) ?(passes = 2) ~variant transports =
     let incounts = Array.make p 0 in
     let inoffsets = Array.make p 0 in
     let inpairs = Array.make (2 * n_local) 0 in
-    Runtime.register_ints ctx ~id:id_out out;
-    Runtime.register_ints ctx ~id:id_hist hist;
-    Runtime.register_ints ctx ~id:id_base base;
-    Runtime.register_ints ctx ~id:id_counts incounts;
-    Runtime.register_ints ctx ~id:id_offsets inoffsets;
-    Runtime.register_ints ctx ~id:id_pairs inpairs;
+    Runtime.register ctx Runtime.Int ~id:id_out out;
+    Runtime.register ctx Runtime.Int ~id:id_hist hist;
+    Runtime.register ctx Runtime.Int ~id:id_base base;
+    Runtime.register ctx Runtime.Int ~id:id_counts incounts;
+    Runtime.register ctx Runtime.Int ~id:id_offsets inoffsets;
+    Runtime.register ctx Runtime.Int ~id:id_pairs inpairs;
     Runtime.register_append_buffer ctx ~id:buf_pairs;
     Runtime.barrier ctx;
     let current = ref keys in
@@ -64,7 +64,8 @@ let run ?(n = 65_536) ?(digit_bits = 8) ?(passes = 2) ~variant transports =
         !current;
       Runtime.charge ctx ~cycles:(n_local * 4);
       (* gather histograms on rank 0 *)
-      Runtime.store_ints ctx ~proc:0 ~arr:id_hist ~pos:(rank * buckets) counts;
+      Runtime.store ctx Runtime.Int ~proc:0 ~arr:id_hist ~pos:(rank * buckets)
+        counts;
       Runtime.all_store_sync ctx;
       (* rank 0 scans: start offset of (proc r, bucket b) in the global
          ordering = sum of all lower buckets + same-bucket lower ranks *)
@@ -86,7 +87,7 @@ let run ?(n = 65_536) ?(digit_bits = 8) ?(passes = 2) ~variant transports =
             mine.(b) <- start.(b);
             start.(b) <- start.(b) + hist.((r * buckets) + b)
           done;
-          Runtime.store_ints ctx ~proc:r ~arr:id_base ~pos:0 mine
+          Runtime.store ctx Runtime.Int ~proc:r ~arr:id_base ~pos:0 mine
         done
       end;
       Runtime.all_store_sync ctx;
@@ -123,7 +124,7 @@ let run ?(n = 65_536) ?(digit_bits = 8) ?(passes = 2) ~variant transports =
               grouped.(dproc) <- (didx, k) :: grouped.(dproc))
             !current;
           for d = 0 to p - 1 do
-            Runtime.write_int ctx ~proc:d ~arr:id_counts ~idx:rank
+            Runtime.write ctx Runtime.Int ~proc:d ~arr:id_counts ~idx:rank
               (List.length grouped.(d))
           done;
           Runtime.barrier ctx;
@@ -143,9 +144,11 @@ let run ?(n = 65_536) ?(digit_bits = 8) ?(passes = 2) ~variant transports =
                   |> Array.of_list
                 in
                 let pos =
-                  2 * Runtime.read_int ctx ~proc:d ~arr:id_offsets ~idx:rank
+                  2
+                  * Runtime.read ctx Runtime.Int ~proc:d ~arr:id_offsets
+                      ~idx:rank
                 in
-                Runtime.store_ints ctx ~proc:d ~arr:id_pairs ~pos flat
+                Runtime.store ctx Runtime.Int ~proc:d ~arr:id_pairs ~pos flat
           done;
           Runtime.all_store_sync ctx;
           let total_in = Array.fold_left ( + ) 0 incounts in

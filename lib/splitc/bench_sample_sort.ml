@@ -43,11 +43,12 @@ let verify ctx keys (sum_in_local, n_in_local) =
     if Array.length keys = 0 then min_int else keys.(Array.length keys - 1)
   in
   let boundary = Array.make (2 * Runtime.nprocs ctx) 0 in
-  Runtime.register_ints ctx ~id:id_boundary boundary;
+  Runtime.register ctx Runtime.Int ~id:id_boundary boundary;
   Runtime.barrier ctx;
-  Runtime.write_int ctx ~proc:0 ~arr:id_boundary ~idx:(2 * Runtime.rank ctx)
+  Runtime.write ctx Runtime.Int ~proc:0 ~arr:id_boundary
+    ~idx:(2 * Runtime.rank ctx)
     my_min;
-  Runtime.write_int ctx ~proc:0 ~arr:id_boundary
+  Runtime.write ctx Runtime.Int ~proc:0 ~arr:id_boundary
     ~idx:((2 * Runtime.rank ctx) + 1)
     my_max;
   Runtime.barrier ctx;
@@ -67,11 +68,11 @@ let verify ctx keys (sum_in_local, n_in_local) =
     end
   in
   let sum_out =
-    Runtime.reduce_int ctx Runtime.Sum (Array.fold_left ( + ) 0 keys)
+    Runtime.reduce ctx Runtime.Int Runtime.Sum (Array.fold_left ( + ) 0 keys)
   in
-  let n_out = Runtime.reduce_int ctx Runtime.Sum (Array.length keys) in
-  let sum_in = Runtime.reduce_int ctx Runtime.Sum sum_in_local in
-  let n_in = Runtime.reduce_int ctx Runtime.Sum n_in_local in
+  let n_out = Runtime.reduce ctx Runtime.Int Runtime.Sum (Array.length keys) in
+  let sum_in = Runtime.reduce ctx Runtime.Int Runtime.Sum sum_in_local in
+  let n_in = Runtime.reduce ctx Runtime.Int Runtime.Sum n_in_local in
   !sorted && boundaries_ok && sum_out = sum_in && n_out = n_in
 
 let variant_name = function
@@ -86,27 +87,29 @@ let run ?(n = 65_536) ~variant transports =
     let capacity = (3 * n_local) + 64 in
     let keys = Bench_common.keys_for ~rank ~n:n_local ~seed:42 in
     let checksum_in = (Array.fold_left ( + ) 0 keys, n_local) in
-    Runtime.register_ints ctx ~id:id_samples (Array.make (p * oversample) 0);
+    Runtime.register ctx Runtime.Int ~id:id_samples
+      (Array.make (p * oversample) 0);
     Runtime.register_append_buffer ctx ~id:buf_recv;
     let result = Array.make capacity 0 in
     let incounts = Array.make p 0 in
     let inoffsets = Array.make p 0 in
-    Runtime.register_ints ctx ~id:id_result result;
-    Runtime.register_ints ctx ~id:id_counts incounts;
-    Runtime.register_ints ctx ~id:id_offsets inoffsets;
+    Runtime.register ctx Runtime.Int ~id:id_result result;
+    Runtime.register ctx Runtime.Int ~id:id_counts incounts;
+    Runtime.register ctx Runtime.Int ~id:id_offsets inoffsets;
     Runtime.barrier ctx;
     (* phase 1: sample, splitters, broadcast *)
     let rng = Engine.Rng.create (1234 + rank) in
     let my_samples =
       Array.init oversample (fun _ -> keys.(Engine.Rng.int rng (max 1 n_local)))
     in
-    Runtime.store_ints ctx ~proc:0 ~arr:id_samples ~pos:(rank * oversample)
+    Runtime.store ctx Runtime.Int ~proc:0 ~arr:id_samples
+      ~pos:(rank * oversample)
       my_samples;
     Runtime.all_store_sync ctx;
     let splitters =
       if rank = 0 then begin
         Bench_common.charge_local_sort ctx (p * oversample);
-        let samples = Runtime.get_ints ctx ~proc:0 ~arr:id_samples ~pos:0
+        let samples = Runtime.get ctx Runtime.Int ~proc:0 ~arr:id_samples ~pos:0
             ~len:(p * oversample) in
         Runtime.broadcast_ints ctx ~root:0 (choose_splitters samples p)
       end
@@ -145,7 +148,7 @@ let run ?(n = 65_536) ~variant transports =
             keys;
           let outb = Array.map Array.of_list buckets in
           for d = 0 to p - 1 do
-            Runtime.write_int ctx ~proc:d ~arr:id_counts ~idx:rank
+            Runtime.write ctx Runtime.Int ~proc:d ~arr:id_counts ~idx:rank
               (Array.length outb.(d))
           done;
           Runtime.barrier ctx;
@@ -159,9 +162,9 @@ let run ?(n = 65_536) ~variant transports =
           for d = 0 to p - 1 do
             if Array.length outb.(d) > 0 then begin
               let pos =
-                Runtime.read_int ctx ~proc:d ~arr:id_offsets ~idx:rank
+                Runtime.read ctx Runtime.Int ~proc:d ~arr:id_offsets ~idx:rank
               in
-              Runtime.store_ints ctx ~proc:d ~arr:id_result ~pos outb.(d)
+              Runtime.store ctx Runtime.Int ~proc:d ~arr:id_result ~pos outb.(d)
             end
           done;
           Runtime.all_store_sync ctx;

@@ -152,7 +152,6 @@ let transport f ~rank =
             m_payload = payload;
             m_is_reply = false;
           });
-    poll = (fun () -> poll f ~rank);
     poll_until = (fun pred -> poll_until f ~rank pred);
     flush =
       (fun () ->

@@ -23,5 +23,4 @@ val meiko_cs2 : spec
 type fabric
 
 val create : Engine.Sim.t -> nodes:int -> spec -> fabric
-val transport : fabric -> rank:int -> Transport.t
 val transports : fabric -> Transport.t array

@@ -1,38 +1,87 @@
 open Engine
 
-(* reserved runtime handler ids (applications use 1-99) *)
-let h_read_int = 200
-let h_read_int_reply = 201
-let h_write_int = 202
-let h_write_ack = 203
-let h_store_pair = 204
-let h_store_ints = 205
-let h_store_floats = 206
-let h_get_ints = 207
-let h_get_ints_reply = 208
-let h_get_floats = 209
-let h_get_floats_reply = 210
-let h_barrier_arrive = 211
-let h_barrier_release = 212
-let h_reduce_int = 213
-let h_reduce_int_result = 214
-let h_reduce_float = 215
-let h_reduce_float_result = 216
-let h_bcast = 217
-let h_read_float = 218
-let h_read_float_reply = 219
-let h_write_float = 220
-
+type _ elt = Int : int elt | Float : float elt
 type op = Sum | Min | Max
 
 let op_code = function Sum -> 0 | Min -> 1 | Max -> 2
 let op_of_code = function 0 -> Sum | 1 -> Min | _ -> Max
 
-let apply_int op a b =
-  match op with Sum -> a + b | Min -> min a b | Max -> max a b
+(* reserved runtime handler ids (applications use 1-99); the per-kind ids
+   live in each kind's record *)
+let h_write_ack = 203
+let h_store_pair = 204
+let h_barrier_arrive = 211
+let h_barrier_release = 212
+let h_bcast = 217
 
-let apply_float op a b =
-  match op with Sum -> a +. b | Min -> Float.min a b | Max -> Float.max a b
+(* One element kind: its 8-byte wire codec, its reduction arithmetic, its
+   handler ids and, per processor, its array table and reduction state. *)
+type 'a kind = {
+  what : string;
+  zero : 'a;
+  to_bits : 'a -> int64;
+  of_bits : int64 -> 'a;
+  apply : op -> 'a -> 'a -> 'a;
+  h_read : int;
+  h_read_reply : int;
+  h_write : int;
+  h_store : int;
+  h_get : int;
+  h_get_reply : int;
+  h_reduce : int;
+  h_reduce_result : int;
+  arrays : (int, 'a array) Hashtbl.t;
+  reduce_acc : (int, int * 'a) Hashtbl.t;
+      (* rank 0: epoch -> contributions so far and their fold *)
+  reduce_results : (int, 'a) Hashtbl.t; (* others: epoch -> result *)
+}
+
+let int_kind () =
+  {
+    what = "int";
+    zero = 0;
+    to_bits = Int64.of_int;
+    of_bits = Int64.to_int;
+    apply =
+      (fun op a b ->
+        match op with Sum -> a + b | Min -> min a b | Max -> max a b);
+    h_read = 200;
+    h_read_reply = 201;
+    h_write = 202;
+    h_store = 205;
+    h_get = 207;
+    h_get_reply = 208;
+    h_reduce = 213;
+    h_reduce_result = 214;
+    arrays = Hashtbl.create 8;
+    reduce_acc = Hashtbl.create 4;
+    reduce_results = Hashtbl.create 4;
+  }
+
+let float_kind () =
+  {
+    what = "float";
+    zero = 0.;
+    to_bits = Int64.bits_of_float;
+    of_bits = Int64.float_of_bits;
+    apply =
+      (fun op a b ->
+        match op with
+        | Sum -> a +. b
+        | Min -> Float.min a b
+        | Max -> Float.max a b);
+    h_read = 218;
+    h_read_reply = 219;
+    h_write = 220;
+    h_store = 206;
+    h_get = 209;
+    h_get_reply = 210;
+    h_reduce = 215;
+    h_reduce_result = 216;
+    arrays = Hashtbl.create 8;
+    reduce_acc = Hashtbl.create 4;
+    reduce_results = Hashtbl.create 4;
+  }
 
 (* growable int vector for append buffers *)
 module Intvec = struct
@@ -52,34 +101,28 @@ module Intvec = struct
   let contents t = Array.sub t.data 0 t.len
 end
 
-type slot =
-  | S_int of int option ref
-  | S_float of float option ref
-  | S_ack of bool ref
-  | S_ints of int array * int * int ref (* dest, base pos, remaining chunks *)
-  | S_floats of float array * int * int ref
-
 type ctx = {
   tp : Transport.t;
   mutable start_ns : Sim.time;
   mutable comm_ns : int;
-  int_arrays : (int, int array) Hashtbl.t;
-  float_arrays : (int, float array) Hashtbl.t;
+  ints : int kind;
+  floats : float kind;
   append_bufs : (int, Intvec.t) Hashtbl.t;
-  pending : (int, slot) Hashtbl.t;
+  pending : (int, int array -> Buf.t -> unit) Hashtbl.t;
+      (* request id -> what its replies do (reply args, payload) *)
   mutable next_req : int;
   (* barrier *)
   mutable barrier_epoch : int;
   barrier_arrivals : (int, int ref) Hashtbl.t; (* rank 0 only *)
   mutable barrier_released : int;
-  (* reduce *)
-  mutable reduce_epoch : int;
-  reduce_acc : (int, int ref * int ref * float ref) Hashtbl.t; (* rank 0: epoch -> count, int acc, float acc *)
-  reduce_results : (int, int * float) Hashtbl.t; (* others: epoch -> results *)
+  mutable reduce_epoch : int; (* the kinds keep the accumulators *)
   (* broadcast *)
   mutable bcast_epoch : int;
   bcast_slots : (int, int array) Hashtbl.t;
 }
+
+let kind : type a. ctx -> a elt -> a kind =
+ fun ctx -> function Int -> ctx.ints | Float -> ctx.floats
 
 let rank ctx = ctx.tp.Transport.rank
 let nprocs ctx = ctx.tp.Transport.nodes
@@ -106,65 +149,35 @@ let fresh_req ctx =
 (* Encoders build the payload in a fresh store and hand out a slice of it;
    decoders materialize the received slice once (the copy into the
    application's data structure, counted under the splitc layer). *)
-let bytes_of_int64 v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  Engine.Buf.of_bytes b
-
-let int64_of_payload p =
-  Bytes.get_int64_le (Engine.Buf.to_bytes ~layer:"splitc" p) 0
-
-let bytes_of_int v = bytes_of_int64 (Int64.of_int v)
-let int_of_payload b = Int64.to_int (int64_of_payload b)
-let bytes_of_float v = bytes_of_int64 (Int64.bits_of_float v)
-let float_of_payload b = Int64.float_of_bits (int64_of_payload b)
-
-let encode_ints a pos len =
+let encode k a pos len =
   let b = Bytes.create (8 * len) in
   for i = 0 to len - 1 do
-    Bytes.set_int64_le b (8 * i) (Int64.of_int a.(pos + i))
+    Bytes.set_int64_le b (8 * i) (k.to_bits a.(pos + i))
   done;
-  Engine.Buf.of_bytes b
+  Buf.of_bytes b
 
-let decode_ints p =
-  let b = Engine.Buf.to_bytes ~layer:"splitc" p in
+let decode k p =
+  let b = Buf.to_bytes ~layer:"splitc" p in
   Array.init (Bytes.length b / 8) (fun i ->
-      Int64.to_int (Bytes.get_int64_le b (8 * i)))
+      k.of_bits (Bytes.get_int64_le b (8 * i)))
 
-let encode_floats a pos len =
-  let b = Bytes.create (8 * len) in
-  for i = 0 to len - 1 do
-    Bytes.set_int64_le b (8 * i) (Int64.bits_of_float a.(pos + i))
-  done;
-  Engine.Buf.of_bytes b
-
-let decode_floats p =
-  let b = Engine.Buf.to_bytes ~layer:"splitc" p in
-  Array.init (Bytes.length b / 8) (fun i ->
-      Int64.float_of_bits (Bytes.get_int64_le b (8 * i)))
+(* single values travel as one-element arrays *)
+let encode_one k v = encode k [| v |] 0 1
+let decode_one k p = (decode k p).(0)
 
 (* --- array registry --------------------------------------------------- *)
 
-let register_ints ctx ~id a =
-  if Hashtbl.mem ctx.int_arrays id then
-    Fmt.invalid_arg "Splitc: int array %d already registered" id;
-  Hashtbl.replace ctx.int_arrays id a
+let register ctx elt ~id a =
+  let k = kind ctx elt in
+  if Hashtbl.mem k.arrays id then
+    Fmt.invalid_arg "Splitc: %s array %d already registered" k.what id;
+  Hashtbl.replace k.arrays id a
 
-let register_floats ctx ~id a =
-  if Hashtbl.mem ctx.float_arrays id then
-    Fmt.invalid_arg "Splitc: float array %d already registered" id;
-  Hashtbl.replace ctx.float_arrays id a
-
-let int_array ctx id =
-  match Hashtbl.find_opt ctx.int_arrays id with
-  | Some a -> a
-  | None -> Fmt.failwith "Splitc: unknown int array %d on proc %d" id (rank ctx)
-
-let float_array ctx id =
-  match Hashtbl.find_opt ctx.float_arrays id with
+let array ctx k id =
+  match Hashtbl.find_opt k.arrays id with
   | Some a -> a
   | None ->
-      Fmt.failwith "Splitc: unknown float array %d on proc %d" id (rank ctx)
+      Fmt.failwith "Splitc: unknown %s array %d on proc %d" k.what id (rank ctx)
 
 let register_append_buffer ctx ~id =
   Hashtbl.replace ctx.append_bufs id (Intvec.create ())
@@ -182,76 +195,55 @@ let need_reply = function
   | Some r -> (r : Transport.reply_fn)
   | None -> failwith "Splitc: request handler invoked without reply capability"
 
+(* every reply (read value, get chunk, write ack) carries its request id
+   first and runs the continuation posted under it *)
+let dispatch_reply ctx ~src:_ ~reply:_ ~args ~payload =
+  match Hashtbl.find_opt ctx.pending args.(0) with
+  | Some k -> k args payload
+  | None -> Fmt.failwith "Splitc: stray reply to request %d" args.(0)
+
+let install_kind ctx k =
+  let reg = ctx.tp.Transport.register in
+  reg k.h_read (fun ~src:_ ~reply ~args ~payload:_ ->
+      let a = array ctx k args.(0) in
+      (need_reply reply) ~handler:k.h_read_reply ~args:[| args.(2) |]
+        ~payload:(encode_one k a.(args.(1)))
+        ());
+  reg k.h_write (fun ~src:_ ~reply ~args ~payload ->
+      let a = array ctx k args.(0) in
+      a.(args.(1)) <- decode_one k payload;
+      (need_reply reply) ~handler:h_write_ack ~args:[| args.(2) |] ());
+  reg k.h_store (fun ~src:_ ~reply:_ ~args ~payload ->
+      let a = array ctx k args.(0) in
+      let vals = decode k payload in
+      Array.blit vals 0 a args.(1) (Array.length vals));
+  reg k.h_get (fun ~src:_ ~reply ~args ~payload:_ ->
+      let arr = args.(0) lsr 16 and len = args.(0) land 0xffff in
+      let a = array ctx k arr in
+      (need_reply reply) ~handler:k.h_get_reply
+        ~args:[| args.(2); args.(3) |]
+        ~payload:(encode k a args.(1) len) ());
+  reg k.h_read_reply (dispatch_reply ctx);
+  reg k.h_get_reply (dispatch_reply ctx);
+  reg k.h_reduce (fun ~src:_ ~reply:_ ~args ~payload ->
+      let e = args.(0) and op = op_of_code args.(1) in
+      let v = decode_one k payload in
+      Hashtbl.replace k.reduce_acc e
+        (match Hashtbl.find_opt k.reduce_acc e with
+        | None -> (1, v)
+        | Some (count, acc) -> (count + 1, k.apply op acc v)));
+  reg k.h_reduce_result (fun ~src:_ ~reply:_ ~args ~payload ->
+      Hashtbl.replace k.reduce_results args.(0) (decode_one k payload))
+
 let install_handlers ctx =
   let reg = ctx.tp.Transport.register in
-  reg h_read_int (fun ~src:_ ~reply ~args ~payload:_ ->
-      let a = int_array ctx args.(0) in
-      (need_reply reply) ~handler:h_read_int_reply ~args:[| args.(2) |]
-        ~payload:(bytes_of_int a.(args.(1)))
-        ());
-  reg h_read_int_reply (fun ~src:_ ~reply:_ ~args ~payload ->
-      match Hashtbl.find_opt ctx.pending args.(0) with
-      | Some (S_int r) -> r := Some (int_of_payload payload)
-      | _ -> failwith "Splitc: stray read-int reply");
-  reg h_read_float (fun ~src:_ ~reply ~args ~payload:_ ->
-      let a = float_array ctx args.(0) in
-      (need_reply reply) ~handler:h_read_float_reply ~args:[| args.(2) |]
-        ~payload:(bytes_of_float a.(args.(1)))
-        ());
-  reg h_read_float_reply (fun ~src:_ ~reply:_ ~args ~payload ->
-      match Hashtbl.find_opt ctx.pending args.(0) with
-      | Some (S_float r) -> r := Some (float_of_payload payload)
-      | _ -> failwith "Splitc: stray read-float reply");
-  reg h_write_int (fun ~src:_ ~reply ~args ~payload ->
-      let a = int_array ctx args.(0) in
-      a.(args.(1)) <- int_of_payload payload;
-      (need_reply reply) ~handler:h_write_ack ~args:[| args.(2) |] ());
-  reg h_write_float (fun ~src:_ ~reply ~args ~payload ->
-      let a = float_array ctx args.(0) in
-      a.(args.(1)) <- float_of_payload payload;
-      (need_reply reply) ~handler:h_write_ack ~args:[| args.(2) |] ());
-  reg h_write_ack (fun ~src:_ ~reply:_ ~args ~payload:_ ->
-      match Hashtbl.find_opt ctx.pending args.(0) with
-      | Some (S_ack r) -> r := true
-      | _ -> failwith "Splitc: stray write ack");
+  install_kind ctx ctx.ints;
+  install_kind ctx ctx.floats;
+  reg h_write_ack (dispatch_reply ctx);
   reg h_store_pair (fun ~src:_ ~reply:_ ~args ~payload:_ ->
       let v = append_buf ctx args.(0) in
       Intvec.push v args.(1);
       Intvec.push v args.(2));
-  reg h_store_ints (fun ~src:_ ~reply:_ ~args ~payload ->
-      let a = int_array ctx args.(0) in
-      let vals = decode_ints payload in
-      Array.blit vals 0 a args.(1) (Array.length vals));
-  reg h_store_floats (fun ~src:_ ~reply:_ ~args ~payload ->
-      let a = float_array ctx args.(0) in
-      let vals = decode_floats payload in
-      Array.blit vals 0 a args.(1) (Array.length vals));
-  reg h_get_ints (fun ~src:_ ~reply ~args ~payload:_ ->
-      let arr = args.(0) lsr 16 and len = args.(0) land 0xffff in
-      let a = int_array ctx arr in
-      (need_reply reply) ~handler:h_get_ints_reply
-        ~args:[| args.(2); args.(3) |]
-        ~payload:(encode_ints a args.(1) len) ());
-  reg h_get_ints_reply (fun ~src:_ ~reply:_ ~args ~payload ->
-      match Hashtbl.find_opt ctx.pending args.(0) with
-      | Some (S_ints (dest, base, remaining)) ->
-          let vals = decode_ints payload in
-          Array.blit vals 0 dest (base + args.(1)) (Array.length vals);
-          decr remaining
-      | _ -> failwith "Splitc: stray get-ints reply");
-  reg h_get_floats (fun ~src:_ ~reply ~args ~payload:_ ->
-      let arr = args.(0) lsr 16 and len = args.(0) land 0xffff in
-      let a = float_array ctx arr in
-      (need_reply reply) ~handler:h_get_floats_reply
-        ~args:[| args.(2); args.(3) |]
-        ~payload:(encode_floats a args.(1) len) ());
-  reg h_get_floats_reply (fun ~src:_ ~reply:_ ~args ~payload ->
-      match Hashtbl.find_opt ctx.pending args.(0) with
-      | Some (S_floats (dest, base, remaining)) ->
-          let vals = decode_floats payload in
-          Array.blit vals 0 dest (base + args.(1)) (Array.length vals);
-          decr remaining
-      | _ -> failwith "Splitc: stray get-floats reply");
   reg h_barrier_arrive (fun ~src:_ ~reply:_ ~args ~payload:_ ->
       let e = args.(0) in
       let c =
@@ -265,38 +257,8 @@ let install_handlers ctx =
       incr c);
   reg h_barrier_release (fun ~src:_ ~reply:_ ~args ~payload:_ ->
       ctx.barrier_released <- max ctx.barrier_released args.(0));
-  reg h_reduce_int (fun ~src:_ ~reply:_ ~args ~payload ->
-      let e = args.(0) and op = op_of_code args.(1) in
-      let count, acc, _ =
-        match Hashtbl.find_opt ctx.reduce_acc e with
-        | Some x -> x
-        | None ->
-            let x = (ref 0, ref 0, ref 0.) in
-            Hashtbl.replace ctx.reduce_acc e x;
-            x
-      in
-      let v = int_of_payload payload in
-      if !count = 0 then acc := v else acc := apply_int op !acc v;
-      incr count);
-  reg h_reduce_int_result (fun ~src:_ ~reply:_ ~args ~payload ->
-      Hashtbl.replace ctx.reduce_results args.(0) (int_of_payload payload, 0.));
-  reg h_reduce_float (fun ~src:_ ~reply:_ ~args ~payload ->
-      let e = args.(0) and op = op_of_code args.(1) in
-      let count, _, acc =
-        match Hashtbl.find_opt ctx.reduce_acc e with
-        | Some x -> x
-        | None ->
-            let x = (ref 0, ref 0, ref 0.) in
-            Hashtbl.replace ctx.reduce_acc e x;
-            x
-      in
-      let v = float_of_payload payload in
-      if !count = 0 then acc := v else acc := apply_float op !acc v;
-      incr count);
-  reg h_reduce_float_result (fun ~src:_ ~reply:_ ~args ~payload ->
-      Hashtbl.replace ctx.reduce_results args.(0) (0, float_of_payload payload));
   reg h_bcast (fun ~src:_ ~reply:_ ~args ~payload ->
-      Hashtbl.replace ctx.bcast_slots args.(0) (decode_ints payload))
+      Hashtbl.replace ctx.bcast_slots args.(0) (decode ctx.ints payload))
 
 (* --- collectives ------------------------------------------------------- *)
 
@@ -323,94 +285,45 @@ let barrier ctx =
           ctx.tp.Transport.poll_until (fun () -> ctx.barrier_released >= e)
         end)
 
-let reduce_generic ctx ~contrib_handler ~result_handler ~op ~payload ~extract =
-  timed ctx (fun () ->
-      ctx.reduce_epoch <- ctx.reduce_epoch + 1;
-      let e = ctx.reduce_epoch in
-      let n = nprocs ctx in
-      if n = 1 then None
-      else if rank ctx = 0 then begin
-        ctx.tp.Transport.poll_until (fun () ->
-            match Hashtbl.find_opt ctx.reduce_acc e with
-            | Some (count, _, _) -> !count >= n - 1
-            | None -> false);
-        let _, acc_i, acc_f =
-          match Hashtbl.find_opt ctx.reduce_acc e with
-          | Some x -> x
-          | None -> assert false
-        in
-        Hashtbl.remove ctx.reduce_acc e;
-        Some (!acc_i, !acc_f)
-      end
-      else begin
-        ctx.tp.Transport.request ~dst:0 ~handler:contrib_handler
-          ~args:[| e; op_code op |] ~payload ();
-        ctx.tp.Transport.poll_until (fun () ->
-            Hashtbl.mem ctx.reduce_results e);
-        let r = Hashtbl.find ctx.reduce_results e in
-        Hashtbl.remove ctx.reduce_results e;
-        ignore result_handler;
-        ignore extract;
-        Some r
-      end)
-
-let reduce_int ctx op v =
+(* Rank 0 folds the others' contributions in arrival order, applies its
+   own value last and sends the result back; everyone else contributes and
+   waits for it. *)
+let reduce ctx elt op v =
+  let k = kind ctx elt in
   let n = nprocs ctx in
   if n = 1 then v
-  else if rank ctx = 0 then begin
-    match
-      reduce_generic ctx ~contrib_handler:h_reduce_int
-        ~result_handler:h_reduce_int_result ~op ~payload:(bytes_of_int v)
-        ~extract:fst
-    with
-    | Some (acc, _) ->
-        let result = apply_int op acc v in
+  else begin
+    ctx.reduce_epoch <- ctx.reduce_epoch + 1;
+    let e = ctx.reduce_epoch in
+    if rank ctx = 0 then begin
+      let acc =
         timed ctx (fun () ->
-            for r = 1 to n - 1 do
-              ctx.tp.Transport.request ~dst:r ~handler:h_reduce_int_result
-                ~args:[| ctx.reduce_epoch |]
-                ~payload:(bytes_of_int result) ()
-            done);
-        result
-    | None -> v
+            ctx.tp.Transport.poll_until (fun () ->
+                match Hashtbl.find_opt k.reduce_acc e with
+                | Some (count, _) -> count >= n - 1
+                | None -> false);
+            let _, acc = Hashtbl.find k.reduce_acc e in
+            Hashtbl.remove k.reduce_acc e;
+            acc)
+      in
+      let result = k.apply op acc v in
+      timed ctx (fun () ->
+          for r = 1 to n - 1 do
+            ctx.tp.Transport.request ~dst:r ~handler:k.h_reduce_result
+              ~args:[| e |] ~payload:(encode_one k result) ()
+          done);
+      result
+    end
+    else
+      timed ctx (fun () ->
+          ctx.tp.Transport.request ~dst:0 ~handler:k.h_reduce
+            ~args:[| e; op_code op |] ~payload:(encode_one k v) ();
+          ctx.tp.Transport.poll_until (fun () ->
+              Hashtbl.mem k.reduce_results e);
+          let r = Hashtbl.find k.reduce_results e in
+          Hashtbl.remove k.reduce_results e;
+          r)
   end
-  else
-    match
-      reduce_generic ctx ~contrib_handler:h_reduce_int
-        ~result_handler:h_reduce_int_result ~op ~payload:(bytes_of_int v)
-        ~extract:fst
-    with
-    | Some (i, _) -> i
-    | None -> v
-
-let reduce_float ctx op v =
-  let n = nprocs ctx in
-  if n = 1 then v
-  else if rank ctx = 0 then begin
-    match
-      reduce_generic ctx ~contrib_handler:h_reduce_float
-        ~result_handler:h_reduce_float_result ~op ~payload:(bytes_of_float v)
-        ~extract:snd
-    with
-    | Some (_, acc) ->
-        let result = apply_float op acc v in
-        timed ctx (fun () ->
-            for r = 1 to n - 1 do
-              ctx.tp.Transport.request ~dst:r ~handler:h_reduce_float_result
-                ~args:[| ctx.reduce_epoch |]
-                ~payload:(bytes_of_float result) ()
-            done);
-        result
-    | None -> v
-  end
-  else
-    match
-      reduce_generic ctx ~contrib_handler:h_reduce_float
-        ~result_handler:h_reduce_float_result ~op ~payload:(bytes_of_float v)
-        ~extract:snd
-    with
-    | Some (_, f) -> f
-    | None -> v
 
 let broadcast_ints ctx ~root a =
   timed ctx (fun () ->
@@ -420,7 +333,7 @@ let broadcast_ints ctx ~root a =
       else if rank ctx = root then begin
         if 8 * Array.length a > ctx.tp.Transport.max_payload then
           invalid_arg "Splitc.broadcast_ints: too large for one message";
-        let payload = encode_ints a 0 (Array.length a) in
+        let payload = encode ctx.ints a 0 (Array.length a) in
         for r = 0 to nprocs ctx - 1 do
           if r <> root then
             ctx.tp.Transport.request ~dst:r ~handler:h_bcast ~args:[| e |]
@@ -435,57 +348,66 @@ let broadcast_ints ctx ~root a =
         r
       end)
 
+(* --- requests awaiting replies ----------------------------------------- *)
+
+type 'a pending = { pn_id : int; pn_remaining : int ref; pn_value : 'a }
+
+(* Send requests under one fresh id: [send id] issues them, each answered
+   by one reply that [on_reply] consumes; [replies] is how many to expect. *)
+let post ctx ~replies ~on_reply value send =
+  timed ctx (fun () ->
+      let id = fresh_req ctx in
+      let remaining = ref replies in
+      Hashtbl.replace ctx.pending id (fun args payload ->
+          on_reply args payload;
+          decr remaining);
+      send id;
+      { pn_id = id; pn_remaining = remaining; pn_value = value })
+
+let await ctx p =
+  if !(p.pn_remaining) > 0 then
+    timed ctx (fun () ->
+        ctx.tp.Transport.poll_until (fun () -> !(p.pn_remaining) = 0));
+  if p.pn_id >= 0 then Hashtbl.remove ctx.pending p.pn_id;
+  p.pn_value
+
+(* [f off n] for consecutive chunks of at most [size] of [len] elements *)
+let iter_chunks ~size len f =
+  let off = ref 0 in
+  while !off < len do
+    let n = min size (len - !off) in
+    f !off n;
+    off := !off + n
+  done
+
+let chunk_elems ctx = ctx.tp.Transport.max_payload / 8
+
 (* --- global memory operations ------------------------------------------ *)
 
-let read_int ctx ~proc ~arr ~idx =
-  if proc = rank ctx then (int_array ctx arr).(idx)
+let read ctx elt ~proc ~arr ~idx =
+  let k = kind ctx elt in
+  if proc = rank ctx then (array ctx k arr).(idx)
   else
-    timed ctx (fun () ->
-        let id = fresh_req ctx in
-        let r = ref None in
-        Hashtbl.replace ctx.pending id (S_int r);
-        ctx.tp.Transport.request ~dst:proc ~handler:h_read_int
-          ~args:[| arr; idx; id |] ();
-        ctx.tp.Transport.poll_until (fun () -> !r <> None);
-        Hashtbl.remove ctx.pending id;
-        Option.get !r)
+    let cell = [| k.zero |] in
+    (await ctx
+       (post ctx ~replies:1
+          ~on_reply:(fun _ payload -> cell.(0) <- decode_one k payload)
+          cell
+          (fun id ->
+            ctx.tp.Transport.request ~dst:proc ~handler:k.h_read
+              ~args:[| arr; idx; id |] ()))).(0)
 
-let read_float ctx ~proc ~arr ~idx =
-  if proc = rank ctx then (float_array ctx arr).(idx)
+let write ctx elt ~proc ~arr ~idx v =
+  let k = kind ctx elt in
+  if proc = rank ctx then (array ctx k arr).(idx) <- v
   else
-    timed ctx (fun () ->
-        let id = fresh_req ctx in
-        let r = ref None in
-        Hashtbl.replace ctx.pending id (S_float r);
-        ctx.tp.Transport.request ~dst:proc ~handler:h_read_float
-          ~args:[| arr; idx; id |] ();
-        ctx.tp.Transport.poll_until (fun () -> !r <> None);
-        Hashtbl.remove ctx.pending id;
-        Option.get !r)
-
-let write_int ctx ~proc ~arr ~idx v =
-  if proc = rank ctx then (int_array ctx arr).(idx) <- v
-  else
-    timed ctx (fun () ->
-        let id = fresh_req ctx in
-        let r = ref false in
-        Hashtbl.replace ctx.pending id (S_ack r);
-        ctx.tp.Transport.request ~dst:proc ~handler:h_write_int
-          ~args:[| arr; idx; id |] ~payload:(bytes_of_int v) ();
-        ctx.tp.Transport.poll_until (fun () -> !r);
-        Hashtbl.remove ctx.pending id)
-
-let write_float ctx ~proc ~arr ~idx v =
-  if proc = rank ctx then (float_array ctx arr).(idx) <- v
-  else
-    timed ctx (fun () ->
-        let id = fresh_req ctx in
-        let r = ref false in
-        Hashtbl.replace ctx.pending id (S_ack r);
-        ctx.tp.Transport.request ~dst:proc ~handler:h_write_float
-          ~args:[| arr; idx; id |] ~payload:(bytes_of_float v) ();
-        ctx.tp.Transport.poll_until (fun () -> !r);
-        Hashtbl.remove ctx.pending id)
+    await ctx
+      (post ctx ~replies:1
+         ~on_reply:(fun _ _ -> ())
+         ()
+         (fun id ->
+           ctx.tp.Transport.request ~dst:proc ~handler:k.h_write
+             ~args:[| arr; idx; id |] ~payload:(encode_one k v) ()))
 
 let store_pair ctx ~proc ~buf v1 v2 =
   if proc = rank ctx then begin
@@ -498,128 +420,44 @@ let store_pair ctx ~proc ~buf v1 v2 =
         ctx.tp.Transport.request ~dst:proc ~handler:h_store_pair
           ~args:[| buf; v1; v2 |] ())
 
-let chunk_elems ctx = ctx.tp.Transport.max_payload / 8
-
-let store_ints ctx ~proc ~arr ~pos a =
-  if proc = rank ctx then Array.blit a 0 (int_array ctx arr) pos (Array.length a)
+let store ctx elt ~proc ~arr ~pos a =
+  let k = kind ctx elt in
+  if proc = rank ctx then Array.blit a 0 (array ctx k arr) pos (Array.length a)
   else
     timed ctx (fun () ->
-        let ce = chunk_elems ctx in
-        let len = Array.length a in
-        let off = ref 0 in
-        while !off < len do
-          let n = min ce (len - !off) in
-          ctx.tp.Transport.request ~dst:proc ~handler:h_store_ints
-            ~args:[| arr; pos + !off |]
-            ~payload:(encode_ints a !off n) ();
-          off := !off + n
-        done)
-
-let store_floats ctx ~proc ~arr ~pos a =
-  if proc = rank ctx then
-    Array.blit a 0 (float_array ctx arr) pos (Array.length a)
-  else
-    timed ctx (fun () ->
-        let ce = chunk_elems ctx in
-        let len = Array.length a in
-        let off = ref 0 in
-        while !off < len do
-          let n = min ce (len - !off) in
-          ctx.tp.Transport.request ~dst:proc ~handler:h_store_floats
-            ~args:[| arr; pos + !off |]
-            ~payload:(encode_floats a !off n) ();
-          off := !off + n
-        done)
+        iter_chunks ~size:(chunk_elems ctx) (Array.length a) (fun off n ->
+            ctx.tp.Transport.request ~dst:proc ~handler:k.h_store
+              ~args:[| arr; pos + off |]
+              ~payload:(encode k a off n) ()))
 
 let all_store_sync ctx =
   timed ctx (fun () -> ctx.tp.Transport.flush ());
   barrier ctx
 
-let get_generic ctx ~proc ~arr ~pos ~len ~handler ~mk_slot =
-  timed ctx (fun () ->
-      let ce = min 0xffff (chunk_elems ctx) in
-      let id = fresh_req ctx in
-      let nchunks = (len + ce - 1) / ce in
-      let remaining = ref nchunks in
-      Hashtbl.replace ctx.pending id (mk_slot remaining);
-      let off = ref 0 in
-      while !off < len do
-        let n = min ce (len - !off) in
-        ctx.tp.Transport.request ~dst:proc ~handler
-          ~args:[| (arr lsl 16) lor n; pos + !off; id; !off |]
-          ();
-        off := !off + n
-      done;
-      ctx.tp.Transport.poll_until (fun () -> !remaining = 0);
-      Hashtbl.remove ctx.pending id)
-
-let get_ints ctx ~proc ~arr ~pos ~len =
-  if proc = rank ctx then Array.sub (int_array ctx arr) pos len
-  else begin
-    let dest = Array.make len 0 in
-    get_generic ctx ~proc ~arr ~pos ~len ~handler:h_get_ints
-      ~mk_slot:(fun remaining -> S_ints (dest, 0, remaining));
-    dest
-  end
-
-let get_floats ctx ~proc ~arr ~pos ~len =
-  if proc = rank ctx then Array.sub (float_array ctx arr) pos len
-  else begin
-    let dest = Array.make len 0. in
-    get_generic ctx ~proc ~arr ~pos ~len ~handler:h_get_floats
-      ~mk_slot:(fun remaining -> S_floats (dest, 0, remaining));
-    dest
-  end
-
-(* --- split-phase gets -------------------------------------------------- *)
-
-type 'a pending = { pn_id : int; pn_remaining : int ref; pn_value : 'a }
-
-let start_get ctx ~proc ~arr ~pos ~len ~handler ~mk_slot value =
-  timed ctx (fun () ->
-      let ce = min 0xffff (chunk_elems ctx) in
-      let id = fresh_req ctx in
-      let nchunks = (len + ce - 1) / ce in
-      let remaining = ref nchunks in
-      Hashtbl.replace ctx.pending id (mk_slot remaining);
-      let off = ref 0 in
-      while !off < len do
-        let n = min ce (len - !off) in
-        ctx.tp.Transport.request ~dst:proc ~handler
-          ~args:[| (arr lsl 16) lor n; pos + !off; id; !off |]
-          ();
-        off := !off + n
-      done;
-      { pn_id = id; pn_remaining = remaining; pn_value = value })
-
-let get_floats_async ctx ~proc ~arr ~pos ~len =
-  let dest = Array.make len 0. in
+(* a chunk's element count rides in the low 16 bits of its first arg *)
+let get_async ctx elt ~proc ~arr ~pos ~len =
+  let k = kind ctx elt in
+  let dest = Array.make len k.zero in
   if proc = rank ctx then begin
-    Array.blit (float_array ctx arr) pos dest 0 len;
+    Array.blit (array ctx k arr) pos dest 0 len;
     { pn_id = -1; pn_remaining = ref 0; pn_value = dest }
   end
   else
-    start_get ctx ~proc ~arr ~pos ~len ~handler:h_get_floats
-      ~mk_slot:(fun remaining -> S_floats (dest, 0, remaining))
+    let size = min 0xffff (chunk_elems ctx) in
+    post ctx
+      ~replies:((len + size - 1) / size)
+      ~on_reply:(fun args payload ->
+        let vals = decode k payload in
+        Array.blit vals 0 dest args.(1) (Array.length vals))
       dest
+      (fun id ->
+        iter_chunks ~size len (fun off n ->
+            ctx.tp.Transport.request ~dst:proc ~handler:k.h_get
+              ~args:[| (arr lsl 16) lor n; pos + off; id; off |]
+              ()))
 
-let get_ints_async ctx ~proc ~arr ~pos ~len =
-  let dest = Array.make len 0 in
-  if proc = rank ctx then begin
-    Array.blit (int_array ctx arr) pos dest 0 len;
-    { pn_id = -1; pn_remaining = ref 0; pn_value = dest }
-  end
-  else
-    start_get ctx ~proc ~arr ~pos ~len ~handler:h_get_ints
-      ~mk_slot:(fun remaining -> S_ints (dest, 0, remaining))
-      dest
-
-let await ctx p =
-  if !(p.pn_remaining) > 0 then
-    timed ctx (fun () ->
-        ctx.tp.Transport.poll_until (fun () -> !(p.pn_remaining) = 0));
-  if p.pn_id >= 0 then Hashtbl.remove ctx.pending p.pn_id;
-  p.pn_value
+let get ctx elt ~proc ~arr ~pos ~len =
+  await ctx (get_async ctx elt ~proc ~arr ~pos ~len)
 
 (* --- program driver ------------------------------------------------------ *)
 
@@ -628,8 +466,8 @@ let mk_ctx tp =
     tp;
     start_ns = 0;
     comm_ns = 0;
-    int_arrays = Hashtbl.create 8;
-    float_arrays = Hashtbl.create 8;
+    ints = int_kind ();
+    floats = float_kind ();
     append_bufs = Hashtbl.create 8;
     pending = Hashtbl.create 16;
     next_req = 0;
@@ -637,8 +475,6 @@ let mk_ctx tp =
     barrier_arrivals = Hashtbl.create 4;
     barrier_released = 0;
     reduce_epoch = 0;
-    reduce_acc = Hashtbl.create 4;
-    reduce_results = Hashtbl.create 4;
     bcast_epoch = 0;
     bcast_slots = Hashtbl.create 4;
   }

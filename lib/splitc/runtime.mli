@@ -31,36 +31,38 @@ val comm_us : ctx -> float
 (** Time this processor has spent in communication (blocking runtime calls
     and message handling). *)
 
+(** {2 Element kinds}
+
+    Global arrays hold [int]s or [float]s, each sent as 8 bytes on the wire;
+    every typed operation below takes the kind it works on. *)
+
+type _ elt = Int : int elt | Float : float elt
+
 (** {2 Collectives} *)
 
 val barrier : ctx -> unit
 
 type op = Sum | Min | Max
 
-val reduce_int : ctx -> op -> int -> int
+val reduce : ctx -> 'a elt -> op -> 'a -> 'a
 (** All-reduce: every processor contributes and receives the result. *)
-
-val reduce_float : ctx -> op -> float -> float
 
 val broadcast_ints : ctx -> root:int -> int array -> int array
 (** Root's array reaches everyone (others pass a same-length buffer). *)
 
 (** {2 Global arrays}
 
-    Arrays are registered under small integer ids; every processor registers
-    its local part under the same id (SPMD style). *)
+    Arrays are registered under small integer ids, one table per kind;
+    every processor registers its local part under the same id (SPMD
+    style). *)
 
-val register_ints : ctx -> id:int -> int array -> unit
-val register_floats : ctx -> id:int -> float array -> unit
+val register : ctx -> 'a elt -> id:int -> 'a array -> unit
 
-val read_int : ctx -> proc:int -> arr:int -> idx:int -> int
+val read : ctx -> 'a elt -> proc:int -> arr:int -> idx:int -> 'a
 (** Blocking global-pointer dereference: request + reply. *)
 
-val write_int : ctx -> proc:int -> arr:int -> idx:int -> int -> unit
+val write : ctx -> 'a elt -> proc:int -> arr:int -> idx:int -> 'a -> unit
 (** Blocking remote write (acknowledged). *)
-
-val read_float : ctx -> proc:int -> arr:int -> idx:int -> float
-val write_float : ctx -> proc:int -> arr:int -> idx:int -> float -> unit
 
 (** {2 One-way stores} *)
 
@@ -71,30 +73,24 @@ val store_pair : ctx -> proc:int -> buf:int -> int -> int -> unit
 val register_append_buffer : ctx -> id:int -> unit
 val append_buffer_contents : ctx -> id:int -> int array
 
-val store_ints : ctx -> proc:int -> arr:int -> pos:int -> int array -> unit
-(** One-way bulk store into a remote int array (chunked to the transport's
+val store : ctx -> 'a elt -> proc:int -> arr:int -> pos:int -> 'a array -> unit
+(** One-way bulk store into a remote array (chunked to the transport's
     payload limit). Complete after {!all_store_sync}. *)
-
-val store_floats : ctx -> proc:int -> arr:int -> pos:int -> float array -> unit
 
 val all_store_sync : ctx -> unit
 (** Global completion of all outstanding stores: flush + barrier. *)
 
 (** {2 Bulk gets} *)
 
-val get_ints : ctx -> proc:int -> arr:int -> pos:int -> len:int -> int array
-val get_floats : ctx -> proc:int -> arr:int -> pos:int -> len:int -> float array
-
-(** Split-phase gets, for overlapping communication with computation (the
-    paper's matrix multiply prefetches the next blocks this way). *)
-
 type 'a pending
 
-val get_floats_async :
-  ctx -> proc:int -> arr:int -> pos:int -> len:int -> float array pending
-
-val get_ints_async :
-  ctx -> proc:int -> arr:int -> pos:int -> len:int -> int array pending
+val get_async :
+  ctx -> 'a elt -> proc:int -> arr:int -> pos:int -> len:int -> 'a array pending
+(** Split-phase get, for overlapping communication with computation (the
+    paper's matrix multiply prefetches the next blocks this way). *)
 
 val await : ctx -> 'a pending -> 'a
 (** Poll until the split-phase operation completes; returns its result. *)
+
+val get : ctx -> 'a elt -> proc:int -> arr:int -> pos:int -> len:int -> 'a array
+(** [await] of [get_async]. *)

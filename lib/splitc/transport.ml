@@ -17,7 +17,6 @@ type t = {
     ?payload:Engine.Buf.t ->
     unit ->
     unit;
-  poll : unit -> unit;
   poll_until : (unit -> bool) -> unit;
   flush : unit -> unit;
   charge_cycles : int -> unit;
@@ -43,7 +42,6 @@ let of_uam am =
     request =
       (fun ~dst ~handler ?args ?payload () ->
         Uam.request am ~dst ~handler ?args ?payload ());
-    poll = (fun () -> Uam.poll am);
     poll_until = (fun pred -> Uam.poll_until am pred);
     flush = (fun () -> Uam.flush am);
     charge_cycles = (fun c -> Host.Cpu.charge_cycles cpu c);

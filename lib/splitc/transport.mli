@@ -23,7 +23,6 @@ type t = {
     ?payload:Engine.Buf.t ->
     unit ->
     unit;
-  poll : unit -> unit;
   poll_until : (unit -> bool) -> unit;
   flush : unit -> unit;
       (** wait until every message this node sent has been processed *)

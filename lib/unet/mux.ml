@@ -10,8 +10,7 @@ type t = {
   m_deliveries : Engine.Metrics.Counter.t;
   m_unknown : Engine.Metrics.Counter.t;
   m_outcomes : (delivery -> Engine.Metrics.Counter.t);
-  (* per-instance view, what the accessors report *)
-  mutable delivered : int;
+  (* per-instance view, what the accessor reports *)
   mutable unknown : int;
 }
 
@@ -90,7 +89,6 @@ let create ?host ?(copy_layer = "mux") () =
         ~help:"PDUs discarded because no endpoint registered the tag"
         "unet_mux_unknown_tag_drops_total" labels;
     m_outcomes = (fun o -> List.assoc (outcome_label o) outcomes);
-    delivered = 0;
     unknown = 0;
   }
 
@@ -101,6 +99,26 @@ let register t ~rx_vci ep ~chan =
 
 let unregister t ~rx_vci = Hashtbl.remove t.table rx_vci
 let lookup t ~rx_vci = Hashtbl.find_opt t.table rx_vci
+
+(* Direct-access framing (§3.6): on direct-access endpoints every PDU
+   carries a 5-byte prefix [flag; offset_be32]; flag 1 means "deposit at
+   offset". *)
+let direct_prefix_size = 5
+
+let frame ~dest_offset data =
+  let prefix = Bytes.make direct_prefix_size '\000' in
+  Option.iter
+    (fun off ->
+      Bytes.set_uint8 prefix 0 1;
+      Bytes.set_int32_be prefix 1 (Int32.of_int off))
+    dest_offset;
+  Engine.Buf.append (Engine.Buf.of_bytes prefix) data
+
+(* the prefix bytes a PDU bound for [ep] carries *)
+let prefix_len (ep : Endpoint.t) pdu =
+  if ep.direct_access && Engine.Buf.length pdu >= direct_prefix_size then
+    direct_prefix_size
+  else 0
 
 (* Pop free buffers until [len] bytes are covered. On shortage, everything
    is pushed back and the message is dropped whole. *)
@@ -147,67 +165,71 @@ let push_rx (ep : Endpoint.t) desc =
     false
   end
 
-let deliver_to ?(copy_layer = "mux") ?ctx (ep : Endpoint.t) ~chan ?dest_offset
-    data =
+let deliver_to ?(copy_layer = "mux") ?ctx (ep : Endpoint.t) ~chan pdu =
+  let framed = prefix_len ep pdu in
+  let data =
+    if framed = 0 then pdu
+    else Engine.Buf.sub pdu ~pos:framed ~len:(Engine.Buf.length pdu - framed)
+  in
   let len = Engine.Buf.length data in
   let outcome =
-    match dest_offset with
-    | Some off when ep.direct_access -> (
-        (* Direct-access: deposit straight into the destination data
-           structure; the receive queue only carries a notification. *)
-        match Segment.check_range ep.segment ~off ~len with
-        | Error _ -> Dropped_bad_offset
-        | Ok () ->
-            Segment.write_buf ~layer:copy_layer ep.segment ~off data;
-            let desc =
-              {
-                Desc.src_chan = chan;
-                rx_payload = Desc.Buffers [ (off, len) ];
-                ctx;
-              }
-            in
-            if push_rx ep desc then begin
-              Engine.Span.mark ctx Engine.Span.Demuxed;
-              Delivered_direct
-            end
-            else Dropped_rx_full)
-    | Some _ | None ->
-        if len <= Desc.inline_max then begin
-          (* the descriptor retains the payload, so snapshot it out of the
-             sender's storage *)
+    if framed > 0 && Engine.Buf.get_uint8 pdu 0 = 1 then begin
+      (* Direct-access: deposit straight into the destination data
+         structure; the receive queue only carries a notification. *)
+      let off = Int32.to_int (Engine.Buf.get_uint32_be pdu 1) in
+      match Segment.check_range ep.segment ~off ~len with
+      | Error _ -> Dropped_bad_offset
+      | Ok () ->
+          Segment.write_buf ~layer:copy_layer ep.segment ~off data;
           let desc =
             {
               Desc.src_chan = chan;
-              rx_payload = Desc.Inline (Engine.Buf.copy ~layer:copy_layer data);
+              rx_payload = Desc.Buffers [ (off, len) ];
               ctx;
             }
           in
           if push_rx ep desc then begin
             Engine.Span.mark ctx Engine.Span.Demuxed;
-            Delivered_inline
+            Delivered_direct
           end
           else Dropped_rx_full
-        end
-        else begin
-          match take_free_buffers ep len with
-          | None ->
-              ep.drops_no_free_buffer <- ep.drops_no_free_buffer + 1;
-              Dropped_no_free_buffer
-          | Some buffers ->
-              let filled = fill_buffers ~layer:copy_layer ep buffers data in
-              let desc =
-                { Desc.src_chan = chan; rx_payload = Desc.Buffers filled; ctx }
-              in
-              if push_rx ep desc then begin
-                Engine.Span.mark ctx Engine.Span.Demuxed;
-                Delivered_buffers filled
-              end
-              else begin
-                (* receive ring full: give the buffers back *)
-                List.iter (fun b -> ignore (Ring.push ep.free_ring b)) buffers;
-                Dropped_rx_full
-              end
-        end
+    end
+    else if len <= Desc.inline_max then begin
+      (* the descriptor retains the payload, so snapshot it out of the
+         sender's storage *)
+      let desc =
+        {
+          Desc.src_chan = chan;
+          rx_payload = Desc.Inline (Engine.Buf.copy ~layer:copy_layer data);
+          ctx;
+        }
+      in
+      if push_rx ep desc then begin
+        Engine.Span.mark ctx Engine.Span.Demuxed;
+        Delivered_inline
+      end
+      else Dropped_rx_full
+    end
+    else begin
+      match take_free_buffers ep len with
+      | None ->
+          ep.drops_no_free_buffer <- ep.drops_no_free_buffer + 1;
+          Dropped_no_free_buffer
+      | Some buffers ->
+          let filled = fill_buffers ~layer:copy_layer ep buffers data in
+          let desc =
+            { Desc.src_chan = chan; rx_payload = Desc.Buffers filled; ctx }
+          in
+          if push_rx ep desc then begin
+            Engine.Span.mark ctx Engine.Span.Demuxed;
+            Delivered_buffers filled
+          end
+          else begin
+            (* receive ring full: give the buffers back *)
+            List.iter (fun b -> ignore (Ring.push ep.free_ring b)) buffers;
+            Dropped_rx_full
+          end
+    end
   in
   (match outcome with
   | Delivered_inline | Delivered_buffers _ | Delivered_direct -> ()
@@ -226,7 +248,7 @@ let deliver_to ?(copy_layer = "mux") ?ctx (ep : Endpoint.t) ~chan ?dest_offset
           m "endpoint %d: direct-access offset out of range" ep.ep_id));
   outcome
 
-let deliver t ~rx_vci ?ctx ?dest_offset data =
+let deliver t ~rx_vci ?ctx pdu =
   match lookup t ~rx_vci with
   | None ->
       t.unknown <- t.unknown + 1;
@@ -237,24 +259,23 @@ let deliver t ~rx_vci ?ctx ?dest_offset data =
           ~args:[ ("vci", Engine.Trace.Int rx_vci) ];
       None
   | Some (ep, chan) ->
-      let outcome =
-        deliver_to ~copy_layer:t.copy_layer ?ctx ep ~chan ?dest_offset data
-      in
+      let outcome = deliver_to ~copy_layer:t.copy_layer ?ctx ep ~chan pdu in
       (match outcome with
       | Delivered_inline | Delivered_buffers _ | Delivered_direct ->
-          t.delivered <- t.delivered + 1;
           Engine.Metrics.Counter.inc t.m_deliveries
       | Dropped_rx_full | Dropped_no_free_buffer | Dropped_bad_offset -> ());
       Engine.Metrics.Counter.inc (t.m_outcomes outcome);
-      if Engine.Trace.enabled () then
+      if Engine.Trace.enabled () then begin
+        (* the data's length, without a direct-access prefix *)
+        let len = Engine.Buf.length pdu - prefix_len ep pdu in
         Engine.Trace.instant Engine.Trace.Mux "mux.deliver" ~tid:t.host
           ~args:
             [
               ("vci", Engine.Trace.Int rx_vci);
-              ("len", Engine.Trace.Int (Engine.Buf.length data));
+              ("len", Engine.Trace.Int len);
               ("outcome", Engine.Trace.Str (outcome_label outcome));
-            ];
+            ]
+      end;
       Some (ep, chan, outcome)
 
-let deliveries t = t.delivered
 let unknown_tag_drops t = t.unknown

@@ -18,6 +18,12 @@ val register : t -> rx_vci:int -> Endpoint.t -> chan:Channel.id -> unit
 val unregister : t -> rx_vci:int -> unit
 val lookup : t -> rx_vci:int -> (Endpoint.t * Channel.id) option
 
+val frame : dest_offset:int option -> Engine.Buf.t -> Engine.Buf.t
+(** A PDU for a direct-access endpoint: the data behind a 5-byte prefix
+    that carries the deposit offset, if the sender gave one. {!deliver} and
+    {!deliver_to} take the prefix off again when the endpoint is
+    direct-access. *)
+
 type delivery =
   | Delivered_inline
   | Delivered_buffers of (int * int) list
@@ -30,13 +36,13 @@ val deliver :
   t ->
   rx_vci:int ->
   ?ctx:Engine.Span.ctx ->
-  ?dest_offset:int ->
   Engine.Buf.t ->
   (Endpoint.t * Channel.id * delivery) option
 (** Demultiplex a reassembled PDU to its endpoint: small messages go inline
     into a receive descriptor; larger ones fill buffers popped from the free
     queue (whole-message drop when the queue runs dry, §3.4); direct-access
-    endpoints accept a sender-specified segment offset. Fires upcalls and
+    endpoints read the {!frame} prefix and deposit at the offset it gives,
+    or deliver as above when it gives none. Fires upcalls and
     wakes blocked receivers. [None] means the tag was unknown and the PDU
     was discarded. *)
 
@@ -45,17 +51,15 @@ val deliver_to :
   ?ctx:Engine.Span.ctx ->
   Endpoint.t ->
   chan:Channel.id ->
-  ?dest_offset:int ->
   Engine.Buf.t ->
   delivery
 (** The delivery core without the tag lookup: place a message into an
     endpoint (inline / free-queue buffers / direct deposit), fire upcalls,
-    wake receivers. Used by the mux itself and by the kernel when it
+    wake receivers, as {!deliver} does. Used by the kernel when it
     re-delivers multiplexed traffic to an emulated endpoint (§3.5). [ctx]
     is stamped onto the receive descriptor and marked [Demuxed] when the
     push succeeds. *)
 
-val deliveries : t -> int
 val unknown_tag_drops : t -> int
 
 val rx_dropped : ?ctx:Engine.Span.ctx -> string -> unit

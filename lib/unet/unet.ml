@@ -382,34 +382,10 @@ let gather_payload (ep : Endpoint.t) = function
       Buf.concat
         (List.map (fun (off, len) -> Segment.view ep.segment ~off ~len) ranges)
 
-(* Direct-access framing (§3.6): on direct-access endpoints every PDU
-   carries a 5-byte prefix [flag; offset_be32]; flag 1 means "deposit at
-   offset". *)
-let direct_prefix_size = 5
-
 let frame (ep : Endpoint.t) (desc : Desc.tx) =
   let data = gather_payload ep desc.tx_payload in
-  if not ep.direct_access then data
-  else begin
-    let prefix = Bytes.make direct_prefix_size '\000' in
-    Option.iter
-      (fun off ->
-        Bytes.set_uint8 prefix 0 1;
-        Bytes.set_int32_be prefix 1 (Int32.of_int off))
-      desc.dest_offset;
-    Buf.append (Buf.of_bytes prefix) data
-  end
-
-let unframe payload =
-  if Buf.length payload < direct_prefix_size then (None, payload)
-  else
-    let flag = Buf.get_uint8 payload 0 in
-    let off = Int32.to_int (Buf.get_uint32_be payload 1) in
-    let data =
-      Buf.sub payload ~pos:direct_prefix_size
-        ~len:(Buf.length payload - direct_prefix_size)
-    in
-    ((if flag = 1 then Some off else None), data)
+  if ep.direct_access then Mux.frame ~dest_offset:desc.dest_offset data
+  else data
 
 (* hand each received buffer back whole, at the allocator's block size *)
 let rec return_blocks who t ep ~block = function
@@ -512,7 +488,7 @@ let kemu_tx t k (ep : Endpoint.t) =
       match Hashtbl.find_opt k.ktx (ep.ep_id, desc.chan) with
       | None -> () (* channel torn down after posting *)
       | Some kchan ->
-          let data = gather_payload ep desc.tx_payload in
+          let data = frame ep desc in
           (* the kernel's staging copy into its own pinned buffers *)
           Host.Cpu.charge ~layer:"kernel" t.cpu t.backend.kernel_op_ns;
           Host.Cpu.charge_copy t.cpu ~bytes:(Buf.length data);

@@ -144,12 +144,9 @@ val gather_payload : Endpoint.t -> Desc.payload -> Engine.Buf.t
     segment; inline bytes as they are. *)
 
 val frame : Endpoint.t -> Desc.tx -> Engine.Buf.t
-(** The PDU a NI sends for a descriptor: its {!gather_payload}, behind a
-    5-byte prefix carrying [dest_offset] on a direct-access endpoint. *)
-
-val unframe : Engine.Buf.t -> int option * Engine.Buf.t
-(** The inverse of {!frame} on a PDU bound for a direct-access endpoint:
-    the deposit offset, if the sender gave one, and the data. *)
+(** The PDU a NI (or the kernel, for an emulated endpoint) sends for a
+    descriptor: its {!gather_payload}, behind {!Mux.frame}'s prefix on a
+    direct-access endpoint. *)
 
 val take :
   t -> Endpoint.t -> Segment.Allocator.t -> layer:string -> Desc.rx ->

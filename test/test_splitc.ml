@@ -93,21 +93,25 @@ let test_barrier tps =
 let test_reduce tps =
   let out = R.run tps (fun ctx ->
       let r = R.rank ctx in
-      let s = R.reduce_int ctx R.Sum (r + 1) in
-      let mn = R.reduce_int ctx R.Min (r + 1) in
-      let mx = R.reduce_int ctx R.Max (r + 1) in
-      let f = R.reduce_float ctx R.Sum (float_of_int r +. 0.5) in
-      (s, mn, mx, f))
+      let s = R.reduce ctx R.Int R.Sum (r + 1) in
+      let mn = R.reduce ctx R.Int R.Min (r + 1) in
+      let mx = R.reduce ctx R.Int R.Max (r + 1) in
+      let f = R.reduce ctx R.Float R.Sum (float_of_int r +. 0.5) in
+      let fmn = R.reduce ctx R.Float R.Min (float_of_int r -. 0.5) in
+      let fmx = R.reduce ctx R.Float R.Max (float_of_int r -. 0.5) in
+      (s, mn, mx, f, fmn, fmx))
   in
   let n = Array.length tps in
   Array.iter
-    (fun (s, mn, mx, f) ->
+    (fun (s, mn, mx, f, fmn, fmx) ->
       checki "sum" (n * (n + 1) / 2) s;
       checki "min" 1 mn;
       checki "max" n mx;
       check (Alcotest.float 1e-9) "float sum"
         (float_of_int (n * (n - 1) / 2) +. (0.5 *. float_of_int n))
-        f)
+        f;
+      check (Alcotest.float 0.) "float min" (-0.5) fmn;
+      check (Alcotest.float 0.) "float max" (float_of_int n -. 1.5) fmx)
     out
 
 let test_broadcast tps =
@@ -125,19 +129,19 @@ let test_read_write tps =
   let out = R.run tps (fun ctx ->
       let n = R.nprocs ctx in
       let r = R.rank ctx in
-      R.register_ints ctx ~id:1 (Array.make n (-1));
-      R.register_floats ctx ~id:2 (Array.make n 0.);
+      R.register ctx R.Int ~id:1 (Array.make n (-1));
+      R.register ctx R.Float ~id:2 (Array.make n 0.);
       R.barrier ctx;
       (* everyone writes its rank into everyone's slot r *)
       for p = 0 to n - 1 do
-        R.write_int ctx ~proc:p ~arr:1 ~idx:r r;
-        R.write_float ctx ~proc:p ~arr:2 ~idx:r (float_of_int r *. 2.)
+        R.write ctx R.Int ~proc:p ~arr:1 ~idx:r r;
+        R.write ctx R.Float ~proc:p ~arr:2 ~idx:r (float_of_int r *. 2.)
       done;
       R.barrier ctx;
       (* read the peer's own slot back through the network *)
       let next = (r + 1) mod n in
-      let v = R.read_int ctx ~proc:next ~arr:1 ~idx:next in
-      let f = R.read_float ctx ~proc:next ~arr:2 ~idx:next in
+      let v = R.read ctx R.Int ~proc:next ~arr:1 ~idx:next in
+      let f = R.read ctx R.Float ~proc:next ~arr:2 ~idx:next in
       (v, f))
   in
   Array.iteri
@@ -175,14 +179,14 @@ let test_bulk_ints tps =
   let out = R.run tps (fun ctx ->
       let r = R.rank ctx in
       let n = R.nprocs ctx in
-      R.register_ints ctx ~id:1 (Array.make 2_000 0);
+      R.register ctx R.Int ~id:1 (Array.make 2_000 0);
       R.barrier ctx;
       (* chunked store (2000 elements = multiple 520-element chunks on UAM) *)
       let data = Array.init 2_000 (fun i -> (r * 10_000) + i) in
-      R.store_ints ctx ~proc:((r + 1) mod n) ~arr:1 ~pos:0 data;
+      R.store ctx R.Int ~proc:((r + 1) mod n) ~arr:1 ~pos:0 data;
       R.all_store_sync ctx;
       let from = (r + n - 1) mod n in
-      R.get_ints ctx ~proc:(R.rank ctx) ~arr:1 ~pos:0 ~len:2_000
+      R.get ctx R.Int ~proc:(R.rank ctx) ~arr:1 ~pos:0 ~len:2_000
       |> Array.for_all2 (fun a b -> a = b)
            (Array.init 2_000 (fun i -> (from * 10_000) + i)))
   in
@@ -192,12 +196,12 @@ let test_bulk_floats tps =
   let out = R.run tps (fun ctx ->
       let r = R.rank ctx in
       let n = R.nprocs ctx in
-      R.register_floats ctx ~id:1 (Array.make 1_000 0.);
+      R.register ctx R.Float ~id:1 (Array.make 1_000 0.);
       R.barrier ctx;
       let data = Array.init 1_000 (fun i -> float_of_int ((r * 1_000) + i) /. 3.) in
-      R.store_floats ctx ~proc:((r + 1) mod n) ~arr:1 ~pos:0 data;
+      R.store ctx R.Float ~proc:((r + 1) mod n) ~arr:1 ~pos:0 data;
       R.all_store_sync ctx;
-      let got = R.get_floats ctx ~proc:((r + 1) mod n) ~arr:1 ~pos:0 ~len:1_000 in
+      let got = R.get ctx R.Float ~proc:((r + 1) mod n) ~arr:1 ~pos:0 ~len:1_000 in
       Array.for_all2 ( = ) data got)
   in
   Array.iter (fun ok -> checkb "remote float gets see the stored data" true ok) out
@@ -206,11 +210,11 @@ let test_async_get tps =
   let out = R.run tps (fun ctx ->
       let n = R.nprocs ctx in
       let r = R.rank ctx in
-      R.register_ints ctx ~id:1 (Array.init 600 (fun i -> (r * 1_000) + i));
+      R.register ctx R.Int ~id:1 (Array.init 600 (fun i -> (r * 1_000) + i));
       R.barrier ctx;
       let next = (r + 1) mod n in
-      let h1 = R.get_ints_async ctx ~proc:next ~arr:1 ~pos:0 ~len:300 in
-      let h2 = R.get_ints_async ctx ~proc:next ~arr:1 ~pos:300 ~len:300 in
+      let h1 = R.get_async ctx R.Int ~proc:next ~arr:1 ~pos:0 ~len:300 in
+      let h2 = R.get_async ctx R.Int ~proc:next ~arr:1 ~pos:300 ~len:300 in
       let a = R.await ctx h1 and b = R.await ctx h2 in
       Array.append a b
       |> Array.for_all2 ( = ) (Array.init 600 (fun i -> (next * 1_000) + i)))
@@ -239,7 +243,7 @@ let test_comm_accounting () =
       let comp_only = R.comm_us ctx in
       R.barrier ctx;
       for _ = 1 to 10 do
-        ignore (R.reduce_int ctx R.Sum 1)
+        ignore (R.reduce ctx R.Int R.Sum 1)
       done;
       (comp_only, R.comm_us ctx, R.elapsed_us ctx))
   in
@@ -249,6 +253,161 @@ let test_comm_accounting () =
       checkb "comm grew" true (c1 > 0.);
       checkb "comm below total" true (c1 <= total))
     out
+
+(* --- wire format -------------------------------------------------------- *)
+
+(* cm5-model transports that log every request and reply they carry, as
+   "kind src>dst h<handler> [args] <payload hex>" in send order; a 16-byte
+   payload limit makes two-element chunks, so bulk stores and gets split *)
+let recording_transports ~nodes =
+  let log = ref [] in
+  let line kind ~src ~dst handler args payload =
+    let hex =
+      String.concat ""
+        (List.init (Buf.length payload) (fun i ->
+             Printf.sprintf "%02x" (Buf.get_uint8 payload i)))
+    in
+    log :=
+      Printf.sprintf "%s %d>%d h%d [%s]%s" kind src dst handler
+        (String.concat ";" (Array.to_list (Array.map string_of_int args)))
+        (if hex = "" then "" else " " ^ hex)
+      :: !log
+  in
+  let wrap (tp : Splitc.Transport.t) =
+    let me = tp.Splitc.Transport.rank in
+    {
+      tp with
+      Splitc.Transport.max_payload = 16;
+      register =
+        (fun idx h ->
+          tp.Splitc.Transport.register idx (fun ~src ~reply ~args ~payload ->
+              let reply =
+                Option.map
+                  (fun (reply : Splitc.Transport.reply_fn) ~handler
+                       ?(args = [||]) ?(payload = Buf.empty) () ->
+                    line "rep" ~src:me ~dst:src handler args payload;
+                    reply ~handler ~args ~payload ())
+                  reply
+              in
+              h ~src ~reply ~args ~payload));
+      request =
+        (fun ~dst ~handler ?(args = [||]) ?(payload = Buf.empty) () ->
+          line "req" ~src:me ~dst handler args payload;
+          tp.Splitc.Transport.request ~dst ~handler ~args ~payload ());
+    }
+  in
+  (Array.map wrap (cm5_transports ~nodes ()), fun () -> List.rev !log)
+
+(* every runtime operation on both element kinds, remote from rank 0 to
+   rank 1 (the collectives involve everyone) *)
+let wire_program ctx =
+  let r = R.rank ctx in
+  R.register ctx R.Int ~id:1 (Array.init 6 (fun i -> (100 * r) + i));
+  R.register ctx R.Float ~id:2
+    (Array.init 6 (fun i -> float_of_int ((100 * r) + i) /. 4.));
+  R.register_append_buffer ctx ~id:3;
+  R.barrier ctx;
+  if r = 0 then begin
+    let a = R.read ctx R.Int ~proc:1 ~arr:1 ~idx:2 in
+    let b = R.read ctx R.Float ~proc:1 ~arr:2 ~idx:3 in
+    R.write ctx R.Int ~proc:1 ~arr:1 ~idx:5 (a + 1_000);
+    R.write ctx R.Float ~proc:1 ~arr:2 ~idx:5 (b *. 3.);
+    R.store ctx R.Int ~proc:1 ~arr:1 ~pos:0 [| -1; -2; -3 |];
+    R.store ctx R.Float ~proc:1 ~arr:2 ~pos:0 [| 0.5; -1.25; 1e300 |];
+    R.store_pair ctx ~proc:1 ~buf:3 7 8
+  end;
+  R.all_store_sync ctx;
+  if r = 0 then begin
+    ignore (R.get ctx R.Int ~proc:1 ~arr:1 ~pos:1 ~len:3 : int array);
+    ignore (R.get ctx R.Float ~proc:1 ~arr:2 ~pos:2 ~len:3 : float array);
+    let pi = R.get_async ctx R.Int ~proc:1 ~arr:1 ~pos:4 ~len:2 in
+    let pf = R.get_async ctx R.Float ~proc:1 ~arr:2 ~pos:4 ~len:2 in
+    ignore (R.await ctx pi : int array);
+    ignore (R.await ctx pf : float array)
+  end;
+  let ops = R.[ Sum; Min; Max ] in
+  List.iter (fun op -> ignore (R.reduce ctx R.Int op (r + 1) : int)) ops;
+  List.iter
+    (fun op -> ignore (R.reduce ctx R.Float op (float_of_int r +. 0.1) : float))
+    ops;
+  ignore
+    (R.broadcast_ints ctx ~root:1 (if r = 1 then [| 4; 2 |] else [| 0; 0 |]))
+
+(* the runtime's wire format: handler ids, argument layouts and 8-byte
+   little-endian payloads, in send order; any difference is a protocol
+   change *)
+let wire_expected =
+  [
+    "req 1>0 h211 [1]";
+    "req 2>0 h211 [1]";
+    "req 0>1 h212 [1]";
+    "req 0>2 h212 [1]";
+    "req 1>0 h211 [2]";
+    "req 2>0 h211 [2]";
+    "req 0>1 h212 [2]";
+    "req 0>2 h212 [2]";
+    "req 0>1 h200 [1;2;0]";
+    "req 1>0 h211 [3]";
+    "req 2>0 h211 [3]";
+    "rep 1>0 h201 [0] 6600000000000000";
+    "req 0>1 h218 [2;3;1]";
+    "rep 1>0 h219 [1] 0000000000c03940";
+    "req 0>1 h202 [1;5;2] 4e04000000000000";
+    "rep 1>0 h203 [2]";
+    "req 0>1 h220 [2;5;3] 0000000000505340";
+    "rep 1>0 h203 [3]";
+    "req 0>1 h205 [1;0] fffffffffffffffffeffffffffffffff";
+    "req 0>1 h205 [1;2] fdffffffffffffff";
+    "req 0>1 h206 [2;0] 000000000000e03f000000000000f4bf";
+    "req 0>1 h206 [2;2] 9c7500883ce4377e";
+    "req 0>1 h204 [3;7;8]";
+    "req 0>1 h212 [3]";
+    "req 0>2 h212 [3]";
+    "req 0>1 h207 [65538;1;4;0]";
+    "req 0>1 h207 [65537;3;4;2]";
+    "req 1>0 h213 [1;0] 0200000000000000";
+    "req 2>0 h213 [1;0] 0300000000000000";
+    "rep 1>0 h208 [4;0] fefffffffffffffffdffffffffffffff";
+    "rep 1>0 h208 [4;2] 6700000000000000";
+    "req 0>1 h209 [131074;2;5;0]";
+    "req 0>1 h209 [131073;4;5;2]";
+    "rep 1>0 h210 [5;0] 9c7500883ce4377e0000000000c03940";
+    "rep 1>0 h210 [5;2] 0000000000003a40";
+    "req 0>1 h207 [65538;4;6;0]";
+    "req 0>1 h209 [131074;4;7;0]";
+    "rep 1>0 h208 [6;0] 68000000000000004e04000000000000";
+    "rep 1>0 h210 [7;0] 0000000000003a400000000000505340";
+    "req 0>1 h214 [1] 0600000000000000";
+    "req 0>2 h214 [1] 0600000000000000";
+    "req 1>0 h213 [2;1] 0200000000000000";
+    "req 2>0 h213 [2;1] 0300000000000000";
+    "req 0>1 h214 [2] 0100000000000000";
+    "req 0>2 h214 [2] 0100000000000000";
+    "req 1>0 h213 [3;2] 0200000000000000";
+    "req 2>0 h213 [3;2] 0300000000000000";
+    "req 0>1 h214 [3] 0300000000000000";
+    "req 0>2 h214 [3] 0300000000000000";
+    "req 1>0 h215 [4;0] 9a9999999999f13f";
+    "req 2>0 h215 [4;0] cdcccccccccc0040";
+    "req 0>1 h216 [4] 6766666666660a40";
+    "req 0>2 h216 [4] 6766666666660a40";
+    "req 1>0 h215 [5;1] 9a9999999999f13f";
+    "req 2>0 h215 [5;1] cdcccccccccc0040";
+    "req 0>1 h216 [5] 9a9999999999b93f";
+    "req 0>2 h216 [5] 9a9999999999b93f";
+    "req 1>0 h215 [6;2] 9a9999999999f13f";
+    "req 2>0 h215 [6;2] cdcccccccccc0040";
+    "req 0>1 h216 [6] cdcccccccccc0040";
+    "req 0>2 h216 [6] cdcccccccccc0040";
+    "req 1>0 h217 [1] 04000000000000000200000000000000";
+    "req 1>2 h217 [1] 04000000000000000200000000000000";
+  ]
+
+let test_wire_format () =
+  let tps, recording = recording_transports ~nodes:3 in
+  ignore (R.run tps wire_program);
+  check Alcotest.(list string) "handler ids, args and payloads" wire_expected
+    (recording ())
 
 let () =
   Alcotest.run "splitc"
@@ -266,6 +425,11 @@ let () =
       ("bulk-ints", both "bulk ints" test_bulk_ints);
       ("bulk-floats", both "bulk floats" test_bulk_floats);
       ("async-get", both "async get" test_async_get);
+      ( "wire-format",
+        [
+          Alcotest.test_case "every operation, both kinds" `Quick
+            test_wire_format;
+        ] );
       ( "accounting",
         [ Alcotest.test_case "comm vs comp" `Quick test_comm_accounting ] );
       ( "bench-mm",

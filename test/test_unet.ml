@@ -492,12 +492,17 @@ let test_fore_firmware_slower () =
 
 (* --- direct-access U-Net -------------------------------------------- *)
 
-(* On the SBA-200 the endpoints are real; the SBA-100 has only emulated
-   ones, which its host-side NI services directly. *)
-let direct_access_deposit nic =
+(* On the SBA-200 the endpoints are real, or emulated by the kernel mux,
+   which stages the framed PDU through its own endpoint; the SBA-100 has
+   only emulated ones, which its host-side NI services directly. *)
+let direct_access_deposit (nic, emulated) =
   with_pair ~nic (fun c n0 n1 ->
-      let emulated = nic = Cluster.Sba100 in
-      let name = if emulated then "SBA-100" else "SBA-200" in
+      let name =
+        match (nic, emulated) with
+        | Cluster.Sba100, _ -> "SBA-100"
+        | _, true -> "SBA-200 emulated"
+        | _, false -> "SBA-200"
+      in
       let ep0, _ = Cluster.simple_endpoint ~emulated ~direct_access:true n0 in
       let ep1, _ = Cluster.simple_endpoint ~emulated ~direct_access:true n1 in
       let ch0, _ = Unet.connect_pair (n0.unet, ep0) (n1.unet, ep1) in
@@ -522,7 +527,12 @@ let direct_access_deposit nic =
       | _ -> Alcotest.fail (name ^ ": expected a direct-access notification"))
 
 let test_direct_access_deposit () =
-  List.iter direct_access_deposit [ Cluster.Sba200_unet; Cluster.Sba100 ]
+  List.iter direct_access_deposit
+    [
+      (Cluster.Sba200_unet, false);
+      (Cluster.Sba200_unet, true);
+      (Cluster.Sba100, true);
+    ]
 
 let test_direct_access_bad_offset () =
   with_pair (fun c n0 n1 ->
