@@ -31,9 +31,12 @@ let segment ?ctx ~vci payload =
   in
   Bytes.set_int32_be tail (tail_len - 4) crc;
   let pdu = Buf.append payload (Buf.of_bytes tail) in
-  (* one tag shared by the PDU's cells *)
+  (* one tag shared by the PDU's cells, for its span or, while flows are
+     observed, for the flow [Network] resolves on the first cell *)
   let tag =
-    match ctx with None -> None | Some _ -> Some { Cell.ctx; journal = None }
+    if ctx <> None || Flowstat.observing () then
+      Some { Cell.ctx; journal = None; track = Cell.Unresolved }
+    else None
   in
   Array.init ncells (fun i ->
       Cell.make ?tag ~vci ~eop:(i = ncells - 1)

@@ -1,6 +1,10 @@
+type track = ..
+type track += Unresolved | Untracked
+
 type tag = {
   ctx : Engine.Span.ctx option;
   mutable journal : Engine.Journal.t option;
+  mutable track : track;
 }
 
 type t = { vci : int; eop : bool; payload : Engine.Buf.t; tag : tag }
@@ -8,7 +12,7 @@ type t = { vci : int; eop : bool; payload : Engine.Buf.t; tag : tag }
 let header_size = 5
 let payload_size = 48
 let on_wire_size = header_size + payload_size
-let untagged = { ctx = None; journal = None }
+let untagged = { ctx = None; journal = None; track = Unresolved }
 
 let make ?(tag = untagged) ~vci ~eop payload =
   if Engine.Buf.length payload <> payload_size then
@@ -19,7 +23,10 @@ let make ?(tag = untagged) ~vci ~eop payload =
   if vci < 0 then invalid_arg "Cell.make: negative VCI";
   { vci; eop; payload; tag }
 
-let with_vci t vci = { t with vci }
+let with_vci t vci = if t.vci = vci then t else { t with vci }
+
+let dummy =
+  { vci = 0; eop = false; payload = Engine.Buf.alloc payload_size; tag = untagged }
 
 (* LINKTYPE_SUNATM record: 4-byte pseudo-header (flags, VPI, VCI
    big-endian) followed by the 48-byte payload. Bytes are materialized

@@ -2,6 +2,12 @@
     bytes on the wire — a 5-byte header (of which we model the VCI and the
     PTI end-of-packet bit used by AAL5) and a 48-byte payload. *)
 
+type track = ..
+(** The flow a PDU belongs to, as [Network] resolves it (DESIGN.md §17);
+    [Network] adds the constructor of a tracked flow. *)
+
+type track += Unresolved | Untracked
+
 type tag = {
   ctx : Engine.Span.ctx option;
       (** span context of the CS-PDU the cell was segmented from *)
@@ -9,6 +15,9 @@ type tag = {
       (** the PDU's hop journal, allocated by [Network] on first need while
           spans or path records are on (DESIGN.md §17); never set on
           {!untagged} *)
+  mutable track : track;
+      (** the PDU's flow, looked up by [Network] on its first cell sent;
+          {!Unresolved} until then, and always on {!untagged} *)
 }
 (** Observation state riding a cell through links and switches. The cells
     of a PDU share one, and {!untagged} when nothing observes them, so the
@@ -32,7 +41,11 @@ val make : ?tag:tag -> vci:int -> eop:bool -> Engine.Buf.t -> t
 (** Raises [Invalid_argument] unless the payload is exactly 48 bytes. *)
 
 val with_vci : t -> int -> t
-(** Same cell relabelled with a new VCI (switch header rewrite). *)
+(** Same cell relabelled with a new VCI (switch header rewrite); the cell
+    itself when the VCI is unchanged. *)
+
+val dummy : t
+(** A placeholder for the unused slots of a cell buffer; never sent. *)
 
 val sunatm_bytes : t -> string
 (** The cell as a LINKTYPE_SUNATM capture record (4-byte pseudo-header +

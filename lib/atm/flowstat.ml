@@ -55,6 +55,7 @@ let configure ?(exact_flows = 1024) ?(k = 16) () =
 
 let disable () = configured := None
 let active () = !configured <> None
+let observing () = active () || Pathrec.enabled ()
 
 (* --- per-fabric instance ----------------------------------------------- *)
 

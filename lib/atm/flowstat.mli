@@ -51,6 +51,10 @@ val disable : unit -> unit
 
 val active : unit -> bool
 
+val observing : unit -> bool
+(** Flow accounting or path records are on: fabrics created now resolve
+    each PDU's flow (DESIGN.md §17). *)
+
 (** {2 Per-fabric instance (used by [Network])} *)
 
 type t

@@ -34,8 +34,16 @@ type t = {
   cell_time : Sim.time;
   propagation : Sim.time;
   queue_capacity : int;
-  queue : Cell.t Queue.t;
+  queue : Cell.t Ringbuf.t;
   mutable transmitting : bool;
+  mutable on_wire : Cell.t;
+    (* the cell serializing while [transmitting]; the last one after *)
+  propagating : Cell.t Ringbuf.t;
+    (* cells forwarded without an extra delay, oldest first: each reaches
+       the far end [propagation] after it left, so their arrival events
+       fire in the order they were scheduled *)
+  tx_done : unit -> unit; (* the end of [on_wire]'s serialization *)
+  arrive : unit -> unit; (* the oldest [propagating] cell reaches the far end *)
   mutable receiver : (Cell.t -> unit) option;
   mutable fault : Fault.t option;
   mutable sent : int;
@@ -167,7 +175,7 @@ let analytic_queued t ~at =
    retires once its last start + cell_time has passed the fold time,
    which is <= [at] for every boundary the sampler visits. *)
 let queue_length_at t ~at =
-  let n = Queue.length t.queue in
+  let n = Ringbuf.length t.queue in
   if Fifo.is_empty t.hops then n else n + analytic_queued t ~at
 
 (* Cumulative serialization ns as of [at]: the per-cell path adds a full
@@ -186,55 +194,6 @@ let busy_ns_at t ~at =
   in
   t.busy_ns + (corr * t.cell_time)
 
-let next_id = ref 0
-
-let create sim ?(queue_capacity = max_int) ?(metrics_labels = []) ~bandwidth_mbps
-    ~propagation () =
-  if bandwidth_mbps <= 0. then invalid_arg "Link.create: bandwidth must be positive";
-  let bits = float_of_int (Cell.on_wire_size * 8) in
-  let cell_time = int_of_float (Float.round (bits /. bandwidth_mbps *. 1_000.)) in
-  incr next_id;
-  let t =
-    {
-      sim;
-      id = !next_id;
-      cell_time;
-      propagation;
-      queue_capacity;
-      queue = Queue.create ();
-      transmitting = false;
-      receiver = None;
-      fault = None;
-      sent = 0;
-      dropped = 0;
-      busy_ns = 0;
-      m_sent =
-        Metrics.counter ~help:"cells delivered to the far end of a link"
-          "atm_link_cells_sent_total" metrics_labels;
-      m_dropped =
-        Metrics.counter
-          ~help:
-            "cells lost on a link (transmit-queue overflow or injected loss)"
-          "atm_link_cells_dropped_total" metrics_labels;
-      m_queue_hw =
-        Metrics.gauge ~help:"deepest a link transmit queue has ever been"
-          "atm_link_queue_high_water" metrics_labels;
-      hops = Fifo.create ~dummy:dummy_hop;
-      a_tail = 0;
-      on_interfere = None;
-      on_accept = None;
-      on_loss = None;
-    }
-  in
-  Metrics.register_flush (fun () -> fold_to t (Sim.now sim));
-  (* sample boundaries arrive in cumulative time; link state is local *)
-  let local at = at - (Sim.global_now sim - Sim.now sim) in
-  Timeseries.register_at "atm_link_queue_depth" metrics_labels (fun at ->
-      float_of_int (queue_length_at t ~at:(local at)));
-  Timeseries.register_at ~kind:Timeseries.Utilization "atm_link_utilization"
-    metrics_labels (fun at -> float_of_int (busy_ns_at t ~at:(local at)));
-  t
-
 let set_receiver t f = t.receiver <- Some f
 let set_fault t f = t.fault <- Some f
 let cell_time t = t.cell_time
@@ -252,7 +211,7 @@ let cells_dropped t =
 let cells_offered t = cells_sent t + cells_dropped t
 
 let queue_length t =
-  let n = Queue.length t.queue in
+  let n = Ringbuf.length t.queue in
   if Fifo.is_empty t.hops then n
   else n + analytic_queued t ~at:(Sim.now t.sim)
 
@@ -336,7 +295,7 @@ let occupancy_at t ~local_accepts ~local_starts ~local_count ~at ~sched =
 
 let plannable t =
   (not t.transmitting)
-  && Queue.is_empty t.queue
+  && Ringbuf.is_empty t.queue
   && t.fault = None
   && t.receiver <> None
 
@@ -561,6 +520,10 @@ let forward t ?(extra_delay = 0) (cell : Cell.t) =
   if Trace.enabled () then
     Trace.instant Trace.Cell "link.tx" ~args:[ ("vci", Trace.Int cell.Cell.vci) ];
   match t.receiver with
+  | Some _ when extra_delay = 0 ->
+      Ringbuf.push t.propagating cell;
+      Sim.schedule_drop ~label:"link.deliver" t.sim ~delay:t.propagation
+        t.arrive
   | Some f ->
       Sim.schedule_drop ~label:"link.deliver" t.sim
         ~delay:(t.propagation + extra_delay) (fun () -> f cell)
@@ -621,15 +584,75 @@ let deliver t cell =
 let journal_start t (cell : Cell.t) ~at =
   if cell.Cell.eop then Journal.link_start cell.Cell.tag.journal ~link:t.id ~at
 
-let rec transmit t cell =
+let transmit t cell =
   journal_start t cell ~at:(Sim.now t.sim);
   t.transmitting <- true;
+  t.on_wire <- cell;
   t.busy_ns <- t.busy_ns + t.cell_time;
-  Sim.schedule_drop ~label:"link.tx_cell" t.sim ~delay:t.cell_time (fun () ->
-      deliver t cell;
-      match Queue.take_opt t.queue with
-      | Some next -> transmit t next
-      | None -> t.transmitting <- false)
+  Sim.schedule_drop ~label:"link.tx_cell" t.sim ~delay:t.cell_time t.tx_done
+
+let tx_done t =
+  deliver t t.on_wire;
+  if Ringbuf.is_empty t.queue then t.transmitting <- false
+  else transmit t (Ringbuf.pop t.queue)
+
+let arrive t =
+  let cell = Ringbuf.pop t.propagating in
+  match t.receiver with Some f -> f cell | None -> assert false
+
+let next_id = ref 0
+
+let create sim ?(queue_capacity = max_int) ?(metrics_labels = []) ~bandwidth_mbps
+    ~propagation () =
+  if bandwidth_mbps <= 0. then invalid_arg "Link.create: bandwidth must be positive";
+  let bits = float_of_int (Cell.on_wire_size * 8) in
+  let cell_time = int_of_float (Float.round (bits /. bandwidth_mbps *. 1_000.)) in
+  incr next_id;
+  let rec t =
+    {
+      sim;
+      id = !next_id;
+      cell_time;
+      propagation;
+      queue_capacity;
+      queue = Ringbuf.create ~dummy:Cell.dummy;
+      transmitting = false;
+      on_wire = Cell.dummy;
+      propagating = Ringbuf.create ~dummy:Cell.dummy;
+      tx_done = (fun () -> tx_done t);
+      arrive = (fun () -> arrive t);
+      receiver = None;
+      fault = None;
+      sent = 0;
+      dropped = 0;
+      busy_ns = 0;
+      m_sent =
+        Metrics.counter ~help:"cells delivered to the far end of a link"
+          "atm_link_cells_sent_total" metrics_labels;
+      m_dropped =
+        Metrics.counter
+          ~help:
+            "cells lost on a link (transmit-queue overflow or injected loss)"
+          "atm_link_cells_dropped_total" metrics_labels;
+      m_queue_hw =
+        Metrics.gauge ~help:"deepest a link transmit queue has ever been"
+          "atm_link_queue_high_water" metrics_labels;
+      hops = Fifo.create ~dummy:dummy_hop;
+      a_tail = 0;
+      on_interfere = None;
+      on_accept = None;
+      on_loss = None;
+    }
+  in
+  Metrics.register_flush (fun () -> fold_to t (Sim.now sim));
+  (* sample boundaries arrive in cumulative time; link state is local *)
+  let local at = at - (Sim.global_now sim - Sim.now sim) in
+  Timeseries.register_at "atm_link_queue_depth" metrics_labels (fun at ->
+      float_of_int (queue_length_at t ~at:(local at)));
+  Timeseries.register_at ~kind:Timeseries.Utilization "atm_link_utilization"
+    metrics_labels (fun at -> float_of_int (busy_ns_at t ~at:(local at)));
+  t
+
 
 (* A per-cell send while planned (analytic) state is pending on this link:
    the cell threads through the plan instead of the legacy queue. Any chain
@@ -646,7 +669,7 @@ let bridge_send t (cell : Cell.t) =
   let now = Sim.now t.sim in
   (match t.on_interfere with Some f -> f () | None -> ());
   let tail = max t.a_tail now in
-  let queued = analytic_queued t ~at:now + Queue.length t.queue in
+  let queued = analytic_queued t ~at:now + Ringbuf.length t.queue in
   if tail > now && queued >= t.queue_capacity then begin
     drop_cell t ~kind:"queue_full" cell;
     false
@@ -674,13 +697,13 @@ let bridge_send t (cell : Cell.t) =
 
 let legacy_send t cell =
   if t.transmitting then
-    if Queue.length t.queue >= t.queue_capacity then begin
+    if Ringbuf.length t.queue >= t.queue_capacity then begin
       drop_cell t ~kind:"queue_full" cell;
       false
     end
     else begin
-      Queue.add cell t.queue;
-      Metrics.Gauge.set_max t.m_queue_hw (float_of_int (Queue.length t.queue));
+      Ringbuf.push t.queue cell;
+      Metrics.Gauge.set_max_int t.m_queue_hw (Ringbuf.length t.queue);
       accepted t;
       true
     end

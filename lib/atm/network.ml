@@ -125,6 +125,9 @@ type ftrack = {
   ft_seq : int ref; (* next per-flow PDU sequence number *)
 }
 
+(* a PDU's tag holds its flow's track once resolved *)
+type Cell.track += Tracked of ftrack
+
 type t = {
   sim : Sim.t;
   hosts : int;
@@ -205,13 +208,33 @@ let with_journal (cell : Cell.t) ~tracked =
     (tag.ctx <> None && Span.enabled ()) || (tracked && Pathrec.enabled ())
   in
   if tag.journal <> None || not wanted then cell
-  else if tag != Cell.untagged then begin
+  else if tag.ctx <> None then begin
     tag.journal <- Some (Journal.create ?ctx:tag.ctx ());
     cell
   end
   else if cell.Cell.eop then
-    { cell with tag = { ctx = None; journal = Some (Journal.create ()) } }
+    {
+      cell with
+      tag = { ctx = None; journal = Some (Journal.create ()); track = tag.track };
+    }
   else cell
+
+(* The flow track of the PDU [cell] belongs to: looked up on the PDU's
+   first cell and kept in the tag its cells share, so the per-cell send
+   does no lookup. A cell without a tag of its own is looked up every
+   time. *)
+let pdu_track t ~host (cell : Cell.t) =
+  let tag = cell.Cell.tag in
+  match tag.track with
+  | Cell.Unresolved ->
+      let track =
+        match Hashtbl.find_opt t.tracks (host, cell.Cell.vci) with
+        | Some tr -> Tracked tr
+        | None -> Cell.Untracked
+      in
+      if tag != Cell.untagged then tag.track <- track;
+      track
+  | track -> track
 
 (* One injector per attachment point — per access-link direction per host,
    per switch output port per stage — so each has its own seed-derived
@@ -316,7 +339,7 @@ let create_topo sim ~topology config =
       in_flight = Array.map (fun p -> Array.make p 0) fb.fb_ports;
       conn_hops = Hashtbl.create 64;
       undeliverable = Hashtbl.create 8;
-      obs_on = Flowstat.active () || Pathrec.enabled ();
+      obs_on = Flowstat.observing ();
       flowstat = (if Flowstat.active () then Some (Flowstat.create ()) else None);
       tracks = Hashtbl.create 64;
       rx_flows = Hashtbl.create 64;
@@ -414,22 +437,23 @@ let send t ~host cell =
   (* the uplink's on_accept hook counts the cell into the ingress port's
      in-flight gate *)
   let uplink = t.uplinks.(host) in
-  let track =
-    if t.obs_on then Hashtbl.find_opt t.tracks (host, cell.Cell.vci) else None
+  let track = if t.obs_on then pdu_track t ~host cell else Cell.Untracked in
+  let cell =
+    with_journal cell
+      ~tracked:(match track with Tracked _ -> true | _ -> false)
   in
-  let cell = with_journal cell ~tracked:(track <> None) in
   let journal = cell.Cell.tag.journal in
   if cell.Cell.eop then Journal.inject journal;
   let ok = Link.send uplink cell in
   (match (track, journal) with
-  | Some tr, Some j when ok && cell.Cell.eop && Pathrec.enabled () ->
+  | Tracked tr, Some j when ok && cell.Cell.eop && Pathrec.enabled () ->
       (* numbered only now: a train truncation inside [Link.send] can
          hand sequence numbers back *)
       Journal.number j ~src:host ~dst:tr.ft_dst ~vci:cell.Cell.vci
         ~seq:tr.ft_seq
   | _ -> ());
   (match (ok, t.flowstat, track) with
-  | false, Some fs, Some { ft_flow = Some fl; _ } ->
+  | false, Some fs, Tracked { ft_flow = Some fl; _ } ->
       (* the host TX FIFO refused the cell bound for stage 0 *)
       Flowstat.drop fs fl ~hop:0
   | _ -> ());

@@ -1,5 +1,14 @@
 open Engine
 
+(* Route tables are keyed by one int per (in_port, in_vci) (see [key]): a
+   lookup allocates no tuple and hashes no structure. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   sim : Sim.t;
   stage : int; (* the fabric's index of this switch *)
@@ -7,7 +16,7 @@ type t = {
   transit : Sim.time;
   output_queue_capacity : int;
   outputs : Link.t option array;
-  routes : (int * int, route) Hashtbl.t; (* keyed by (in_port, in_vci) *)
+  routes : route Itbl.t; (* keyed by [key ~port:in_port ~vci:in_vci] *)
   sources : (int, int) Hashtbl.t array;
       (* per output port: in_port -> number of routes from it, zero counts
          removed, so an output port is single-source iff its table has
@@ -36,12 +45,19 @@ type t = {
       (* a real cell from [in_port] left the fabric — forwarded onto its
          output link, dropped at the output queue, or unroutable (the
          in-flight gate of DESIGN.md §14 counts it out) *)
+  (* cells crossing the switch fabric, oldest first, with the route each
+     was looked up under: transit is a constant delay, so their
+     [transit_done] events fire in the order they were scheduled *)
+  in_transit : Cell.t Ringbuf.t;
+  transit_routes : route Ringbuf.t;
+  transit_done : unit -> unit;
 }
 
 (* A route-table entry. [observe] (flow accounting) sees each cell the
    route carries at its forwarding instant: whether it made it onto the
    link. *)
 and route = {
+  in_port : int;
   out_port : int;
   out_vci : int;
   observe : (forwarded:bool -> unit) option;
@@ -90,84 +106,8 @@ let fold_to t now =
 let dummy_record =
   { sr_port = 0; sr_live = 0; sr_times = [||]; sr_hw = [||]; sr_f = 0 }
 
-let create sim ~ports ~transit ?(output_queue_capacity = 1024) ?id () =
-  if ports <= 0 then invalid_arg "Switch.create: ports must be positive";
-  (* In a multi-stage fabric each switch gets an [id]: per-port metric
-     labels gain a ("switch", id) dimension and the flight-recorder
-     snapshot name becomes distinct, so stages never alias. A single
-     switch (no id) keeps the historical label set and snapshot name so
-     existing dumps stay byte-identical. *)
-  let port_labels p =
-    match id with
-    | None -> [ ("port", string_of_int p) ]
-    | Some i -> [ ("switch", string_of_int i); ("port", string_of_int p) ]
-  in
-  let snapshot_name =
-    match id with
-    | None -> "atm.switch"
-    | Some i -> Printf.sprintf "atm.switch.%d" i
-  in
-  let t =
-    {
-      sim;
-      stage = Option.value id ~default:0;
-      ports;
-      transit;
-      output_queue_capacity;
-      outputs = Array.make ports None;
-      port_faults = Array.make ports None;
-      routes = Hashtbl.create 64;
-      sources = Array.init ports (fun _ -> Hashtbl.create 1);
-      routed = 0;
-      dropped = 0;
-      unroutable = 0;
-      m_routed =
-        Metrics.counter ~help:"cells forwarded onto an output port"
-          "atm_switch_cells_routed_total" [];
-      m_dropped =
-        Metrics.counter ~help:"cells dropped at a full switch output queue"
-          "atm_switch_cell_drops_total" [];
-      m_unroutable =
-        Metrics.counter ~help:"cells arriving with no matching VCI route"
-          "atm_switch_unroutable_total" [];
-      port_drops =
-        Array.init ports (fun p ->
-            Metrics.counter ~help:"cells dropped at a full switch output queue"
-              "atm_switch_port_drops_total" (port_labels p));
-      port_queue_hw =
-        Array.init ports (fun p ->
-            Metrics.gauge ~help:"deepest a switch output queue has ever been"
-              "atm_switch_port_queue_high_water" (port_labels p));
-      port_queue_peak =
-        Array.init ports (fun p ->
-            Metrics.gauge
-              ~help:
-                "deepest a switch output queue has been at cell arrival, \
-                 drops included"
-              "atm_switch_queue_peak" (port_labels p));
-      port_labels;
-      records = Fifo.create ~dummy:dummy_record;
-      on_settled = None;
-    }
-  in
-  Metrics.register_flush (fun () -> fold_to t (Sim.now sim));
-  Recorder.register_snapshot snapshot_name (fun () ->
-      Json.Obj
-        (List.init t.ports (fun p ->
-             ( "port" ^ string_of_int p,
-               match t.outputs.(p) with
-               | None -> Json.Null
-               | Some l ->
-                   Json.Obj
-                     [
-                       ( "queue_depth",
-                         Json.Num (float_of_int (Link.queue_length l)) );
-                       ( "drops",
-                         Json.Num
-                           (float_of_int
-                              (Metrics.Counter.value t.port_drops.(p))) );
-                     ] ))));
-  t
+let dummy_route = { in_port = 0; out_port = 0; out_vci = 0; observe = None }
+let key t ~port ~vci = (vci * t.ports) + port
 
 let check_port t port =
   if port < 0 || port >= t.ports then invalid_arg "Switch: port out of range"
@@ -188,27 +128,29 @@ let set_fault t ~port f =
 let add_route ?observe t ~in_port ~in_vci ~out_port ~out_vci =
   check_port t in_port;
   check_port t out_port;
-  if Hashtbl.mem t.routes (in_port, in_vci) then
+  let k = key t ~port:in_port ~vci:in_vci in
+  if Itbl.mem t.routes k then
     invalid_arg
       (Printf.sprintf "Switch.add_route: VCI %d already routed on port %d"
          in_vci in_port);
-  Hashtbl.add t.routes (in_port, in_vci) { out_port; out_vci; observe };
+  Itbl.add t.routes k { in_port; out_port; out_vci; observe };
   let src = t.sources.(out_port) in
   Hashtbl.replace src in_port
     (1 + Option.value ~default:0 (Hashtbl.find_opt src in_port))
 
 let remove_route t ~in_port ~in_vci =
-  match Hashtbl.find_opt t.routes (in_port, in_vci) with
+  let k = key t ~port:in_port ~vci:in_vci in
+  match Itbl.find_opt t.routes k with
   | None -> ()
   | Some { out_port; _ } ->
-      Hashtbl.remove t.routes (in_port, in_vci);
+      Itbl.remove t.routes k;
       let src = t.sources.(out_port) in
       let n = Hashtbl.find src in_port in
       if n = 1 then Hashtbl.remove src in_port
       else Hashtbl.replace src in_port (n - 1)
 
 let lost t ~port (cell : Cell.t) =
-  match Hashtbl.find_opt t.routes (port, cell.Cell.vci) with
+  match Itbl.find_opt t.routes (key t ~port ~vci:cell.Cell.vci) with
   | Some { observe = Some f; _ } -> f ~forwarded:false
   | _ -> ()
 
@@ -242,7 +184,7 @@ let ports t = t.ports
    single-source condition that makes downstream FIFO order equal arrival
    order (DESIGN.md §14). *)
 let plan_route t ~in_port ~in_vci =
-  match Hashtbl.find_opt t.routes (in_port, in_vci) with
+  match Itbl.find_opt t.routes (key t ~port:in_port ~vci:in_vci) with
   | None -> None
   | Some { out_port; out_vci; _ } -> (
       match t.outputs.(out_port) with
@@ -301,60 +243,148 @@ let fault_drops t ~out_port =
   | None -> false
   | Some f -> Fault.drops f
 
+(* A cell at the end of its transit: the oldest in the rings. *)
+let transit_done t =
+  let cell = Ringbuf.pop t.in_transit in
+  let { in_port; out_port; out_vci; observe } = Ringbuf.pop t.transit_routes in
+  match t.outputs.(out_port) with
+  | None -> assert false (* checked as the cell entered *)
+  | Some link ->
+      (* The output port queue is the link's transmit queue; a full queue
+         drops the cell, which is what makes large TCP segments fragile
+         over ATM (§7.8). *)
+      let q = Link.queue_length link in
+      let dropq = q >= t.output_queue_capacity in
+      (* queue-full short-circuits the fault check, so the fault RNG draws
+         exactly when it did before observers existed *)
+      let dropf = (not dropq) && fault_drops t ~out_port in
+      let forwarded =
+        if dropq || dropf then begin
+          drop t cell ~out_port ~vci:out_vci;
+          false
+        end
+        else if begin
+          if cell.Cell.eop then
+            Journal.forward cell.Cell.tag.journal ~stage:t.stage ~out_port
+              ~link:(Link.id link) ~queue:q;
+          Link.send link (Cell.with_vci cell out_vci)
+        end
+        then begin
+          t.routed <- t.routed + 1;
+          Metrics.Counter.inc t.m_routed;
+          Metrics.Gauge.set_max_int t.port_queue_hw.(out_port)
+            (Link.queue_length link);
+          true
+        end
+        else begin
+          drop t cell ~out_port ~vci:out_vci;
+          false
+        end
+      in
+      Metrics.Gauge.set_max_int t.port_queue_peak.(out_port)
+        (if forwarded then Link.queue_length link else q);
+      (match observe with Some f -> f ~forwarded | None -> ());
+      settled t ~in_port
+
+let create sim ~ports ~transit ?(output_queue_capacity = 1024) ?id () =
+  if ports <= 0 then invalid_arg "Switch.create: ports must be positive";
+  (* In a multi-stage fabric each switch gets an [id]: per-port metric
+     labels gain a ("switch", id) dimension and the flight-recorder
+     snapshot name becomes distinct, so stages never alias. A single
+     switch (no id) keeps the historical label set and snapshot name so
+     existing dumps stay byte-identical. *)
+  let port_labels p =
+    match id with
+    | None -> [ ("port", string_of_int p) ]
+    | Some i -> [ ("switch", string_of_int i); ("port", string_of_int p) ]
+  in
+  let snapshot_name =
+    match id with
+    | None -> "atm.switch"
+    | Some i -> Printf.sprintf "atm.switch.%d" i
+  in
+  let rec t =
+    {
+      sim;
+      stage = Option.value id ~default:0;
+      ports;
+      transit;
+      output_queue_capacity;
+      outputs = Array.make ports None;
+      port_faults = Array.make ports None;
+      routes = Itbl.create 64;
+      sources = Array.init ports (fun _ -> Hashtbl.create 1);
+      routed = 0;
+      dropped = 0;
+      unroutable = 0;
+      m_routed =
+        Metrics.counter ~help:"cells forwarded onto an output port"
+          "atm_switch_cells_routed_total" [];
+      m_dropped =
+        Metrics.counter ~help:"cells dropped at a full switch output queue"
+          "atm_switch_cell_drops_total" [];
+      m_unroutable =
+        Metrics.counter ~help:"cells arriving with no matching VCI route"
+          "atm_switch_unroutable_total" [];
+      port_drops =
+        Array.init ports (fun p ->
+            Metrics.counter ~help:"cells dropped at a full switch output queue"
+              "atm_switch_port_drops_total" (port_labels p));
+      port_queue_hw =
+        Array.init ports (fun p ->
+            Metrics.gauge ~help:"deepest a switch output queue has ever been"
+              "atm_switch_port_queue_high_water" (port_labels p));
+      port_queue_peak =
+        Array.init ports (fun p ->
+            Metrics.gauge
+              ~help:
+                "deepest a switch output queue has been at cell arrival, \
+                 drops included"
+              "atm_switch_queue_peak" (port_labels p));
+      port_labels;
+      records = Fifo.create ~dummy:dummy_record;
+      on_settled = None;
+      in_transit = Ringbuf.create ~dummy:Cell.dummy;
+      transit_routes = Ringbuf.create ~dummy:dummy_route;
+      transit_done = (fun () -> transit_done t);
+    }
+  in
+  Metrics.register_flush (fun () -> fold_to t (Sim.now sim));
+  Recorder.register_snapshot snapshot_name (fun () ->
+      Json.Obj
+        (List.init t.ports (fun p ->
+             ( "port" ^ string_of_int p,
+               match t.outputs.(p) with
+               | None -> Json.Null
+               | Some l ->
+                   Json.Obj
+                     [
+                       ( "queue_depth",
+                         Json.Num (float_of_int (Link.queue_length l)) );
+                       ( "drops",
+                         Json.Num
+                           (float_of_int
+                              (Metrics.Counter.value t.port_drops.(p))) );
+                     ] ))));
+  t
+
 let input t ~port cell =
   check_port t port;
   if cell.Cell.eop then
     Journal.switch_in cell.Cell.tag.journal ~stage:t.stage ~in_port:port;
-  match Hashtbl.find_opt t.routes (port, cell.Cell.vci) with
-  | None ->
+  match Itbl.find t.routes (key t ~port ~vci:cell.Cell.vci) with
+  | exception Not_found ->
       t.unroutable <- t.unroutable + 1;
       Metrics.Counter.inc t.m_unroutable;
       if Trace.enabled () then
         Trace.instant Trace.Cell "switch.unroutable" ~tid:port
           ~args:[ ("vci", Trace.Int cell.Cell.vci) ];
       settled t ~in_port:port
-  | Some ({ out_port; _ } as route) -> (
-      match t.outputs.(out_port) with
+  | route -> (
+      match t.outputs.(route.out_port) with
       | None -> failwith "Switch: route to a port with no output link"
-      | Some link ->
+      | Some _ ->
+          Ringbuf.push t.in_transit cell;
+          Ringbuf.push t.transit_routes route;
           Sim.schedule_drop ~label:"switch.transit" t.sim ~delay:t.transit
-            (fun () ->
-              (* the closure is allocated per cell: it captures the
-                 route, not each of its fields *)
-              let { out_port; out_vci; observe } = route in
-              (* The output port queue is the link's transmit queue; a
-                 full queue drops the cell, which is what makes large TCP
-                 segments fragile over ATM (§7.8). *)
-              let q = Link.queue_length link in
-              let dropq = q >= t.output_queue_capacity in
-              (* queue-full short-circuits the fault check, so the fault
-                 RNG draws exactly when it did before observers existed *)
-              let dropf = (not dropq) && fault_drops t ~out_port in
-              let forwarded =
-                if dropq || dropf then begin
-                  drop t cell ~out_port ~vci:out_vci;
-                  false
-                end
-                else if begin
-                  if cell.Cell.eop then
-                    Journal.forward cell.Cell.tag.journal ~stage:t.stage
-                      ~out_port ~link:(Link.id link) ~queue:q;
-                  Link.send link (Cell.with_vci cell out_vci)
-                end
-                then begin
-                  t.routed <- t.routed + 1;
-                  Metrics.Counter.inc t.m_routed;
-                  Metrics.Gauge.set_max t.port_queue_hw.(out_port)
-                    (float_of_int (Link.queue_length link));
-                  true
-                end
-                else begin
-                  drop t cell ~out_port ~vci:out_vci;
-                  false
-                end
-              in
-              Metrics.Gauge.set_max t.port_queue_peak.(out_port)
-                (float_of_int
-                   (if forwarded then Link.queue_length link else q));
-              (match observe with Some f -> f ~forwarded | None -> ());
-              settled t ~in_port:port))
+            t.transit_done)

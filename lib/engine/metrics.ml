@@ -37,6 +37,7 @@ module Gauge = struct
   let set t v = t.g <- v
   let add t v = t.g <- t.g +. v
   let set_max t v = if v > t.g then t.g <- v
+  let set_max_int t n = set_max t (float_of_int n)
   let value t = match t.fn with Some f -> f () | None -> t.g
 end
 

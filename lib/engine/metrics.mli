@@ -26,6 +26,10 @@ module Gauge : sig
   val set_max : t -> float -> unit
   (** Raise the gauge to [v] if above its current value (high-water marks). *)
 
+  val set_max_int : t -> int -> unit
+  (** [set_max] of an integer level, without boxing a float at the call
+      site (a per-cell queue depth). *)
+
   val value : t -> float
 end
 

@@ -8,11 +8,21 @@ type t = {
   pname : string;
   mutable pstate : state;
   mutable waiters : (unit -> unit) list;
+  (* A sleep in progress. Its handler ([on_sleep]) and wake-up ([wake])
+     are made once per process: the handler parks the continuation in
+     [asleep] and schedules [wake] on [sleep_sim], [sleep_ns] later. *)
+  mutable asleep : (unit, unit) Effect.Deep.continuation option;
+  mutable sleep_sim : Sim.t;
+  mutable sleep_ns : Sim.time;
+  wake : unit -> unit;
+  on_sleep : ((unit, unit) Effect.Deep.continuation -> unit) option;
 }
 
 exception Not_in_process
 
-type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
+type _ Effect.t +=
+  | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
+  | Sleep : Sim.t * Sim.time -> unit Effect.t
 
 let state p = p.pstate
 let name p = p.pname
@@ -29,8 +39,30 @@ let finish p st =
   p.waiters <- [];
   List.iter (fun resume -> resume ()) ws
 
+let wake p =
+  match p.asleep with
+  | Some k ->
+      p.asleep <- None;
+      Effect.Deep.continue k ()
+  | None -> assert false
+
+let on_sleep p k =
+  p.asleep <- Some k;
+  Sim.schedule_drop ~label:"proc.sleep" p.sleep_sim ~delay:p.sleep_ns p.wake
+
 let spawn ?(name = "proc") sim body =
-  let p = { pname = name; pstate = Running; waiters = [] } in
+  let rec p =
+    {
+      pname = name;
+      pstate = Running;
+      waiters = [];
+      asleep = None;
+      sleep_sim = sim;
+      sleep_ns = 0;
+      wake = (fun () -> wake p);
+      on_sleep = Some (fun k -> on_sleep p k);
+    }
+  in
   let handler =
     {
       Effect.Deep.retc = (fun () -> finish p Done);
@@ -47,6 +79,12 @@ let spawn ?(name = "proc") sim body =
                         failwith "Proc: resume thunk called twice";
                       resumed := true;
                       Effect.Deep.continue k ()))
+          | Sleep (sim, time) ->
+              (* no closure per sleep: the handler and the wake-up are the
+                 process's own, and only its wake-up event holds [wake] *)
+              if p.sleep_sim != sim then p.sleep_sim <- sim;
+              p.sleep_ns <- time;
+              p.on_sleep
           | _ -> None);
     }
   in
@@ -59,8 +97,8 @@ let suspend register =
   with Effect.Unhandled _ -> raise Not_in_process
 
 let sleep sim ~time =
-  suspend (fun resume ->
-      Sim.schedule_drop ~label:"proc.sleep" sim ~delay:time resume)
+  try Effect.perform (Sleep (sim, time))
+  with Effect.Unhandled _ -> raise Not_in_process
 
 let yield sim = sleep sim ~time:0
 

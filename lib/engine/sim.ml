@@ -297,44 +297,44 @@ let flush_batch t =
 (* Pop events, skipping tombstones, firing the first live one. The
    telemetry hooks cost one boolean read each when their subsystem is off,
    and never touch the event queue or the clock, so runs with telemetry
-   disabled are byte-identical to runs without these lines. *)
-let step t =
-  let selfprof = Profile.(enabled Wall) in
-  let swaps0 = !Heap.swaps in
-  let rec loop skipped =
-    let e = Heap.pop t.heap in
-    if e == Heap.dummy then false
-    else
-      let f = e.thunk in
-      if f == fired then
-        (* cancelled: a tombstone, pure pop-path waste ([live] already
-           dropped at cancel time) *)
-        loop (skipped + 1)
-      else begin
-        e.thunk <- fired;
-        t.live <- t.live - 1;
-        t.clock <- e.at;
-        Metrics.Counter.inc c_fired;
-        if Timeseries.enabled () then Timeseries.on_event (global_now t);
-        if Recorder.armed () then Recorder.tick (global_now t);
-        if selfprof then begin
-          Profile.observe_pop_cost (skipped + !Heap.swaps - swaps0);
-          if e.at = t.last_fired_at then t.batch <- t.batch + 1
-          else begin
-            flush_batch t;
-            t.last_fired_at <- e.at;
-            t.batch <- 1
-          end;
-          Profile.event_begin ~label:e.label;
-          f ();
-          Profile.event_end ()
-        end
-        else f ();
-        recycle t e;
-        true
+   disabled are byte-identical to runs without these lines. A top-level
+   function rather than a local closure, so a step allocates nothing of
+   its own. *)
+let rec fire_next t ~selfprof ~swaps0 skipped =
+  let e = Heap.pop t.heap in
+  if e == Heap.dummy then false
+  else
+    let f = e.thunk in
+    if f == fired then
+      (* cancelled: a tombstone, pure pop-path waste ([live] already
+         dropped at cancel time) *)
+      fire_next t ~selfprof ~swaps0 (skipped + 1)
+    else begin
+      e.thunk <- fired;
+      t.live <- t.live - 1;
+      t.clock <- e.at;
+      Metrics.Counter.inc c_fired;
+      if Timeseries.enabled () then Timeseries.on_event (global_now t);
+      if Recorder.armed () then Recorder.tick (global_now t);
+      if selfprof then begin
+        Profile.observe_pop_cost (skipped + !Heap.swaps - swaps0);
+        if e.at = t.last_fired_at then t.batch <- t.batch + 1
+        else begin
+          flush_batch t;
+          t.last_fired_at <- e.at;
+          t.batch <- 1
+        end;
+        Profile.event_begin ~label:e.label;
+        f ();
+        Profile.event_end ()
       end
-  in
-  loop 0
+      else f ();
+      recycle t e;
+      true
+    end
+
+let step t =
+  fire_next t ~selfprof:Profile.(enabled Wall) ~swaps0:!Heap.swaps 0
 
 let run ?until t =
   (match until with

@@ -112,8 +112,6 @@ module Condition = struct
 end
 
 module Server = struct
-  type job = { cost : Sim.time; k : unit -> unit }
-
   (* Batches are the train fast path (DESIGN.md §14): a precomputed schedule
      standing in for a run of per-cell jobs. A [chain] is the tx side — one
      fixed-cost setup window followed by one per-cell unit job per cell, each
@@ -160,32 +158,74 @@ module Server = struct
 
   type batch = Chain of chain | Paced of paced
 
+  (* At most one job is in flight. Its continuation waits in [current]
+     and its completion event fires [job_done], made once per server, so a
+     job allocates no closure of its own; queued jobs wait in two
+     parallel rings. *)
   type t = {
     sim : Sim.t;
     owner : (int * string list) option;
         (* profile host and frame prefix the occupancy is charged under *)
-    jobs : job Queue.t;
+    costs : Sim.time Ringbuf.t;
+    ks : (unit -> unit) Ringbuf.t;
+    mutable current : unit -> unit;
+    job_done : unit -> unit;
     mutable busy : bool;
     mutable busy_until : Sim.time;  (* meaningful only while [busy] *)
     mutable busy_time : Sim.time;
     mutable batch : batch option;
   }
 
+  let nop () = ()
+
+  (* Also re-arms a real in-flight job completing at [until] whose cost was
+     already charged by a batch that is being split. *)
+  let resume_inflight t ~until ~k =
+    t.busy <- true;
+    t.busy_until <- until;
+    t.current <- k;
+    Sim.schedule_drop ~label:"sync.job_done" t.sim
+      ~delay:(until - Sim.now t.sim) t.job_done
+
+  let start t ~cost k =
+    t.busy_time <- t.busy_time + cost;
+    resume_inflight t ~until:(Sim.now t.sim + cost) ~k
+
+  let start_next t =
+    if Ringbuf.is_empty t.ks then t.busy <- false
+    else
+      let cost = Ringbuf.pop t.costs in
+      start t ~cost (Ringbuf.pop t.ks)
+
+  let job_done t =
+    t.current ();
+    start_next t
+
+  let enqueue t ~cost k =
+    Ringbuf.push t.costs cost;
+    Ringbuf.push t.ks k
+
   let create ?owner sim =
-    {
-      sim;
-      owner;
-      jobs = Queue.create ();
-      busy = false;
-      busy_until = 0;
-      busy_time = 0;
-      batch = None;
-    }
+    let rec t =
+      {
+        sim;
+        owner;
+        costs = Ringbuf.create ~dummy:0;
+        ks = Ringbuf.create ~dummy:nop;
+        current = nop;
+        job_done = (fun () -> job_done t);
+        busy = false;
+        busy_until = 0;
+        busy_time = 0;
+        batch = None;
+      }
+    in
+    t
 
   let busy t = t.busy
-  let queue_length t = Queue.length t.jobs
+  let queue_length t = Ringbuf.length t.ks
   let busy_time t = t.busy_time
-  let idle t = (not t.busy) && Queue.is_empty t.jobs && t.batch = None
+  let idle t = (not t.busy) && Ringbuf.is_empty t.ks && t.batch = None
 
   (* The profile is charged where busy time is, from the owner's host root
      (the device runs asynchronously to any open application frame); a
@@ -196,28 +236,6 @@ module Server = struct
       | Some (host, prefix), Some stage ->
           Profile.charge_root ~host ~frames:(prefix @ [ stage ]) ns
       | _ -> ()
-
-  let rec start t job =
-    t.busy <- true;
-    t.busy_time <- t.busy_time + job.cost;
-    t.busy_until <- Sim.now t.sim + job.cost;
-    Sim.schedule_drop ~label:"sync.job_done" t.sim ~delay:job.cost (fun () ->
-        job.k ();
-        match Queue.take_opt t.jobs with
-        | Some next -> start t next
-        | None -> t.busy <- false)
-
-  (* Re-arm a real in-flight job completing at [until] (its cost was already
-     charged by the batch that is being split). *)
-  let resume_inflight t ~until ~k =
-    t.busy <- true;
-    t.busy_until <- until;
-    Sim.schedule_drop ~label:"sync.job_done" t.sim
-      ~delay:(until - Sim.now t.sim) (fun () ->
-        k ();
-        match Queue.take_opt t.jobs with
-        | Some next -> start t next
-        | None -> t.busy <- false)
 
   let finish_chain t c () =
     c.c_ev <- None;
@@ -247,9 +265,7 @@ module Server = struct
     for i = 0 to p.p_n - 1 do
       p.p_action i
     done;
-    match Queue.take_opt t.jobs with
-    | Some next -> start t next
-    | None -> t.busy <- false
+    start_next t
 
   (* Split a tx chain at the current instant: count cells whose acceptance is
      strictly in the past (an acceptance at exactly [now] has not fired yet —
@@ -332,7 +348,7 @@ module Server = struct
       let u = !i in
       let k () = p.p_action u in
       let arr = p.p_arrivals.(u) in
-      if arr <= now then Queue.add { cost = p.p_cost; k } t.jobs
+      if arr <= now then enqueue t ~cost:p.p_cost k
       else begin
         let h =
           Sim.schedule ~label:"sync.paced_arrival" t.sim ~delay:(arr - now)
@@ -356,8 +372,7 @@ module Server = struct
     if cost < 0 then invalid_arg "Server.submit: negative cost";
     charge t stage cost;
     interfere t;
-    let job = { cost; k } in
-    if t.busy then Queue.add job t.jobs else start t job
+    if t.busy then enqueue t ~cost k else start t ~cost k
 
   let begin_chain t ?stages ?done_sched ~first_end ~unit_cost ~accepts
       ~on_done ~on_split () =
@@ -404,7 +419,7 @@ module Server = struct
 
   let submit_paced t ~stage ~cost ~n ~arrivals ~action =
     if cost <= 0 then invalid_arg "Server.submit_paced: non-positive cost";
-    if t.batch <> None || not (Queue.is_empty t.jobs) then None
+    if t.batch <> None || not (Ringbuf.is_empty t.ks) then None
     else begin
       if n <= 0 || Array.length arrivals < n then
         invalid_arg "Server.submit_paced: bad unit count";

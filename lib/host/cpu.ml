@@ -14,19 +14,35 @@ let host t = t.host
 let busy_time t = t.busy
 
 (* Per-layer busy-time accounting: the machine-readable version of the
-   paper's Table 1 cost breakdown. Counters are cached per layer label. *)
+   paper's Table 1 cost breakdown. Counters are cached per layer label.
+   Layer labels are string literals, so a charge finds its counter by
+   physical equality in [resolved] without hashing the label or boxing an
+   option; a label built at run time is looked up by value, and only the
+   first few such strings join [resolved]. *)
 let layer_counters : (string, Metrics.Counter.t) Hashtbl.t = Hashtbl.create 16
+let resolved : (string * Metrics.Counter.t) list ref = ref []
+
+let rec find_resolved layer = function
+  | [] -> raise Not_found
+  | (l, c) :: rest -> if l == layer then c else find_resolved layer rest
 
 let layer_counter layer =
-  match Hashtbl.find_opt layer_counters layer with
-  | Some c -> c
-  | None ->
+  match find_resolved layer !resolved with
+  | c -> c
+  | exception Not_found ->
       let c =
-        Metrics.counter ~help:"virtual ns of CPU time charged, by layer"
-          "host_cpu_busy_ns_total"
-          [ ("layer", layer) ]
+        match Hashtbl.find_opt layer_counters layer with
+        | Some c -> c
+        | None ->
+            let c =
+              Metrics.counter ~help:"virtual ns of CPU time charged, by layer"
+                "host_cpu_busy_ns_total"
+                [ ("layer", layer) ]
+            in
+            Hashtbl.add layer_counters layer c;
+            c
       in
-      Hashtbl.add layer_counters layer c;
+      if List.length !resolved < 32 then resolved := (layer, c) :: !resolved;
       c
 
 let charge_raw ?(layer = "other") t ns =

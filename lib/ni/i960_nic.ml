@@ -28,6 +28,14 @@ type t = {
   rx : Rx.t;
   txq : Unet.Endpoint.t Queue.t; (* one entry per posted descriptor *)
   mutable tx_active : bool;
+  (* The one descriptor in transmission: its cells, and the next cell to
+     inject. Its jobs and retries read them here, through [send_job] and
+     [inject_job], made once, so a cell costs no closure of its own. *)
+  mutable tx_desc : Unet.Desc.tx option;
+  mutable tx_cells : Atm.Cell.t array;
+  mutable tx_i : int;
+  send_job : unit -> unit;
+  inject_job : unit -> unit;
   mutable sent : int;
   m_sent : Metrics.Counter.t;
   m_dma_bytes : Metrics.Counter.t;
@@ -74,20 +82,22 @@ and process_desc t (ep : Unet.Endpoint.t) (desc : Unet.Desc.tx) =
       if stall > 0 && Trace.enabled () then
         Trace.instant Trace.Desc "ni.dma_stall" ~tid:t.host
           ~args:[ ("ns", Trace.Int stall) ];
+      t.tx_desc <- Some desc;
+      t.tx_cells <- cells;
+      t.tx_i <- 0;
       if Array.length cells = 1 && t.cfg.single_cell_optimization then
         Sync.Server.submit t.server ~stage:"tx_single"
-          ~cost:(t.cfg.tx_single_ns + stall) (fun () -> inject t desc cells 0)
-      else if not (try_train t desc cells) then
+          ~cost:(t.cfg.tx_single_ns + stall) t.inject_job
+      else if not (try_train t cells) then
         Sync.Server.submit t.server ~stage:"tx_dma"
-          ~cost:(t.cfg.tx_fixed_ns + stall) (fun () ->
-            send_cells t desc cells 0))
+          ~cost:(t.cfg.tx_fixed_ns + stall) t.send_job)
 
 (* Send a multi-cell PDU as one analytically planned train (DESIGN.md §14):
    the whole uplink / switch / downlink journey is computed up front and the
    i960 runs a chain batch standing in for the setup + per-cell unit jobs.
    Returns false — caller stays on the per-cell path — when any observer or
    site condition forbids it or any element refuses the plan. *)
-and try_train t desc cells =
+and try_train t cells =
   if
     (not (Trainmode.active ()))
     || Rx.fault t.rx <> None
@@ -121,38 +131,36 @@ and try_train t desc cells =
         in
         Sync.Server.begin_chain t.server ~stages:("tx_dma", "tx_cell")
           ~done_sched ~first_end ~unit_cost:t.cfg.tx_per_cell_ns ~accepts
-          ~on_done:(fun () -> chain_done t desc)
-          ~on_split:(fun ~accepted ~phase ->
-            chain_split t desc cells ~train ~accepted ~phase)
+          ~on_done:(fun () -> chain_done t)
+          ~on_split:(fun ~accepted ~phase -> chain_split t ~train ~accepted ~phase)
           ();
         true
 
 (* The chain's last cell was accepted: identical to the last per-cell
    inject's success continuation, with the interfere hook retired before
    the pump possibly commits the next train. *)
-and chain_done t desc =
+and chain_done t =
   Atm.Link.clear_interfere (Atm.Network.uplink t.net ~host:t.host);
-  pdu_injected t desc
+  pdu_injected t
 
 (* A plain job interfered with the chain: the train keeps its [accepted]
    prefix (planned state past now was just discarded by the truncation
    listeners) and the remaining cells re-enter the per-cell path from
    exactly where the batch stood. *)
-and chain_split t desc cells ~train ~accepted ~phase =
+and chain_split t ~train ~accepted ~phase =
   let uplink = Atm.Network.uplink t.net ~host:t.host in
   Atm.Link.clear_interfere uplink;
   Atm.Cell.Train.truncate train ~keep:accepted ~now:(Sim.now t.sim);
+  t.tx_i <- accepted;
   match phase with
   | Sync.Server.Chain_first f_end ->
       (* the fixed-cost setup job is in flight; at its end the per-cell
          path starts submitting unit jobs *)
-      Sync.Server.resume_inflight t.server ~until:f_end ~k:(fun () ->
-          send_cells t desc cells accepted)
+      Sync.Server.resume_inflight t.server ~until:f_end ~k:t.send_job
   | Sync.Server.Chain_unit u_end ->
       (* the pending cell's unit job is in flight; its completion is the
          cell's first send attempt *)
-      Sync.Server.resume_inflight t.server ~until:u_end ~k:(fun () ->
-          inject t desc cells accepted)
+      Sync.Server.resume_inflight t.server ~until:u_end ~k:t.inject_job
   | Sync.Server.Chain_gap first_attempt ->
       (* between refused attempts: the per-cell path here is a bare retry
          event (the server sits idle), re-attempting every cell slot since
@@ -163,32 +171,39 @@ and chain_split t desc cells ~train ~accepted ~phase =
       while !at < now do
         at := !at + ct
       done;
-      if !at = now then inject t desc cells accepted
+      if !at = now then inject t
       else
         Sim.schedule_drop ~label:"ni.retry" t.sim ~delay:(!at - now)
-          (fun () -> inject t desc cells accepted)
+          t.inject_job
 
-(* the per-cell path from cell [i] on *)
-and send_cells t desc cells i =
-  if i < Array.length cells then
+(* the per-cell path from cell [tx_i] on *)
+and send_cells t =
+  if t.tx_i < Array.length t.tx_cells then
     Sync.Server.submit t.server ~stage:"tx_cell" ~cost:t.cfg.tx_per_cell_ns
-      (fun () -> inject t desc cells i)
+      t.inject_job
 
-and inject t desc cells i =
-  if Atm.Network.send t.net ~host:t.host cells.(i) then
-    if i = Array.length cells - 1 then pdu_injected t desc
-    else send_cells t desc cells (i + 1)
+and inject t =
+  let i = t.tx_i in
+  if Atm.Network.send t.net ~host:t.host t.tx_cells.(i) then
+    if i = Array.length t.tx_cells - 1 then pdu_injected t
+    else begin
+      t.tx_i <- i + 1;
+      send_cells t
+    end
   else
     (* NI output FIFO full: stall one cell time and retry (the i960 polls
        the FIFO level; cells are never dropped on the way out). *)
     let retry_delay =
       Atm.Link.cell_time (Atm.Network.uplink t.net ~host:t.host)
     in
-    Sim.schedule_drop ~label:"ni.retry" t.sim ~delay:retry_delay (fun () ->
-        inject t desc cells i)
+    Sim.schedule_drop ~label:"ni.retry" t.sim ~delay:retry_delay t.inject_job
 
-and pdu_injected t (desc : Unet.Desc.tx) =
-  desc.Unet.Desc.injected <- true;
+and pdu_injected t =
+  (match t.tx_desc with
+  | Some desc -> desc.Unet.Desc.injected <- true
+  | None -> assert false);
+  t.tx_desc <- None;
+  t.tx_cells <- [||];
   t.sent <- t.sent + 1;
   Metrics.Counter.inc t.m_sent;
   pump_next t
@@ -265,7 +280,7 @@ let create net ~host cfg =
          else cfg.rx_multi_fixed_ns)
       ~multi_ns:cfg.rx_multi_fixed_ns
   in
-  let t =
+  let rec t =
     {
       sim;
       net;
@@ -277,6 +292,11 @@ let create net ~host cfg =
       rx;
       txq = Queue.create ();
       tx_active = false;
+      tx_desc = None;
+      tx_cells = [||];
+      tx_i = 0;
+      send_job = (fun () -> send_cells t);
+      inject_job = (fun () -> inject t);
       sent = 0;
       m_sent;
       m_dma_bytes =

@@ -15,31 +15,14 @@ type t = {
   m_received : Metrics.Counter.t;
   m_errors : Metrics.Counter.t;
   m_demux : Metrics.Counter.t;
+  (* The server runs jobs in submission order, so an rx_cell job takes the
+     oldest cell of [cells]: one thunk made here, not a closure per cell.
+     A cell is pushed just after its job is submitted (a job never runs
+     inside [submit]), so a job a batch split submits from inside that
+     call is queued first. *)
+  cells : Atm.Cell.t Ringbuf.t;
+  cell_job : unit -> unit;
 }
-
-let create net ~host ~labels ~server ~mux ~cell_ns ~single_ns ~multi_ns =
-  {
-    sim = Atm.Network.sim net;
-    host;
-    server;
-    mux;
-    fault = Fault.configured_at Fault.Ni ~site:(Printf.sprintf "ni.%d" host);
-    cell_ns;
-    single_ns;
-    multi_ns;
-    reasm = Hashtbl.create 16;
-    received = 0;
-    errors = 0;
-    m_received =
-      Metrics.counter ~help:"PDUs demultiplexed into an endpoint by a NI"
-        "ni_pdus_received_total" labels;
-    m_errors =
-      Metrics.counter ~help:"AAL5 reassembly failures at a NI"
-        "ni_reassembly_errors_total" labels;
-    m_demux =
-      Metrics.counter ~help:"reassembled PDUs presented to the mux by a NI"
-        "ni_rx_demux_total" labels;
-  }
 
 let demux t ?ctx vci payload =
   Metrics.Counter.inc t.m_demux;
@@ -92,9 +75,42 @@ let rx_cell_body t ~vci (cell : Atm.Cell.t) =
       Sync.Server.submit t.server ~stage:"rx_deliver" ~cost (fun () ->
           deliver t ?ctx vci payload)
 
+let cell_job t =
+  let cell = Ringbuf.pop t.cells in
+  rx_cell_body t ~vci:cell.vci cell
+
+let create net ~host ~labels ~server ~mux ~cell_ns ~single_ns ~multi_ns =
+  let rec t =
+    {
+      sim = Atm.Network.sim net;
+      host;
+      server;
+      mux;
+      fault = Fault.configured_at Fault.Ni ~site:(Printf.sprintf "ni.%d" host);
+      cell_ns;
+      single_ns;
+      multi_ns;
+      reasm = Hashtbl.create 16;
+      received = 0;
+      errors = 0;
+      m_received =
+        Metrics.counter ~help:"PDUs demultiplexed into an endpoint by a NI"
+          "ni_pdus_received_total" labels;
+      m_errors =
+        Metrics.counter ~help:"AAL5 reassembly failures at a NI"
+          "ni_reassembly_errors_total" labels;
+      m_demux =
+        Metrics.counter ~help:"reassembled PDUs presented to the mux by a NI"
+          "ni_rx_demux_total" labels;
+      cells = Ringbuf.create ~dummy:Atm.Cell.dummy;
+      cell_job = (fun () -> cell_job t);
+    }
+  in
+  t
+
 let on_cell t (cell : Atm.Cell.t) =
-  Sync.Server.submit t.server ~stage:"rx_cell" ~cost:t.cell_ns (fun () ->
-      rx_cell_body t ~vci:cell.vci cell)
+  Sync.Server.submit t.server ~stage:"rx_cell" ~cost:t.cell_ns t.cell_job;
+  Ringbuf.push t.cells cell
 
 (* A whole train arriving at the NI (DESIGN.md §14): the run of per-cell
    rx jobs is one paced batch — cell i's handling starts once it has

@@ -88,6 +88,33 @@ let test_step () =
   checkb "step fires one" true (Sim.step sim);
   checkb "no more events" false (Sim.step sim)
 
+(* A static thunk that reschedules itself through the event pool: once a
+   warm-up has filled the pool, firing an event allocates nothing. The
+   step loop read 6 minor words per event when it was a closure built on
+   every call. *)
+let test_step_allocates_nothing () =
+  let sim = Sim.create () in
+  let left = ref 0 in
+  let rec tick () =
+    if !left > 0 then begin
+      decr left;
+      Sim.schedule_drop sim ~delay:1 tick
+    end
+  in
+  let fire n =
+    left := n;
+    Sim.schedule_drop sim ~delay:1 tick;
+    while Sim.step sim do
+      ()
+    done
+  in
+  fire 100;
+  let events = 10_000 in
+  let w0 = Gc.minor_words () in
+  fire events;
+  let per_event = (Gc.minor_words () -. w0) /. float_of_int events in
+  check (Alcotest.float 0.) "minor words per event" 0. per_event
+
 let test_time_units () =
   checki "us" 1_000 (Sim.us 1);
   checki "ms" 1_000_000 (Sim.ms 1);
@@ -385,6 +412,21 @@ let test_rng_bernoulli_extremes () =
     (List.exists Fun.id (List.init 50 (fun _ -> Rng.bernoulli rng ~p:0.)));
   checkb "p=1 always true" true
     (List.for_all Fun.id (List.init 50 (fun _ -> Rng.bernoulli rng ~p:1.)))
+
+(* The generator's state is unboxed: a draw that does not return an
+   [int64] allocates nothing. *)
+let test_rng_draws_allocate_nothing () =
+  let rng = Rng.create 11 in
+  let n = 10_000 in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    if Rng.bernoulli rng ~p:0.5 then incr acc;
+    acc := !acc + Rng.int rng 1000 + Rng.bits rng
+  done;
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !acc);
+  check (Alcotest.float 0.) "minor words for 3 draws x 10k" 0. words
 
 let prop_shuffle_permutes =
   QCheck.Test.make ~name:"shuffle preserves the multiset" ~count:100
@@ -808,6 +850,8 @@ let () =
           Alcotest.test_case "run until" `Quick test_run_until;
           Alcotest.test_case "pending" `Quick test_pending;
           Alcotest.test_case "step" `Quick test_step;
+          Alcotest.test_case "step allocates nothing" `Quick
+            test_step_allocates_nothing;
           Alcotest.test_case "time units" `Quick test_time_units;
           qt prop_heap_ordering;
         ] );
@@ -843,6 +887,8 @@ let () =
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
           qt prop_rng_int_bounds;
           Alcotest.test_case "bernoulli extremes" `Quick test_rng_bernoulli_extremes;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_rng_draws_allocate_nothing;
           qt prop_shuffle_permutes;
           Alcotest.test_case "exponential positive" `Quick test_exponential_positive;
         ] );

@@ -258,6 +258,36 @@ let vci_ceiling () =
        && String.sub msg 0 7 = "Network"));
   Alcotest.(check bool) "allocator raised instead of aliasing" true !raised
 
+(* Same seed, same topology: a second [fabric --quick] in the same process
+   reproduces the metrics registry dump byte for byte, and both runs pass
+   their checks. Between runs the registry is zeroed and the path records
+   the experiment starts are cleared, as a fresh process would find
+   them. *)
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let determinism_replay () =
+  let fabric = Option.get (Experiments.Registry.find "fabric") in
+  let run () =
+    Metrics.reset ();
+    Pathrec.clear ();
+    let o = fabric.run ~quick:true in
+    List.iter
+      (fun (claim, ok) -> Alcotest.(check bool) claim true ok)
+      o.Experiments.Registry.o_checks;
+    Metrics.flush ();
+    Metrics.to_prometheus_string ()
+  in
+  let first = run () in
+  let second = run () in
+  Metrics.reset ();
+  Pathrec.clear ();
+  Alcotest.(check bool) "dump names the routed cells" true
+    (contains first "atm_switch_cells_routed_total");
+  Alcotest.(check string) "second dump equals the first" first second
+
 let () =
   Alcotest.run "fabric"
     [
@@ -287,5 +317,10 @@ let () =
           Alcotest.test_case "undeliverable cells counted" `Quick
             undeliverable_counted;
           Alcotest.test_case "VCI ceiling raises" `Quick vci_ceiling;
+        ] );
+      ( "replay",
+        [
+          Alcotest.test_case "fabric --quick dump replays" `Quick
+            determinism_replay;
         ] );
     ]

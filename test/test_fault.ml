@@ -479,6 +479,92 @@ let test_lossy_figure () =
         (Printf.sprintf "hop 0 p99 %.0f ns below 1 ms" p99)
         true (p99 < 1e6)
 
+(* The generator before its state was unboxed: splitmix64 over a boxed
+   [int64] field, kept here as the reference every seeded fault stream
+   was captured against. *)
+module Boxed_rng = struct
+  type t = { mutable state : int64 }
+
+  let golden = 0x9E3779B97F4A7C15L
+
+  let create seed =
+    { state = Int64.mul (Int64.of_int (seed + 1)) 0xBF58476D1CE4E5B9L }
+
+  let next_state t =
+    t.state <- Int64.add t.state golden;
+    t.state
+
+  let mix z =
+    let z =
+      Int64.mul
+        (Int64.logxor z (Int64.shift_right_logical z 30))
+        0xBF58476D1CE4E5B9L
+    in
+    let z =
+      Int64.mul
+        (Int64.logxor z (Int64.shift_right_logical z 27))
+        0x94D049BB133111EBL
+    in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let int64 t = mix (next_state t)
+  let split t = { state = int64 t }
+  let bits t = Int64.to_int (Int64.shift_right_logical (int64 t) 34)
+
+  let int t bound =
+    if bound <= 1 lsl 30 then bits t mod bound
+    else
+      Int64.to_int
+        (Int64.rem
+           (Int64.shift_right_logical (int64 t) 1)
+           (Int64.of_int bound))
+
+  let float t bound =
+    let x = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
+    bound *. (x /. 9007199254740992.0)
+
+  let bernoulli t ~p = float t 1.0 < p
+end
+
+(* One draw of each kind per op; [Split] continues on the split-off
+   stream, so splits nest. *)
+type draw = I64 | Int of int | Float | Bern of float | Split
+
+let draw_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return I64);
+        (2, map (fun b -> Int b) (int_range 1 1_000));
+        (1, map (fun b -> Int b) (int_range ((1 lsl 30) + 1) max_int));
+        (2, return Float);
+        (2, map (fun p -> Bern p) (float_range 0. 1.));
+        (1, return Split);
+      ])
+
+let prop_rng_matches_boxed =
+  QCheck.Test.make ~name:"unboxed Rng draws the boxed streams" ~count:300
+    QCheck.(
+      pair small_int
+        (make ~print:(fun l -> string_of_int (List.length l) ^ " draws")
+           Gen.(list_size (int_range 1 200) draw_gen)))
+    (fun (seed, draws) ->
+      let rec go a b = function
+        | [] -> true
+        | d :: rest -> (
+            match d with
+            | I64 -> Rng.int64 a = Boxed_rng.int64 b && go a b rest
+            | Int bound -> Rng.int a bound = Boxed_rng.int b bound && go a b rest
+            | Float ->
+                Int64.bits_of_float (Rng.float a 3.5)
+                = Int64.bits_of_float (Boxed_rng.float b 3.5)
+                && go a b rest
+            | Bern p ->
+                Rng.bernoulli a ~p = Boxed_rng.bernoulli b ~p && go a b rest
+            | Split -> go (Rng.split a) (Boxed_rng.split b) rest)
+      in
+      go (Rng.create seed) (Boxed_rng.create seed) draws)
+
 let () =
   Alcotest.run "fault"
     [
@@ -496,6 +582,7 @@ let () =
             test_ni_draws_deterministic;
           Alcotest.test_case "honest Bernoulli frequency" `Quick
             test_bernoulli_frequency;
+          QCheck_alcotest.to_alcotest prop_rng_matches_boxed;
         ] );
       ( "uam-timer",
         [

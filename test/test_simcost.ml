@@ -319,11 +319,43 @@ let test_train_path_alloc_budget () =
   if per_pdu > budget then
     Alcotest.failf "%.0f minor words per PDU, budget %.0f" per_pdu budget
 
-(* A sleep schedules its wake-up through the simulator's pool of event
-   records ([Sim.schedule_drop]), so once a warm-up has filled the pool it
-   allocates only its continuation and closures. A sleep read 38 minor
+(* The per-cell path's allocation budget: 64-byte raw PDUs (two cells
+   each) with trains forced off, so every cell crosses the uplink, the
+   switch, the downlink and both NIs as events of its own. Setup is
+   taken out by differencing two runs. An uplink cell read 499 minor
+   words when every link, switch and NI job and every sleep built a
+   closure of its own and the switch keyed its routes by a tuple. The
+   budget is 0.6x that. *)
+let per_cell_words count =
+  let w0 = Gc.minor_words () in
+  ignore (Experiments.Common.raw_bandwidth ~count ~size:64 () : float);
+  Gc.minor_words () -. w0
+
+let test_per_cell_alloc_budget () =
+  Metrics.reset ();
+  Trainmode.force_per_cell true;
+  Fun.protect
+    ~finally:(fun () -> Trainmode.force_per_cell false)
+    (fun () ->
+      let base = 100 and count = 1_100 in
+      ignore (per_cell_words base);
+      let w_base = per_cell_words base in
+      let w = per_cell_words count in
+      let cells = (count - base) * Atm.Aal5.cells_for 64 in
+      let per_cell = (w -. w_base) /. float_of_int cells in
+      let budget = 0.6 *. 499. in
+      if per_cell > budget then
+        Alcotest.failf "%.0f minor words per uplink cell, budget %.0f" per_cell
+          budget)
+
+(* A sleep performs an effect of its own, whose handler and wake-up are
+   made once per process, and schedules the wake-up through the
+   simulator's pool of event records ([Sim.schedule_drop]); once a
+   warm-up has filled the pool it allocates only the effect, the
+   continuation and the option holding it: 8 minor words. A sleep read 38
    words when each one allocated a fresh event record and a handle that
-   nothing read. *)
+   nothing read, and 29 when it went through the generic suspend with a
+   closure per sleep. *)
 let test_sleep_words () =
   let sim = Sim.create () in
   let sleeps = 1_000 in
@@ -339,8 +371,8 @@ let test_sleep_words () =
          done;
          per_sleep := (Gc.minor_words () -. w0) /. float_of_int sleeps));
   Sim.run sim;
-  if not (!per_sleep <= 32.) then
-    Alcotest.failf "%.1f minor words per Proc.sleep, budget 32" !per_sleep
+  if not (!per_sleep <= 10.) then
+    Alcotest.failf "%.1f minor words per Proc.sleep, budget 10" !per_sleep
 
 (* --- direction-aware gating ------------------------------------------- *)
 
@@ -432,6 +464,8 @@ let () =
           Alcotest.test_case "train path words per PDU" `Quick
             test_train_path_alloc_budget;
           Alcotest.test_case "words per sleep" `Quick test_sleep_words;
+          Alcotest.test_case "per-cell words per cell" `Quick
+            test_per_cell_alloc_budget;
         ] );
       ( "bench",
         [
