@@ -497,9 +497,10 @@ let truncate_hop t h ~keep ~now =
     recompute_tail t
   end
 
-(* Fault-tagged cells land on a dedicated "fault" capture interface so a
-   lossy run shows exactly which cells were killed or damaged in
-   Wireshark, next to the clean injection-point capture. *)
+(* Cells the fault injector kills or damages land on a dedicated "fault"
+   capture interface, so a lossy run shows exactly which cells those were
+   in Wireshark, next to the clean injection-point capture. A full queue
+   is congestion, not a fault, and is not captured. *)
 let capture_fault cell =
   if Pcapng.enabled () then
     let ifc = Pcapng.iface ~name:"fault" ~linktype:Pcapng.linktype_sunatm in
@@ -509,7 +510,6 @@ let drop_cell t ~kind (cell : Cell.t) =
   t.dropped <- t.dropped + 1;
   Metrics.Counter.inc t.m_dropped;
   Journal.drop cell.Cell.tag.journal;
-  capture_fault cell;
   if Trace.enabled () then
     Trace.instant Trace.Cell "link.loss"
       ~args:[ ("vci", Trace.Int cell.Cell.vci); ("kind", Trace.Str kind) ]
@@ -552,6 +552,7 @@ let deliver t cell =
       match Fault.decide f with
       | Fault.Pass -> forward t cell
       | Fault.Drop -> (
+          capture_fault cell;
           drop_cell t ~kind:"drop" cell;
           match t.on_loss with Some f -> f cell | None -> ())
       | Fault.Corrupt ->
