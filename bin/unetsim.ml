@@ -406,7 +406,8 @@ let cmd =
             (* stop before any dump so the folded per-layer counters land
                in --metrics output and the report sections *)
             Engine.Profile.(stop Wall);
-            if breakdown then Experiments.Breakdown.print_report ();
+            if breakdown then
+              Format.printf "%a" Experiments.Breakdown.pp_report ();
             (match trace with
             | Some path ->
                 or_fail "trace" (fun () ->

@@ -142,17 +142,17 @@ let checks t =
   ]
 
 (* printed by the CLI's [--breakdown] after any experiment run *)
-let print_report () =
-  Format.printf "@.Per-phase latency attribution (all spans):@.@.";
-  Format.printf "%a" Span.pp_attribution ();
+let pp_report ppf () =
+  Format.fprintf ppf "@.Per-phase latency attribution (all spans):@.@.";
+  Format.fprintf ppf "%a" Span.pp_attribution ();
   let pairs = find_pairs () in
   if pairs <> [] then begin
     let t = analyze ~rtt_us:nan () in
-    Format.printf
+    Format.fprintf ppf
       "@.UAM round-trip decomposition (%d request/reply pairs):@.@."
       t.n_pairs;
     List.iter
-      (fun (slot, us) -> Format.printf "%-22s %10.2f@." slot us)
+      (fun (slot, us) -> Format.fprintf ppf "%-22s %10.2f@." slot us)
       t.rows;
-    Format.printf "%-22s %10.2f@." "sum (span RTT)" t.sum_us
+    Format.fprintf ppf "%-22s %10.2f@." "sum (span RTT)" t.sum_us
   end

@@ -17,7 +17,7 @@ val run : quick:bool -> t
 val print : t -> unit
 val checks : t -> (string * bool) list
 
-val print_report : unit -> unit
+val pp_report : Format.formatter -> unit -> unit
 (** Print {!Engine.Span.pp_attribution} for the live span store, plus the
     round-trip decomposition when request/reply pairs are present. Used by
     the CLI's [--breakdown] flag after any experiment run. *)
