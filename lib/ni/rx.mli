@@ -36,13 +36,12 @@ val on_train :
   deliveries:Engine.Sim.time array ->
   unit
 (** A whole train, called at [deliveries.(0)] (an
-    {!Atm.Network.attach_rx_train} handler). On the fast path
-    ({!Engine.Trainmode.active} and no fault injector) the run of
-    [rx_cell] jobs is one paced batch whose indexed action pushes each
-    cell at its completion, and an upstream truncation trims the batch.
-    Otherwise — or when the server refuses the batch — the cells go to
-    {!on_cell} one by one at their delivery instants, one chained
-    ["ni.rx_train"] event per cell. *)
+    {!Atm.Network.attach_rx_train} handler). Without a fault injector
+    the run of [rx_cell] jobs is one paced batch whose indexed action
+    pushes each cell at its completion, and an upstream truncation trims
+    the batch. Otherwise — or when the server refuses the batch — the
+    cells go to {!on_cell} one by one at their delivery instants, one
+    chained ["ni.rx_train"] event per cell. *)
 
 val fault : t -> Engine.Fault.t option
 (** The NI's fault injector: the transmit side draws [dma_stall] from it,
